@@ -9,6 +9,7 @@ Library layout:
     controller  continuous sliding-mode fault-tolerant control law
     bounds      sequential fixed-point prediction of ultimate error bounds
     scenario    scenario configs, YAML I/O, built-in presets
+    kernel      the closed-loop step on Python floats that harness runs
     harness     closed-loop runner, Monte Carlo campaigns, verification, export
 """
 

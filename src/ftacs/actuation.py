@@ -27,18 +27,21 @@ class ProfileSpec:
     freq: float = 1.0
     phase: float = 0.0
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """Value at a time (a float) or on an array of times (an array)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "const":
-            v = self.offset
+            v = np.full(t.shape, self.offset, dtype=float)
         elif self.kind == "sin":
             v = self.offset + self.scale * np.sin(self.freq * t + self.phase)
         elif self.kind == "cos":
             v = self.offset + self.scale * np.cos(self.freq * t + self.phase)
         elif self.kind == "abs_sin":
-            v = self.offset + self.scale * abs(np.sin(self.freq * t + self.phase))
+            v = self.offset + self.scale * np.abs(np.sin(self.freq * t + self.phase))
         else:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        return min(1.0, max(0.0, float(v)))
+        v = np.clip(v, 0.0, 1.0)
+        return float(v) if v.ndim == 0 else v
 
 
 @dataclass
@@ -47,8 +50,9 @@ class HealthProfile:
 
     profiles: list[ProfileSpec]
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.array([p(t) for p in self.profiles])
+    def __call__(self, t) -> np.ndarray:
+        """(m,) values at a time, or (n, m) on an array of n times."""
+        return np.stack([np.asarray(p(t)) for p in self.profiles], axis=-1)
 
     @classmethod
     def healthy(cls, m: int) -> "HealthProfile":

@@ -62,7 +62,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     scenario = _load(args)
-    summary = run_campaign(scenario, args.n, eta=args.eta)
+    try:
+        summary = run_campaign(scenario, args.n, eta=args.eta)
+    except (GainConditionViolated, NotContractive) as exc:
+        print(f"prediction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
     export_summary_jsonl(summary, out)
     print(f"wrote {out}")
@@ -105,6 +109,9 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     try:
         report = verify(scenario, args.n, eta=args.eta, strict=True)
+    except (GainConditionViolated, NotContractive) as exc:
+        print(f"prediction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     except BoundViolated as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VIOLATED

@@ -129,13 +129,17 @@ class SyntheticErrorProfile:
                 f"budget ({budget.rho_q}, {budget.rho_w})"
             )
 
-    def qtilde(self, t: float) -> np.ndarray:
-        v = self.amp_q * math.sin(self.freq_q * t + self.phase_q) * self.axis_q
-        q0 = math.sqrt(max(0.0, 1.0 - float(v @ v)))
-        return np.concatenate([[q0], v])
+    def qtilde(self, t) -> np.ndarray:
+        """(4,) error quaternion at a time, or (n, 4) on an array of n times."""
+        amp = self.amp_q * np.sin(self.freq_q * np.asarray(t, dtype=float) + self.phase_q)
+        v = amp[..., None] * self.axis_q
+        q0 = np.sqrt(np.maximum(0.0, 1.0 - np.sum(v * v, axis=-1)))
+        return np.concatenate([q0[..., None], v], axis=-1)
 
-    def omega_tilde(self, t: float) -> np.ndarray:
-        return self.amp_w * math.sin(self.freq_w * t + self.phase_w) * self.axis_w
+    def omega_tilde(self, t) -> np.ndarray:
+        """(3,) rate error at a time, or (n, 3) on an array of n times."""
+        amp = self.amp_w * np.sin(self.freq_w * np.asarray(t, dtype=float) + self.phase_w)
+        return amp[..., None] * self.axis_w
 
 
 def synthetic_observer(

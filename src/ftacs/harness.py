@@ -6,32 +6,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .actuation import allocation_matrix
-from .bounds import BoundTrace, predict
-from .controller import (
-    ControlDiagnostics,
-    estimated_errors,
-    feedforward_terms,
-    robust_coefficients,
-    robust_term,
-    virtual_control,
-)
-from .dynamics import DesiredState, SpacecraftState, inertia_inverse, tracking_errors
+from .bounds import BoundTrace, RobustCoefficients, predict, robust_coefficients
+from .config import zero_budget
+from .dynamics import SpacecraftState
 from .errors import BoundViolated, EmptyTail, NonFiniteState
-from .estimation import (
-    ObserverOutput,
-    SyntheticErrorProfile,
-    bias_observer_step,
-    estimation_error,
-    random_unit_vector,
-    sensor_sample,
-)
+from .estimation import SyntheticErrorProfile, random_unit_vector
 from .scenario import Scenario
-from .so3 import normalize, quat_from_axis_angle, quat_inv, quat_mul
+from .so3 import quat_from_axis_angle
 
 
 @dataclass
@@ -91,223 +79,188 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> SpacecraftSt
     return SpacecraftState(q=q0, omega=omega0)
 
 
-def _qdot(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quaternion kinematics qdot = 0.5*[-qv.w; q0*w + qv x w], scalar form.
+# Rows of precomputed signals, and of recorded samples, held as Python floats
+# at a time: long runs keep their arrays in numpy.
+ROW_BLOCK = 256
 
-    Equivalent to dynamics.attitude_kinematics but without array-construction
-    overhead; this is the innermost function of the simulation loop.
-    """
-    q0, q1, q2, q3 = q
-    wx, wy, wz = w
-    return np.array(
-        [
-            -0.5 * (q1 * wx + q2 * wy + q3 * wz),
-            0.5 * (q0 * wx + q2 * wz - q3 * wy),
-            0.5 * (q0 * wy + q3 * wx - q1 * wz),
-            0.5 * (q0 * wz + q1 * wy - q2 * wx),
-        ]
+
+def _row_blocks(n: int):
+    """Slices of ROW_BLOCK rows that cover range(n)."""
+    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
+
+
+@dataclass
+class ScenarioSignals:
+    """What the closed loop needs that does not depend on the instance, on the
+    step grid of one scenario. Built once by scenario_signals and shared by
+    every instance of a campaign; run_scenario reads it in row blocks."""
+
+    scenario: Scenario
+    coeffs: RobustCoefficients
+    t: np.ndarray  # (n,) step start times
+    qd: np.ndarray  # (n, 4) reference attitude at each step start
+    omega_d: np.ndarray  # (n, 3)
+    omega_d_dot: np.ndarray  # (n, 3)
+    tau_d: np.ndarray  # (n, 3) disturbance at each step midpoint
+    health: np.ndarray  # (n, m) true health indicators
+    alloc: np.ndarray  # (k, m, 3) allocation matrix of each distinct health-estimate row
+    alloc_index: np.ndarray  # (n,) row of alloc used at each step
+    qtilde_inv: np.ndarray | None = None  # (n, 4) synthetic observer qtilde(t)^-1
+    omega_tilde: np.ndarray | None = None  # (n, 3) synthetic observer omega_tilde(t)
+
+    def steps(self):
+        """Per step: t, qd, omega_d, omega_d_dot, tau_d, health, allocation
+        rows, qtilde^-1 and omega_tilde (None unless synthetic), as floats."""
+        for rows in _row_blocks(len(self.t)):
+            obs = [repeat(None) if a is None else a[rows].tolist()
+                   for a in (self.qtilde_inv, self.omega_tilde)]
+            yield from zip(
+                self.t[rows].tolist(), self.qd[rows].tolist(), self.omega_d[rows].tolist(),
+                self.omega_d_dot[rows].tolist(), self.tau_d[rows].tolist(),
+                self.health[rows].tolist(), self.alloc[self.alloc_index[rows]].tolist(), *obs)
+
+
+def scenario_signals(scenario: Scenario) -> ScenarioSignals:
+    """Evaluate the scenario's reference, disturbance, health and synthetic
+    observer signals on the step grid, integrate the reference attitude and
+    build the allocation matrices. Raises RankDeficient when the health
+    estimate loses full actuation anywhere on the grid."""
+    dt = scenario.dt
+    n = scenario.n_steps
+    budget = scenario.budget
+    if budget is None:
+        budget = zero_budget(scenario.estimates.J_hat_norm)
+    t = dt * np.arange(n)
+    wd0 = scenario.omega_d(t)
+    wdh = scenario.omega_d(t + 0.5 * dt)
+    wdf = scenario.omega_d(t + dt)
+
+    # reference attitude: RK4 of the kinematics through the reference rates
+    qd = np.empty((n, 4))
+    q = tuple(scenario.qd0.tolist())
+    for rows in _row_blocks(n):
+        block = []
+        for w1, w2, w4 in zip(wd0[rows].tolist(), wdh[rows].tolist(), wdf[rows].tolist()):
+            block.append(q)
+            q = kernel.kinematics_rk4(q, w1, w2, w4, dt)
+        qd[rows] = block
+    del wdh, wdf
+
+    # allocation matrices, computed once per distinct health-estimate row
+    uniq, alloc_index = np.unique(np.round(scenario.health_estimate(t), 15), axis=0,
+                                  return_inverse=True)
+    alloc = np.array([allocation_matrix(scenario.bank, e) for e in uniq])
+
+    qtilde_inv = omega_tilde = None
+    spec = scenario.observer
+    if spec.kind == "synthetic":
+        synth = SyntheticErrorProfile(
+            amp_q=spec.amp_q,
+            amp_w=spec.amp_w,
+            freq_q=spec.freq_q,
+            freq_w=spec.freq_w,
+            phase_q=spec.phase_q,
+            phase_w=spec.phase_w,
+        )
+        qtilde_inv = synth.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
+        omega_tilde = synth.omega_tilde(t)
+
+    return ScenarioSignals(
+        scenario=scenario,
+        coeffs=robust_coefficients(budget, scenario.gains.k),
+        t=t,
+        qd=qd,
+        omega_d=wd0,
+        omega_d_dot=scenario.omega_d.derivative(t),
+        tau_d=scenario.disturbance(t + 0.5 * dt),
+        health=scenario.health(t),
+        alloc=alloc,
+        alloc_index=alloc_index.reshape(-1),
+        qtilde_inv=qtilde_inv,
+        omega_tilde=omega_tilde,
     )
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
-def _rk4_quat(q: np.ndarray, w0: np.ndarray, wh: np.ndarray, wf: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step of the quaternion kinematics with rates given at the three
-    stage times (start, midpoint, end)."""
-    k1 = _qdot(q, w0)
-    k2 = _qdot(q + 0.5 * dt * k1, wh)
-    k3 = _qdot(q + 0.5 * dt * k2, wh)
-    k4 = _qdot(q + dt * k3, wf)
-    return normalize(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _rk4_plant(
-    q: np.ndarray,
-    w: np.ndarray,
-    J: np.ndarray,
-    J_inv: np.ndarray,
-    tau: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 step of (q, omega) under a torque held constant over the step."""
-
-    def wdot(wi):
-        return J_inv @ (tau - _cross3(wi, J @ wi))
-
-    k1q = _qdot(q, w)
-    k1w = wdot(w)
-    q2, w2 = q + 0.5 * dt * k1q, w + 0.5 * dt * k1w
-    k2q = _qdot(q2, w2)
-    k2w = wdot(w2)
-    q3, w3 = q + 0.5 * dt * k2q, w + 0.5 * dt * k2w
-    k3q = _qdot(q3, w3)
-    k3w = wdot(w3)
-    q4, w4 = q + dt * k3q, w + dt * k3w
-    k4q = _qdot(q4, w4)
-    k4w = wdot(w4)
-    q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-    w_new = w + (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-    return normalize(q_new), w_new
-
-
-def run_scenario(scenario: Scenario, seed: int | None = None) -> RunTrace:
+def run_scenario(
+    scenario: Scenario, seed: int | None = None, signals: ScenarioSignals | None = None
+) -> RunTrace:
     """Propagate the full closed loop truth -> observer -> controller ->
-    actuators -> dynamics at fixed dt."""
+    actuators -> dynamics at fixed dt.
+
+    signals, from scenario_signals(scenario), lets the instances of a
+    campaign share one precompute; it is built here when not given."""
     seed = scenario.seed if seed is None else seed
+    if signals is None:
+        signals = scenario_signals(scenario)
+    elif signals.scenario is not scenario:
+        raise ValueError("signals were built for a different scenario")
     rng = np.random.default_rng(seed)
     dt = scenario.dt
     n = scenario.n_steps
     dec = scenario.record_decimation
     m = scenario.bank.m
+    k = scenario.gains.k
 
-    J = scenario.J
-    J_inv = inertia_inverse(J)
-    gains = scenario.gains
-    budget = scenario.budget
-    if budget is not None:
-        coeffs = robust_coefficients(budget, gains.k)
-    else:
-        from .config import zero_budget
-
-        coeffs = robust_coefficients(zero_budget(scenario.estimates.J_hat_norm), gains.k)
-
-    # precompute reference, disturbance, and health signals on the step grid
-    t_grid = dt * np.arange(n)
-    wd0 = scenario.omega_d(t_grid)
-    wdh = scenario.omega_d(t_grid + 0.5 * dt)
-    wdf = scenario.omega_d(t_grid + dt)
-    wddot = scenario.omega_d.derivative(t_grid)
-    taud_mid = scenario.disturbance(t_grid + 0.5 * dt)
-    e_arr = np.array([scenario.health(t) for t in t_grid])
-    ehat_arr = np.array([scenario.health_estimate(t) for t in t_grid])
-
-    # allocation matrices, computed once per distinct health-estimate row
-    uniq, inv_idx = np.unique(np.round(ehat_arr, 15), axis=0, return_inverse=True)
-    alloc = np.array([allocation_matrix(scenario.bank, e) for e in uniq])
-
-    obs_spec = scenario.observer
-    synth = None
-    if obs_spec.kind == "synthetic":
-        synth = SyntheticErrorProfile(
-            amp_q=obs_spec.amp_q,
-            amp_w=obs_spec.amp_w,
-            freq_q=obs_spec.freq_q,
-            freq_w=obs_spec.freq_w,
-            phase_q=obs_spec.phase_q,
-            phase_w=obs_spec.phase_w,
-        )
-
+    control = kernel.control_law(scenario.gains, scenario.estimates, signals.coeffs,
+                                 scenario.bank.tau_max)
+    plant = kernel.plant_step(scenario.J, dt)
     state = _initial_state(scenario, rng)
-    qd = scenario.qd0.copy()
-    D = scenario.bank.D
+    q, w = tuple(state.q.tolist()), tuple(state.omega.tolist())
+    spec = scenario.observer
+    if spec.kind == "perfect":
+        observe = kernel.perfect_observe
+    elif spec.kind == "synthetic":
+        observe = kernel.synthetic_observe
+    else:  # bias observer fed by noisy sensors, drawing after the initial state
+        observe = kernel.bias_observer(scenario.noise, spec.k_o, spec.k_b, dt, rng)
+    D = scenario.bank.D.T.tolist()  # thruster-pair torque directions
 
-    bias = scenario.noise.b0.copy()
-    q_hat_obs: np.ndarray | None = None
-    b_hat = np.zeros(3)
-
+    # recorded fields and their widths, in the column order of a recorded row
+    widths = {"t": 1, "qe": 4, "omega_e": 3, "s": 3, "s_hat": 3, "theta_e_deg": 1,
+              "tau_u": m, "qtilde_norm": 1, "wtilde_norm": 1}
     n_rec = (n + dec - 1) // dec
-    rec = {
-        "t": np.empty(n_rec),
-        "qe": np.empty((n_rec, 4)),
-        "omega_e": np.empty((n_rec, 3)),
-        "s": np.empty((n_rec, 3)),
-        "s_hat": np.empty((n_rec, 3)),
-        "theta_e_deg": np.empty(n_rec),
-        "tau_u": np.empty((n_rec, m)),
-        "qtilde_norm": np.empty(n_rec),
-        "wtilde_norm": np.empty(n_rec),
-    }
+    rec = {name: np.empty((n_rec, wn) if wn > 1 else n_rec) for name, wn in widths.items()}
+    rows: list[tuple] = []
     r = 0
 
-    for i in range(n):
-        t = t_grid[i]
-        desired = DesiredState.__new__(DesiredState)
-        desired.qd, desired.omega_d, desired.omega_d_dot = qd, wd0[i], wddot[i]
+    def flush():
+        nonlocal r
+        block = np.array(rows)
+        c = 0
+        for name, wn in widths.items():
+            rec[name][r:r + len(rows)] = block[:, c:c + wn] if wn > 1 else block[:, c]
+            c += wn
+        r += len(rows)
+        rows.clear()
 
-        if obs_spec.kind == "perfect":
-            obs = ObserverOutput(q_hat=state.q, omega_hat=state.omega)
-        elif obs_spec.kind == "synthetic":
-            obs = ObserverOutput(
-                q_hat=_quat_mul_inv(state.q, synth.qtilde(t)),
-                omega_hat=state.omega + synth.omega_tilde(t),
-            )
-        else:  # bias observer fed by noisy sensors
-            sample, bias = sensor_sample(state, bias, scenario.noise, rng, dt)
-            if q_hat_obs is None:
-                q_hat_obs = sample.qm.copy()
-            q_hat_obs, b_hat, obs = bias_observer_step(
-                q_hat_obs, b_hat, sample, obs_spec.k_o, obs_spec.k_b, dt
-            )
-
-        tau_u, u, diag = _control_step_alloc(
-            obs, desired, gains, scenario.estimates, coeffs, alloc[inv_idx[i]],
-            scenario.bank.tau_max,
-        )
-        tau_c = D @ (e_arr[i] * tau_u)
-
+    for i, (t, qd, wd, wdd, taud, e, alloc, qti, wt) in enumerate(signals.steps()):
+        qh, wh = observe(q, w, qti, wt)
+        tau_u, s_hat = control(qh, wh, qd, wd, wdd, alloc)
         if i % dec == 0:
-            err = tracking_errors(state, desired, gains.k)
-            qt = estimation_error(obs.q_hat, state.q)
-            rec["t"][r] = t
-            rec["qe"][r] = err.qe
-            rec["omega_e"][r] = err.omega_e
-            rec["s"][r] = err.s
-            rec["s_hat"][r] = diag.s_hat
-            rec["theta_e_deg"][r] = math.degrees(2.0 * math.acos(min(abs(err.qe[0]), 1.0)))
-            rec["tau_u"][r] = tau_u
-            rec["qtilde_norm"][r] = np.linalg.norm(qt[1:])
-            rec["wtilde_norm"][r] = np.linalg.norm(obs.omega_hat - state.omega)
-            r += 1
-
-        q_new, w_new = _rk4_plant(state.q, state.omega, J, J_inv, tau_c + taud_mid[i], dt)
-        if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(w_new))):
-            raise NonFiniteState(f"non-finite state at step {i} (t={t:.3f} s)")
-        state.q, state.omega = q_new, w_new
-        qd = _rk4_quat(qd, wd0[i], wdh[i], wdf[i], dt)
+            *errors, theta, qtn, wtn = kernel.tracking_record(q, w, qd, wd, qh, wh, k)
+            rows.append((t, *errors, *s_hat, theta, *tau_u, qtn, wtn))
+            if len(rows) == ROW_BLOCK:
+                flush()
+        # realized torque D * E * tau_u, plus the disturbance
+        cx = cy = cz = 0.0
+        for (dx, dy, dz), ej, tj in zip(D, e, tau_u):
+            p = ej * tj
+            cx += dx * p
+            cy += dy * p
+            cz += dz * p
+        try:
+            q, w = plant(q, w, (cx + taud[0], cy + taud[1], cz + taud[2]))
+        except NonFiniteState:
+            raise NonFiniteState(f"non-finite state at step {i} (t={t:.3f} s)") from None
+    if rows:
+        flush()
 
     return RunTrace(
-        t=rec["t"],
-        qe=rec["qe"],
-        omega_e=rec["omega_e"],
-        s=rec["s"],
-        s_hat=rec["s_hat"],
-        theta_e_deg=rec["theta_e_deg"],
-        tau_u=rec["tau_u"],
-        qtilde_norm=rec["qtilde_norm"],
-        wtilde_norm=rec["wtilde_norm"],
+        **rec,
         seed=int(seed) if np.isscalar(seed) else -1,
         scenario_name=scenario.name,
         dt=dt * dec,
     )
-
-
-def _quat_mul_inv(q: np.ndarray, qt: np.ndarray) -> np.ndarray:
-    """q (x) qt^-1."""
-    return quat_mul(q, quat_inv(qt))
-
-
-def _control_step_alloc(obs, desired, gains, estimates, coeffs, alloc_mat, tau_max):
-    """control_step with a precomputed allocation matrix."""
-    q_hat_e, omega_hat_e, s_hat, omega_bar_hat_d = estimated_errors(obs, desired, gains.k)
-    psi_hat, psi_hat_d = feedforward_terms(
-        estimates, q_hat_e, omega_hat_e, omega_bar_hat_d, desired, gains.k
-    )
-    u_s, inside = robust_term(s_hat, q_hat_e[1:], coeffs, gains.gamma, gains.epsilon)
-    u = virtual_control(s_hat, gains.K, u_s, psi_hat, psi_hat_d, estimates.tau_d_hat)
-    tau_u_raw = alloc_mat @ u
-    tau_u = np.clip(tau_u_raw, -tau_max, tau_max)
-    diag = ControlDiagnostics(
-        s_hat=s_hat, q_hat_e=q_hat_e, u_s=u_s, inside_boundary_layer=inside, tau_u_raw=tau_u_raw
-    )
-    return tau_u, u, diag
 
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float = 0.2) -> TailStats:
@@ -338,24 +291,29 @@ def instance_seeds(campaign_seed: int, n: int) -> list[int]:
 def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> CampaignSummary:
     """Run n independent instances; aggregate tail statistics.
 
-    Per-instance failures are recorded and the campaign continues.
+    The bound prediction (when the scenario has a budget) and the shared
+    precompute come first. Per-instance failures are recorded and the
+    campaign continues.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
+    # a failed gain condition or rank-deficient allocation fails before any instance runs
+    predicted = None
+    if scenario.budget is not None:
+        predicted = predict(scenario.budget, scenario.gains, eta=eta)
+    signals = scenario_signals(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
     instances: list[TailStats] = []
     failures: list[str] = []
     for idx, seed in enumerate(seeds):
         try:
-            trace = run_scenario(scenario, seed=seed)
+            trace = run_scenario(scenario, seed=seed, signals=signals)
             instances.append(steady_state_stats(trace, scenario.tail_fraction))
         except NonFiniteState as exc:
             failures.append(f"instance {idx} (seed {seed}): {exc}")
 
-    predicted = None
     instance_pass: list[bool] = []
-    if scenario.budget is not None:
-        predicted = predict(scenario.budget, scenario.gains, eta=eta)
+    if predicted is not None:
         theta_bound_deg = math.degrees(predicted.theta_bound)
         instance_pass = [
             st.theta_e_max_deg <= theta_bound_deg and st.omega_e_max <= predicted.omega_bound

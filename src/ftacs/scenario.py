@@ -5,7 +5,7 @@ zero-uncertainty nominal case)."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +145,13 @@ class Scenario:
             raise ValueError("record_decimation must be >= 1")
         if self.budget is not None:
             self.budget.validate()
+        n_health = len(self.health.profiles)
+        n_estimate = len(self.health_estimate.profiles)
+        if not n_health == n_estimate == self.bank.m:
+            raise ValueError(
+                f"the bank has {self.bank.m} thruster pairs, but health has {n_health} "
+                f"profiles and health_estimate has {n_estimate}"
+            )
         # fully-actuated check on the health estimate at scenario start
         e_hat0 = self.health_estimate(0.0)
         if np.linalg.matrix_rank(self.bank.D * e_hat0) != 3:
@@ -397,8 +404,5 @@ def load_scenario(name_or_path: str, **overrides) -> Scenario:
         return PRESETS[name_or_path](**overrides)
     path = Path(name_or_path)
     if path.exists():
-        sc = load_scenario_file(path)
-        for key, val in overrides.items():
-            setattr(sc, key, val)
-        return sc
+        return replace(load_scenario_file(path), **overrides)
     raise ValueError(f"unknown scenario {name_or_path!r} (not a preset, not a file)")

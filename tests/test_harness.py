@@ -1,12 +1,16 @@
 import csv
 import json
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from ftacs import ControllerGains, harness
+from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
-from ftacs.errors import BoundViolated, EmptyTail
+from ftacs.errors import BoundViolated, EmptyTail, RankDeficient
 from ftacs.harness import (
     RunTrace,
     export_bound_trace_jsonl,
@@ -15,6 +19,7 @@ from ftacs.harness import (
     instance_seeds,
     run_campaign,
     run_scenario,
+    scenario_signals,
     steady_state_stats,
     trace_columns,
     verify,
@@ -24,6 +29,7 @@ from ftacs.scenario import (
     nominal_exact,
     paper_budget,
     paper_fault_free,
+    paper_faulty,
     save_scenario,
 )
 
@@ -47,14 +53,16 @@ def test_run_trace_shape_and_grid():
     assert np.all(trace.theta_e_deg <= 180.0)
 
 
+def assert_traces_equal(a, b):
+    for f in fields(RunTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
 def test_determinism_bitwise():
-    sc = short_scenario()
-    a = run_scenario(sc)
-    b = run_scenario(sc)
-    assert np.array_equal(a.qe, b.qe)
-    assert np.array_equal(a.omega_e, b.omega_e)
-    assert np.array_equal(a.tau_u, b.tau_u)
-    assert np.array_equal(a.qtilde_norm, b.qtilde_norm)
+    for kind in ("synthetic", "bias"):
+        sc = short_scenario(observer=ObserverSpec(kind=kind))
+        assert_traces_equal(run_scenario(sc), run_scenario(sc))
 
 
 def test_seed_changes_random_initial_condition():
@@ -140,14 +148,60 @@ def test_instance_seeds_deterministic():
     assert instance_seeds(42, 3) != instance_seeds(43, 3)
 
 
-def test_campaign_n1_matches_run_scenario():
-    sc = short_scenario()
-    summary = run_campaign(sc, 1)
-    seed = instance_seeds(sc.seed, 1)[0]
-    trace = run_scenario(sc, seed=seed)
-    st = steady_state_stats(trace, sc.tail_fraction)
-    assert summary.instances[0].theta_e_max_deg == st.theta_e_max_deg
-    assert summary.theta_e_max_deg == st.theta_e_max_deg
+def campaign_traces(monkeypatch, sc, n):
+    """Run a campaign and keep the trace of every instance."""
+    traces = []
+
+    def keep(*args, **kwargs):
+        traces.append(run_scenario(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_scenario", keep)
+    summary = run_campaign(sc, n)
+    monkeypatch.undo()
+    return summary, traces
+
+
+def test_campaign_n1_matches_run_scenario(monkeypatch):
+    for kind in ("synthetic", "bias"):
+        sc = short_scenario(observer=ObserverSpec(kind=kind))
+        summary, (campaign_trace,) = campaign_traces(monkeypatch, sc, 1)
+        seed = instance_seeds(sc.seed, 1)[0]
+        trace = run_scenario(sc, seed=seed)
+        assert_traces_equal(campaign_trace, trace)
+        st = steady_state_stats(trace, sc.tail_fraction)
+        assert summary.instances[0] == st
+        assert summary.theta_e_max_deg == st.theta_e_max_deg
+
+
+def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
+    # the third instance, after two others used the same precompute, equals
+    # its standalone run
+    sc = short_scenario(duration=10.0, observer=ObserverSpec(kind="bias"))
+    summary, traces = campaign_traces(monkeypatch, sc, 3)
+    assert len(traces) == 3
+    assert_traces_equal(traces[2], run_scenario(sc, seed=instance_seeds(sc.seed, 3)[2]))
+
+
+def test_run_scenario_rejects_signals_of_another_scenario():
+    with pytest.raises(ValueError):
+        run_scenario(short_scenario(), signals=scenario_signals(short_scenario()))
+
+
+def test_rank_deficient_estimate_fails_before_any_instance(monkeypatch):
+    # pair 3 fades out after t = pi/2 and pair 4 is dead: full rank at t = 0
+    # only, so Scenario validation passes and the precompute must fail
+    estimate = HealthProfile([ProfileSpec(), ProfileSpec(),
+                              ProfileSpec(kind="cos", offset=0.0, scale=1.0),
+                              ProfileSpec(kind="const", offset=0.0)])
+    sc = short_scenario(duration=5.0, health_estimate=estimate)
+    monkeypatch.setattr(harness, "run_scenario", never_called)
+    with pytest.raises(RankDeficient):
+        run_campaign(sc, 3)
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("run_scenario was called")
 
 
 def test_campaign_determinism_and_aggregation():
@@ -269,14 +323,24 @@ def test_cli_montecarlo(tmp_path, capsys):
 
 def test_cli_check_gains_pass_and_fail(tmp_path, capsys):
     assert cli_main(["check-gains", "--scenario", "paper-faulty"]) == 0
-    from ftacs import ControllerGains
-    from ftacs.scenario import paper_faulty
-
     sc = paper_faulty()
     sc.gains = ControllerGains(k=0.2, K=0.1 * np.eye(3), epsilon=0.01, gamma=0.01)
     sc_path = tmp_path / "weak.yaml"
     save_scenario(sc, sc_path)
     assert cli_main(["check-gains", "--scenario", str(sc_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "montecarlo"])
+def test_cli_failed_gain_condition_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
+                                                            command):
+    sc = paper_faulty(duration=10.0, gains=ControllerGains(k=0.2, K=0.1 * np.eye(3),
+                                                           epsilon=0.01, gamma=0.01))
+    sc_path = tmp_path / "weak.yaml"
+    save_scenario(sc, sc_path)
+    monkeypatch.setattr(harness, "run_scenario", never_called)
+    code = cli_main([command, "--scenario", str(sc_path), "-n", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "prediction failed" in capsys.readouterr().err
 
 
 def test_cli_verify(tmp_path, capsys):

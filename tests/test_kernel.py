@@ -1,0 +1,179 @@
+"""The float closed-loop kernel against the numpy library functions and
+against traces recorded before it replaced the numpy step loop."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ftacs.actuation import ActuatorBank, allocation_matrix
+from ftacs.bounds import robust_coefficients
+from ftacs.config import ModelEstimates
+from ftacs.controller import control_step
+from ftacs.dynamics import DesiredState, SpacecraftState, rk4_step, tracking_errors
+from ftacs.estimation import (
+    NoiseParams,
+    ObserverOutput,
+    SyntheticErrorProfile,
+    bias_observer_step,
+    estimation_error,
+    sensor_sample,
+    synthetic_observer,
+)
+from ftacs.harness import run_scenario
+from ftacs.kernel import (
+    bias_observer,
+    control_law,
+    kinematics_rk4,
+    plant_step,
+    synthetic_observe,
+    tracking_record,
+)
+from ftacs.scenario import (
+    PAPER_D,
+    PAPER_J,
+    PAPER_J_HAT,
+    ObserverSpec,
+    nominal_exact,
+    paper_budget,
+    paper_fault_free,
+    paper_faulty,
+    paper_gains,
+)
+from ftacs.so3 import quat_from_axis_angle
+
+# Every RunTrace field of three 5 s runs, recorded with run_scenario at commit
+# bf60fc0, whose step loop was written with numpy arrays.
+GOLDEN = Path(__file__).parent / "data" / "golden_traces.npz"
+GOLDEN_CASES = {
+    "paper_faulty": lambda: paper_faulty(duration=5.0),
+    "paper_fault_free_bias": lambda: paper_fault_free(
+        duration=5.0, observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1)
+    ),
+    "nominal_exact": lambda: nominal_exact(duration=5.0),
+}
+TRACE_FIELDS = ("t", "qe", "omega_e", "s", "s_hat", "theta_e_deg", "tau_u", "qtilde_norm",
+                "wtilde_norm")
+TOL = 1e-12
+
+
+def random_quat(rng):
+    v = rng.standard_normal(3)
+    return quat_from_axis_angle(v / np.linalg.norm(v), rng.uniform(0.0, np.pi))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_traces(case):
+    golden = np.load(GOLDEN)
+    trace = run_scenario(GOLDEN_CASES[case]())
+    assert trace.seed == golden[f"{case}.seed"]
+    assert trace.dt == golden[f"{case}.dt"]
+    for name in TRACE_FIELDS:
+        np.testing.assert_allclose(getattr(trace, name), golden[f"{case}.{name}"],
+                                   rtol=0.0, atol=TOL, err_msg=f"{case}.{name}")
+
+
+def test_control_stage_matches_control_step():
+    rng = np.random.default_rng(7)
+    gains = paper_gains()
+    coeffs = robust_coefficients(paper_budget(0.08), gains.k)
+    bank = ActuatorBank(D=PAPER_D.copy(), tau_max=0.02)
+    est = ModelEstimates(J_hat=PAPER_J_HAT, tau_d_hat=rng.standard_normal(3) * 1e-6)
+    control = control_law(gains, est, coeffs, bank.tau_max)
+    inside_seen, saturated_seen, free_seen = set(), False, False
+    for i in range(200):
+        qd = random_quat(rng)
+        desired = DesiredState(qd=qd, omega_d=rng.standard_normal(3) * 2e-3,
+                               omega_d_dot=rng.standard_normal(3) * 2e-6)
+        obs = ObserverOutput(q_hat=random_quat(rng), omega_hat=rng.standard_normal(3) * 0.02)
+        e_hat = rng.uniform(0.3, 1.0, 4)
+        if i % 2:  # small rate error: s_hat inside the boundary layer
+            _, _, ref = control_step(obs, desired, gains, est, coeffs, bank, e_hat)
+            obs.omega_hat = obs.omega_hat - ref.s_hat + rng.standard_normal(3) * 1e-3
+        tau_ref, _, diag = control_step(obs, desired, gains, est, coeffs, bank, e_hat)
+        tau, s_hat = control(tuple(obs.q_hat), tuple(obs.omega_hat), tuple(desired.qd),
+                             tuple(desired.omega_d), tuple(desired.omega_d_dot),
+                             allocation_matrix(bank, e_hat).tolist())
+        np.testing.assert_allclose(s_hat, diag.s_hat, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(tau, tau_ref, rtol=0.0, atol=TOL)
+        inside_seen.add(diag.inside_boundary_layer)
+        saturated_seen |= bool(np.any(np.abs(diag.tau_u_raw) > bank.tau_max))
+        free_seen |= bool(np.all(np.abs(diag.tau_u_raw) < bank.tau_max))
+    assert inside_seen == {True, False} and saturated_seen and free_seen
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.5])
+def test_plant_step_matches_rk4_step(dt):
+    rng = np.random.default_rng(11)
+    step = plant_step(PAPER_J, dt)
+    for _ in range(100):
+        state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.05)
+        tau_c, tau_d = rng.standard_normal(3) * 0.02, rng.standard_normal(3) * 3e-6
+        ref = rk4_step(state, PAPER_J, lambda t, s: tau_c, lambda t: tau_d, 0.0, dt)
+        q, w = step(tuple(state.q), tuple(state.omega), tuple(tau_c + tau_d))
+        np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
+
+
+def test_kinematics_rk4_at_constant_rate_matches_plant_kinematics():
+    # a rigid body spinning about a principal axis keeps its rate, so the
+    # plant's attitude step and the kinematics step at that rate coincide
+    rng = np.random.default_rng(3)
+    J = np.diag([8.0, 7.0, 6.0])
+    step = plant_step(J, 0.01)
+    for axis in np.eye(3):
+        w = tuple(axis * 0.03)
+        q = tuple(random_quat(rng))
+        q_plant, w_plant = step(q, w, (0.0, 0.0, 0.0))
+        np.testing.assert_allclose(w_plant, w, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(kinematics_rk4(q, w, w, w, 0.01), q_plant, rtol=0.0, atol=TOL)
+
+
+def test_tracking_record_matches_library():
+    rng = np.random.default_rng(5)
+    k = 0.2
+    for _ in range(100):
+        state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
+        desired = DesiredState(qd=random_quat(rng), omega_d=rng.standard_normal(3) * 2e-3,
+                               omega_d_dot=np.zeros(3))
+        q_hat, w_hat = random_quat(rng), state.omega + rng.standard_normal(3) * 1e-4
+        err = tracking_errors(state, desired, k)
+        expected = [*err.qe, *err.omega_e, *err.s,
+                    np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))),
+                    np.linalg.norm(estimation_error(q_hat, state.q)[1:]),
+                    np.linalg.norm(w_hat - state.omega)]
+        got = tracking_record(tuple(state.q), tuple(state.omega), tuple(desired.qd),
+                              tuple(desired.omega_d), tuple(q_hat), tuple(w_hat), k)
+        # theta_e_deg is in degrees, up to 180
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=TOL)
+
+
+def test_synthetic_observer_matches_library():
+    rng = np.random.default_rng(9)
+    profile = SyntheticErrorProfile(amp_q=2e-3, amp_w=1e-3)
+    for t in rng.uniform(0.0, 600.0, 50):
+        state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
+        ref = synthetic_observer(state, profile, t)
+        qti = profile.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
+        q_hat, w_hat = synthetic_observe(tuple(state.q), tuple(state.omega), tuple(qti),
+                                         tuple(profile.omega_tilde(t)))
+        np.testing.assert_allclose(q_hat, ref.q_hat, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(w_hat, ref.omega_hat, rtol=0.0, atol=TOL)
+
+
+def test_bias_observer_matches_library_with_the_same_draws():
+    noise = NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
+    dt, k_o, k_b = 0.01, 1.0, 0.1
+    rng_ref, rng_kernel = np.random.default_rng(21), np.random.default_rng(21)
+    observe = bias_observer(noise, k_o, k_b, dt, rng_kernel)
+    state_rng = np.random.default_rng(4)
+    bias, q_hat, b_hat = noise.b0.copy(), None, np.zeros(3)
+    for _ in range(300):
+        state = SpacecraftState(q=random_quat(state_rng), omega=state_rng.standard_normal(3) * 0.02)
+        sample, bias = sensor_sample(state, bias, noise, rng_ref, dt)
+        if q_hat is None:
+            q_hat = sample.qm.copy()
+        q_hat, b_hat, ref = bias_observer_step(q_hat, b_hat, sample, k_o, k_b, dt)
+        got_q, got_w = observe(tuple(state.q), tuple(state.omega), None, None)
+        np.testing.assert_allclose(got_q, ref.q_hat, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(got_w, ref.omega_hat, rtol=0.0, atol=TOL)

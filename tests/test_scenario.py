@@ -121,3 +121,19 @@ def test_validation_rejects_rank_deficient_allocation():
     dead = HealthProfile([ProfileSpec(kind="const", offset=0.0) for _ in range(4)])
     with pytest.raises(RankDeficient):
         paper_fault_free(health_estimate=dead)
+
+
+def test_load_scenario_validates_file_overrides(tmp_path):
+    path = tmp_path / "sc.yaml"
+    save_scenario(nominal_exact(), path)
+    assert load_scenario(str(path), duration=20.0).n_steps == 2000
+    with pytest.raises(ValueError):
+        load_scenario(str(path), dt=-1.0)
+
+
+def test_validation_rejects_health_profile_count():
+    three = HealthProfile.healthy(3)
+    with pytest.raises(ValueError, match="4 thruster pairs.*3 profiles.*4"):
+        paper_fault_free(health=three)
+    with pytest.raises(ValueError, match="4 thruster pairs.*4 profiles.*3"):
+        paper_fault_free(health_estimate=three)
