@@ -24,6 +24,8 @@ class ControllerGains:
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
+        if self.K.shape != (3, 3):
+            raise ValueError(f"K must be 3x3, got shape {self.K.shape}")
         if self.k <= 0 or self.epsilon <= 0 or self.gamma <= 0:
             raise ValueError("k, epsilon, gamma must be positive")
         if spectral_norm(self.K - self.K.T) > 1e-12:
@@ -50,6 +52,10 @@ class ModelEstimates:
     def __post_init__(self):
         self.J_hat = np.asarray(self.J_hat, dtype=float)
         self.tau_d_hat = np.asarray(self.tau_d_hat, dtype=float)
+        if self.J_hat.shape != (3, 3):
+            raise ValueError(f"J_hat must be 3x3, got shape {self.J_hat.shape}")
+        if self.tau_d_hat.shape != (3,):
+            raise ValueError(f"tau_d_hat must be a 3-vector, got shape {self.tau_d_hat.shape}")
         if spectral_norm(self.J_hat - self.J_hat.T) > 1e-12:
             raise ValueError("J_hat must be symmetric")
 

@@ -4,8 +4,10 @@ zero-uncertainty nominal case)."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,9 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "random"):
             raise ValueError(f"unknown initial-condition kind {self.kind!r}")
+        if len(self.q0) != 4 or len(self.omega0) != 3:
+            raise ValueError(f"init needs a 4-element q0 and a 3-element omega0, "
+                             f"got {len(self.q0)} and {len(self.omega0)}")
 
 
 @dataclass
@@ -137,6 +142,10 @@ class Scenario:
         self.validate()
 
     def validate(self):
+        if self.J.shape != (3, 3):
+            raise ValueError(f"J must be 3x3, got shape {self.J.shape}")
+        if self.qd0.shape != (4,):
+            raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.duration < 10 * self.dt:
@@ -165,7 +174,11 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # serialization
 
-_ARRAY_FIELDS = {"J", "qd0"}
+# libyaml's classes when PyYAML was built with it, else the pure-Python ones.
+# Both pairs share the safe constructor and representer, so a file reads and
+# writes the same either way.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -188,58 +201,107 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return _clean(d)
 
 
+_SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+            str: ((str,), "a string"), list: ((list,), "a list")}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """{field name: (type, item type of a list, may be None, required)} of a
+    dataclass. A field is optional when it has a default or may be None."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        hint, item = hints[f.name], None
+        nullable = type(None) in typing.get_args(hint)
+        if nullable:
+            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if typing.get_origin(hint) is list:
+            hint, (item,) = list, typing.get_args(hint)
+        required = f.default is MISSING and f.default_factory is MISSING and not nullable
+        schema[f.name] = (hint, item, nullable, required)
+    return schema
+
+
+def _key(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _build(cls, d, where: str):
+    """Build dataclass `cls` from a mapping, checking every key against its
+    fields: a missing, unknown or mistyped key raises a ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where or 'the document'} must be a mapping, not {type(d).__name__}")
+    schema = _schema(cls)
+    for key in d:
+        if key not in schema:
+            raise ValueError(f"unknown key {_key(where, key)!r} (known: {', '.join(schema)})")
+    kwargs = {}
+    for name, (hint, item, nullable, required) in schema.items():
+        key, value = _key(where, name), d.get(name)
+        if name not in d and required:
+            raise ValueError(f"missing key {key!r}")
+        if value is None and nullable:
+            kwargs[name] = None  # also when left out
+        elif name not in d:
+            continue  # the field's default
+        elif hint in _SCALARS:
+            types, expected = _SCALARS[hint]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{key}: expected {expected}, got {value!r}")
+            kwargs[name] = value if item is None else [
+                _build(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
+        elif hint is np.ndarray:
+            kwargs[name] = _array(value, key)
+        else:
+            kwargs[name] = _build(hint, value, key)
+    return cls(**kwargs)
+
+
+def _array(value, key: str) -> np.ndarray:
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    def vec(dd):
-        return VectorSignal(
-            x=SignalSpec(**dd["x"]), y=SignalSpec(**dd["y"]), z=SignalSpec(**dd["z"])
-        )
-
-    def health(dd):
-        return HealthProfile([ProfileSpec(**p) for p in dd["profiles"]])
-
-    budget = None if d.get("budget") is None else UncertaintyBudget(**d["budget"])
-    return Scenario(
-        name=d["name"],
-        J=np.asarray(d["J"], dtype=float),
-        estimates=ModelEstimates(
-            J_hat=np.asarray(d["estimates"]["J_hat"], dtype=float),
-            tau_d_hat=np.asarray(d["estimates"]["tau_d_hat"], dtype=float),
-        ),
-        omega_d=vec(d["omega_d"]),
-        qd0=np.asarray(d["qd0"], dtype=float),
-        disturbance=vec(d["disturbance"]),
-        bank=ActuatorBank(D=np.asarray(d["bank"]["D"], dtype=float), tau_max=d["bank"]["tau_max"]),
-        health=health(d["health"]),
-        health_estimate=health(d["health_estimate"]),
-        noise=NoiseParams(
-            sigma_theta=d["noise"]["sigma_theta"],
-            sigma_u=d["noise"]["sigma_u"],
-            sigma_v=d["noise"]["sigma_v"],
-            b0=np.asarray(d["noise"]["b0"], dtype=float),
-        ),
-        observer=ObserverSpec(**d["observer"]),
-        gains=ControllerGains(
-            k=d["gains"]["k"],
-            K=np.asarray(d["gains"]["K"], dtype=float),
-            epsilon=d["gains"]["epsilon"],
-            gamma=d["gains"]["gamma"],
-        ),
-        budget=budget,
-        init=InitialConditionSpec(**d["init"]),
-        duration=d["duration"],
-        dt=d["dt"],
-        seed=d["seed"],
-        tail_fraction=d.get("tail_fraction", 0.2),
-        record_decimation=d.get("record_decimation", 1),
-    )
+    """Build a Scenario from the mapping `scenario_to_dict` makes. Keys whose
+    field has a default may be left out; any other missing key, an unknown
+    key or a value of the wrong type raises a ValueError that names it."""
+    return _build(Scenario, d, "")
 
 
 def save_scenario(sc: Scenario, path: str | Path):
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False))
+    Path(path).write_text(yaml.dump(scenario_to_dict(sc), Dumper=_Dumper, sort_keys=False))
+
+
+def _yaml_error(exc: yaml.YAMLError, text: str) -> str:
+    # Point at the line where the broken construct starts, which names its key.
+    mark = getattr(exc, "context_mark", None) or getattr(exc, "problem_mark", None)
+    if mark is None:
+        return f"not valid YAML: {exc}"
+    lines = text.splitlines()
+    line = lines[mark.line].strip() if mark.line < len(lines) else ""
+    cause = ", ".join(filter(None, (exc.context, exc.problem)))
+    return f"not valid YAML at line {mark.line + 1} ({line!r}): {cause}"
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
-    return scenario_from_dict(yaml.safe_load(Path(path).read_text()))
+    """Read a scenario YAML file. Invalid YAML, or a document that does not
+    make a valid scenario, raises a ValueError naming the file and the key."""
+    path = Path(path)
+    text = path.read_text()
+    try:
+        d = yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: {_yaml_error(exc, text)}") from exc
+    try:
+        return scenario_from_dict(d)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from ftacs import scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
-from ftacs.config import ControllerGains
+from ftacs.cli import main as cli_main
+from ftacs.config import ControllerGains, ModelEstimates
 from ftacs.errors import RankDeficient
 from ftacs.scenario import (
     PRESETS,
+    InitialConditionSpec,
+    ObserverSpec,
     SignalSpec,
     VectorSignal,
     load_scenario,
@@ -137,3 +142,106 @@ def test_validation_rejects_health_profile_count():
         paper_fault_free(health=three)
     with pytest.raises(ValueError, match="4 thruster pairs.*4 profiles.*3"):
         paper_fault_free(health_estimate=three)
+
+
+@pytest.mark.parametrize("pure_python", [False, True], ids=["libyaml", "pure-python"])
+def test_yaml_io_matches_safe_dump_and_safe_load(tmp_path, monkeypatch, pure_python):
+    if pure_python:
+        monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+        monkeypatch.setattr(scenario, "_Dumper", yaml.SafeDumper)
+    elif yaml.__with_libyaml__:
+        assert scenario._Loader is yaml.CSafeLoader and scenario._Dumper is yaml.CSafeDumper
+    path = tmp_path / "scenario.yaml"
+    for factory in PRESETS.values():
+        for kind in ("perfect", "synthetic", "bias"):
+            sc = factory(observer=ObserverSpec(kind=kind))
+            save_scenario(sc, path)
+            text = path.read_text()
+            assert text == yaml.safe_dump(scenario_to_dict(sc), sort_keys=False)
+            assert scenario_to_dict(load_scenario_file(path)) == yaml.safe_load(text)
+
+
+def test_scenario_file_keys_with_defaults_may_be_left_out():
+    d = scenario_to_dict(paper_faulty())
+    for key in ("budget", "tail_fraction", "record_decimation", "duration"):
+        del d[key]
+    del d["noise"]["b0"]
+    del d["omega_d"]["z"]
+    sc = scenario_from_dict(d)
+    assert sc.budget is None
+    assert (sc.tail_fraction, sc.record_decimation, sc.duration) == (0.2, 1, 600.0)
+    assert np.array_equal(sc.noise.b0, np.zeros(3))
+    assert sc.omega_d.z == SignalSpec()
+
+
+def test_shapes_checked_at_construction():
+    with pytest.raises(ValueError, match="K must be 3x3"):
+        ControllerGains(k=0.2, K=np.eye(2), epsilon=0.01, gamma=0.01)
+    with pytest.raises(ValueError, match="J_hat must be 3x3"):
+        ModelEstimates(J_hat=np.eye(2))
+    with pytest.raises(ValueError, match="tau_d_hat must be a 3-vector"):
+        ModelEstimates(J_hat=np.eye(3), tau_d_hat=np.zeros(2))
+    with pytest.raises(ValueError, match="J must be 3x3"):
+        nominal_exact(J=np.eye(2))
+    with pytest.raises(ValueError, match="qd0 must be a 4-vector"):
+        nominal_exact(qd0=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="4-element q0 and a 3-element omega0, got 3 and 3"):
+        InitialConditionSpec(q0=[1.0, 0.0, 0.0])
+
+
+def _edited(edit):
+    def text():
+        d = scenario_to_dict(paper_faulty(duration=10.0))
+        edit(d)
+        return yaml.safe_dump(d, sort_keys=False)
+
+    return text
+
+
+def _set(*path, value):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return _edited(edit)
+
+
+def _delete(*path):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        del d[path[-1]]
+
+    return _edited(edit)
+
+
+MALFORMED_FILES = {
+    "truncated-flow-list": (lambda: "name: x\nJ: [1, 2\n", "'J: [1, 2'"),
+    "document-is-a-list": (lambda: "- name\n- J\n", "the document must be a mapping"),
+    "unknown-observer-key": (_set("observer", "foo", value=1), "observer.foo"),
+    "dt-not-a-number": (_set("dt", value="abc"), "dt: expected a number"),
+    "misspelt-top-level-key": (_set("record_decimaton", value=10), "record_decimaton"),
+    "missing-key": (_delete("gains"), "missing key 'gains'"),
+    "missing-nested-key": (_delete("gains", "K"), "missing key 'gains.K'"),
+    "python-tag": (lambda: "name: !!python/name:os.system\n", "'name: !!python/name:os.system'"),
+    "unknown-estimates-key": (_set("estimates", "J", value=1), "estimates.J"),
+    "unknown-bank-key": (_set("bank", "tau", value=1), "bank.tau"),
+    "unknown-noise-key": (_set("noise", "sigma", value=1), "noise.sigma"),
+    "unknown-gains-key": (_set("gains", "kk", value=1), "gains.kk"),
+    "ragged-array": (_set("J", value=[[1.0, 2.0], [3.0]]), "J: expected a list of numbers"),
+    "K-not-3x3": (_set("gains", "K", value=[[1.0, 0.0], [0.0, 1.0]]), "K must be 3x3"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_cli_malformed_scenario_file_exits_1_naming_the_key(tmp_path, capsys, case):
+    text, named = MALFORMED_FILES[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(text())
+    assert cli_main(["predict-bounds", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "paper-faulty-bounds.jsonl").exists()
