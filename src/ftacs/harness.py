@@ -110,14 +110,20 @@ class ScenarioSignals:
 
     def steps(self):
         """Per step: t, qd, omega_d, omega_d_dot, tau_d, health, allocation
-        rows, qtilde^-1 and omega_tilde (None unless synthetic), as floats."""
+        rows, qtilde^-1 and omega_tilde (None unless synthetic), as floats.
+
+        The allocation rows are converted once per call for each distinct
+        matrix, as a tuple of row tuples, and every step that uses that
+        matrix gets the same object: they are shared, not copied."""
+        alloc = [tuple(map(tuple, a)) for a in self.alloc.tolist()]
         for rows in _row_blocks(len(self.t)):
             obs = [repeat(None) if a is None else a[rows].tolist()
                    for a in (self.qtilde_inv, self.omega_tilde)]
             yield from zip(
                 self.t[rows].tolist(), self.qd[rows].tolist(), self.omega_d[rows].tolist(),
                 self.omega_d_dot[rows].tolist(), self.tau_d[rows].tolist(),
-                self.health[rows].tolist(), self.alloc[self.alloc_index[rows]].tolist(), *obs)
+                self.health[rows].tolist(),
+                map(alloc.__getitem__, self.alloc_index[rows].tolist()), *obs)
 
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:

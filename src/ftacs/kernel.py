@@ -9,8 +9,16 @@ every step.
 
 Vectors are tuples or lists of floats. Quaternions are scalar-first with the
 Hamilton product, as in so3, and every product is renormalized. The numpy
-functions of controller, dynamics and estimation define the same math; the
-tests hold the two within 1e-12 of each other.
+functions of controller, dynamics and estimation define the same math;
+tests/test_kernel.py holds the two within 1e-12 of each other.
+
+The functions that run every step (control, the plant's rates and step,
+kinematics_rk4, synthetic_observe) write out the quaternion product, the
+rotation and the quaternion rate in place of calling _qmul and _rotate, since
+a Python call costs more than the arithmetic. A written-out helper keeps the
+helper's expressions in the helper's operation order, up to exact IEEE
+identities (x - (-y) == x + y, (-x) * y == -(x * y)), so every result stays
+bit for bit that of the helper.
 """
 
 from __future__ import annotations
@@ -55,25 +63,34 @@ def _rotate(q, v):
     )
 
 
-def _qrate(q0, q1, q2, q3, wx, wy, wz):
-    """Quaternion kinematics qdot = 0.5*[-qv.w; q0*w + qv x w]."""
-    return (
-        -0.5 * (q1 * wx + q2 * wy + q3 * wz),
-        0.5 * (q0 * wx + q2 * wz - q3 * wy),
-        0.5 * (q0 * wy + q3 * wx - q1 * wz),
-        0.5 * (q0 * wz + q1 * wy - q2 * wx),
-    )
-
-
 def kinematics_rk4(q, w1, w2, w4, dt):
-    """RK4 step of the quaternion kinematics with the rate w1 at the start,
-    w2 at the midpoint (stages 2 and 3) and w4 at the end; renormalized."""
+    """RK4 step of the quaternion kinematics qdot = 0.5*[-qv.w; q0*w + qv x w]
+    with the rate w1 at the start, w2 at the midpoint (stages 2 and 3) and w4
+    at the end; renormalized."""
     h = 0.5 * dt
     q0, q1, q2, q3 = q
-    a0, a1, a2, a3 = _qrate(q0, q1, q2, q3, *w1)
-    b0, b1, b2, b3 = _qrate(q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3, *w2)
-    c0, c1, c2, c3 = _qrate(q0 + h * b0, q1 + h * b1, q2 + h * b2, q3 + h * b3, *w2)
-    d0, d1, d2, d3 = _qrate(q0 + dt * c0, q1 + dt * c1, q2 + dt * c2, q3 + dt * c3, *w4)
+    wx, wy, wz = w1
+    a0 = -0.5 * (q1 * wx + q2 * wy + q3 * wz)
+    a1 = 0.5 * (q0 * wx + q2 * wz - q3 * wy)
+    a2 = 0.5 * (q0 * wy + q3 * wx - q1 * wz)
+    a3 = 0.5 * (q0 * wz + q1 * wy - q2 * wx)
+    wx, wy, wz = w2
+    r0, r1, r2, r3 = q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3
+    b0 = -0.5 * (r1 * wx + r2 * wy + r3 * wz)
+    b1 = 0.5 * (r0 * wx + r2 * wz - r3 * wy)
+    b2 = 0.5 * (r0 * wy + r3 * wx - r1 * wz)
+    b3 = 0.5 * (r0 * wz + r1 * wy - r2 * wx)
+    r0, r1, r2, r3 = q0 + h * b0, q1 + h * b1, q2 + h * b2, q3 + h * b3
+    c0 = -0.5 * (r1 * wx + r2 * wy + r3 * wz)
+    c1 = 0.5 * (r0 * wx + r2 * wz - r3 * wy)
+    c2 = 0.5 * (r0 * wy + r3 * wx - r1 * wz)
+    c3 = 0.5 * (r0 * wz + r1 * wy - r2 * wx)
+    wx, wy, wz = w4
+    r0, r1, r2, r3 = q0 + dt * c0, q1 + dt * c1, q2 + dt * c2, q3 + dt * c3
+    d0 = -0.5 * (r1 * wx + r2 * wy + r3 * wz)
+    d1 = 0.5 * (r0 * wx + r2 * wz - r3 * wy)
+    d2 = 0.5 * (r0 * wy + r3 * wx - r1 * wz)
+    d3 = 0.5 * (r0 * wz + r1 * wy - r2 * wx)
     c = dt / 6.0
     p0 = q0 + c * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
     p1 = q1 + c * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
@@ -101,10 +118,23 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
 
     def control(qh, wh, qd, wd, wdd, alloc):
         d0, d1, d2, d3 = qd
-        # estimated error coordinates
-        qe = _qmul((d0, -d1, -d2, -d3), qh)
-        e0, e1, e2, e3 = qe
-        bx, by, bz = _rotate(qe, wd)  # omega_bar_hat_d
+        h0, h1, h2, h3 = qh
+        # estimated error coordinates: qe = _qmul(qd^-1, q_hat)
+        e0 = d0 * h0 + d1 * h1 + d2 * h2 + d3 * h3
+        e1 = d0 * h1 - h0 * d1 - d2 * h3 + d3 * h2
+        e2 = d0 * h2 - h0 * d2 - d3 * h1 + d1 * h3
+        e3 = d0 * h3 - h0 * d3 - d1 * h2 + d2 * h1
+        n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
+        e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
+        # omega_bar_hat_d = _rotate(qe, omega_d)
+        vx, vy, vz = wd
+        e0x2 = 2.0 * e0
+        cx = e2 * vz - e3 * vy
+        cy = e3 * vx - e1 * vz
+        cz = e1 * vy - e2 * vx
+        bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+        by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+        bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
         ox, oy, oz = wh[0] - bx, wh[1] - by, wh[2] - bz  # omega_hat_e
         sx, sy, sz = ox + k * e1, oy + k * e2, oz + k * e3  # s_hat
 
@@ -129,8 +159,14 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
               - k * xi_y)
         pz = (c_qq * (e1 * jqy - e2 * jqx) + c_g * (e0 * joz + (e1 * joy - e2 * jox))
               - k * xi_z)
-        # psi_hat_d = wb x J wb + J R(q) omega_d_dot
-        ax, ay, az = _rotate(qe, wdd)
+        # psi_hat_d = wb x J wb + J R(q) omega_d_dot, with R(q) omega_d_dot = _rotate(qe, wdd)
+        vx, vy, vz = wdd
+        cx = e2 * vz - e3 * vy
+        cy = e3 * vx - e1 * vz
+        cz = e1 * vy - e2 * vx
+        ax = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+        ay = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+        az = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
         pdx = (by * jbz - bz * jby) + (J00 * ax + J01 * ay + J02 * az)
         pdy = (bz * jbx - bx * jbz) + (J10 * ax + J11 * ay + J12 * az)
         pdz = (bx * jby - by * jbx) + (J20 * ax + J21 * ay + J22 * az)
@@ -169,7 +205,11 @@ def plant_step(J: np.ndarray, dt: float):
         fx = tx - (wy * jz - wz * jy)
         fy = ty - (wz * jx - wx * jz)
         fz = tz - (wx * jy - wy * jx)
-        return (*_qrate(q0, q1, q2, q3, wx, wy, wz),
+        # qdot = 0.5*[-qv.w; q0*w + qv x w]
+        return (-0.5 * (q1 * wx + q2 * wy + q3 * wz),
+                0.5 * (q0 * wx + q2 * wz - q3 * wy),
+                0.5 * (q0 * wy + q3 * wx - q1 * wz),
+                0.5 * (q0 * wz + q1 * wy - q2 * wx),
                 I00 * fx + I01 * fy + I02 * fz,
                 I10 * fx + I11 * fy + I12 * fz,
                 I20 * fx + I21 * fy + I22 * fz)
@@ -178,20 +218,23 @@ def plant_step(J: np.ndarray, dt: float):
         q0, q1, q2, q3 = q
         wx, wy, wz = w
         tx, ty, tz = tau
-        a = rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz)
-        b = rates(q0 + h * a[0], q1 + h * a[1], q2 + h * a[2], q3 + h * a[3],
-                  wx + h * a[4], wy + h * a[5], wz + h * a[6], tx, ty, tz)
-        m = rates(q0 + h * b[0], q1 + h * b[1], q2 + h * b[2], q3 + h * b[3],
-                  wx + h * b[4], wy + h * b[5], wz + h * b[6], tx, ty, tz)
-        d = rates(q0 + dt * m[0], q1 + dt * m[1], q2 + dt * m[2], q3 + dt * m[3],
-                  wx + dt * m[4], wy + dt * m[5], wz + dt * m[6], tx, ty, tz)
-        p0 = q0 + c * (a[0] + 2 * b[0] + 2 * m[0] + d[0])
-        p1 = q1 + c * (a[1] + 2 * b[1] + 2 * m[1] + d[1])
-        p2 = q2 + c * (a[2] + 2 * b[2] + 2 * m[2] + d[2])
-        p3 = q3 + c * (a[3] + 2 * b[3] + 2 * m[3] + d[3])
-        wx = wx + c * (a[4] + 2 * b[4] + 2 * m[4] + d[4])
-        wy = wy + c * (a[5] + 2 * b[5] + 2 * m[5] + d[5])
-        wz = wz + c * (a[6] + 2 * b[6] + 2 * m[6] + d[6])
+        a0, a1, a2, a3, a4, a5, a6 = rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz)
+        b0, b1, b2, b3, b4, b5, b6 = rates(
+            q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3,
+            wx + h * a4, wy + h * a5, wz + h * a6, tx, ty, tz)
+        m0, m1, m2, m3, m4, m5, m6 = rates(
+            q0 + h * b0, q1 + h * b1, q2 + h * b2, q3 + h * b3,
+            wx + h * b4, wy + h * b5, wz + h * b6, tx, ty, tz)
+        d0, d1, d2, d3, d4, d5, d6 = rates(
+            q0 + dt * m0, q1 + dt * m1, q2 + dt * m2, q3 + dt * m3,
+            wx + dt * m4, wy + dt * m5, wz + dt * m6, tx, ty, tz)
+        p0 = q0 + c * (a0 + 2 * b0 + 2 * m0 + d0)
+        p1 = q1 + c * (a1 + 2 * b1 + 2 * m1 + d1)
+        p2 = q2 + c * (a2 + 2 * b2 + 2 * m2 + d2)
+        p3 = q3 + c * (a3 + 2 * b3 + 2 * m3 + d3)
+        wx = wx + c * (a4 + 2 * b4 + 2 * m4 + d4)
+        wy = wy + c * (a5 + 2 * b5 + 2 * m5 + d5)
+        wz = wz + c * (a6 + 2 * b6 + 2 * m6 + d6)
         n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
         # x - x is 0.0 for every finite x and NaN otherwise
         if (n - n) + (wx - wx) + (wy - wy) + (wz - wz) != 0.0:
@@ -226,7 +269,14 @@ def perfect_observe(q, w, qti, wt):
 
 def synthetic_observe(q, w, qti, wt):
     """q (x) qtilde^-1 and omega + omega_tilde."""
-    return _qmul(q, qti), (w[0] + wt[0], w[1] + wt[1], w[2] + wt[2])
+    a0, a1, a2, a3 = q
+    b0, b1, b2, b3 = qti
+    p0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    p1 = a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2
+    p2 = a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3
+    p3 = a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1
+    n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+    return (p0 / n, p1 / n, p2 / n, p3 / n), (w[0] + wt[0], w[1] + wt[1], w[2] + wt[2])
 
 
 def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,

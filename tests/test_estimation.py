@@ -81,9 +81,11 @@ def test_attitude_noise_statistics(rng):
 def test_bias_random_walk_variance(rng):
     noise = NoiseParams(sigma_theta=0.0, sigma_u=0.0)
     truth = SpacecraftState(q=IDENTITY_QUAT.copy(), omega=np.zeros(3))
-    dt, n = 0.01, 5000
+    # 1000 walks of 50 steps: 3000 final-bias samples, so the variance
+    # estimate has a relative standard error of sqrt(2/3000) = 2.6 %
+    dt, n = 0.01, 50
     finals = []
-    for _ in range(200):
+    for _ in range(1000):
         bias = np.zeros(3)
         for _ in range(n):
             _, bias = sensor_sample(truth, bias, noise, rng, dt)

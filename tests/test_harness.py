@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ftacs import ControllerGains, harness
-from ftacs.actuation import HealthProfile, ProfileSpec
+from ftacs.actuation import HealthProfile, ProfileSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
 from ftacs.errors import BoundViolated, EmptyTail, RankDeficient
@@ -181,6 +181,35 @@ def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
     summary, traces = campaign_traces(monkeypatch, sc, 3)
     assert len(traces) == 3
     assert_traces_equal(traces[2], run_scenario(sc, seed=instance_seeds(sc.seed, 3)[2]))
+
+
+def toggled_pair_scenario():
+    # pair 1 is on, off, on, off: 0.5 + 1e9 sin(t + 0.5) clips to exactly 1 or 0
+    # on every grid point, so the steps use two allocation matrices, the first
+    # of them again after the second
+    toggle = HealthProfile([ProfileSpec(kind="sin", offset=0.5, scale=1e9, phase=0.5),
+                            ProfileSpec(), ProfileSpec(), ProfileSpec()])
+    return short_scenario(duration=10.0, health=toggle, health_estimate=toggle)
+
+
+def test_steps_share_allocation_rows_of_each_distinct_matrix():
+    sc = toggled_pair_scenario()
+    signals = scenario_signals(sc)
+    assert len(signals.alloc) == 2
+    switches = np.flatnonzero(np.diff(signals.alloc_index))
+    assert len(switches) == 3
+    shared = {}
+    for (t, *_, alloc, _, _), j in zip(signals.steps(), signals.alloc_index, strict=True):
+        expected = allocation_matrix(sc.bank, sc.health_estimate(t))
+        assert np.array_equal(np.array(alloc), expected), t
+        assert shared.setdefault(j, alloc) is alloc, t
+
+
+def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
+    sc = toggled_pair_scenario()
+    _, traces = campaign_traces(monkeypatch, sc, 2)
+    for trace, seed in zip(traces, instance_seeds(sc.seed, 2), strict=True):
+        assert_traces_equal(trace, run_scenario(sc, seed=seed))
 
 
 def test_run_scenario_rejects_signals_of_another_scenario():

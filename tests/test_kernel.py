@@ -22,6 +22,8 @@ from ftacs.estimation import (
 )
 from ftacs.harness import run_scenario
 from ftacs.kernel import (
+    _qmul,
+    _rotate,
     bias_observer,
     control_law,
     kinematics_rk4,
@@ -159,6 +161,23 @@ def test_synthetic_observer_matches_library():
                                          tuple(profile.omega_tilde(t)))
         np.testing.assert_allclose(q_hat, ref.q_hat, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(w_hat, ref.omega_hat, rtol=0.0, atol=TOL)
+
+
+def test_written_out_products_equal_the_helpers_bit_for_bit():
+    rng = np.random.default_rng(13)
+    gains = paper_gains()
+    k = gains.k
+    control = control_law(gains, ModelEstimates(J_hat=PAPER_J_HAT),
+                          robust_coefficients(paper_budget(0.08), k), 0.02)
+    alloc = allocation_matrix(ActuatorBank(D=PAPER_D.copy()), np.ones(4)).tolist()
+    for _ in range(200):
+        q, qd, qti = (tuple(random_quat(rng).tolist()) for _ in range(3))
+        w, wd, wt = (tuple((rng.standard_normal(3) * 0.02).tolist()) for _ in range(3))
+        assert synthetic_observe(q, w, qti, wt)[0] == _qmul(q, qti)
+        qe = _qmul((qd[0], -qd[1], -qd[2], -qd[3]), q)
+        b = _rotate(qe, wd)
+        _, s_hat = control(q, w, qd, wd, wd, alloc)
+        assert s_hat == tuple(w[i] - b[i] + k * qe[i + 1] for i in range(3))
 
 
 def test_bias_observer_matches_library_with_the_same_draws():
