@@ -86,11 +86,26 @@ def effective_torque(bank: ActuatorBank, e_vals: np.ndarray, tau_u: np.ndarray) 
     return bank.D @ (e_vals * tau_u)
 
 
+def _weighted_gram(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
+    """D * Ehat^3 * D^T of an (m,) estimate, or of each row of a (k, m) array."""
+    return (bank.D * e_hat[..., None, :] ** 3) @ bank.D.T
+
+
+def _singular(gram: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(gram, compute_uv=False)
+    return (sv[..., -1] <= RANK_TOL * sv[..., 0]) | (sv[..., 0] == 0.0)
+
+
+def rank_deficient(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
+    """Whether rank(D * Ehat) < 3, judged as allocation judges it: D * Ehat^3
+    * D^T singular to RANK_TOL. For an (m,) estimate or each row of (k, m)."""
+    return _singular(_weighted_gram(bank, e_hat))
+
+
 def _weighted_gram_inverse(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
     """Inverse of D * Ehat^3 * D^T with a singularity check."""
-    gram = (bank.D * e_hat**3) @ bank.D.T
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
+    gram = _weighted_gram(bank, e_hat)
+    if _singular(gram):
         raise RankDeficient("D*Ehat^3*D^T is singular; fully-actuated assumption violated")
     return np.linalg.inv(gram)
 

@@ -18,6 +18,7 @@ from .config import zero_budget
 from .dynamics import SpacecraftState
 from .errors import BoundViolated, EmptyTail, NonFiniteState
 from .estimation import SyntheticErrorProfile, random_unit_vector
+from .kernel import ROW_BLOCK
 from .scenario import Scenario
 from .so3 import quat_from_axis_angle
 
@@ -77,11 +78,6 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> SpacecraftSt
     theta0 = rng.uniform(0.0, init.theta_max)
     q0 = quat_from_axis_angle(random_unit_vector(rng), theta0)
     return SpacecraftState(q=q0, omega=omega0)
-
-
-# Rows of precomputed signals, and of recorded samples, held as Python floats
-# at a time: long runs keep their arrays in numpy.
-ROW_BLOCK = 256
 
 
 def _row_blocks(n: int):
@@ -153,9 +149,8 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     del wdh, wdf
 
     # allocation matrices, computed once per distinct health-estimate row
-    uniq, alloc_index = np.unique(np.round(scenario.health_estimate(t), 15), axis=0,
-                                  return_inverse=True)
-    alloc = np.array([allocation_matrix(scenario.bank, e) for e in uniq])
+    rows, runs, starts = scenario.health_estimate_runs()
+    alloc = np.array([allocation_matrix(scenario.bank, e) for e in rows])
 
     qtilde_inv = omega_tilde = None
     spec = scenario.observer
@@ -181,7 +176,7 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
         tau_d=scenario.disturbance(t + 0.5 * dt),
         health=scenario.health(t),
         alloc=alloc,
-        alloc_index=alloc_index.reshape(-1),
+        alloc_index=np.repeat(runs, np.diff(starts, append=n)),
         qtilde_inv=qtilde_inv,
         omega_tilde=omega_tilde,
     )
@@ -396,7 +391,9 @@ def trace_columns(m: int) -> list[str]:
 
 
 def export_trace_csv(trace: RunTrace, path: str | Path):
-    """Fixed-column CSV export of a run trace (13 + m columns)."""
+    """Fixed-column CSV export of a run trace (13 + m columns). Every value is
+    written as %.17g, which reads back as the same float; the bytes are those
+    of np.savetxt with that format, written row block by row block."""
     m = trace.tau_u.shape[1]
     data = np.column_stack(
         [
@@ -411,8 +408,11 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
             trace.wtilde_norm,
         ]
     )
-    header = ",".join(trace_columns(m))
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(trace_columns(m)) + "\n")
+        for rows in _row_blocks(len(data)):
+            fh.writelines(map(row.__mod__, map(tuple, data[rows].tolist())))
 
 
 def export_summary_jsonl(summary: CampaignSummary, path: str | Path):

@@ -13,17 +13,25 @@ functions of controller, dynamics and estimation define the same math;
 tests/test_kernel.py holds the two within 1e-12 of each other.
 
 The functions that run every step (control, the plant's rates and step,
-kinematics_rk4, synthetic_observe) write out the quaternion product, the
-rotation and the quaternion rate in place of calling _qmul and _rotate, since
-a Python call costs more than the arithmetic. A written-out helper keeps the
-helper's expressions in the helper's operation order, up to exact IEEE
-identities (x - (-y) == x + y, (-x) * y == -(x * y)), so every result stays
-bit for bit that of the helper.
+kinematics_rk4, synthetic_observe, the bias observer's observe,
+tracking_record) write out the quaternion product, the rotation and the
+quaternion rate in place of calling _qmul and _rotate, since a Python call
+costs more than the arithmetic. A written-out helper keeps the helper's
+expressions in the helper's operation order, up to exact IEEE identities
+(x - (-y) == x + y, (-x) * y == -(x * y)), so every result stays bit for bit
+that of the helper; _qmul and _rotate remain as the reference that
+tests/test_kernel.py holds the written-out forms to.
+
+The bias observer's sensor noise does not depend on the state: it is shaped
+in numpy per block of ROW_BLOCK steps, from normals consumed in the order
+estimation.sensor_sample draws them, an axis redraw included, and each step
+reads its noise as floats.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -33,8 +41,10 @@ from .dynamics import inertia_inverse
 from .errors import NonFiniteState
 from .estimation import NoiseParams
 
-# Normal draws taken from the generator at a time by the bias observer.
-DRAW_BLOCK = 4096
+# Steps handled at a time as Python floats: the bias observer's sensor noise,
+# and in harness the rows of precomputed signals and of recorded samples. Long
+# runs keep their arrays in numpy.
+ROW_BLOCK = 256
 
 
 def _qmul(a, b):
@@ -247,14 +257,34 @@ def plant_step(J: np.ndarray, dt: float):
 def tracking_record(q, w, qd, wd, qh, wh, k):
     """(qe0..3, omega_e, s, theta_e_deg, |qtilde_v|, |omega_tilde|): the true
     errors of dynamics.tracking_errors and the observer errors."""
+    q0, q1, q2, q3 = q
     d0, d1, d2, d3 = qd
-    qe = _qmul((d0, -d1, -d2, -d3), q)
-    e0, e1, e2, e3 = qe
-    bx, by, bz = _rotate(qe, wd)
+    # qe = _qmul(qd^-1, q)
+    e0 = d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3
+    e1 = d0 * q1 - q0 * d1 - d2 * q3 + d3 * q2
+    e2 = d0 * q2 - q0 * d2 - d3 * q1 + d1 * q3
+    e3 = d0 * q3 - q0 * d3 - d1 * q2 + d2 * q1
+    n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
+    e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
+    # omega_bar_d = _rotate(qe, omega_d)
+    vx, vy, vz = wd
+    e0x2 = 2.0 * e0
+    cx = e2 * vz - e3 * vy
+    cy = e3 * vx - e1 * vz
+    cz = e1 * vy - e2 * vx
+    bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+    by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+    bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
     wx, wy, wz = w
     ox, oy, oz = wx - bx, wy - by, wz - bz
+    # qtilde = _qmul(q_hat^-1, q), of which the vector part is recorded
     h0, h1, h2, h3 = qh
-    _, t1, t2, t3 = _qmul((h0, -h1, -h2, -h3), q)
+    t0 = h0 * q0 + h1 * q1 + h2 * q2 + h3 * q3
+    t1 = h0 * q1 - q0 * h1 - h2 * q3 + h3 * q2
+    t2 = h0 * q2 - q0 * h2 - h3 * q1 + h1 * q3
+    t3 = h0 * q3 - q0 * h3 - h1 * q2 + h2 * q1
+    n = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3)
+    t1, t2, t3 = t1 / n, t2 / n, t3 / n
     fx, fy, fz = wh[0] - wx, wh[1] - wy, wh[2] - wz
     return (e0, e1, e2, e3, ox, oy, oz, ox + k * e1, oy + k * e2, oz + k * e3,
             math.degrees(2.0 * math.acos(min(abs(e0), 1.0))),
@@ -286,54 +316,76 @@ def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
     followed by estimation.bias_observer_step, the first estimate being the
     first measurement.
 
-    Normal draws are taken from rng in blocks and consumed in the order
-    sensor_sample draws them: the angle, the axis (redrawn while its norm is
-    below 1e-12, as random_unit_vector does), the gyro noise, the bias walk.
+    The sensor noise does not depend on the state, so it is shaped in numpy,
+    ROW_BLOCK steps at a time. Each block takes 10 normal draws per step from
+    rng, in the order sensor_sample draws them: the angle, the axis, the gyro
+    noise, the bias walk. An axis whose norm is below 1e-12 is dropped from
+    the block and the draws after it move up, with 3 new draws at the end, so
+    the next 3 draws are the axis, as random_unit_vector redraws it. The
+    block gives qtilde_m^-1, the bias (the walk summed in sequence, carried
+    across blocks) and sigma_u * eta_u of every step; a step reads these 10
+    floats and forms the measurement and the filter update.
     """
     if k_o <= 0 or k_b <= 0 or dt <= 0:
         raise ValueError("gains and dt must be positive")
     sigma_theta = float(noise.sigma_theta)
     sigma_u = float(noise.sigma_u)
     walk = noise.sigma_v * math.sqrt(dt)
-    bias = noise.b0.tolist()
+    bias = noise.b0.reshape(1, 3)
     q_hat = None
     b_hat = (0.0, 0.0, 0.0)
-    draws: list[float] = []
-    pos = 0
 
-    def take(n):
-        nonlocal draws, pos
-        if pos + n > len(draws):
-            draws = draws[pos:] + rng.standard_normal(DRAW_BLOCK).tolist()
-            pos = 0
-        pos += n
-        return draws[pos - n:pos]
+    def noise_block():
+        nonlocal bias
+        draws = rng.standard_normal(10 * ROW_BLOCK)
+        while True:
+            x, y, z = draws.reshape(ROW_BLOCK, 10)[:, 1:4].T
+            norm = np.sqrt(x * x + y * y + z * z)
+            short = np.flatnonzero(norm < 1e-12)
+            if not short.size:
+                break
+            i = 10 * short[0] + 1
+            draws = np.concatenate((draws[:i], draws[i + 3:], rng.standard_normal(3)))
+        draws = draws.reshape(ROW_BLOCK, 10)
+        half = 0.5 * (sigma_theta * draws[:, 0])
+        sh = np.sin(half)
+        c0, c1, c2, c3 = np.cos(half), sh * (x / norm), sh * (y / norm), sh * (z / norm)
+        n = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
+        walked = np.cumsum(np.concatenate((bias, walk * draws[:, 7:10])), axis=0)
+        bias = walked[-1:]
+        return np.column_stack((c0 / n, -c1 / n, -c2 / n, -c3 / n, walked[:-1],
+                                sigma_u * draws[:, 4:7])).tolist()
+
+    # the 10 floats of the next step, from one block after another
+    sample = chain.from_iterable(iter(noise_block, None)).__next__
 
     def observe(q, w, qti, wt):
-        nonlocal bias, q_hat, b_hat
-        # sensor sample: q_m = q (x) qtilde_m^-1, omega_m = omega + b + eta_u
-        z, ax, ay, az = take(4)
-        norm = math.sqrt(ax * ax + ay * ay + az * az)
-        while norm < 1e-12:
-            ax, ay, az = take(3)
-            norm = math.sqrt(ax * ax + ay * ay + az * az)
-        half = 0.5 * (sigma_theta * z)
-        sh = math.sin(half)
-        qt = (math.cos(half), sh * (ax / norm), sh * (ay / norm), sh * (az / norm))
-        n = math.sqrt(qt[0] * qt[0] + qt[1] * qt[1] + qt[2] * qt[2] + qt[3] * qt[3])
-        qm = _qmul(q, (qt[0] / n, -qt[1] / n, -qt[2] / n, -qt[3] / n))
-        ux, uy, uz, vx, vy, vz = take(6)
-        mx = w[0] + bias[0] + sigma_u * ux
-        my = w[1] + bias[1] + sigma_u * uy
-        mz = w[2] + bias[2] + sigma_u * uz
-        bias = (bias[0] + walk * vx, bias[1] + walk * vy, bias[2] + walk * vz)
+        nonlocal q_hat, b_hat
+        c0, c1, c2, c3, bx, by, bz, ux, uy, uz = sample()
+        # sensor sample: q_m = _qmul(q, qtilde_m^-1), omega_m = (omega + b) + sigma_u * eta_u
+        a0, a1, a2, a3 = q
+        p0 = a0 * c0 - a1 * c1 - a2 * c2 - a3 * c3
+        p1 = a0 * c1 + c0 * a1 + a2 * c3 - a3 * c2
+        p2 = a0 * c2 + c0 * a2 + a3 * c1 - a1 * c3
+        p3 = a0 * c3 + c0 * a3 + a1 * c2 - a2 * c1
+        n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+        m0, m1, m2, m3 = p0 / n, p1 / n, p2 / n, p3 / n
+        mx = w[0] + bx + ux
+        my = w[1] + by + uy
+        mz = w[2] + bz + uz
 
         # complementary filter with gyro-bias estimation
         if q_hat is None:
-            q_hat = qm
+            q_hat = (m0, m1, m2, m3)
         h0, h1, h2, h3 = q_hat
-        r0, r1, r2, r3 = _qmul((h0, -h1, -h2, -h3), qm)
-        sgn = -1.0 if r0 < 0 else 1.0
+        # r = _qmul(q_hat^-1, q_m)
+        r0 = h0 * m0 + h1 * m1 + h2 * m2 + h3 * m3
+        r1 = h0 * m1 - m0 * h1 - h2 * m3 + h3 * m2
+        r2 = h0 * m2 - m0 * h2 - h3 * m1 + h1 * m3
+        r3 = h0 * m3 - m0 * h3 - h1 * m2 + h2 * m1
+        n = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
+        r1, r2, r3 = r1 / n, r2 / n, r3 / n
+        sgn = -1.0 if r0 / n < 0 else 1.0
         ko, kb = k_o * sgn, k_b * sgn
         bx, by, bz = b_hat
         wc = ((mx - bx) + ko * r1, (my - by) + ko * r2, (mz - bz) + ko * r3)

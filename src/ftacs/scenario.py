@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .actuation import ActuatorBank, HealthProfile, ProfileSpec
+from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
 from .config import ControllerGains, ModelEstimates, UncertaintyBudget, zero_budget
 from .errors import RankDeficient
 from .estimation import NoiseParams
@@ -161,14 +161,34 @@ class Scenario:
                 f"the bank has {self.bank.m} thruster pairs, but health has {n_health} "
                 f"profiles and health_estimate has {n_estimate}"
             )
-        # fully-actuated check on the health estimate at scenario start
-        e_hat0 = self.health_estimate(0.0)
-        if np.linalg.matrix_rank(self.bank.D * e_hat0) != 3:
-            raise RankDeficient("rank(D * Ehat(0)) < 3")
+        # fully-actuated check on the health estimate at every step of the grid
+        rows, runs, starts = self.health_estimate_runs()
+        lost = rank_deficient(self.bank, rows)[runs]
+        if lost.any():
+            t = self.dt * starts[lost.argmax()]
+            raise RankDeficient(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
+
+    def health_estimate_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, runs, starts): the health estimate on the step grid as runs
+        of equal rows. Run i starts at step starts[i] and has the row
+        rows[runs[i]]; rows holds the distinct rows, rounded to 15 decimals,
+        in order of first appearance.
+
+        Steps are compared with the step before them in numpy; only the first
+        row of each run is rounded and looked up in a dict."""
+        e_hat = self.health_estimate(self.dt * np.arange(self.n_steps))
+        changed = np.zeros(len(e_hat), dtype=bool)
+        changed[0] = True
+        changed[np.flatnonzero(e_hat[1:] != e_hat[:-1]) // e_hat.shape[1] + 1] = True
+        starts = np.flatnonzero(changed)
+        ids: dict[tuple, int] = {}
+        runs = [ids.setdefault(row, len(ids))
+                for row in map(tuple, np.round(e_hat[starts], 15).tolist())]
+        return np.array(list(ids)), np.array(runs), starts
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +322,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
         return scenario_from_dict(d)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except RankDeficient as exc:
+        raise RankDeficient(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -466,5 +488,6 @@ def load_scenario(name_or_path: str, **overrides) -> Scenario:
         return PRESETS[name_or_path](**overrides)
     path = Path(name_or_path)
     if path.exists():
-        return replace(load_scenario_file(path), **overrides)
+        scenario = load_scenario_file(path)
+        return replace(scenario, **overrides) if overrides else scenario
     raise ValueError(f"unknown scenario {name_or_path!r} (not a preset, not a file)")

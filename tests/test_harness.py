@@ -1,12 +1,13 @@
 import csv
 import json
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import yaml
 
-from ftacs import ControllerGains, harness
+from ftacs import ControllerGains, cli, harness
 from ftacs.actuation import HealthProfile, ProfileSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
@@ -31,6 +32,7 @@ from ftacs.scenario import (
     paper_fault_free,
     paper_faulty,
     save_scenario,
+    scenario_to_dict,
 )
 
 
@@ -217,16 +219,33 @@ def test_run_scenario_rejects_signals_of_another_scenario():
         run_scenario(short_scenario(), signals=scenario_signals(short_scenario()))
 
 
+def fading_estimate():
+    # pair 3 fades out after t = pi/2 and pair 4 is dead: full rank until then
+    return HealthProfile([ProfileSpec(), ProfileSpec(),
+                          ProfileSpec(kind="cos", offset=0.0, scale=1.0),
+                          ProfileSpec(kind="const", offset=0.0)])
+
+
 def test_rank_deficient_estimate_fails_before_any_instance(monkeypatch):
-    # pair 3 fades out after t = pi/2 and pair 4 is dead: full rank at t = 0
-    # only, so Scenario validation passes and the precompute must fail
-    estimate = HealthProfile([ProfileSpec(), ProfileSpec(),
-                              ProfileSpec(kind="cos", offset=0.0, scale=1.0),
-                              ProfileSpec(kind="const", offset=0.0)])
-    sc = short_scenario(duration=5.0, health_estimate=estimate)
+    # Scenario validation checks every step of the grid, not only t = 0
     monkeypatch.setattr(harness, "run_scenario", never_called)
     with pytest.raises(RankDeficient):
+        sc = short_scenario(duration=5.0, health_estimate=fading_estimate())
         run_campaign(sc, 3)
+
+
+def test_cli_simulate_rejects_estimate_that_loses_rank_before_any_step(tmp_path, monkeypatch,
+                                                                       capsys):
+    d = scenario_to_dict(short_scenario(duration=5.0, observer=ObserverSpec(kind="bias")))
+    d["health_estimate"] = {"profiles": [asdict(p) for p in fading_estimate().profiles]}
+    sc_path = tmp_path / "fading.yaml"
+    sc_path.write_text(yaml.safe_dump(d, sort_keys=False))
+    monkeypatch.setattr(cli, "run_scenario", never_called)
+    monkeypatch.setattr(harness, "scenario_signals", never_called)
+    assert cli_main(["simulate", "--scenario", str(sc_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sc_path}: ") and "rank" in err and "t = 1.58 s" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def never_called(*args, **kwargs):
@@ -296,6 +315,34 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.allclose(data[:, 11:15], trace.tau_u, atol=1e-12)
     assert np.allclose(data[:, 15], trace.qtilde_norm, atol=1e-12)
     assert np.allclose(data[:, 16], trace.wtilde_norm, atol=1e-12)
+
+
+def random_trace(n, m=4):
+    rng = np.random.default_rng(n)
+    trace = RunTrace(
+        t=0.01 * np.arange(n), qe=rng.standard_normal((n, 4)),
+        omega_e=rng.standard_normal((n, 3)) * 1e-3, s=rng.standard_normal((n, 3)),
+        s_hat=rng.standard_normal((n, 3)), theta_e_deg=rng.uniform(0.0, 180.0, n),
+        tau_u=rng.standard_normal((n, m)) * 0.02, qtilde_norm=rng.uniform(0.0, 1e-4, n),
+        wtilde_norm=rng.uniform(0.0, 1e-4, n), seed=1)
+    trace.qe[0, 1:] = [-0.0, 1e-300, 1.0 / 3.0]  # signed zero, tiny, repeating digits
+    return trace
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_trace_csv_bytes_equal_savetxt_and_read_back_exactly(tmp_path, n):
+    trace = random_trace(n)
+    columns = np.column_stack([
+        trace.t, trace.qe, trace.omega_e, trace.theta_e_deg, np.linalg.norm(trace.s, axis=1),
+        np.linalg.norm(trace.s_hat, axis=1), trace.tau_u, trace.qtilde_norm, trace.wtilde_norm])
+    path, reference = tmp_path / "trace.csv", tmp_path / "savetxt.csv"
+    export_trace_csv(trace, path)
+    np.savetxt(reference, columns, delimiter=",", header=",".join(trace_columns(4)),
+               comments="", fmt="%.17g")
+    assert path.read_bytes() == reference.read_bytes()
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (n, 17)
+    assert np.array_equal(table, columns)
 
 
 def test_summary_jsonl_record_count(tmp_path):

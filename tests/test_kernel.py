@@ -1,6 +1,7 @@
 """The float closed-loop kernel against the numpy library functions and
 against traces recorded before it replaced the numpy step loop."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from ftacs.estimation import (
 )
 from ftacs.harness import run_scenario
 from ftacs.kernel import (
+    ROW_BLOCK,
     _qmul,
     _rotate,
     bias_observer,
@@ -178,16 +180,20 @@ def test_written_out_products_equal_the_helpers_bit_for_bit():
         b = _rotate(qe, wd)
         _, s_hat = control(q, w, qd, wd, wd, alloc)
         assert s_hat == tuple(w[i] - b[i] + k * qe[i + 1] for i in range(3))
+        record = tracking_record(q, w, qd, wd, qti, wt, k)
+        _, t1, t2, t3 = _qmul((qti[0], -qti[1], -qti[2], -qti[3]), q)
+        assert record[:7] == (*qe, *(w[i] - b[i] for i in range(3)))
+        assert record[11] == math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
 
 
-def test_bias_observer_matches_library_with_the_same_draws():
-    noise = NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
+def assert_bias_observer_matches_library(noise, n_steps, rng_ref, rng_kernel):
+    """Run bias_observer and sensor_sample + bias_observer_step on the same
+    normal draws and true states; compare every step."""
     dt, k_o, k_b = 0.01, 1.0, 0.1
-    rng_ref, rng_kernel = np.random.default_rng(21), np.random.default_rng(21)
     observe = bias_observer(noise, k_o, k_b, dt, rng_kernel)
     state_rng = np.random.default_rng(4)
     bias, q_hat, b_hat = noise.b0.copy(), None, np.zeros(3)
-    for _ in range(300):
+    for _ in range(n_steps):
         state = SpacecraftState(q=random_quat(state_rng), omega=state_rng.standard_normal(3) * 0.02)
         sample, bias = sensor_sample(state, bias, noise, rng_ref, dt)
         if q_hat is None:
@@ -196,3 +202,104 @@ def test_bias_observer_matches_library_with_the_same_draws():
         got_q, got_w = observe(tuple(state.q), tuple(state.omega), None, None)
         np.testing.assert_allclose(got_q, ref.q_hat, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(got_w, ref.omega_hat, rtol=0.0, atol=TOL)
+
+
+def test_bias_observer_matches_library_with_the_same_draws():
+    noise = NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
+    assert_bias_observer_matches_library(noise, 300, np.random.default_rng(21),
+                                         np.random.default_rng(21))
+
+
+def test_bias_observer_matches_library_across_noise_blocks():
+    # 1000 steps cross three boundaries of the observer's noise blocks; a
+    # large bias walk shows a walk that is not carried across a boundary
+    assert ROW_BLOCK == 256
+    noise = NoiseParams(sigma_u=1e-4, sigma_v=1e-4, b0=np.array([2e-3, -1e-3, 5e-4]))
+    assert_bias_observer_matches_library(noise, 1000, np.random.default_rng(22),
+                                         np.random.default_rng(22))
+
+
+def scalar_bias_observer(noise, k_o, k_b, dt, rng):
+    """The bias observer one step at a time on floats, drawing each step's
+    normals when it runs: the reference for bias_observer's block path."""
+    sigma_theta, sigma_u = float(noise.sigma_theta), float(noise.sigma_u)
+    walk = noise.sigma_v * math.sqrt(dt)
+    bias, q_hat, b_hat = noise.b0.tolist(), None, (0.0, 0.0, 0.0)
+
+    def observe(q, w):
+        nonlocal bias, q_hat, b_hat
+        z, ax, ay, az = rng.standard_normal(4).tolist()
+        norm = math.sqrt(ax * ax + ay * ay + az * az)
+        while norm < 1e-12:
+            ax, ay, az = rng.standard_normal(3).tolist()
+            norm = math.sqrt(ax * ax + ay * ay + az * az)
+        half = 0.5 * (sigma_theta * z)
+        sh = math.sin(half)
+        qt = (math.cos(half), sh * (ax / norm), sh * (ay / norm), sh * (az / norm))
+        n = math.sqrt(qt[0] * qt[0] + qt[1] * qt[1] + qt[2] * qt[2] + qt[3] * qt[3])
+        qm = _qmul(q, (qt[0] / n, -qt[1] / n, -qt[2] / n, -qt[3] / n))
+        ux, uy, uz, vx, vy, vz = rng.standard_normal(6).tolist()
+        wm = (w[0] + bias[0] + sigma_u * ux, w[1] + bias[1] + sigma_u * uy,
+              w[2] + bias[2] + sigma_u * uz)
+        bias = (bias[0] + walk * vx, bias[1] + walk * vy, bias[2] + walk * vz)
+        if q_hat is None:
+            q_hat = qm
+        r0, r1, r2, r3 = _qmul((q_hat[0], -q_hat[1], -q_hat[2], -q_hat[3]), qm)
+        ko, kb = (-k_o, -k_b) if r0 < 0 else (k_o, k_b)
+        bx, by, bz = b_hat
+        wc = ((wm[0] - bx) + ko * r1, (wm[1] - by) + ko * r2, (wm[2] - bz) + ko * r3)
+        q_hat = kinematics_rk4(q_hat, wc, wc, wc, dt)
+        b_hat = (bx - kb * r1 * dt, by - kb * r2 * dt, bz - kb * r3 * dt)
+        return q_hat, (wm[0] - b_hat[0], wm[1] - b_hat[1], wm[2] - b_hat[2])
+
+    return observe
+
+
+def test_bias_observer_equals_the_scalar_path_bit_for_bit():
+    # the block path changes where the noise is computed, not its arithmetic
+    noise = NoiseParams(sigma_v=1e-5, b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
+    dt, k_o, k_b = 0.01, 1.0, 0.1
+    observe = bias_observer(noise, k_o, k_b, dt, np.random.default_rng(24))
+    reference = scalar_bias_observer(noise, k_o, k_b, dt, np.random.default_rng(24))
+    state_rng = np.random.default_rng(6)
+    for _ in range(3 * ROW_BLOCK):
+        q = tuple(random_quat(state_rng).tolist())
+        w = tuple((state_rng.standard_normal(3) * 0.02).tolist())
+        assert observe(q, w, None, None) == reference(q, w)
+
+
+class StreamGenerator:
+    """standard_normal that hands out a fixed stream in order, as a
+    numpy Generator hands out its normal draws."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.pos = 0
+
+    def standard_normal(self, size=None):
+        n = 1 if size is None else size
+        if self.pos + n > len(self.stream):
+            raise AssertionError("stream exhausted")
+        out = self.stream[self.pos:self.pos + n].copy()
+        self.pos += n
+        return out[0] if size is None else out
+
+
+def test_bias_observer_redraws_short_axes_as_the_library_does():
+    # Each step draws 10 normals (angle, axis, gyro noise, bias walk). Short
+    # axes (norm below 1e-12) go in front of the axis of step 3 (two in a
+    # row), of step 255 (the last of the first noise block) and of step 256
+    # (the first of the second), so both observers must skip them. The
+    # stream is long enough for the kernel, which draws 4 whole blocks.
+    stream = list(np.random.default_rng(23).standard_normal(10 * 4 * ROW_BLOCK + 100))
+    zero, tiny = [0.0, 0.0, 0.0], [1e-13, -2e-13, 3e-13]
+    inserted = 0
+    for step, short in ((3, zero + tiny), (255, tiny), (256, zero)):
+        at = 10 * step + 1 + inserted
+        stream[at:at] = short
+        inserted += len(short)
+    stream = np.array(stream)
+    noise = NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
+    rng_ref, rng_kernel = StreamGenerator(stream), StreamGenerator(stream)
+    assert_bias_observer_matches_library(noise, 900, rng_ref, rng_kernel)
+    assert rng_ref.pos == 10 * 900 + inserted

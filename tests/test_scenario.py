@@ -128,6 +128,36 @@ def test_validation_rejects_rank_deficient_allocation():
         paper_fault_free(health_estimate=dead)
 
 
+def test_validation_names_the_first_time_the_estimate_loses_rank():
+    # full rank at t = 0; pair 3 fades out after t = pi/2 with pair 4 dead
+    fading = HealthProfile([ProfileSpec(), ProfileSpec(),
+                            ProfileSpec(kind="cos", offset=0.0, scale=1.0),
+                            ProfileSpec(kind="const", offset=0.0)])
+    with pytest.raises(RankDeficient, match=r"at t = 1\.58 s"):
+        paper_fault_free(duration=5.0, health_estimate=fading)
+    paper_fault_free(duration=1.5, health_estimate=fading)
+
+
+def test_health_estimate_runs():
+    # pair 1 switches between 0 and 1; pair 4 is clipped at 1 for stretches
+    # and varies between them, so rows repeat in runs, come back after other
+    # rows, and change at every step
+    estimate = HealthProfile([ProfileSpec(kind="sin", offset=0.5, scale=1e9, phase=0.5),
+                              ProfileSpec(), ProfileSpec(),
+                              ProfileSpec(kind="sin", offset=0.9, scale=0.2, freq=0.3)])
+    sc = paper_fault_free(duration=60.0, health_estimate=estimate)
+    grid = np.round(estimate(sc.dt * np.arange(sc.n_steps)), 15)
+    rows, runs, starts = sc.health_estimate_runs()
+    index = np.repeat(runs, np.diff(starts, append=len(grid)))
+    assert np.array_equal(rows[index], grid)
+    assert starts[0] == 0 and np.all(np.diff(runs) != 0)  # runs are maximal
+    assert len(rows) == len(np.unique(grid, axis=0))
+    # numbered in order of first appearance, some of them revisited
+    ids, first_runs = np.unique(runs, return_index=True)
+    assert np.array_equal(ids, np.arange(len(rows))) and np.all(np.diff(first_runs) > 0)
+    assert 1 < len(rows) < len(runs) < len(grid)
+
+
 def test_load_scenario_validates_file_overrides(tmp_path):
     path = tmp_path / "sc.yaml"
     save_scenario(nominal_exact(), path)
