@@ -1,15 +1,16 @@
 """Fault-tolerant attitude control simulation and steady-state bound prediction.
 
 Library layout:
-    so3         quaternion/rotation primitives
-    config      gain, model-estimate, and uncertainty-budget dataclasses
-    dynamics    rigid-body dynamics, tracking errors, sliding-variable flow
+    so3         quaternion normalization, axis-angle, spectral norm
+    config      gain, model-estimate, and uncertainty-budget dataclasses,
+                inertia check
     actuation   redundant thruster bank, health-weighted allocation
-    estimation  sensor models and bounded-error observers
-    controller  continuous sliding-mode fault-tolerant control law
+    estimation  sensor noise, observer error bounds, synthetic error profile
+    controller  stability gain conditions of the control law
     bounds      sequential fixed-point prediction of ultimate error bounds
     scenario    scenario configs, YAML I/O, built-in presets
-    kernel      the closed-loop step on Python floats that harness runs
+    kernel      the closed-loop step on Python floats: observers, control
+                law, plant
     harness     closed-loop runner, Monte Carlo campaigns, verification, export
 """
 
@@ -23,7 +24,7 @@ from .bounds import (
     robust_coefficients,
 )
 from .config import ControllerGains, ModelEstimates, UncertaintyBudget, zero_budget
-from .controller import check_gain_conditions, control_step
+from .controller import check_gain_conditions
 from .errors import (
     BoundViolated,
     BudgetViolation,
@@ -84,7 +85,6 @@ __all__ = [
     "UncertaintyBudget",
     "check_gain_conditions",
     "compute_coefficients",
-    "control_step",
     "export_bound_trace_jsonl",
     "export_summary_jsonl",
     "export_trace_csv",

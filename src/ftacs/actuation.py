@@ -81,11 +81,6 @@ class ActuatorBank:
         return self.D.shape[1]
 
 
-def effective_torque(bank: ActuatorBank, e_vals: np.ndarray, tau_u: np.ndarray) -> np.ndarray:
-    """Realized body torque tau_c = D * E * tau_u."""
-    return bank.D @ (e_vals * tau_u)
-
-
 def _weighted_gram(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
     """D * Ehat^3 * D^T of an (m,) estimate, or of each row of a (k, m) array."""
     return (bank.D * e_hat[..., None, :] ** 3) @ bank.D.T
@@ -111,22 +106,11 @@ def _weighted_gram_inverse(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
 
 
 def allocation_matrix(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
-    """m x 3 map u -> tau_u = Ehat^2 * D^T * (D*Ehat^3*D^T)^-1 * u."""
+    """m x 3 map u -> tau_u = Ehat^2 * D^T * (D*Ehat^3*D^T)^-1 * u: the
+    fault-weighted pseudo-inverse, which minimizes tau_u^T * Ehat^-1 * tau_u
+    subject to D*Ehat*tau_u = u, so dead pairs (e_hat_i = 0) receive zero
+    command."""
     return (e_hat**2)[:, None] * bank.D.T @ _weighted_gram_inverse(bank, e_hat)
-
-
-def allocate(bank: ActuatorBank, e_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fault-weighted pseudo-inverse allocation of the virtual torque u.
-
-    Minimizes tau_u^T * Ehat^-1 * tau_u subject to D*Ehat*tau_u = u, so dead
-    pairs (e_hat_i = 0) receive zero command.
-    """
-    return allocation_matrix(bank, e_hat) @ u
-
-
-def saturate(tau_u: np.ndarray, tau_max: float) -> np.ndarray:
-    """Componentwise clamp to [-tau_max, tau_max]."""
-    return np.clip(tau_u, -tau_max, tau_max)
 
 
 def h_matrix(bank: ActuatorBank, e_vals: np.ndarray, e_hat: np.ndarray) -> np.ndarray:

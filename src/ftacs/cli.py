@@ -15,8 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import DEFAULT_ETA, compute_coefficients, predict
-from .controller import check_gain_conditions, robust_coefficients
+from .bounds import DEFAULT_ETA, compute_coefficients, predict, robust_coefficients
+from .controller import check_gain_conditions
 from .errors import BoundViolated, FtacsError, GainConditionViolated, NotContractive
 from .harness import (
     export_bound_trace_jsonl,

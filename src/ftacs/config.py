@@ -1,4 +1,5 @@
-"""Gain, model-estimate, and uncertainty-budget containers."""
+"""Gain, model-estimate, and uncertainty-budget containers, and the
+inertia check."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SingularInertia
+from .estimation import Assumption1Budget
 from .so3 import spectral_norm
 
 
@@ -40,6 +43,22 @@ class ControllerGains:
     @property
     def lambda_max_K(self) -> float:
         return float(np.linalg.eigvalsh(self.K)[-1])
+
+
+def check_inertia(J: np.ndarray) -> np.ndarray:
+    """Validate a symmetric positive-definite inertia matrix."""
+    J = np.asarray(J, dtype=float)
+    if spectral_norm(J - J.T) > 1e-12:
+        raise SingularInertia("inertia matrix must be symmetric")
+    eig = np.linalg.eigvalsh(J)
+    if eig.min() <= 1e-12:
+        raise SingularInertia("inertia matrix must be positive definite")
+    return J
+
+
+def inertia_inverse(J: np.ndarray) -> np.ndarray:
+    check_inertia(J)
+    return np.linalg.inv(J)
 
 
 @dataclass
@@ -90,13 +109,12 @@ class UncertaintyBudget:
         self.validate()
 
     def validate(self):
-        if not 0.0 <= self.rho_q < 1.0:
-            raise ValueError("rho_q must be in [0, 1)")
+        Assumption1Budget(rho_q=self.rho_q, rho_w=self.rho_w)
         if not 0.0 <= self.rho_E < 1.0:
             raise ValueError("rho_E must be in [0, 1)")
         if not 0.0 < self.lambda_l <= self.lambda_r:
             raise ValueError("need 0 < lambda_l <= lambda_r")
-        for name in ("rho_w", "rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm"):
+        for name in ("rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 

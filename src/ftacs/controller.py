@@ -1,98 +1,14 @@
-"""Continuous sliding-mode fault-tolerant attitude tracking law."""
+"""Stability gain conditions of the continuous sliding-mode control law.
+
+The law itself runs in kernel.control_law.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .actuation import ActuatorBank, allocate, saturate
-from .bounds import RobustCoefficients, rho_s_bound, robust_coefficients
-from .config import ControllerGains, ModelEstimates, UncertaintyBudget
-from .dynamics import DesiredState, TrackingError, psi_terms, tracking_errors
-from .estimation import ObserverOutput
-from .so3 import g_matrix, quat_inv, quat_mul, rotation_matrix, skew
-
-__all__ = [
-    "robust_coefficients",
-    "RobustCoefficients",
-    "estimated_errors",
-    "feedforward_terms",
-    "robust_term",
-    "virtual_control",
-    "check_gain_conditions",
-    "control_step",
-    "uncertainty_residual",
-    "GainCheckReport",
-    "ControlDiagnostics",
-]
-
-
-def estimated_errors(
-    obs: ObserverOutput, desired: DesiredState, k: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Estimated error coordinates (q_hat_e, omega_hat_e, s_hat, omega_bar_hat_d)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    q_hat_e = quat_mul(quat_inv(desired.qd), obs.q_hat)
-    omega_bar_hat_d = rotation_matrix(q_hat_e) @ desired.omega_d
-    omega_hat_e = obs.omega_hat - omega_bar_hat_d
-    s_hat = omega_hat_e + k * q_hat_e[1:]
-    return q_hat_e, omega_hat_e, s_hat, omega_bar_hat_d
-
-
-def feedforward_terms(
-    est: ModelEstimates,
-    q_hat_e: np.ndarray,
-    omega_hat_e: np.ndarray,
-    omega_bar_hat_d: np.ndarray,
-    desired: DesiredState,
-    k: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """psi_hat and psi_hat_d built from the inertia estimate and hatted errors."""
-    J_hat = est.J_hat
-    qv = q_hat_e[1:]
-    qx = skew(qv)
-    wbx = skew(omega_bar_hat_d)
-    xi_d = skew(J_hat @ omega_bar_hat_d) - wbx @ J_hat - J_hat @ wbx
-    psi_hat = (
-        -0.5 * k * k * (qx @ (J_hat @ qv))
-        + 0.5 * k * (g_matrix(q_hat_e) @ (J_hat @ omega_hat_e))
-        - k * (xi_d @ qv)
-    )
-    psi_hat_d = np.cross(omega_bar_hat_d, J_hat @ omega_bar_hat_d) + J_hat @ (
-        rotation_matrix(q_hat_e) @ desired.omega_d_dot
-    )
-    return psi_hat, psi_hat_d
-
-
-def robust_term(
-    s_hat: np.ndarray,
-    q_hat_e_vec: np.ndarray,
-    coeffs: RobustCoefficients,
-    gamma: float,
-    epsilon: float,
-) -> tuple[np.ndarray, bool]:
-    """Boundary-layer robust torque; returns (u_s, inside_boundary_layer)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    mag = coeffs.a1 * (float(np.linalg.norm(q_hat_e_vec)) + gamma) + coeffs.a0
-    s_norm = float(np.linalg.norm(s_hat))
-    if s_norm >= epsilon:
-        return -(mag / s_norm) * s_hat, False
-    return -(mag / epsilon) * s_hat, True
-
-
-def virtual_control(
-    s_hat: np.ndarray,
-    K: np.ndarray,
-    u_s: np.ndarray,
-    psi_hat: np.ndarray,
-    psi_hat_d: np.ndarray,
-    tau_d_hat: np.ndarray,
-) -> np.ndarray:
-    """u = -K*s_hat + u_s + psi_hat_d - psi_hat - tau_d_hat."""
-    return -(K @ s_hat) + u_s + psi_hat_d - psi_hat - tau_d_hat
+from .bounds import RobustCoefficients, rho_s_bound
+from .config import ControllerGains, UncertaintyBudget
 
 
 @dataclass
@@ -131,64 +47,3 @@ def check_gain_conditions(
         epsilon_condition=gains.epsilon > rho_s,
         epsilon_margin=gains.epsilon - rho_s,
     )
-
-
-@dataclass
-class ControlDiagnostics:
-    s_hat: np.ndarray
-    q_hat_e: np.ndarray
-    u_s: np.ndarray
-    inside_boundary_layer: bool
-    tau_u_raw: np.ndarray
-
-
-def control_step(
-    obs: ObserverOutput,
-    desired: DesiredState,
-    gains: ControllerGains,
-    est: ModelEstimates,
-    coeffs: RobustCoefficients,
-    bank: ActuatorBank,
-    e_hat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, ControlDiagnostics]:
-    """Full pipeline: estimated errors -> feedforward -> robust term ->
-    virtual control -> allocation -> saturation."""
-    q_hat_e, omega_hat_e, s_hat, omega_bar_hat_d = estimated_errors(obs, desired, gains.k)
-    psi_hat, psi_hat_d = feedforward_terms(est, q_hat_e, omega_hat_e, omega_bar_hat_d, desired, gains.k)
-    u_s, inside = robust_term(s_hat, q_hat_e[1:], coeffs, gains.gamma, gains.epsilon)
-    u = virtual_control(s_hat, gains.K, u_s, psi_hat, psi_hat_d, est.tau_d_hat)
-    tau_u_raw = allocate(bank, e_hat, u)
-    tau_u = saturate(tau_u_raw, bank.tau_max)
-    diag = ControlDiagnostics(
-        s_hat=s_hat, q_hat_e=q_hat_e, u_s=u_s, inside_boundary_layer=inside, tau_u_raw=tau_u_raw
-    )
-    return tau_u, u, diag
-
-
-def uncertainty_residual(
-    J: np.ndarray,
-    est: ModelEstimates,
-    err: TrackingError,
-    desired: DesiredState,
-    q_hat_e: np.ndarray,
-    omega_hat_e: np.ndarray,
-    omega_bar_hat_d: np.ndarray,
-    tau_d: np.ndarray,
-    k: float,
-) -> np.ndarray:
-    """Analysis-only residual psi - psi_hat + psi_hat_d - psi_d + tau_d - tau_d_hat.
-
-    Requires truth values; never computed online by the controller.
-    """
-    psi, psi_d = psi_terms(J, err, desired, k)
-    psi_hat, psi_hat_d = feedforward_terms(est, q_hat_e, omega_hat_e, omega_bar_hat_d, desired, k)
-    return psi - psi_hat + psi_hat_d - psi_d + tau_d - est.tau_d_hat
-
-
-def true_errors_as_estimates(
-    state_q: np.ndarray, state_omega: np.ndarray, desired: DesiredState, k: float
-) -> TrackingError:
-    """Convenience: exact tracking errors for perfect-estimate comparisons."""
-    from .dynamics import SpacecraftState
-
-    return tracking_errors(SpacecraftState(q=state_q, omega=state_omega), desired, k)

@@ -1,6 +1,7 @@
-"""Sensor models, the bounded-estimation-error observer contract, and two
-reference observers (synthetic error injection and a multiplicative
-complementary filter with gyro-bias estimation)."""
+"""Sensor noise, the bounded-estimation-error observer contract
+(Assumption 1) and the synthetic observer's error profile. kernel runs the
+observers: synthetic error injection and a multiplicative complementary
+filter with gyro-bias estimation."""
 
 from __future__ import annotations
 
@@ -9,9 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SpacecraftState, attitude_kinematics
 from .errors import BudgetViolation, EmptyTail
-from .so3 import normalize, quat_from_axis_angle, quat_inv, quat_mul
 
 
 @dataclass
@@ -31,18 +30,6 @@ class NoiseParams:
 
     def __post_init__(self):
         self.b0 = np.asarray(self.b0, dtype=float)
-
-
-@dataclass
-class SensorSample:
-    qm: np.ndarray
-    omega_m: np.ndarray
-
-
-@dataclass
-class ObserverOutput:
-    q_hat: np.ndarray
-    omega_hat: np.ndarray
 
 
 @dataclass
@@ -68,29 +55,6 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
-def sensor_sample(
-    truth: SpacecraftState,
-    bias: np.ndarray,
-    noise: NoiseParams,
-    rng: np.random.Generator,
-    dt: float,
-) -> tuple[SensorSample, np.ndarray]:
-    """One attitude + gyro measurement and the propagated gyro bias.
-
-    q_m = q (x) qtilde_m^-1 with the error angle ~ N(0, sigma_theta^2) about a
-    uniformly random axis; omega_m = omega + b + eta_u; the bias performs a
-    random walk with per-step variance sigma_v^2 * dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    theta_m = noise.sigma_theta * rng.standard_normal()
-    qtilde_m = quat_from_axis_angle(random_unit_vector(rng), theta_m)
-    qm = quat_mul(truth.q, quat_inv(qtilde_m))
-    omega_m = truth.omega + bias + noise.sigma_u * rng.standard_normal(3)
-    bias_new = bias + noise.sigma_v * math.sqrt(dt) * rng.standard_normal(3)
-    return SensorSample(qm=qm, omega_m=omega_m), bias_new
-
-
 @dataclass
 class SyntheticErrorProfile:
     """Deterministic sinusoidal estimation errors within an ultimate-bound budget.
@@ -113,10 +77,10 @@ class SyntheticErrorProfile:
         self.axis_w = np.asarray(self.axis_w, dtype=float)
         self.axis_q /= np.linalg.norm(self.axis_q)
         self.axis_w /= np.linalg.norm(self.axis_w)
-        if not 0.0 <= self.amp_q < 1.0:
-            raise ValueError("amp_q must be in [0, 1)")
-        if self.amp_w < 0:
-            raise ValueError("amp_w must be nonnegative")
+        try:  # the amplitudes bound the errors, so Assumption 1's rule holds them
+            Assumption1Budget(rho_q=self.amp_q, rho_w=self.amp_w)
+        except ValueError as exc:
+            raise ValueError(f"(amp_q, amp_w) = ({self.amp_q}, {self.amp_w}): {exc}") from None
 
     @classmethod
     def at_budget(cls, budget: Assumption1Budget, **kwargs) -> "SyntheticErrorProfile":
@@ -140,62 +104,6 @@ class SyntheticErrorProfile:
         """(3,) rate error at a time, or (n, 3) on an array of n times."""
         amp = self.amp_w * np.sin(self.freq_w * np.asarray(t, dtype=float) + self.phase_w)
         return amp[..., None] * self.axis_w
-
-
-def synthetic_observer(
-    truth: SpacecraftState,
-    profile: SyntheticErrorProfile,
-    t: float,
-    budget: Assumption1Budget | None = None,
-) -> ObserverOutput:
-    """Emit q_hat = q (x) qtilde(t)^-1 and omega_hat = omega + omega_tilde(t)."""
-    if budget is not None:
-        profile.check_budget(budget)
-    return ObserverOutput(
-        q_hat=quat_mul(truth.q, quat_inv(profile.qtilde(t))),
-        omega_hat=truth.omega + profile.omega_tilde(t),
-    )
-
-
-def estimation_error(q_hat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """qtilde = q_hat^-1 (x) q with the sign fixed so qtilde_0 >= 0."""
-    qt = quat_mul(quat_inv(q_hat), q)
-    return qt if qt[0] >= 0 else -qt
-
-
-def _sign(x: float) -> float:
-    return -1.0 if x < 0 else 1.0
-
-
-def bias_observer_step(
-    q_hat: np.ndarray,
-    b_hat: np.ndarray,
-    sample: SensorSample,
-    k_o: float,
-    k_b: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, ObserverOutput]:
-    """Multiplicative complementary observer with gyro-bias estimation.
-
-    Propagates q_hat with the bias-corrected rate plus a quaternion-error
-    correction and integrates the bias estimate against the same error.
-    """
-    if k_o <= 0 or k_b <= 0 or dt <= 0:
-        raise ValueError("gains and dt must be positive")
-    q_bar = quat_mul(quat_inv(q_hat), sample.qm)
-    sgn = _sign(q_bar[0])
-    omega_c = (sample.omega_m - b_hat) + k_o * sgn * q_bar[1:]
-
-    # one RK4 step of the kinematics at constant omega_c
-    k1 = attitude_kinematics(q_hat, omega_c)
-    k2 = attitude_kinematics(q_hat + 0.5 * dt * k1, omega_c)
-    k3 = attitude_kinematics(q_hat + 0.5 * dt * k2, omega_c)
-    k4 = attitude_kinematics(q_hat + dt * k3, omega_c)
-    q_hat_new = normalize(q_hat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    b_hat_new = b_hat - k_b * sgn * q_bar[1:] * dt
-    out = ObserverOutput(q_hat=q_hat_new, omega_hat=sample.omega_m - b_hat_new)
-    return q_hat_new, b_hat_new, out
 
 
 def estimate_assumption1_bounds(

@@ -8,24 +8,24 @@ bias_observer bind their parameters once and return the function that runs
 every step.
 
 Vectors are tuples or lists of floats. Quaternions are scalar-first with the
-Hamilton product, as in so3, and every product is renormalized. The numpy
-functions of controller, dynamics and estimation define the same math;
-tests/test_kernel.py holds the two within 1e-12 of each other.
+Hamilton product, and every product is renormalized. The rotation matrix is
+R(q) = I - 2*q0*qv^x + 2*qv^x*qv^x, so R(q_e) maps desired-frame vectors into
+the body frame. tests/reference.py defines the same math on numpy arrays,
+one function per equation, and tests/test_kernel.py holds these functions to
+it within 1e-12.
 
-The functions that run every step (control, the plant's rates and step,
-kinematics_rk4, synthetic_observe, the bias observer's observe,
-tracking_record) write out the quaternion product, the rotation and the
-quaternion rate in place of calling _qmul and _rotate, since a Python call
-costs more than the arithmetic. A written-out helper keeps the helper's
-expressions in the helper's operation order, up to exact IEEE identities
-(x - (-y) == x + y, (-x) * y == -(x * y)), so every result stays bit for bit
-that of the helper; _qmul and _rotate remain as the reference that
-tests/test_kernel.py holds the written-out forms to.
+The functions write out the quaternion product, the rotation and the
+quaternion rate in place of calling helpers, since a Python call costs more
+than the arithmetic. A written-out product or rotation keeps the expressions
+of the reference's float helpers _qmul and _rotate in their operation order,
+up to exact IEEE identities (x - (-y) == x + y, (-x) * y == -(x * y)), so
+every result stays bit for bit that of the helper; tests/test_kernel.py
+holds the written-out forms to the helpers.
 
 The bias observer's sensor noise does not depend on the state: it is shaped
 in numpy per block of ROW_BLOCK steps, from normals consumed in the order
-estimation.sensor_sample draws them, an axis redraw included, and each step
-reads its noise as floats.
+the reference's sensor_sample draws them, an axis redraw included, and each
+step reads its noise as floats.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .bounds import RobustCoefficients
-from .config import ControllerGains, ModelEstimates
-from .dynamics import inertia_inverse
+from .config import ControllerGains, ModelEstimates, inertia_inverse
 from .errors import NonFiniteState
 from .estimation import NoiseParams
 
@@ -45,32 +44,6 @@ from .estimation import NoiseParams
 # and in harness the rows of precomputed signals and of recorded samples. Long
 # runs keep their arrays in numpy.
 ROW_BLOCK = 256
-
-
-def _qmul(a, b):
-    """Hamilton product a (x) b, renormalized."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    p0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    p1 = a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2
-    p2 = a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3
-    p3 = a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1
-    n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-    return (p0 / n, p1 / n, p2 / n, p3 / n)
-
-
-def _rotate(q, v):
-    """R(q) v = v - 2*q0*(qv x v) + 2*qv x (qv x v)."""
-    q0, q1, q2, q3 = q
-    vx, vy, vz = v
-    cx = q2 * vz - q3 * vy
-    cy = q3 * vx - q1 * vz
-    cz = q1 * vy - q2 * vx
-    return (
-        vx - 2.0 * q0 * cx + 2.0 * (q2 * cz - q3 * cy),
-        vy - 2.0 * q0 * cy + 2.0 * (q3 * cx - q1 * cz),
-        vz - 2.0 * q0 * cz + 2.0 * (q1 * cy - q2 * cx),
-    )
 
 
 def kinematics_rk4(q, w1, w2, w4, dt):
@@ -114,8 +87,8 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
                 tau_max: float):
     """control(q_hat, omega_hat, qd, omega_d, omega_d_dot, alloc) -> (tau_u, s_hat).
 
-    The law of controller.control_step, with the m x 3 allocation matrix
-    given as m rows."""
+    The law of the reference's control_step (tests/reference.py), with the
+    m x 3 allocation matrix given as m rows."""
     k = float(gains.k)
     (K00, K01, K02), (K10, K11, K12), (K20, K21, K22) = gains.K.tolist()
     (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = est.J_hat.tolist()
@@ -256,7 +229,8 @@ def plant_step(J: np.ndarray, dt: float):
 
 def tracking_record(q, w, qd, wd, qh, wh, k):
     """(qe0..3, omega_e, s, theta_e_deg, |qtilde_v|, |omega_tilde|): the true
-    errors of dynamics.tracking_errors and the observer errors."""
+    errors of the reference's tracking_errors (tests/reference.py) and the
+    observer errors."""
     q0, q1, q2, q3 = q
     d0, d1, d2, d3 = qd
     # qe = _qmul(qd^-1, q)
@@ -312,9 +286,9 @@ def synthetic_observe(q, w, qti, wt):
 def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
                   rng: np.random.Generator):
     """observe(q, omega, _, _) -> (q_hat, omega_hat), with the signature of
-    perfect_observe and synthetic_observe: estimation.sensor_sample
-    followed by estimation.bias_observer_step, the first estimate being the
-    first measurement.
+    perfect_observe and synthetic_observe: the reference's sensor_sample
+    followed by its bias_observer_step (tests/reference.py), the first
+    estimate being the first measurement.
 
     The sensor noise does not depend on the state, so it is shaped in numpy,
     ROW_BLOCK steps at a time. Each block takes 10 normal draws per step from

@@ -14,9 +14,9 @@ import numpy as np
 import yaml
 
 from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
-from .config import ControllerGains, ModelEstimates, UncertaintyBudget, zero_budget
-from .errors import RankDeficient
-from .estimation import NoiseParams
+from .config import ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia, zero_budget
+from .errors import RankDeficient, SingularInertia
+from .estimation import NoiseParams, SyntheticErrorProfile
 
 
 @dataclass
@@ -76,13 +76,13 @@ class ObserverSpec:
     injection), or "bias" (complementary filter fed by noisy sensors)."""
 
     kind: str = "perfect"
-    # synthetic
-    amp_q: float = 0.0
-    amp_w: float = 0.0
-    freq_q: float = 0.1
-    freq_w: float = 0.13
-    phase_q: float = 0.0
-    phase_w: float = 0.7
+    # synthetic: the fields of estimation.SyntheticErrorProfile but its axes
+    amp_q: float = SyntheticErrorProfile.amp_q
+    amp_w: float = SyntheticErrorProfile.amp_w
+    freq_q: float = SyntheticErrorProfile.freq_q
+    freq_w: float = SyntheticErrorProfile.freq_w
+    phase_q: float = SyntheticErrorProfile.phase_q
+    phase_w: float = SyntheticErrorProfile.phase_w
     # bias observer
     k_o: float = 1.0
     k_b: float = 0.1
@@ -90,6 +90,14 @@ class ObserverSpec:
     def __post_init__(self):
         if self.kind not in ("perfect", "synthetic", "bias"):
             raise ValueError(f"unknown observer kind {self.kind!r}")
+        if self.kind == "synthetic":
+            self.synthetic_profile()  # rejects amplitudes outside Assumption 1's bounds
+
+    def synthetic_profile(self) -> SyntheticErrorProfile:
+        """The synthetic observer's error profile, from the fields it shares
+        with SyntheticErrorProfile."""
+        return SyntheticErrorProfile(**{f.name: getattr(self, f.name)
+                                        for f in fields(SyntheticErrorProfile) if hasattr(self, f.name)})
 
 
 @dataclass
@@ -144,6 +152,7 @@ class Scenario:
     def validate(self):
         if self.J.shape != (3, 3):
             raise ValueError(f"J must be 3x3, got shape {self.J.shape}")
+        check_inertia(self.J)
         if self.qd0.shape != (4,):
             raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
         if self.dt <= 0:
@@ -161,8 +170,10 @@ class Scenario:
                 f"the bank has {self.bank.m} thruster pairs, but health has {n_health} "
                 f"profiles and health_estimate has {n_estimate}"
             )
-        # fully-actuated check on the health estimate at every step of the grid
-        rows, runs, starts = self.health_estimate_runs()
+        # fully-actuated check on the health estimate at every step of the
+        # grid, whose runs scenario_signals reuses
+        self._estimate_runs = _equal_row_runs(self.health_estimate(self.dt * np.arange(self.n_steps)))
+        rows, runs, starts = self._estimate_runs
         lost = rank_deficient(self.bank, rows)[runs]
         if lost.any():
             t = self.dt * starts[lost.argmax()]
@@ -178,17 +189,23 @@ class Scenario:
         rows[runs[i]]; rows holds the distinct rows, rounded to 15 decimals,
         in order of first appearance.
 
-        Steps are compared with the step before them in numpy; only the first
-        row of each run is rounded and looked up in a dict."""
-        e_hat = self.health_estimate(self.dt * np.arange(self.n_steps))
-        changed = np.zeros(len(e_hat), dtype=bool)
-        changed[0] = True
-        changed[np.flatnonzero(e_hat[1:] != e_hat[:-1]) // e_hat.shape[1] + 1] = True
-        starts = np.flatnonzero(changed)
-        ids: dict[tuple, int] = {}
-        runs = [ids.setdefault(row, len(ids))
-                for row in map(tuple, np.round(e_hat[starts], 15).tolist())]
-        return np.array(list(ids)), np.array(runs), starts
+        validate() evaluates them, and construction runs validate(): a
+        scenario changed after construction is validated again with it."""
+        return self._estimate_runs
+
+
+def _equal_row_runs(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, runs, starts) of Scenario.health_estimate_runs of the
+    (n, m) rows e_hat. Rows are compared with the row before them in numpy;
+    only the first row of each run is rounded and looked up in a dict."""
+    changed = np.zeros(len(e_hat), dtype=bool)
+    changed[0] = True
+    changed[np.flatnonzero(e_hat[1:] != e_hat[:-1]) // e_hat.shape[1] + 1] = True
+    starts = np.flatnonzero(changed)
+    ids: dict[tuple, int] = {}
+    runs = [ids.setdefault(row, len(ids))
+            for row in map(tuple, np.round(e_hat[starts], 15).tolist())]
+    return np.array(list(ids)), np.array(runs), starts
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +339,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
         return scenario_from_dict(d)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except RankDeficient as exc:
-        raise RankDeficient(f"{path}: {exc}") from exc
+    except (RankDeficient, SingularInertia) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

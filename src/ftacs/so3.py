@@ -1,9 +1,7 @@
-"""Unit-quaternion and 3x3 matrix algebra.
+"""Unit-quaternion and matrix helpers.
 
-Quaternions are scalar-first numpy arrays q = [q0, q1, q2, q3] with the
-Hamilton product.  The rotation matrix convention is
-R(q) = I - 2*q0*qv^x + 2*qv^x*qv^x, so R(q_e) maps desired-frame vectors
-into the body frame.  Every operation returning a quaternion renormalizes.
+Quaternions are scalar-first numpy arrays q = [q0, q1, q2, q3]; every
+operation returning a quaternion renormalizes.
 """
 
 from __future__ import annotations
@@ -12,79 +10,12 @@ import math
 
 import numpy as np
 
-IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
-
 
 def normalize(q: np.ndarray) -> np.ndarray:
     """Rescale a 4-vector to unit norm."""
     q = np.asarray(q, dtype=float)
     n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     return q / n
-
-
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a (x) b, renormalized."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return normalize(
-        np.array(
-            [
-                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
-                a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
-                a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
-            ]
-        )
-    )
-
-
-def quat_inv(q: np.ndarray) -> np.ndarray:
-    """Inverse [q0, -qv] of a unit quaternion."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
-def rotation_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix I - 2*q0*qv^x + 2*qv^x*qv^x of a unit quaternion."""
-    qx = skew(q[1:])
-    return np.eye(3) - 2.0 * q[0] * qx + 2.0 * (qx @ qx)
-
-
-def g_matrix(q: np.ndarray) -> np.ndarray:
-    """G(q) = q0*I3 + qv^x appearing in the kinematics."""
-    return q[0] * np.eye(3) + skew(q[1:])
-
-
-def error_matrices(qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M (4x4) and E (3x4) such that q_e (x) qt^-1 = q_e + M(qt) q_e.
-
-    Both satisfy ||M|| = ||E|| = sqrt(2*(1 - qt0)).
-    """
-    q0 = qt[0]
-    qv = qt[1:]
-    lower = (q0 - 1.0) * np.eye(3) + skew(qv)
-    m = np.empty((4, 4))
-    m[0, 0] = q0 - 1.0
-    m[0, 1:] = qv
-    m[1:, 0] = -qv
-    m[1:, 1:] = lower
-    e = np.hstack([-qv.reshape(3, 1), lower])
-    return m, e
-
-
-def principal_angle(q: np.ndarray) -> float:
-    """Principal rotation angle 2*acos(|q0|) in [0, pi]."""
-    return 2.0 * math.acos(min(abs(q[0]), 1.0))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -3,21 +3,28 @@ import pytest
 
 from ftacs.actuation import ActuatorBank
 from ftacs.config import ControllerGains, ModelEstimates, zero_budget
-from ftacs.controller import (
-    check_gain_conditions,
+from ftacs.bounds import robust_coefficients
+from ftacs.controller import check_gain_conditions
+from ftacs.estimation import SyntheticErrorProfile
+from ftacs.scenario import PAPER_D, PAPER_J, PAPER_J_HAT
+from ftacs.so3 import normalize, quat_from_axis_angle
+from reference import (
+    DesiredState,
+    ObserverOutput,
+    SpacecraftState,
     control_step,
+    error_matrices,
     estimated_errors,
     feedforward_terms,
-    robust_coefficients,
+    psi_terms,
     robust_term,
+    rotation_matrix,
+    synthetic_observer,
+    tracking_errors,
     true_errors_as_estimates,
     uncertainty_residual,
     virtual_control,
 )
-from ftacs.dynamics import DesiredState, SpacecraftState, psi_terms, tracking_errors
-from ftacs.estimation import ObserverOutput, SyntheticErrorProfile, synthetic_observer
-from ftacs.scenario import PAPER_D, PAPER_J, PAPER_J_HAT
-from ftacs.so3 import error_matrices, normalize, quat_from_axis_angle, rotation_matrix
 
 
 def test_robust_coefficients_frozen(budget_faulty):

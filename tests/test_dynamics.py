@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.dynamics import (
+from ftacs.config import check_inertia, inertia_inverse
+from ftacs.errors import SingularInertia
+from ftacs.scenario import PAPER_J
+from ftacs.so3 import normalize
+from reference import (
     DesiredState,
     SpacecraftState,
     attitude_kinematics,
-    check_inertia,
     euler_dynamics,
-    inertia_inverse,
     psi_terms,
+    quat_mul,
     rk4_step,
     s_dot_rhs,
+    skew,
     tracking_errors,
     xi_matrix,
 )
-from ftacs.errors import SingularInertia
-from ftacs.scenario import PAPER_J
-from ftacs.so3 import normalize, quat_mul
 
 
 def test_check_inertia_rejects_asymmetric():
@@ -130,8 +131,6 @@ def test_xi_matrix_skew_symmetric_part():
     for _ in range(20):
         we = rng.standard_normal(3)
         wbd = rng.standard_normal(3)
-        from ftacs.so3 import skew
-
         expected = skew(J @ (we + wbd)) - skew(wbd) @ J - J @ skew(wbd)
         assert np.allclose(xi_matrix(J, we, wbd), expected, atol=1e-14)
 
@@ -190,12 +189,10 @@ def _num_dot(fn, t, h=1e-6):
 
 
 def _qd_step(qd, omega_d_fn, t, h):
-    from ftacs.dynamics import attitude_kinematics as ak
-
-    k1 = ak(qd, omega_d_fn(t))
-    k2 = ak(qd + 0.5 * h * k1, omega_d_fn(t + 0.5 * h))
-    k3 = ak(qd + 0.5 * h * k2, omega_d_fn(t + 0.5 * h))
-    k4 = ak(qd + h * k3, omega_d_fn(t + h))
+    k1 = attitude_kinematics(qd, omega_d_fn(t))
+    k2 = attitude_kinematics(qd + 0.5 * h * k1, omega_d_fn(t + 0.5 * h))
+    k3 = attitude_kinematics(qd + 0.5 * h * k2, omega_d_fn(t + 0.5 * h))
+    k4 = attitude_kinematics(qd + h * k3, omega_d_fn(t + h))
     return normalize(qd + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 

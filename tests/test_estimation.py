@@ -3,21 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.dynamics import SpacecraftState
 from ftacs.errors import BudgetViolation, EmptyTail
 from ftacs.estimation import (
     Assumption1Budget,
     NoiseParams,
-    SensorSample,
     SyntheticErrorProfile,
-    bias_observer_step,
     estimate_assumption1_bounds,
-    estimation_error,
     random_unit_vector,
+)
+from ftacs.so3 import normalize
+from reference import (
+    IDENTITY_QUAT,
+    SensorSample,
+    SpacecraftState,
+    bias_observer_step,
+    estimation_error,
+    principal_angle,
+    quat_inv,
+    quat_mul,
     sensor_sample,
     synthetic_observer,
 )
-from ftacs.so3 import IDENTITY_QUAT, normalize, principal_angle, quat_inv, quat_mul
 
 DEG_PER_HOUR_BIAS = np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0)
 

@@ -252,6 +252,19 @@ def never_called(*args, **kwargs):
     raise AssertionError("run_scenario was called")
 
 
+def test_health_estimate_evaluated_once_per_scenario():
+    # the precompute reuses the runs of the estimate that validation found
+    calls = []
+
+    class CountedProfile(HealthProfile):
+        def __call__(self, t):
+            calls.append(t)
+            return super().__call__(t)
+
+    scenario_signals(short_scenario(health_estimate=CountedProfile(HealthProfile.healthy(4).profiles)))
+    assert len(calls) == 1
+
+
 def test_campaign_determinism_and_aggregation():
     sc = short_scenario()
     s1 = run_campaign(sc, 3)

@@ -1,5 +1,5 @@
-"""The float closed-loop kernel against the numpy library functions and
-against traces recorded before it replaced the numpy step loop."""
+"""The float closed-loop kernel against the numpy reference (reference.py)
+and against traces recorded before it replaced the numpy step loop."""
 
 import math
 from pathlib import Path
@@ -10,22 +10,10 @@ import pytest
 from ftacs.actuation import ActuatorBank, allocation_matrix
 from ftacs.bounds import robust_coefficients
 from ftacs.config import ModelEstimates
-from ftacs.controller import control_step
-from ftacs.dynamics import DesiredState, SpacecraftState, rk4_step, tracking_errors
-from ftacs.estimation import (
-    NoiseParams,
-    ObserverOutput,
-    SyntheticErrorProfile,
-    bias_observer_step,
-    estimation_error,
-    sensor_sample,
-    synthetic_observer,
-)
+from ftacs.estimation import NoiseParams, SyntheticErrorProfile
 from ftacs.harness import run_scenario
 from ftacs.kernel import (
     ROW_BLOCK,
-    _qmul,
-    _rotate,
     bias_observer,
     control_law,
     kinematics_rk4,
@@ -45,6 +33,20 @@ from ftacs.scenario import (
     paper_gains,
 )
 from ftacs.so3 import quat_from_axis_angle
+from reference import (
+    DesiredState,
+    ObserverOutput,
+    SpacecraftState,
+    _qmul,
+    _rotate,
+    bias_observer_step,
+    control_step,
+    estimation_error,
+    rk4_step,
+    sensor_sample,
+    synthetic_observer,
+    tracking_errors,
+)
 
 # Every RunTrace field of three 5 s runs, recorded with run_scenario at commit
 # bf60fc0, whose step loop was written with numpy arrays.

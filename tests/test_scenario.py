@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ftacs import scenario
+from ftacs import cli, scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates
@@ -275,3 +275,31 @@ def test_cli_malformed_scenario_file_exits_1_naming_the_key(tmp_path, capsys, ca
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "paper-faulty-bounds.jsonl").exists()
+
+
+INVALID_INERTIA_OR_OBSERVER_FILES = {
+    "indefinite-J": (_set("J", value=[[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]]),
+                     "inertia matrix must be positive definite"),
+    "asymmetric-J": (_set("J", value=[[8.0, 0.5, 0.0], [0.0, 7.0, 0.0], [0.0, 0.0, 6.0]]),
+                     "inertia matrix must be symmetric"),
+    "synthetic-amplitudes": (_set("observer", value={"kind": "synthetic", "amp_q": 1.5, "amp_w": -1}),
+                             "rho_q must be in [0, 1)"),
+}
+
+
+@pytest.mark.parametrize("command", ["check-gains", "predict-bounds", "simulate"])
+@pytest.mark.parametrize("case", INVALID_INERTIA_OR_OBSERVER_FILES)
+def test_cli_invalid_inertia_or_observer_exits_1_before_any_step(tmp_path, monkeypatch, capsys,
+                                                                 case, command):
+    text, named = INVALID_INERTIA_OR_OBSERVER_FILES[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(text())
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the closed loop ran")
+
+    monkeypatch.setattr(cli, "run_scenario", never_called)
+    assert cli_main([command, "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert named in err
