@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -280,12 +285,81 @@ def instance_seeds(campaign_seed: int, n: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
 
 
+def _available_cpus() -> int:
+    """How many processes a campaign may spread its instances over: the CPUs
+    this process may run on, or 1 where os.fork is missing or another thread
+    runs, since a forked child would inherit the locks that thread holds."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_instances(scenario: Scenario, signals: ScenarioSignals, seeds: list[int],
+                   start: int, stop: int) -> list[TailStats | str]:
+    """The tail statistics of instances start..stop-1, or for an instance
+    whose state went non-finite the failure line naming its index and seed."""
+    results: list[TailStats | str] = []
+    for idx in range(start, stop):
+        try:
+            trace = run_scenario(scenario, seed=seeds[idx], signals=signals)
+            results.append(steady_state_stats(trace, scenario.tail_fraction))
+        except NonFiniteState as exc:
+            results.append(f"instance {idx} (seed {seeds[idx]}): {exc}")
+    return results
+
+
+def _fork(fn):
+    """Run fn() in a forked child, which pickles what it returns, or the
+    exception it raises, into a pipe and leaves through os._exit. Returns the
+    child's pid and the read end of the pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        os.close(r)
+        try:
+            result = (True, fn())
+        except BaseException as exc:
+            result = (False, exc)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """What a forked child's fn() returned; the exception it raised is raised here."""
+    with pipe:
+        data = pipe.read()
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:
+        raise ChildProcessError("a campaign worker exited without sending its result") from exc
+    if not ok:
+        raise value
+    return value
+
+
 def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> CampaignSummary:
     """Run n independent instances; aggregate tail statistics.
 
     The bound prediction (when the scenario has a budget) and the shared
     precompute come first. Per-instance failures are recorded and the
     campaign continues.
+
+    The instances are split into one contiguous chunk per available CPU.
+    This process runs the first chunk and a forked child runs each other one,
+    sharing the precompute; the results are joined in seed order, so the
+    summary is the one a serial loop gives.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -295,14 +369,25 @@ def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> Cam
         predicted = predict(scenario.budget, scenario.gains, eta=eta)
     signals = scenario_signals(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
-    instances: list[TailStats] = []
-    failures: list[str] = []
-    for idx, seed in enumerate(seeds):
-        try:
-            trace = run_scenario(scenario, seed=seed, signals=signals)
-            instances.append(steady_state_stats(trace, scenario.tail_fraction))
-        except NonFiniteState as exc:
-            failures.append(f"instance {idx} (seed {seed}): {exc}")
+    w = min(n_instances, _available_cpus())
+    bounds = [n_instances * i // w for i in range(w + 1)]
+    children = []  # (pid, read end of its result pipe)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork(partial(_run_instances, scenario, signals, seeds, start, stop)))
+        results = _run_instances(scenario, signals, seeds, 0, bounds[1])
+        for _, pipe in children:
+            results += _receive(pipe)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    instances = [r for r in results if isinstance(r, TailStats)]
+    failures = [r for r in results if isinstance(r, str)]
 
     instance_pass: list[bool] = []
     if predicted is not None:

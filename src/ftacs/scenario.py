@@ -92,6 +92,11 @@ class ObserverSpec:
             raise ValueError(f"unknown observer kind {self.kind!r}")
         if self.kind == "synthetic":
             self.synthetic_profile()  # rejects amplitudes outside Assumption 1's bounds
+        elif self.kind == "bias":
+            for name in ("k_o", "k_b"):
+                if not 0.0 < getattr(self, name) < math.inf:
+                    raise ValueError(f"bias observer gain {name} must be positive and "
+                                     f"finite, got {getattr(self, name)!r}")
 
     def synthetic_profile(self) -> SyntheticErrorProfile:
         """The synthetic observer's error profile, from the fields it shares

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import time
 
 from dataclasses import asdict, fields
 
@@ -11,7 +13,7 @@ from ftacs import ControllerGains, cli, harness
 from ftacs.actuation import HealthProfile, ProfileSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
-from ftacs.errors import BoundViolated, EmptyTail, RankDeficient
+from ftacs.errors import BoundViolated, EmptyTail, NonFiniteState, RankDeficient
 from ftacs.harness import (
     RunTrace,
     export_bound_trace_jsonl,
@@ -151,8 +153,11 @@ def test_instance_seeds_deterministic():
 
 
 def campaign_traces(monkeypatch, sc, n):
-    """Run a campaign and keep the trace of every instance."""
+    """Run a campaign and keep the trace of every instance. The campaign runs
+    in this process, on one worker, since the calls of a forked child would
+    append to the child's copy of the list."""
     traces = []
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
 
     def keep(*args, **kwargs):
         traces.append(run_scenario(*args, **kwargs))
@@ -273,6 +278,80 @@ def test_campaign_determinism_and_aggregation():
     assert s1.theta_e_max_deg == max(i.theta_e_max_deg for i in s1.instances)
     assert s1.omega_e_max >= max(i.omega_e_max for i in s1.instances) - 1e-18
     assert not s1.failures
+
+
+def campaign_on(monkeypatch, workers, sc, n):
+    """run_campaign with the CPU count read as `workers`."""
+    monkeypatch.setattr(harness, "_available_cpus", lambda: workers)
+    return run_campaign(sc, n)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def plant(monkeypatch, bad_seed, exc):
+    """Make the campaign's instance of `bad_seed` raise exc; the others run."""
+    def run(scenario, seed=None, signals=None):
+        if seed == bad_seed:
+            raise exc
+        return run_scenario(scenario, seed=seed, signals=signals)
+
+    monkeypatch.setattr(harness, "run_scenario", run)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_campaign_summary_equals_serial(monkeypatch, workers):
+    for kind in ("synthetic", "bias"):
+        sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
+        serial = campaign_on(monkeypatch, 1, sc, 5)
+        forked = campaign_on(monkeypatch, workers, sc, 5)
+        assert forked == serial
+        assert forked.seeds == instance_seeds(sc.seed, 5)
+        assert len(forked.instances) == len(forked.instance_pass) == 5
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_campaign_records_non_finite_state_of_a_child(monkeypatch, workers):
+    sc = short_scenario(duration=10.0)
+    seeds = instance_seeds(sc.seed, 5)
+    plant(monkeypatch, seeds[3], NonFiniteState("planted"))
+    serial = campaign_on(monkeypatch, 1, sc, 5)
+    forked = campaign_on(monkeypatch, workers, sc, 5)
+    assert forked.failures == [f"instance 3 (seed {seeds[3]}): planted"]
+    assert len(forked.instances) == 4
+    assert forked == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_campaign_reraises_a_child_exception(monkeypatch, workers):
+    sc = short_scenario(duration=10.0)
+    plant(monkeypatch, instance_seeds(sc.seed, 5)[4], ValueError("planted in a child"))
+    with pytest.raises(ValueError, match="planted in a child"):
+        campaign_on(monkeypatch, workers, sc, 5)
+    assert_no_child_left()
+
+
+def test_interrupted_campaign_kills_its_children(monkeypatch):
+    # the first instance runs in this process; the children's would sleep
+    # for a minute unless killed
+    sc = short_scenario(duration=10.0)
+    seeds = instance_seeds(sc.seed, 3)
+
+    def run(scenario, seed=None, signals=None):
+        if seed == seeds[0]:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+
+    monkeypatch.setattr(harness, "run_scenario", run)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        campaign_on(monkeypatch, 3, sc, 3)
+    assert time.perf_counter() - t0 < 30.0
+    assert_no_child_left()
 
 
 def test_campaign_rejects_bad_n():

@@ -219,6 +219,14 @@ def test_shapes_checked_at_construction():
         InitialConditionSpec(q0=[1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("gains", [dict(k_o=0.0), dict(k_o=-1.0), dict(k_b=math.nan),
+                                   dict(k_b=math.inf), dict(k_o=0, k_b=-0.1)])
+def test_bias_observer_gains_checked_at_construction(gains):
+    with pytest.raises(ValueError, match="bias observer gain k_[ob] must be positive and finite"):
+        ObserverSpec(kind="bias", **gains)
+    ObserverSpec(kind="synthetic", **gains)  # the gains of another kind are not read
+
+
 def _edited(edit):
     def text():
         d = scenario_to_dict(paper_faulty(duration=10.0))
@@ -284,6 +292,10 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                      "inertia matrix must be symmetric"),
     "synthetic-amplitudes": (_set("observer", value={"kind": "synthetic", "amp_q": 1.5, "amp_w": -1}),
                              "rho_q must be in [0, 1)"),
+    "bias-k_o-negative": (_set("observer", value={"kind": "bias", "k_o": -1.0, "k_b": 0.1}),
+                          "bias observer gain k_o must be positive and finite, got -1.0"),
+    "bias-k_b-infinite": (_set("observer", value={"kind": "bias", "k_o": 1.0, "k_b": math.inf}),
+                          "bias observer gain k_b must be positive and finite, got inf"),
 }
 
 
