@@ -32,12 +32,13 @@ def campaign(scenario, n):
         f"  margins  : theta x{theta_bound / summary.theta_e_max_deg:.2f}, "
         f"omega x{omega_bound / math.degrees(summary.omega_e_max):.2f}"
     )
-    ok = summary.theta_e_max_deg <= theta_bound and math.degrees(summary.omega_e_max) <= omega_bound
-    print(f"  envelope : {'holds' if ok else 'VIOLATED'}")
+    for line in summary.failures:
+        print(f"  FAILED   : {line}")
+    print(f"  envelope : {'holds' if summary.passed else 'VIOLATED'}")
     out = OUT / f"campaign-{scenario.name}-n{n}.jsonl"
     export_summary_jsonl(summary, out)
     print(f"  wrote {out}")
-    return ok
+    return summary.passed
 
 
 def main():

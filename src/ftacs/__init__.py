@@ -32,7 +32,6 @@ from .errors import (
     FtacsError,
     GainConditionViolated,
     NonFiniteState,
-    NotActivated,
     NotContractive,
     RankDeficient,
     SingularInertia,
@@ -74,7 +73,6 @@ __all__ = [
     "GainConditionViolated",
     "ModelEstimates",
     "NonFiniteState",
-    "NotActivated",
     "NotContractive",
     "PRESETS",
     "RankDeficient",

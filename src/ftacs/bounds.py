@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import ControllerGains, UncertaintyBudget
-from .errors import GainConditionViolated, NotActivated, NotContractive
+from .errors import GainConditionViolated, NotContractive
 
 DEFAULT_ETA = 1e-6
 
@@ -205,57 +205,21 @@ class BoundTrace:
         return 2.0 * math.asin(min(self.q_final, 1.0))
 
 
-def loop1_iterate(
-    coeffs: BoundCoefficients,
-    gains: ControllerGains,
-    budget: UncertaintyBudget,
-    eta: float = DEFAULT_ETA,
-) -> BoundTrace:
-    """First fixed-point loop from q_bar_0 = 1."""
-    if coeffs.kappa <= 0:
-        raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
-    _, _, phi_bar = phi_functions(coeffs, gains, budget)
-    ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
-    trace = BoundTrace(eta=eta)
-    q_prev = 1.0
+def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float, eta: float,
+                 history: list[tuple[float, float]], contract: bool = False) -> tuple[float, float]:
+    """Iterate s_i = ratio*phi(q_{i-1})/kappa, q_i = s_i/k from q0, appending
+    each (s_i, q_i) to history, until |q_i - q_{i-1}| <= eta; returns the
+    limit. With contract, a first iterate q_1 >= 1 raises NotContractive."""
+    q_prev = q0
     while True:
-        s_i = ratio * phi_bar(q_prev, 0.0) / coeffs.kappa
-        q_i = s_i / gains.k
-        trace.loop1.append((s_i, q_i))
-        if len(trace.loop1) == 1 and q_i >= 1.0:
+        s_i = ratio * phi(q_prev, 0.0) / kappa
+        q_i = s_i / k
+        history.append((s_i, q_i))
+        if contract and len(history) == 1 and q_i >= 1.0:
             raise NotContractive(f"q_bar_1 = {q_i} >= 1; sequence does not contract")
         if abs(q_i - q_prev) <= eta:
-            break
+            return s_i, q_i
         q_prev = q_i
-    trace.s_inf, trace.q_inf = trace.loop1[-1]
-    return trace
-
-
-def loop2_iterate(
-    trace: BoundTrace,
-    coeffs: BoundCoefficients,
-    gains: ControllerGains,
-    budget: UncertaintyBudget,
-    eta: float = DEFAULT_ETA,
-) -> BoundTrace:
-    """Boundary-layer refinement loop, seeded by the loop-1 limit."""
-    if not trace.s_inf + coeffs.rho_s < gains.epsilon:
-        raise NotActivated(
-            f"s_inf + rho_s = {trace.s_inf + coeffs.rho_s} >= epsilon = {gains.epsilon}"
-        )
-    _, phi2, _ = phi_functions(coeffs, gains, budget)
-    ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
-    trace.switch_index = len(trace.loop1)
-    q_prev = trace.q_inf
-    while True:
-        s_i = ratio * phi2(q_prev, 0.0) / coeffs.kappa_prime
-        q_i = s_i / gains.k
-        trace.loop2.append((s_i, q_i))
-        if abs(q_i - q_prev) <= eta:
-            break
-        q_prev = q_i
-    trace.s_inf_prime, trace.q_inf_prime = trace.loop2[-1]
-    return trace
 
 
 def predict(
@@ -264,14 +228,26 @@ def predict(
     eta: float = DEFAULT_ETA,
     run_loop2: bool = True,
 ) -> BoundTrace:
-    """Run the two-stage bound prediction end to end."""
+    """Run the two-stage bound prediction end to end.
+
+    Loop 1 iterates phi_bar with kappa from q_bar_0 = 1. When the
+    boundary-layer guard s_inf + rho_s < epsilon holds, loop 2 iterates phi2
+    with kappa' from loop 1's limit; otherwise the loop-1 limits stand as final.
+    """
     coeffs = compute_coefficients(budget, gains)
-    trace = loop1_iterate(coeffs, gains, budget, eta)
-    if run_loop2:
-        try:
-            trace = loop2_iterate(trace, coeffs, gains, budget, eta)
-        except NotActivated:
-            pass  # loop-1 limits stand as final
+    if coeffs.kappa <= 0:
+        raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
+    _, phi2, phi_bar = phi_functions(coeffs, gains, budget)
+    ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
+    trace = BoundTrace(eta=eta)
+    trace.s_inf, trace.q_inf = _fixed_point(
+        phi_bar, coeffs.kappa, 1.0, ratio, gains.k, eta, trace.loop1, contract=True
+    )
+    if run_loop2 and trace.s_inf + coeffs.rho_s < gains.epsilon:
+        trace.switch_index = len(trace.loop1)
+        trace.s_inf_prime, trace.q_inf_prime = _fixed_point(
+            phi2, coeffs.kappa_prime, trace.q_inf, ratio, gains.k, eta, trace.loop2
+        )
     return trace
 
 

@@ -2,8 +2,10 @@
 
 Subcommands: simulate, montecarlo, predict-bounds, verify, check-gains.
 Exit status 0 on success/pass, 1 on validation failure, 2 on a violated or
-unattainable bound. The output directory defaults to the current directory
-and can be overridden by --out or the FTACS_OUT_DIR environment variable.
+unattainable bound, a failed gain condition or a failed campaign instance;
+main() is the one place where a raised failure becomes an exit status. The
+output directory defaults to the current directory and can be overridden by
+--out or the FTACS_OUT_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -41,12 +43,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load(args):
-    return load_scenario(args.scenario)
-
-
 def cmd_simulate(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     trace = run_scenario(scenario, seed=args.seed)
     stats = steady_state_stats(trace, scenario.tail_fraction)
     out = _out_dir(args) / f"{scenario.name}-seed{trace.seed}.csv"
@@ -61,12 +59,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    scenario = _load(args)
-    try:
-        summary = run_campaign(scenario, args.n, eta=args.eta)
-    except (GainConditionViolated, NotContractive) as exc:
-        print(f"prediction failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
+    scenario = load_scenario(args.scenario)
+    summary = run_campaign(scenario, args.n, eta=args.eta)
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
     export_summary_jsonl(summary, out)
     print(f"wrote {out}")
@@ -78,20 +72,14 @@ def cmd_montecarlo(args) -> int:
     if summary.failures:
         for line in summary.failures:
             print(f"FAILED: {line}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_VIOLATED
     return EXIT_OK
 
 
 def cmd_predict_bounds(args) -> int:
-    scenario = _load(args)
-    if scenario.budget is None:
-        print("scenario has no uncertainty budget", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        trace = predict(scenario.budget, scenario.gains, eta=args.eta, run_loop2=not args.no_loop2)
-    except (GainConditionViolated, NotContractive) as exc:
-        print(f"prediction failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
+    scenario = load_scenario(args.scenario)
+    trace = predict(scenario.require_budget(), scenario.gains, eta=args.eta,
+                    run_loop2=not args.no_loop2)
     out = _out_dir(args) / f"{scenario.name}-bounds.jsonl"
     export_bound_trace_jsonl(trace, out)
     print(f"wrote {out}")
@@ -106,15 +94,8 @@ def cmd_predict_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenario = _load(args)
-    try:
-        report = verify(scenario, args.n, eta=args.eta, strict=True)
-    except (GainConditionViolated, NotContractive) as exc:
-        print(f"prediction failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
-    except BoundViolated as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
+    scenario = load_scenario(args.scenario)
+    report = verify(scenario, args.n, eta=args.eta, strict=True)
     out = _out_dir(args) / f"{scenario.name}-verify-n{args.n}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
@@ -130,13 +111,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_gains(args) -> int:
-    scenario = _load(args)
-    if scenario.budget is None:
-        print("scenario has no uncertainty budget", file=sys.stderr)
-        return EXIT_INVALID
-    coeffs = robust_coefficients(scenario.budget, scenario.gains.k)
-    report = check_gain_conditions(scenario.gains, coeffs, scenario.budget)
-    full = compute_coefficients(scenario.budget, scenario.gains)
+    scenario = load_scenario(args.scenario)
+    budget = scenario.require_budget()
+    coeffs = robust_coefficients(budget, scenario.gains.k)
+    report = check_gain_conditions(scenario.gains, coeffs, budget)
+    full = compute_coefficients(budget, scenario.gains)
     print(
         f"lambda_min(K) = {report.lambda_min_K:.6g} vs threshold "
         f"{report.k_threshold:.6g}: {'PASS' if report.k_condition else 'FAIL'} "
@@ -198,6 +177,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (GainConditionViolated, NotContractive) as exc:
+        print(f"prediction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
+    except BoundViolated as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     except (FtacsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -33,9 +33,5 @@ class NotContractive(FtacsError):
     """First fixed-point iterate q1 >= 1; the bound sequence cannot contract."""
 
 
-class NotActivated(FtacsError):
-    """Boundary-layer refinement guard s_inf + rho_s < epsilon fails."""
-
-
 class BoundViolated(FtacsError):
     """A simulated tail statistic exceeded its predicted bound."""

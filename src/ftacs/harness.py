@@ -72,6 +72,12 @@ class CampaignSummary:
     predicted: BoundTrace | None = None
     instance_pass: list[bool] = field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        """No instance failed and every instance is inside both predicted
+        bounds; without a prediction, no instance failed."""
+        return not self.failures and all(self.instance_pass)
+
 
 def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple, tuple]:
     """(q, omega) as float tuples, q normalized."""
@@ -416,8 +422,7 @@ def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> Cam
 
 def verify(scenario: Scenario, n_instances: int, eta: float = 1e-6, strict: bool = True) -> dict:
     """Predict bounds, run a campaign, and check the envelope property."""
-    if scenario.budget is None:
-        raise ValueError("scenario has no uncertainty budget")
+    scenario.require_budget()
     summary = run_campaign(scenario, n_instances, eta=eta)
     predicted = summary.predicted
     theta_bound_deg = math.degrees(predicted.theta_bound)
@@ -438,9 +443,11 @@ def verify(scenario: Scenario, n_instances: int, eta: float = 1e-6, strict: bool
         if summary.omega_e_max > 0
         else math.inf,
         "failures": summary.failures,
-        "passed": not summary.failures and all(summary.instance_pass),
+        "passed": summary.passed,
     }
-    if strict and not report["passed"]:
+    if strict and not summary.passed:
+        if summary.failures:
+            raise BoundViolated(f"failed instances: {'; '.join(summary.failures)}")
         offenders = [i for i, ok in enumerate(summary.instance_pass) if not ok]
         raise BoundViolated(
             f"tail maxima exceed predicted bounds (instances {offenders}): "

@@ -166,6 +166,8 @@ class Scenario:
             raise ValueError("duration must be at least 10*dt")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
         if self.budget is not None:
             self.budget.validate()
         n_health = len(self.health.profiles)
@@ -183,6 +185,12 @@ class Scenario:
         if lost.any():
             t = self.dt * starts[lost.argmax()]
             raise RankDeficient(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
+
+    def require_budget(self) -> UncertaintyBudget:
+        """The uncertainty budget; ValueError when the scenario has none."""
+        if self.budget is None:
+            raise ValueError("scenario has no uncertainty budget")
+        return self.budget
 
     @property
     def n_steps(self) -> int:

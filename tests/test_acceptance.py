@@ -12,7 +12,13 @@ import numpy as np
 from ftacs.bounds import predict, robust_coefficients
 from ftacs.config import ControllerGains
 from ftacs.controller import check_gain_conditions
-from ftacs.harness import instance_seeds, run_campaign, run_scenario, steady_state_stats
+from ftacs.harness import (
+    instance_seeds,
+    run_campaign,
+    run_scenario,
+    scenario_signals,
+    steady_state_stats,
+)
 from ftacs.scenario import (
     nominal_exact,
     paper_budget,
@@ -146,10 +152,11 @@ def test_criterion_6_faulty_tolerance():
     trace = predict(sc.budget, sc.gains)
     theta_bound = math.degrees(trace.theta_bound)
     seeds = instance_seeds(sc.seed, N_INSTANCES)
+    signals = scenario_signals(sc)
     theta_max = 0.0
     dead_pair_max = 0.0
     for seed in seeds:
-        run = run_scenario(sc, seed=seed)
+        run = run_scenario(sc, seed=seed, signals=signals)
         st = steady_state_stats(run, sc.tail_fraction)
         theta_max = max(theta_max, st.theta_e_max_deg)
         dead_pair_max = max(dead_pair_max, float(np.abs(run.tau_u[:, 2]).max()))

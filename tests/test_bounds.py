@@ -8,8 +8,6 @@ from ftacs.bounds import (
     b_coefficients,
     compute_coefficients,
     gain_sweep,
-    loop1_iterate,
-    loop2_iterate,
     phi_functions,
     predict,
     rho_s_bound,
@@ -17,7 +15,7 @@ from ftacs.bounds import (
     robust_coefficients,
 )
 from ftacs.config import ControllerGains, zero_budget
-from ftacs.errors import GainConditionViolated, NotActivated, NotContractive
+from ftacs.errors import GainConditionViolated, NotContractive
 from ftacs.scenario import paper_budget
 
 
@@ -170,9 +168,6 @@ def test_loop2_not_activated(budget_faulty):
     assert trace.loop2 == []
     assert trace.s_inf_prime is None
     assert trace.s_final == trace.s_inf
-    coeffs = compute_coefficients(budget_faulty, tight)
-    with pytest.raises(NotActivated):
-        loop2_iterate(trace, coeffs, tight, budget_faulty)
 
 
 def test_no_loop2_flag(budget_free, gains):
@@ -213,9 +208,3 @@ def test_gain_sweep_consistency(budget_faulty, gains):
 def test_gain_sweep_empty_grid(budget_faulty):
     with pytest.raises(ValueError):
         gain_sweep(budget_faulty, [])
-
-
-def test_loop1_direct(budget_free, gains):
-    coeffs = compute_coefficients(budget_free, gains)
-    trace = loop1_iterate(coeffs, gains, budget_free)
-    assert len(trace.loop1) == 8

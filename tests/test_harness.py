@@ -1,9 +1,12 @@
 import csv
+import importlib.util
 import json
 import os
+import re
 import time
 
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,14 +372,18 @@ def test_verify_passes_when_bounds_comfortable():
     assert report["theta_tail_max_deg"] <= report["theta_bound_deg"]
 
 
-def test_verify_raises_on_violation():
+def tiny_budget_scenario():
     # a nonzero initial tumble with a near-zero budget: predicted bounds are
     # essentially zero, the early-window errors are not
     tiny = paper_budget(rho_E=0.0).replace(
         rho_q=1e-12, rho_w=1e-12, rho_J=1e-9, rho_d=1e-15, rho_d_hat=1e-15,
         rho_v=1e-9, rho_a=1e-15,
     )
-    sc = nominal_exact(duration=2.0, budget=tiny, tail_fraction=1.0)
+    return nominal_exact(duration=2.0, budget=tiny, tail_fraction=1.0)
+
+
+def test_verify_raises_on_violation():
+    sc = tiny_budget_scenario()
     with pytest.raises(BoundViolated):
         verify(sc, 1)
     report = verify(sc, 1, strict=False)
@@ -387,6 +394,41 @@ def test_verify_requires_budget():
     sc = nominal_exact(budget=None)
     with pytest.raises(ValueError):
         verify(sc, 1)
+
+
+def planted_failure(monkeypatch):
+    """A 2-instance nominal-exact campaign with the paper budget, whose
+    instances stay well inside the bounds, and whose second instance raises
+    NonFiniteState; returns the scenario and the failure line it records."""
+    sc = nominal_exact(duration=60.0, budget=paper_budget(rho_E=0.0))
+    seeds = instance_seeds(sc.seed, 2)
+    plant(monkeypatch, seeds[1], NonFiniteState("planted"))
+    return sc, f"instance 1 (seed {seeds[1]}): planted"
+
+
+def test_failed_instance_fails_the_campaign_and_verify_names_it(monkeypatch):
+    sc, line = planted_failure(monkeypatch)
+    summary = run_campaign(sc, 2)
+    assert summary.failures == [line]
+    assert summary.instance_pass == [True]
+    assert not summary.passed
+    assert not verify(sc, 2, strict=False)["passed"]
+    with pytest.raises(BoundViolated, match=re.escape(line)) as raised:
+        verify(sc, 2)
+    assert "exceed" not in str(raised.value)
+
+
+def test_run_campaigns_script_reports_a_failed_instance(tmp_path, monkeypatch, capsys):
+    sc, line = planted_failure(monkeypatch)
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+    spec = importlib.util.spec_from_file_location("run_campaigns", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    assert not script.campaign(sc, 2)
+    out = capsys.readouterr().out
+    assert line in out
+    assert "envelope : VIOLATED" in out
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -518,6 +560,33 @@ def test_cli_verify(tmp_path, capsys):
     code = cli_main(["verify", "--scenario", str(sc_path), "-n", "1", "--out", str(tmp_path)])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_montecarlo_failed_instance_exits_2(tmp_path, monkeypatch, capsys):
+    sc, line = planted_failure(monkeypatch)
+    sc_path = tmp_path / "nominal.yaml"
+    save_scenario(sc, sc_path)
+    code = cli_main(["montecarlo", "--scenario", str(sc_path), "-n", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"FAILED: {line}" in capsys.readouterr().err
+    assert (tmp_path / "nominal-exact-campaign-n2.jsonl").exists()
+
+
+def test_cli_verify_violation_exits_2_and_writes_no_report(tmp_path, capsys):
+    sc_path = tmp_path / "tiny.yaml"
+    save_scenario(tiny_budget_scenario(), sc_path)
+    code = cli_main(["verify", "--scenario", str(sc_path), "-n", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAIL: ")
+    assert not list(tmp_path.glob("*-verify-n1.json"))
+
+
+@pytest.mark.parametrize("command", ["predict-bounds", "check-gains"])
+def test_cli_scenario_without_budget_exits_1(tmp_path, capsys, command):
+    sc_path = tmp_path / "nobudget.yaml"
+    save_scenario(nominal_exact(budget=None), sc_path)
+    assert cli_main([command, "--scenario", str(sc_path)]) == 1
+    assert capsys.readouterr().err == "error: scenario has no uncertainty budget\n"
 
 
 def test_cli_unknown_scenario(capsys):

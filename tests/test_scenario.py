@@ -296,6 +296,7 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                           "bias observer gain k_o must be positive and finite, got -1.0"),
     "bias-k_b-infinite": (_set("observer", value={"kind": "bias", "k_o": 1.0, "k_b": math.inf}),
                           "bias observer gain k_b must be positive and finite, got inf"),
+    "tail_fraction-zero": (_set("tail_fraction", value=0.0), "tail_fraction must be in (0, 1]"),
 }
 
 
