@@ -19,18 +19,19 @@ OUT = Path(os.environ.get("FTACS_OUT_DIR", "."))
 
 def campaign(scenario, n):
     summary = run_campaign(scenario, n)
-    pred = summary.predicted
-    theta_bound = math.degrees(pred.theta_bound)
-    omega_bound = math.degrees(pred.omega_bound)
+    env = summary.envelope()
     print(f"\n=== {scenario.name} ({n} instances, {scenario.duration:.0f} s each) ===")
-    print(f"  predicted: theta_e <= {theta_bound:.4g} deg, |omega_e| <= {omega_bound:.4g} deg/s")
+    print(
+        f"  predicted: theta_e <= {env['theta_bound_deg']:.4g} deg, "
+        f"|omega_e| <= {math.degrees(env['omega_bound_rad_s']):.4g} deg/s"
+    )
     print(
         f"  simulated: theta_e tail max {summary.theta_e_max_deg:.4g} deg, "
         f"|omega_e| tail max {math.degrees(summary.omega_e_max):.4g} deg/s"
     )
     print(
-        f"  margins  : theta x{theta_bound / summary.theta_e_max_deg:.2f}, "
-        f"omega x{omega_bound / math.degrees(summary.omega_e_max):.2f}"
+        f"  margins  : theta x{env['theta_margin_ratio']:.2f}, "
+        f"omega x{env['omega_margin_ratio']:.2f}"
     )
     for line in summary.failures:
         print(f"  FAILED   : {line}")

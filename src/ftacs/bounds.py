@@ -20,8 +20,10 @@ DEFAULT_ETA = 1e-6
 
 @dataclass
 class RobustCoefficients:
-    """Polynomial coefficients bounding the lumped uncertainty torque."""
+    """Polynomial coefficients bounding the lumped uncertainty torque, with
+    the rho_0 they were computed from."""
 
+    rho_0: float
     a0: float
     a1: float
     a2: float
@@ -31,11 +33,6 @@ class RobustCoefficients:
 def rho_zero(rho_q: float) -> float:
     """Ultimate bound sqrt(2*(1 - sqrt(1 - rho_q^2))) on ||M|| and ||E||."""
     return math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - rho_q * rho_q)))
-
-
-def rho_s_bound(budget: UncertaintyBudget, k: float) -> float:
-    """Ultimate bound rho_w + 2*rho_q*rho_v + k*rho_0 on the s-estimation error."""
-    return budget.rho_w + 2.0 * budget.rho_q * budget.rho_v + k * rho_zero(budget.rho_q)
 
 
 def robust_coefficients(budget: UncertaintyBudget, k: float) -> RobustCoefficients:
@@ -55,18 +52,35 @@ def robust_coefficients(budget: UncertaintyBudget, k: float) -> RobustCoefficien
         + budget.rho_J * budget.rho_a
         + budget.rho_d
     )
-    return RobustCoefficients(a0=a0, a1=a1, a2=a2, a3=a3)
+    return RobustCoefficients(rho_0=r0, a0=a0, a1=a1, a2=a2, a3=a3)
 
 
-def b_coefficients(
-    budget: UncertaintyBudget, gains: ControllerGains, a: RobustCoefficients
-) -> tuple[float, float, float, float]:
-    """b0..b3 such that ||H*u|| <= rho_E*(b3*||s|| + b2*||q_e||^2 + b1*||q_e|| + b0)."""
+@dataclass
+class BoundCoefficients(RobustCoefficients):
+    """All scalars feeding the fixed-point bound iteration: rho_s, b0..b3
+    such that ||H*u|| <= rho_E*(b3*||s|| + b2*||q_e||^2 + b1*||q_e|| + b0),
+    the eigenvalue extremes of K, and kappa, kappa'."""
+
+    rho_s: float
+    b0: float
+    b1: float
+    b2: float
+    b3: float
+    lambda_min_K: float
+    lambda_max_K: float
+    kappa: float
+    kappa_prime: float
+
+
+def _complete(budget: UncertaintyBudget, gains: ControllerGains,
+              a: RobustCoefficients) -> BoundCoefficients:
+    """The BoundCoefficients of the gains on top of their robust coefficients;
+    compute_coefficients and check_gain_conditions both come here."""
     k = gains.k
     jn = budget.J_hat_norm
-    lmax = gains.lambda_max_K
-    r0 = rho_zero(budget.rho_q)
-    rs = rho_s_bound(budget, k)
+    lmin, lmax = gains.lambda_min_K, gains.lambda_max_K
+    r0 = a.rho_0
+    rs = budget.rho_w + 2.0 * budget.rho_q * budget.rho_v + k * r0  # bound on the s-estimation error
     b3 = 0.5 * k * jn + lmax
     b2 = 0.5 * k * k * jn
     b1 = 2.0 * b2 * r0 + 0.5 * k * k * jn + 3.0 * k * budget.rho_v * jn + a.a1
@@ -80,46 +94,18 @@ def b_coefficients(
         + (budget.rho_v**2 + budget.rho_a) * jn
         + budget.rho_d_hat
     )
-    return b0, b1, b2, b3
-
-
-@dataclass
-class BoundCoefficients:
-    """All scalars feeding the fixed-point bound iteration."""
-
-    rho_0: float
-    rho_s: float
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    b0: float
-    b1: float
-    b2: float
-    b3: float
-    kappa: float
-    kappa_prime: float
+    kappa = lmin - a.a3 - budget.rho_E * b3
+    return BoundCoefficients(
+        rho_0=r0, a0=a.a0, a1=a.a1, a2=a.a2, a3=a.a3,
+        rho_s=rs, b0=b0, b1=b1, b2=b2, b3=b3,
+        lambda_min_K=lmin, lambda_max_K=lmax,
+        kappa=kappa,
+        kappa_prime=kappa + (a.a1 * gains.gamma + a.a0) / gains.epsilon,
+    )
 
 
 def compute_coefficients(budget: UncertaintyBudget, gains: ControllerGains) -> BoundCoefficients:
-    a = robust_coefficients(budget, gains.k)
-    b0, b1, b2, b3 = b_coefficients(budget, gains, a)
-    kappa = gains.lambda_min_K - a.a3 - budget.rho_E * b3
-    kappa_prime = kappa + (a.a1 * gains.gamma + a.a0) / gains.epsilon
-    return BoundCoefficients(
-        rho_0=rho_zero(budget.rho_q),
-        rho_s=rho_s_bound(budget, gains.k),
-        a0=a.a0,
-        a1=a.a1,
-        a2=a.a2,
-        a3=a.a3,
-        b0=b0,
-        b1=b1,
-        b2=b2,
-        b3=b3,
-        kappa=kappa,
-        kappa_prime=kappa_prime,
-    )
+    return _complete(budget, gains, robust_coefficients(budget, gains.k))
 
 
 PhiFn = Callable[[float, float], float]
@@ -138,7 +124,7 @@ def phi_functions(
     rE = budget.rho_E
     eps = gains.epsilon
     gam = gains.gamma
-    lmax = gains.lambda_max_K
+    lmax = c.lambda_max_K
     a0, a1, a2 = c.a0, c.a1, c.a2
     r0, rs = c.rho_0, c.rho_s
 
@@ -235,7 +221,7 @@ def predict(
     with kappa' from loop 1's limit; otherwise the loop-1 limits stand as final.
     """
     coeffs = compute_coefficients(budget, gains)
-    if coeffs.kappa <= 0:
+    if not coeffs.kappa > 0:  # the verdict of check_gain_conditions
         raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
     _, phi2, phi_bar = phi_functions(coeffs, gains, budget)
     ratio = math.sqrt(budget.lambda_r / budget.lambda_l)

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import DEFAULT_ETA, compute_coefficients, predict, robust_coefficients
+from .bounds import DEFAULT_ETA, compute_coefficients, predict
 from .controller import check_gain_conditions
 from .errors import BoundViolated, FtacsError, GainConditionViolated, NotContractive
 from .harness import (
@@ -113,9 +113,8 @@ def cmd_verify(args) -> int:
 def cmd_check_gains(args) -> int:
     scenario = load_scenario(args.scenario)
     budget = scenario.require_budget()
-    coeffs = robust_coefficients(budget, scenario.gains.k)
+    coeffs = compute_coefficients(budget, scenario.gains)
     report = check_gain_conditions(scenario.gains, coeffs, budget)
-    full = compute_coefficients(budget, scenario.gains)
     print(
         f"lambda_min(K) = {report.lambda_min_K:.6g} vs threshold "
         f"{report.k_threshold:.6g}: {'PASS' if report.k_condition else 'FAIL'} "
@@ -126,7 +125,7 @@ def cmd_check_gains(args) -> int:
         f"{'PASS' if report.epsilon_condition else 'FAIL'} "
         f"(margin {report.epsilon_margin:.6g})"
     )
-    print(f"kappa = {full.kappa:.6g}, kappa' = {full.kappa_prime:.6g}")
+    print(f"kappa = {coeffs.kappa:.6g}, kappa' = {coeffs.kappa_prime:.6g}")
     return EXIT_OK if report.passed else EXIT_VIOLATED
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import RobustCoefficients, rho_s_bound
+from .bounds import BoundCoefficients, RobustCoefficients, _complete
 from .config import ControllerGains, UncertaintyBudget
 
 
@@ -32,18 +32,17 @@ class GainCheckReport:
 def check_gain_conditions(
     gains: ControllerGains, coeffs: RobustCoefficients, budget: UncertaintyBudget
 ) -> GainCheckReport:
-    """lambda_min(K) > a3 + rho_E*(k*||J_hat||/2 + lambda_max(K)) and epsilon > rho_s."""
-    threshold = coeffs.a3 + budget.rho_E * (
-        0.5 * gains.k * budget.J_hat_norm + gains.lambda_max_K
-    )
-    rho_s = rho_s_bound(budget, gains.k)
+    """kappa = lambda_min(K) - a3 - rho_E*b3 > 0, the number predict() tests,
+    and epsilon > rho_s. coeffs may already be the gains' BoundCoefficients;
+    the threshold a3 + rho_E*b3 is for display."""
+    c = coeffs if isinstance(coeffs, BoundCoefficients) else _complete(budget, gains, coeffs)
     return GainCheckReport(
-        lambda_min_K=gains.lambda_min_K,
-        k_threshold=threshold,
-        k_condition=gains.lambda_min_K > threshold,
-        k_margin=gains.lambda_min_K - threshold,
-        rho_s=rho_s,
+        lambda_min_K=c.lambda_min_K,
+        k_threshold=c.a3 + budget.rho_E * c.b3,
+        k_condition=c.kappa > 0,
+        k_margin=c.kappa,
+        rho_s=c.rho_s,
         epsilon=gains.epsilon,
-        epsilon_condition=gains.epsilon > rho_s,
-        epsilon_margin=gains.epsilon - rho_s,
+        epsilon_condition=gains.epsilon > c.rho_s,
+        epsilon_margin=gains.epsilon - c.rho_s,
     )

@@ -106,6 +106,15 @@ class SyntheticErrorProfile:
         return amp[..., None] * self.axis_w
 
 
+def _tail_window(n: int, tail_fraction: float) -> slice:
+    """The final max(1, round(tail_fraction*n)) of n samples."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    if n == 0:
+        raise EmptyTail("tail window has no samples")
+    return slice(n - max(1, round(tail_fraction * n)), n)
+
+
 def estimate_assumption1_bounds(
     traces: list[tuple[np.ndarray, np.ndarray]],
     tail_fraction: float = 0.2,
@@ -116,10 +125,7 @@ def estimate_assumption1_bounds(
     rho_q = 0.0
     rho_w = 0.0
     for qtilde_norm, wtilde_norm in traces:
-        n = len(qtilde_norm)
-        start = n - max(1, int(round(tail_fraction * n)))
-        if n == 0 or start >= n:
-            raise EmptyTail("tail window has no samples")
-        rho_q = max(rho_q, float(np.max(qtilde_norm[start:])))
-        rho_w = max(rho_w, float(np.max(wtilde_norm[start:])))
+        tail = _tail_window(len(qtilde_norm), tail_fraction)
+        rho_q = max(rho_q, float(np.max(qtilde_norm[tail])))
+        rho_w = max(rho_w, float(np.max(wtilde_norm[tail])))
     return Assumption1Budget(rho_q=rho_q, rho_w=rho_w)

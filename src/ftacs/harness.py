@@ -20,8 +20,8 @@ from . import kernel
 from .actuation import allocation_matrix
 from .bounds import BoundTrace, RobustCoefficients, predict, robust_coefficients
 from .config import zero_budget
-from .errors import BoundViolated, EmptyTail, NonFiniteState
-from .estimation import random_unit_vector
+from .errors import BoundViolated, NonFiniteState
+from .estimation import _tail_window, random_unit_vector
 from .kernel import ROW_BLOCK
 from .scenario import Scenario
 from .so3 import normalize, quat_from_axis_angle
@@ -77,6 +77,24 @@ class CampaignSummary:
         """No instance failed and every instance is inside both predicted
         bounds; without a prediction, no instance failed."""
         return not self.failures and all(self.instance_pass)
+
+    def envelope(self) -> dict:
+        """The predicted bounds (theta in degrees, omega in rad/s, |qe|) and
+        the margin ratios bound/max of theta and omega: inf when the maximum
+        is 0, NaN when no instance finished."""
+        p = self.predicted
+        theta_bound_deg = math.degrees(p.theta_bound)
+
+        def margin(bound, peak):
+            return bound / peak if peak > 0 else math.inf if peak == 0 else math.nan
+
+        return {
+            "theta_bound_deg": theta_bound_deg,
+            "omega_bound_rad_s": p.omega_bound,
+            "qe_bound": p.q_final,
+            "theta_margin_ratio": margin(theta_bound_deg, self.theta_e_max_deg),
+            "omega_margin_ratio": margin(p.omega_bound, self.omega_e_max),
+        }
 
 
 def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple, tuple]:
@@ -268,13 +286,7 @@ def run_scenario(
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float = 0.2) -> TailStats:
     """Maxima over the final tail_fraction of recorded samples."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    n = len(trace.t)
-    start = n - max(1, int(round(tail_fraction * n)))
-    if n == 0 or start >= n:
-        raise EmptyTail("tail window has no samples")
-    sl = slice(start, n)
+    sl = _tail_window(len(trace.t), tail_fraction)
     return TailStats(
         theta_e_max_deg=float(np.max(trace.theta_e_deg[sl])),
         omega_e_max=float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
@@ -393,55 +405,46 @@ def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> Cam
             pipe.close()
             os.waitpid(pid, 0)
     instances = [r for r in results if isinstance(r, TailStats)]
-    failures = [r for r in results if isinstance(r, str)]
-
-    instance_pass: list[bool] = []
-    if predicted is not None:
-        theta_bound_deg = math.degrees(predicted.theta_bound)
-        instance_pass = [
-            st.theta_e_max_deg <= theta_bound_deg and st.omega_e_max <= predicted.omega_bound
-            for st in instances
-        ]
 
     def agg(attr):
         return max((getattr(st, attr) for st in instances), default=math.nan)
 
-    return CampaignSummary(
+    summary = CampaignSummary(
         instances=instances,
         seeds=seeds,
-        failures=failures,
+        failures=[r for r in results if isinstance(r, str)],
         theta_e_max_deg=agg("theta_e_max_deg"),
         omega_e_max=agg("omega_e_max"),
         qe_vec_max=agg("qe_vec_max"),
         qtilde_max=agg("qtilde_max"),
         wtilde_max=agg("wtilde_max"),
         predicted=predicted,
-        instance_pass=instance_pass,
     )
+    if predicted is not None:
+        env = summary.envelope()
+        summary.instance_pass = [
+            st.theta_e_max_deg <= env["theta_bound_deg"] and st.omega_e_max <= env["omega_bound_rad_s"]
+            for st in instances
+        ]
+    return summary
 
 
 def verify(scenario: Scenario, n_instances: int, eta: float = 1e-6, strict: bool = True) -> dict:
     """Predict bounds, run a campaign, and check the envelope property."""
     scenario.require_budget()
     summary = run_campaign(scenario, n_instances, eta=eta)
-    predicted = summary.predicted
-    theta_bound_deg = math.degrees(predicted.theta_bound)
-    omega_bound = predicted.omega_bound
+    env = summary.envelope()
     report = {
         "scenario": scenario.name,
         "n_instances": n_instances,
-        "theta_bound_deg": theta_bound_deg,
-        "omega_bound_rad_s": omega_bound,
+        "theta_bound_deg": env["theta_bound_deg"],
+        "omega_bound_rad_s": env["omega_bound_rad_s"],
         "theta_tail_max_deg": summary.theta_e_max_deg,
         "omega_tail_max_rad_s": summary.omega_e_max,
-        "qe_bound": predicted.q_final,
+        "qe_bound": env["qe_bound"],
         "qe_tail_max": summary.qe_vec_max,
-        "theta_margin_ratio": theta_bound_deg / summary.theta_e_max_deg
-        if summary.theta_e_max_deg > 0
-        else math.inf,
-        "omega_margin_ratio": omega_bound / summary.omega_e_max
-        if summary.omega_e_max > 0
-        else math.inf,
+        "theta_margin_ratio": env["theta_margin_ratio"],
+        "omega_margin_ratio": env["omega_margin_ratio"],
         "failures": summary.failures,
         "passed": summary.passed,
     }
@@ -451,8 +454,8 @@ def verify(scenario: Scenario, n_instances: int, eta: float = 1e-6, strict: bool
         offenders = [i for i, ok in enumerate(summary.instance_pass) if not ok]
         raise BoundViolated(
             f"tail maxima exceed predicted bounds (instances {offenders}): "
-            f"theta {summary.theta_e_max_deg:.4g} deg vs {theta_bound_deg:.4g} deg, "
-            f"omega {summary.omega_e_max:.4g} vs {omega_bound:.4g} rad/s"
+            f"theta {summary.theta_e_max_deg:.4g} deg vs {env['theta_bound_deg']:.4g} deg, "
+            f"omega {summary.omega_e_max:.4g} vs {env['omega_bound_rad_s']:.4g} rad/s"
         )
     return report
 
@@ -512,9 +515,9 @@ def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
             "failures": summary.failures,
         }
         if summary.predicted is not None:
-            camp["theta_bound_deg"] = math.degrees(summary.predicted.theta_bound)
-            camp["omega_bound_rad_s"] = summary.predicted.omega_bound
-            camp["qe_bound"] = summary.predicted.q_final
+            env = summary.envelope()
+            for key in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound"):
+                camp[key] = env[key]
         fh.write(json.dumps(camp) + "\n")
 
 

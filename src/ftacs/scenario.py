@@ -232,11 +232,6 @@ _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    d = asdict(sc)
-    for key, val in list(d.items()):
-        if isinstance(val, np.ndarray):
-            d[key] = val.tolist()
-
     def _clean(obj):
         if isinstance(obj, dict):
             return {k: _clean(v) for k, v in obj.items()}
@@ -248,7 +243,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             return obj.item()
         return obj
 
-    return _clean(d)
+    return _clean(asdict(sc))
 
 
 _SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"),

@@ -5,14 +5,11 @@ import pytest
 
 from ftacs.bounds import (
     DEFAULT_ETA,
-    b_coefficients,
     compute_coefficients,
     gain_sweep,
     phi_functions,
     predict,
-    rho_s_bound,
     rho_zero,
-    robust_coefficients,
 )
 from ftacs.config import ControllerGains, zero_budget
 from ftacs.errors import GainConditionViolated, NotContractive
@@ -24,12 +21,12 @@ def test_rho_zero_frozen(budget_free):
 
 
 def test_rho_s_frozen(budget_free, gains):
-    assert rho_s_bound(budget_free, gains.k) == pytest.approx(1.9994600074615237e-05, rel=1e-12)
+    assert compute_coefficients(budget_free, gains).rho_s == pytest.approx(1.9994600074615237e-05, rel=1e-12)
 
 
 def test_b_coefficients_frozen(budget_faulty, gains):
-    a = robust_coefficients(budget_faulty, gains.k)
-    b0, b1, b2, b3 = b_coefficients(budget_faulty, gains, a)
+    c = compute_coefficients(budget_faulty, gains)
+    b0, b1, b2, b3 = c.b0, c.b1, c.b2, c.b3
     assert b3 == pytest.approx(1.5, rel=1e-12)
     assert b2 == pytest.approx(0.16, rel=1e-12)
     assert b1 == pytest.approx(0.18123765408029852, rel=1e-12)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from ftacs.actuation import ActuatorBank
 from ftacs.config import ControllerGains, ModelEstimates, zero_budget
-from ftacs.bounds import robust_coefficients
+from ftacs.bounds import predict, robust_coefficients
 from ftacs.controller import check_gain_conditions
+from ftacs.errors import GainConditionViolated, NotContractive
 from ftacs.estimation import SyntheticErrorProfile
-from ftacs.scenario import PAPER_D, PAPER_J, PAPER_J_HAT
+from ftacs.scenario import PAPER_D, PAPER_J, PAPER_J_HAT, paper_budget
 from ftacs.so3 import normalize, quat_from_axis_angle
 from reference import (
     DesiredState,
@@ -80,6 +83,51 @@ def test_gain_conditions_reject_small_K(budget_faulty):
     report = check_gain_conditions(weak, coeffs, budget_faulty)
     assert not report.k_condition
     assert not report.passed
+
+
+# (rho_E, k, lambda_min(K), lambda_max(K)) where a threshold test written
+# apart from predict's kappa once disagreed with it: check-gains failed where
+# predict went on, and passed where predict raised GainConditionViolated.
+DISAGREED = [
+    (0.022041609744026882, 0.689786892795292, 0.33479140394050133, 4.60353423620573),
+    (0.04858353588317891, 0.5888708817132403, 0.49180616435293695, 4.736174063824999),
+]
+
+
+def test_gain_condition_agrees_with_predict_near_threshold():
+    """K = diag(lambda_min, lambda_max, lambda_max) with lambda_min within
+    3 ulp of the threshold a3 + rho_E*b3, on random budgets and gains."""
+    rng = np.random.default_rng(0)
+    points = list(DISAGREED)
+    for _ in range(1500):
+        rho_E, k, lmax = rng.uniform(0.0, 0.1), 0.2 * 2.0 ** rng.uniform(-2.0, 2.0), rng.uniform(1.0, 5.0)
+        budget = paper_budget(rho_E)
+        at = ControllerGains(k=k, K=lmax * np.eye(3), epsilon=0.01, gamma=0.01)
+        threshold = check_gain_conditions(at, robust_coefficients(budget, k), budget).k_threshold
+        for toward in (-math.inf, math.inf):
+            lmin = threshold
+            for _ in range(3):
+                lmin = float(np.nextafter(lmin, toward))
+                points.append((rho_E, k, lmin, lmax))
+        points.append((rho_E, k, threshold, lmax))
+    assert len(points) >= 10_000
+    verdicts, disagree = set(), []
+    for rho_E, k, lmin, lmax in points:
+        budget = paper_budget(rho_E)
+        gains = ControllerGains(k=k, K=np.diag([lmin, lmax, lmax]), epsilon=0.01, gamma=0.01)
+        passed = check_gain_conditions(gains, robust_coefficients(budget, k), budget).k_condition
+        try:
+            predict(budget, gains)
+            violated = False
+        except GainConditionViolated:
+            violated = True
+        except NotContractive:
+            violated = False
+        verdicts.add(passed)
+        if passed == violated:
+            disagree.append((rho_E, k, lmin, lmax))
+    assert verdicts == {True, False}
+    assert not disagree, f"{len(disagree)} of {len(points)} points, first {disagree[:3]}"
 
 
 def test_estimated_errors_match_truth_for_perfect_observer(rng):

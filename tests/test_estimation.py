@@ -194,3 +194,8 @@ def test_estimate_assumption1_bounds():
     assert budget.rho_w == pytest.approx(2e-5)
     with pytest.raises(EmptyTail):
         estimate_assumption1_bounds([])
+    with pytest.raises(EmptyTail):
+        estimate_assumption1_bounds([(np.empty(0), np.empty(0))])
+    for fraction in (0.0, -0.2, 1.5):
+        with pytest.raises(ValueError, match="tail_fraction"):
+            estimate_assumption1_bounds([(qtn, wtn)], tail_fraction=fraction)

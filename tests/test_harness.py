@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import time
@@ -18,6 +19,7 @@ from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
 from ftacs.errors import BoundViolated, EmptyTail, NonFiniteState, RankDeficient
 from ftacs.harness import (
+    CampaignSummary,
     RunTrace,
     export_bound_trace_jsonl,
     export_summary_jsonl,
@@ -36,6 +38,7 @@ from ftacs.scenario import (
     paper_budget,
     paper_fault_free,
     paper_faulty,
+    paper_gains,
     save_scenario,
     scenario_to_dict,
 )
@@ -294,10 +297,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def plant(monkeypatch, bad_seed, exc):
-    """Make the campaign's instance of `bad_seed` raise exc; the others run."""
+def plant(monkeypatch, bad_seeds, exc):
+    """Make the campaign's instances of `bad_seeds` raise exc; the others run."""
     def run(scenario, seed=None, signals=None):
-        if seed == bad_seed:
+        if seed in bad_seeds:
             raise exc
         return run_scenario(scenario, seed=seed, signals=signals)
 
@@ -320,7 +323,7 @@ def test_forked_campaign_summary_equals_serial(monkeypatch, workers):
 def test_forked_campaign_records_non_finite_state_of_a_child(monkeypatch, workers):
     sc = short_scenario(duration=10.0)
     seeds = instance_seeds(sc.seed, 5)
-    plant(monkeypatch, seeds[3], NonFiniteState("planted"))
+    plant(monkeypatch, [seeds[3]], NonFiniteState("planted"))
     serial = campaign_on(monkeypatch, 1, sc, 5)
     forked = campaign_on(monkeypatch, workers, sc, 5)
     assert forked.failures == [f"instance 3 (seed {seeds[3]}): planted"]
@@ -332,7 +335,7 @@ def test_forked_campaign_records_non_finite_state_of_a_child(monkeypatch, worker
 @pytest.mark.parametrize("workers", [2, 3])
 def test_forked_campaign_reraises_a_child_exception(monkeypatch, workers):
     sc = short_scenario(duration=10.0)
-    plant(monkeypatch, instance_seeds(sc.seed, 5)[4], ValueError("planted in a child"))
+    plant(monkeypatch, instance_seeds(sc.seed, 5)[4:], ValueError("planted in a child"))
     with pytest.raises(ValueError, match="planted in a child"):
         campaign_on(monkeypatch, workers, sc, 5)
     assert_no_child_left()
@@ -396,18 +399,29 @@ def test_verify_requires_budget():
         verify(sc, 1)
 
 
-def planted_failure(monkeypatch):
+def planted_failure(monkeypatch, failing=(1,)):
     """A 2-instance nominal-exact campaign with the paper budget, whose
-    instances stay well inside the bounds, and whose second instance raises
-    NonFiniteState; returns the scenario and the failure line it records."""
+    instances stay well inside the bounds, and whose instances `failing`
+    raise NonFiniteState; returns the scenario and the failure lines it
+    records."""
     sc = nominal_exact(duration=60.0, budget=paper_budget(rho_E=0.0))
     seeds = instance_seeds(sc.seed, 2)
-    plant(monkeypatch, seeds[1], NonFiniteState("planted"))
-    return sc, f"instance 1 (seed {seeds[1]}): planted"
+    plant(monkeypatch, [seeds[i] for i in failing], NonFiniteState("planted"))
+    return sc, [f"instance {i} (seed {seeds[i]}): planted" for i in failing]
+
+
+def run_campaigns_script(monkeypatch, out_dir):
+    """scripts/run_campaigns.py as a module that writes into out_dir."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+    spec = importlib.util.spec_from_file_location("run_campaigns", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", out_dir)
+    return script
 
 
 def test_failed_instance_fails_the_campaign_and_verify_names_it(monkeypatch):
-    sc, line = planted_failure(monkeypatch)
+    sc, (line,) = planted_failure(monkeypatch)
     summary = run_campaign(sc, 2)
     assert summary.failures == [line]
     assert summary.instance_pass == [True]
@@ -419,16 +433,53 @@ def test_failed_instance_fails_the_campaign_and_verify_names_it(monkeypatch):
 
 
 def test_run_campaigns_script_reports_a_failed_instance(tmp_path, monkeypatch, capsys):
-    sc, line = planted_failure(monkeypatch)
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
-    spec = importlib.util.spec_from_file_location("run_campaigns", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "OUT", tmp_path)
-    assert not script.campaign(sc, 2)
+    sc, (line,) = planted_failure(monkeypatch)
+    assert not run_campaigns_script(monkeypatch, tmp_path).campaign(sc, 2)
     out = capsys.readouterr().out
     assert line in out
     assert "envelope : VIOLATED" in out
+
+
+def test_all_failed_campaign_has_nan_margins(tmp_path, monkeypatch, capsys):
+    sc, lines = planted_failure(monkeypatch, failing=(0, 1))
+    summary = run_campaign(sc, 2)
+    assert summary.failures == lines and not summary.instances
+    env = summary.envelope()
+    assert math.isnan(env["theta_margin_ratio"]) and math.isnan(env["omega_margin_ratio"])
+    assert env["theta_bound_deg"] == math.degrees(summary.predicted.theta_bound)
+    report = verify(sc, 2, strict=False)
+    assert not report["passed"]
+    assert math.isnan(report["theta_margin_ratio"]) and math.isnan(report["omega_margin_ratio"])
+    assert all(report[k] == env[k] for k in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound"))
+    path = tmp_path / "campaign.jsonl"
+    export_summary_jsonl(summary, path)
+    camp = json.loads(path.read_text().splitlines()[-1])
+    assert [camp[k] for k in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound")] == [
+        env["theta_bound_deg"], env["omega_bound_rad_s"], env["qe_bound"]]
+    assert not run_campaigns_script(monkeypatch, tmp_path).campaign(sc, 2)
+    out = capsys.readouterr().out
+    assert "margins  : theta xnan, omega xnan" in out
+    assert all(line in out for line in lines)
+
+
+def test_envelope_margins():
+    predicted = predict(paper_budget(rho_E=0.0), paper_gains())
+    theta_bound_deg = math.degrees(predicted.theta_bound)
+
+    def envelope(theta_max_deg, omega_max):
+        return CampaignSummary([], [], [], theta_max_deg, omega_max, 0.0, 0.0, 0.0,
+                               predicted=predicted).envelope()
+
+    env = envelope(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)
+    assert env == {
+        "theta_bound_deg": theta_bound_deg,
+        "omega_bound_rad_s": predicted.omega_bound,
+        "qe_bound": predicted.q_final,
+        "theta_margin_ratio": 2.0,
+        "omega_margin_ratio": 4.0,
+    }
+    env = envelope(0.0, 0.0)
+    assert env["theta_margin_ratio"] == env["omega_margin_ratio"] == math.inf
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -563,7 +614,7 @@ def test_cli_verify(tmp_path, capsys):
 
 
 def test_cli_montecarlo_failed_instance_exits_2(tmp_path, monkeypatch, capsys):
-    sc, line = planted_failure(monkeypatch)
+    sc, (line,) = planted_failure(monkeypatch)
     sc_path = tmp_path / "nominal.yaml"
     save_scenario(sc, sc_path)
     code = cli_main(["montecarlo", "--scenario", str(sc_path), "-n", "2", "--out", str(tmp_path)])
