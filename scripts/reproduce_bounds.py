@@ -19,7 +19,7 @@ OUT = Path(os.environ.get("FTACS_OUT_DIR", "."))
 def show(label, rho_E):
     budget = paper_budget(rho_E=rho_E)
     gains = paper_gains()
-    trace = predict(budget, gains, eta=1e-6)
+    trace = predict(budget, gains)
     print(f"\n=== {label} (rho_E = {rho_E}) ===")
     for i, (s, q) in enumerate(trace.loop1, start=1):
         print(f"  loop1 {i:2d}: s_bar = {s:.6e}  q_bar = {q:.6e}")

@@ -15,7 +15,7 @@ from typing import Callable
 from .config import ControllerGains, UncertaintyBudget
 from .errors import GainConditionViolated, NotContractive
 
-DEFAULT_ETA = 1e-6
+ETA = 1e-6  # stopping tolerance of both fixed-point loops on |q_i - q_{i-1}|
 
 
 @dataclass
@@ -166,7 +166,6 @@ class BoundTrace:
     q_inf: float = math.nan
     s_inf_prime: float | None = None
     q_inf_prime: float | None = None
-    eta: float = DEFAULT_ETA
 
     @property
     def total_iterations(self) -> int:
@@ -191,11 +190,13 @@ class BoundTrace:
         return 2.0 * math.asin(min(self.q_final, 1.0))
 
 
-def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float, eta: float,
+def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float,
                  history: list[tuple[float, float]], contract: bool = False) -> tuple[float, float]:
     """Iterate s_i = ratio*phi(q_{i-1})/kappa, q_i = s_i/k from q0, appending
-    each (s_i, q_i) to history, until |q_i - q_{i-1}| <= eta; returns the
-    limit. With contract, a first iterate q_1 >= 1 raises NotContractive."""
+    each (s_i, q_i) to history, until |q_i - q_{i-1}| <= ETA; returns the
+    limit. With contract, a first iterate q_1 >= 1 raises NotContractive, and
+    so does any iterate that is not finite: finite inputs whose coefficients
+    overflow (inf * 0 = nan) would otherwise never meet the tolerance."""
     q_prev = q0
     while True:
         s_i = ratio * phi(q_prev, 0.0) / kappa
@@ -203,17 +204,14 @@ def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float, et
         history.append((s_i, q_i))
         if contract and len(history) == 1 and q_i >= 1.0:
             raise NotContractive(f"q_bar_1 = {q_i} >= 1; sequence does not contract")
-        if abs(q_i - q_prev) <= eta:
+        if not math.isfinite(q_i):
+            raise NotContractive(f"q_bar_{len(history)} = {q_i}; sequence does not contract")
+        if abs(q_i - q_prev) <= ETA:
             return s_i, q_i
         q_prev = q_i
 
 
-def predict(
-    budget: UncertaintyBudget,
-    gains: ControllerGains,
-    eta: float = DEFAULT_ETA,
-    run_loop2: bool = True,
-) -> BoundTrace:
+def predict(budget: UncertaintyBudget, gains: ControllerGains) -> BoundTrace:
     """Run the two-stage bound prediction end to end.
 
     Loop 1 iterates phi_bar with kappa from q_bar_0 = 1. When the
@@ -225,23 +223,19 @@ def predict(
         raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
     _, phi2, phi_bar = phi_functions(coeffs, gains, budget)
     ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
-    trace = BoundTrace(eta=eta)
+    trace = BoundTrace()
     trace.s_inf, trace.q_inf = _fixed_point(
-        phi_bar, coeffs.kappa, 1.0, ratio, gains.k, eta, trace.loop1, contract=True
+        phi_bar, coeffs.kappa, 1.0, ratio, gains.k, trace.loop1, contract=True
     )
-    if run_loop2 and trace.s_inf + coeffs.rho_s < gains.epsilon:
+    if trace.s_inf + coeffs.rho_s < gains.epsilon:
         trace.switch_index = len(trace.loop1)
         trace.s_inf_prime, trace.q_inf_prime = _fixed_point(
-            phi2, coeffs.kappa_prime, trace.q_inf, ratio, gains.k, eta, trace.loop2
+            phi2, coeffs.kappa_prime, trace.q_inf, ratio, gains.k, trace.loop2
         )
     return trace
 
 
-def gain_sweep(
-    budget: UncertaintyBudget,
-    gain_grid: list[ControllerGains],
-    eta: float = DEFAULT_ETA,
-) -> list[dict]:
+def gain_sweep(budget: UncertaintyBudget, gain_grid: list[ControllerGains]) -> list[dict]:
     """Evaluate predict() over a grid of gains; rows sorted by q-bound.
 
     Failing grid points (gain condition or non-contraction) are flagged with
@@ -259,7 +253,7 @@ def gain_sweep(
             "gamma": gains.gamma,
         }
         try:
-            trace = predict(budget, gains, eta)
+            trace = predict(budget, gains)
         except (GainConditionViolated, NotContractive) as exc:
             row.update(ok=False, reason=type(exc).__name__, q_bound=math.inf,
                        omega_bound=math.inf, theta_bound=math.inf, iterations=0)

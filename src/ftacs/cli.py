@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: simulate, montecarlo, predict-bounds, verify, check-gains.
-Exit status 0 on success/pass, 1 on validation failure, 2 on a violated or
-unattainable bound, a failed gain condition or a failed campaign instance;
-main() is the one place where a raised failure becomes an exit status. The
-output directory defaults to the current directory and can be overridden by
---out or the FTACS_OUT_DIR environment variable.
+Exit status 0 on success/pass, 1 on a usage error or validation failure, 2
+on a violated or unattainable bound, a failed gain condition or a failed
+campaign instance; main() is the one place where a raised failure becomes an
+exit status. The output directory defaults to the current directory and can
+be overridden by --out or the FTACS_OUT_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import DEFAULT_ETA, compute_coefficients, predict
+from .bounds import compute_coefficients, predict
 from .controller import check_gain_conditions
 from .errors import BoundViolated, FtacsError, GainConditionViolated, NotContractive
 from .harness import (
@@ -60,7 +60,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     scenario = load_scenario(args.scenario)
-    summary = run_campaign(scenario, args.n, eta=args.eta)
+    summary = run_campaign(scenario, args.n)
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
     export_summary_jsonl(summary, out)
     print(f"wrote {out}")
@@ -78,8 +78,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_predict_bounds(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = predict(scenario.require_budget(), scenario.gains, eta=args.eta,
-                    run_loop2=not args.no_loop2)
+    trace = predict(scenario.require_budget(), scenario.gains)
     out = _out_dir(args) / f"{scenario.name}-bounds.jsonl"
     export_bound_trace_jsonl(trace, out)
     print(f"wrote {out}")
@@ -95,7 +94,7 @@ def cmd_predict_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = verify(scenario, args.n, eta=args.eta, strict=True)
+    report = verify(scenario, args.n, strict=True)
     out = _out_dir(args) / f"{scenario.name}-verify-n{args.n}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
@@ -147,21 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="run an n-instance campaign, export JSONL summary")
     p.add_argument("--scenario", required=True, help=preset_help)
     p.add_argument("-n", type=int, default=10, help="number of instances (default 10)")
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("predict-bounds", help="run the fixed-point bound prediction")
     p.add_argument("--scenario", required=True, help=preset_help)
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA, help="convergence tolerance")
-    p.add_argument("--no-loop2", action="store_true", help="skip the boundary-layer refinement")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_predict_bounds)
 
     p = sub.add_parser("verify", help="check that campaign tail maxima stay within bounds")
     p.add_argument("--scenario", required=True, help=preset_help)
     p.add_argument("-n", type=int, default=10, help="number of instances (default 10)")
-    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_verify)
 
@@ -173,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (GainConditionViolated, NotContractive) as exc:

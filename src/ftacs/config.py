@@ -3,6 +3,7 @@ inertia check."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,11 @@ class ControllerGains:
         self.K = np.asarray(self.K, dtype=float)
         if self.K.shape != (3, 3):
             raise ValueError(f"K must be 3x3, got shape {self.K.shape}")
-        if self.k <= 0 or self.epsilon <= 0 or self.gamma <= 0:
-            raise ValueError("k, epsilon, gamma must be positive")
+        for name in ("k", "epsilon", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not np.isfinite(self.K).all():
+            raise ValueError("K must be finite")
         if spectral_norm(self.K - self.K.T) > 1e-12:
             raise ValueError("K must be symmetric")
         if np.linalg.eigvalsh(self.K).min() <= 0:
@@ -112,16 +116,12 @@ class UncertaintyBudget:
         Assumption1Budget(rho_q=self.rho_q, rho_w=self.rho_w)
         if not 0.0 <= self.rho_E < 1.0:
             raise ValueError("rho_E must be in [0, 1)")
-        if not 0.0 < self.lambda_l <= self.lambda_r:
-            raise ValueError("need 0 < lambda_l <= lambda_r")
+        if not 0.0 < self.lambda_l <= self.lambda_r < math.inf:
+            raise ValueError(f"need 0 < lambda_l <= lambda_r < inf, got lambda_l = "
+                             f"{self.lambda_l!r} and lambda_r = {self.lambda_r!r}")
         for name in ("rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    def replace(self, **kwargs) -> "UncertaintyBudget":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
 
 
 def zero_budget(J_hat_norm: float, lambda_l: float = 1.0, lambda_r: float = 1.0) -> UncertaintyBudget:

@@ -42,8 +42,8 @@ class Assumption1Budget:
     def __post_init__(self):
         if not 0.0 <= self.rho_q < 1.0:
             raise ValueError("rho_q must be in [0, 1)")
-        if self.rho_w < 0:
-            raise ValueError("rho_w must be nonnegative")
+        if not 0.0 <= self.rho_w < math.inf:
+            raise ValueError(f"rho_w must be nonnegative and finite, got {self.rho_w!r}")
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -55,12 +55,21 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
+# The synthetic errors' directions, made in the two steps that give the
+# recorded traces their bits: scaling by 1/sqrt(3), then dividing by the
+# norm (a no-op wherever that norm rounds to exactly 1.0).
+AXIS_Q = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+AXIS_Q /= np.linalg.norm(AXIS_Q)
+AXIS_W = np.array([1.0, -1.0, 1.0]) / math.sqrt(3)
+AXIS_W /= np.linalg.norm(AXIS_W)
+
+
 @dataclass
 class SyntheticErrorProfile:
     """Deterministic sinusoidal estimation errors within an ultimate-bound budget.
 
-    qtilde_v(t) = amp_q*sin(freq_q*t + phase_q)*axis_q (with qtilde_0 > 0) and
-    omega_tilde(t) = amp_w*sin(freq_w*t + phase_w)*axis_w.
+    qtilde_v(t) = amp_q*sin(freq_q*t + phase_q)*AXIS_Q (with qtilde_0 > 0) and
+    omega_tilde(t) = amp_w*sin(freq_w*t + phase_w)*AXIS_W.
     """
 
     amp_q: float = 0.0
@@ -69,22 +78,12 @@ class SyntheticErrorProfile:
     freq_w: float = 0.13
     phase_q: float = 0.0
     phase_w: float = 0.7
-    axis_q: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0]) / math.sqrt(3))
-    axis_w: np.ndarray = field(default_factory=lambda: np.array([1.0, -1.0, 1.0]) / math.sqrt(3))
 
     def __post_init__(self):
-        self.axis_q = np.asarray(self.axis_q, dtype=float)
-        self.axis_w = np.asarray(self.axis_w, dtype=float)
-        self.axis_q /= np.linalg.norm(self.axis_q)
-        self.axis_w /= np.linalg.norm(self.axis_w)
         try:  # the amplitudes bound the errors, so Assumption 1's rule holds them
             Assumption1Budget(rho_q=self.amp_q, rho_w=self.amp_w)
         except ValueError as exc:
             raise ValueError(f"(amp_q, amp_w) = ({self.amp_q}, {self.amp_w}): {exc}") from None
-
-    @classmethod
-    def at_budget(cls, budget: Assumption1Budget, **kwargs) -> "SyntheticErrorProfile":
-        return cls(amp_q=budget.rho_q, amp_w=budget.rho_w, **kwargs)
 
     def check_budget(self, budget: Assumption1Budget):
         if self.amp_q > budget.rho_q or self.amp_w > budget.rho_w:
@@ -96,14 +95,14 @@ class SyntheticErrorProfile:
     def qtilde(self, t) -> np.ndarray:
         """(4,) error quaternion at a time, or (n, 4) on an array of n times."""
         amp = self.amp_q * np.sin(self.freq_q * np.asarray(t, dtype=float) + self.phase_q)
-        v = amp[..., None] * self.axis_q
+        v = amp[..., None] * AXIS_Q
         q0 = np.sqrt(np.maximum(0.0, 1.0 - np.sum(v * v, axis=-1)))
         return np.concatenate([q0[..., None], v], axis=-1)
 
     def omega_tilde(self, t) -> np.ndarray:
         """(3,) rate error at a time, or (n, 3) on an array of n times."""
         amp = self.amp_w * np.sin(self.freq_w * np.asarray(t, dtype=float) + self.phase_w)
-        return amp[..., None] * self.axis_w
+        return amp[..., None] * AXIS_W
 
 
 def _tail_window(n: int, tail_fraction: float) -> slice:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernel
 from .actuation import allocation_matrix
-from .bounds import BoundTrace, RobustCoefficients, predict, robust_coefficients
+from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
 from .config import zero_budget
 from .errors import BoundViolated, NonFiniteState
 from .estimation import _tail_window, random_unit_vector
@@ -367,7 +367,7 @@ def _receive(pipe):
     return value
 
 
-def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> CampaignSummary:
+def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     """Run n independent instances; aggregate tail statistics.
 
     The bound prediction (when the scenario has a budget) and the shared
@@ -384,7 +384,7 @@ def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> Cam
     # a failed gain condition or rank-deficient allocation fails before any instance runs
     predicted = None
     if scenario.budget is not None:
-        predicted = predict(scenario.budget, scenario.gains, eta=eta)
+        predicted = predict(scenario.budget, scenario.gains)
     signals = scenario_signals(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
     w = min(n_instances, _available_cpus())
@@ -429,10 +429,10 @@ def run_campaign(scenario: Scenario, n_instances: int, eta: float = 1e-6) -> Cam
     return summary
 
 
-def verify(scenario: Scenario, n_instances: int, eta: float = 1e-6, strict: bool = True) -> dict:
+def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:
     """Predict bounds, run a campaign, and check the envelope property."""
     scenario.require_budget()
-    summary = run_campaign(scenario, n_instances, eta=eta)
+    summary = run_campaign(scenario, n_instances)
     env = summary.envelope()
     report = {
         "scenario": scenario.name,
@@ -532,7 +532,7 @@ def export_bound_trace_jsonl(trace: BoundTrace, path: str | Path):
             json.dumps(
                 {
                     "summary": True,
-                    "eta": trace.eta,
+                    "eta": ETA,
                     "switch_index": trace.switch_index,
                     "total_iterations": trace.total_iterations,
                     "s_inf": trace.s_inf,

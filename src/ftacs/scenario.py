@@ -65,10 +65,6 @@ class VectorSignal:
     def derivative(self, t):
         return np.stack([self.x.derivative(t), self.y.derivative(t), self.z.derivative(t)], axis=-1)
 
-    @classmethod
-    def zero(cls) -> "VectorSignal":
-        return cls()
-
 
 @dataclass
 class ObserverSpec:
@@ -76,7 +72,7 @@ class ObserverSpec:
     injection), or "bias" (complementary filter fed by noisy sensors)."""
 
     kind: str = "perfect"
-    # synthetic: the fields of estimation.SyntheticErrorProfile but its axes
+    # synthetic: the fields of estimation.SyntheticErrorProfile
     amp_q: float = SyntheticErrorProfile.amp_q
     amp_w: float = SyntheticErrorProfile.amp_w
     freq_q: float = SyntheticErrorProfile.freq_q
@@ -101,8 +97,7 @@ class ObserverSpec:
     def synthetic_profile(self) -> SyntheticErrorProfile:
         """The synthetic observer's error profile, from the fields it shares
         with SyntheticErrorProfile."""
-        return SyntheticErrorProfile(**{f.name: getattr(self, f.name)
-                                        for f in fields(SyntheticErrorProfile) if hasattr(self, f.name)})
+        return SyntheticErrorProfile(**{f.name: getattr(self, f.name) for f in fields(SyntheticErrorProfile)})
 
 
 @dataclass
@@ -483,7 +478,7 @@ def nominal_exact(**overrides) -> Scenario:
         estimates=ModelEstimates(J_hat=PAPER_J.copy(), tau_d_hat=np.zeros(3)),
         omega_d=_paper_omega_d(),
         qd0=np.array([1.0, 0.0, 0.0, 0.0]),
-        disturbance=VectorSignal.zero(),
+        disturbance=VectorSignal(),
         bank=ActuatorBank(D=PAPER_D.copy(), tau_max=PAPER_TAU_MAX),
         health=HealthProfile.healthy(4),
         health_estimate=HealthProfile.healthy(4),

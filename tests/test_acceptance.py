@@ -7,6 +7,7 @@ instances and dominate the suite's runtime.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from ftacs.bounds import predict, robust_coefficients
@@ -62,7 +63,7 @@ def test_criterion_1_coefficient_reproduction(budget_faulty):
 
 def test_criterion_2_prediction_fault_free(budget_free, gains):
     start = time.perf_counter()
-    trace = predict(budget_free, gains, eta=1e-6)
+    trace = predict(budget_free, gains)
     elapsed = time.perf_counter() - start
     ok = (
         len(trace.loop1) == 8
@@ -82,7 +83,7 @@ def test_criterion_2_prediction_fault_free(budget_free, gains):
 
 def test_criterion_3_prediction_faulty(budget_faulty, gains):
     start = time.perf_counter()
-    trace = predict(budget_faulty, gains, eta=1e-6)
+    trace = predict(budget_faulty, gains)
     elapsed = time.perf_counter() - start
     omega_deg = math.degrees(trace.omega_bound)
     ok = (
@@ -255,7 +256,7 @@ def test_criterion_8_property_suites(budget_faulty, gains):
     base = paper_budget(rho_E=0.02)
     baseline = predict(base, gains).q_final
     mono = all(
-        predict(base.replace(**{n: v}), gains).q_final >= baseline
+        predict(replace(base, **{n: v}), gains).q_final >= baseline
         for n, v in (("rho_q", 4.3e-5), ("rho_w", 3.2e-5), ("rho_J", 1.0),
                      ("rho_d", 3e-5), ("rho_v", 0.0044), ("rho_E", 0.04))
     )

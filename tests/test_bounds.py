@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ftacs.bounds import (
-    DEFAULT_ETA,
+    ETA,
     compute_coefficients,
     gain_sweep,
     phi_functions,
@@ -97,8 +98,7 @@ def test_loop2_dominates_loop1(budget_free, budget_faulty, gains):
 
 
 def test_fixed_point_residual(budget_faulty, gains):
-    eta = DEFAULT_ETA
-    trace = predict(budget_faulty, gains, eta=eta)
+    trace = predict(budget_faulty, gains)
     coeffs = compute_coefficients(budget_faulty, gains)
     _, phi2, phi_bar = phi_functions(coeffs, gains, budget_faulty)
     ratio = math.sqrt(budget_faulty.lambda_r / budget_faulty.lambda_l)
@@ -107,8 +107,8 @@ def test_fixed_point_residual(budget_faulty, gains):
         trace.q_inf_prime
         - ratio * phi2(trace.q_inf_prime, 0.0) / (coeffs.kappa_prime * gains.k)
     )
-    assert res1 <= 2 * eta
-    assert res2 <= 2 * eta
+    assert res1 <= 2 * ETA
+    assert res2 <= 2 * ETA
 
 
 def test_budget_monotonicity(gains):
@@ -126,7 +126,7 @@ def test_budget_monotonicity(gains):
         "rho_E": 2.0 * base.rho_E,
     }
     for name, value in bumps.items():
-        enlarged = predict(base.replace(**{name: value}), gains).q_final
+        enlarged = predict(replace(base, **{name: value}), gains).q_final
         assert enlarged >= baseline, name
 
 
@@ -153,8 +153,17 @@ def test_gain_condition_violated(budget_faulty):
 
 def test_not_contractive(gains):
     # a huge disturbance budget makes the first iterate exceed 1
-    budget = paper_budget(rho_E=0.0).replace(rho_d=10.0)
+    budget = replace(paper_budget(rho_E=0.0), rho_d=10.0)
     with pytest.raises(NotContractive):
+        predict(budget, gains)
+
+
+def test_overflowing_coefficients_raise_instead_of_looping():
+    # every input is finite, but a1*gamma overflows and rho_s = 0 makes
+    # phi = 0 * inf = nan, which no tolerance test ever accepts
+    budget = replace(zero_budget(J_hat_norm=1.0), rho_J=4.0)
+    gains = ControllerGains(k=1.0, K=10.0 * np.eye(3), epsilon=0.01, gamma=1e308)
+    with pytest.raises(NotContractive, match="q_bar_1 = nan"):
         predict(budget, gains)
 
 
@@ -165,17 +174,6 @@ def test_loop2_not_activated(budget_faulty):
     assert trace.loop2 == []
     assert trace.s_inf_prime is None
     assert trace.s_final == trace.s_inf
-
-
-def test_no_loop2_flag(budget_free, gains):
-    trace = predict(budget_free, gains, run_loop2=False)
-    assert trace.loop2 == []
-    assert trace.q_final == trace.q_inf
-
-
-def test_eta_metadata_recorded(budget_free, gains):
-    trace = predict(budget_free, gains, eta=1e-8)
-    assert trace.eta == 1e-8
 
 
 def test_gain_sweep_consistency(budget_faulty, gains):

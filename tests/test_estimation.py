@@ -109,7 +109,7 @@ def test_sensor_sample_rejects_bad_dt(rng):
 
 def test_synthetic_profile_budget():
     budget = Assumption1Budget(rho_q=2.15e-5, rho_w=1.56e-5)
-    prof = SyntheticErrorProfile.at_budget(budget)
+    prof = SyntheticErrorProfile(amp_q=budget.rho_q, amp_w=budget.rho_w)
     prof.check_budget(budget)  # at the budget is allowed
     with pytest.raises(BudgetViolation):
         SyntheticErrorProfile(amp_q=3e-5, amp_w=1e-5).check_budget(budget)

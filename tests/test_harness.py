@@ -6,7 +6,7 @@ import os
 import re
 import time
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +378,8 @@ def test_verify_passes_when_bounds_comfortable():
 def tiny_budget_scenario():
     # a nonzero initial tumble with a near-zero budget: predicted bounds are
     # essentially zero, the early-window errors are not
-    tiny = paper_budget(rho_E=0.0).replace(
+    tiny = replace(
+        paper_budget(rho_E=0.0),
         rho_q=1e-12, rho_w=1e-12, rho_J=1e-9, rho_d=1e-15, rho_d_hat=1e-15,
         rho_v=1e-9, rho_a=1e-15,
     )
@@ -638,6 +639,27 @@ def test_cli_scenario_without_budget_exits_1(tmp_path, capsys, command):
     save_scenario(nominal_exact(budget=None), sc_path)
     assert cli_main([command, "--scenario", str(sc_path)]) == 1
     assert capsys.readouterr().err == "error: scenario has no uncertainty budget\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["verify", "--scenario", "paper-faulty", "-n", "abc"],
+    ["predict-bounds", "--scenario", "paper-faulty", "--eta", "1e-6"],
+    ["predict-bounds", "--scenario", "paper-faulty", "--no-loop2"],
+    ["montecarlo", "--scenario", "paper-faulty", "--eta", "1e-6"],
+    ["verify", "--scenario", "paper-faulty", "--eta", "1e-6"],
+    ["bogus"],
+])
+def test_cli_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli_main(["predict-bounds", "--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
 
 
 def test_cli_unknown_scenario(capsys):

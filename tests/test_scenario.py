@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import yaml
 from ftacs import cli, scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
-from ftacs.config import ControllerGains, ModelEstimates
+from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget
 from ftacs.errors import RankDeficient
 from ftacs.scenario import (
     PRESETS,
@@ -112,7 +113,7 @@ def test_validation_rejects_bad_dt():
 
 def test_validation_rejects_bad_budget():
     with pytest.raises(ValueError):
-        paper_fault_free(budget=paper_fault_free().budget.replace(rho_q=1.5))
+        paper_fault_free(budget=replace(paper_fault_free().budget, rho_q=1.5))
 
 
 def test_validation_rejects_non_spd_K():
@@ -120,6 +121,21 @@ def test_validation_rejects_non_spd_K():
         ControllerGains(k=0.2, K=np.diag([1.0, -1.0, 1.0]), epsilon=0.01, gamma=0.01)
     with pytest.raises(ValueError):
         ControllerGains(k=0.2, K=0.7 * np.eye(3), epsilon=-0.01, gamma=0.01)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validation_rejects_non_finite_budget_and_gains(value):
+    # a comparison is false for NaN, so each range check must reject it by name
+    budget = paper_faulty().budget
+    for name in [f.name for f in fields(UncertaintyBudget)]:
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            replace(budget, **{name: value})
+    gains = paper_faulty().gains
+    for name in ("k", "epsilon", "gamma"):
+        with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+            replace(gains, **{name: value})
+    with pytest.raises(ValueError, match="K must be finite"):
+        replace(gains, K=np.diag([0.7, value, 0.7]))
 
 
 def test_validation_rejects_rank_deficient_allocation():
@@ -298,6 +314,20 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                           "bias observer gain k_b must be positive and finite, got inf"),
     "tail_fraction-zero": (_set("tail_fraction", value=0.0), "tail_fraction must be in (0, 1]"),
 }
+
+
+# each of these fields, when NaN, once made the bound iteration run forever
+@pytest.mark.parametrize("path", [("budget", "rho_d"), ("budget", "rho_d_hat"), ("budget", "rho_v"),
+                                  ("budget", "rho_a"), ("budget", "rho_w"), ("gains", "epsilon"),
+                                  ("gains", "gamma")])
+def test_cli_nan_budget_or_gain_in_file_exits_1_naming_it(tmp_path, capsys, path):
+    file = tmp_path / "nan.yaml"
+    file.write_text(_set(*path, value=math.nan)())
+    assert f"{path[1]}: .nan" in file.read_text()
+    assert cli_main(["predict-bounds", "--scenario", str(file), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {file}: {path[1]} must be ")
+    assert not list(tmp_path.glob("*.jsonl"))
 
 
 @pytest.mark.parametrize("command", ["check-gains", "predict-bounds", "simulate"])
