@@ -27,7 +27,6 @@ from .config import ControllerGains, ModelEstimates, UncertaintyBudget, zero_bud
 from .controller import check_gain_conditions
 from .errors import (
     BoundViolated,
-    BudgetViolation,
     EmptyTail,
     FtacsError,
     GainConditionViolated,
@@ -65,7 +64,6 @@ __all__ = [
     "BoundCoefficients",
     "BoundTrace",
     "BoundViolated",
-    "BudgetViolation",
     "CampaignSummary",
     "ControllerGains",
     "EmptyTail",

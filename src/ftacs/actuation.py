@@ -7,13 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import freeze_arrays
 from .errors import RankDeficient
 from .so3 import spectral_norm
 
 RANK_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfileSpec:
     """Closed-form scalar time profile, clamped to [0, 1].
 
@@ -44,11 +45,14 @@ class ProfileSpec:
         return float(v) if v.ndim == 0 else v
 
 
-@dataclass
+@dataclass(frozen=True)
 class HealthProfile:
     """Per-pair health indicators e_i(t) in [0, 1]."""
 
-    profiles: list[ProfileSpec]
+    profiles: tuple[ProfileSpec, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "profiles", tuple(self.profiles))
 
     def __call__(self, t) -> np.ndarray:
         """(m,) values at a time, or (n, m) on an array of n times."""
@@ -59,7 +63,7 @@ class HealthProfile:
         return cls([ProfileSpec() for _ in range(m)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActuatorBank:
     """Distribution matrix D (unit columns) and per-pair torque limit."""
 
@@ -67,7 +71,7 @@ class ActuatorBank:
     tau_max: float = field(default=np.inf)
 
     def __post_init__(self):
-        self.D = np.asarray(self.D, dtype=float)
+        freeze_arrays(self, "D")
         if self.D.shape[0] != 3 or self.D.shape[1] < 3:
             raise ValueError("D must be 3 x m with m >= 3")
         col_norms = np.linalg.norm(self.D, axis=0)

@@ -46,9 +46,9 @@ def robust_coefficients(budget: UncertaintyBudget, k: float) -> RobustCoefficien
         0.5 * k * k * r0 * r0 * jn
         + 0.5 * k * (budget.rho_w + 2.0 * budget.rho_q * budget.rho_v) * jn
         + 3.0 * k * budget.rho_v * r0 * jn
-        + 4.0 * budget.rho_q * budget.rho_v**2 * jn
+        + 4.0 * budget.rho_q * (budget.rho_v * budget.rho_v) * jn
         + 2.0 * budget.rho_q * budget.rho_a * jn
-        + budget.rho_J * budget.rho_v**2
+        + budget.rho_J * (budget.rho_v * budget.rho_v)
         + budget.rho_J * budget.rho_a
         + budget.rho_d
     )
@@ -91,7 +91,7 @@ def _complete(budget: UncertaintyBudget, gains: ControllerGains,
         + lmax * rs
         + a.a1 * (r0 + gains.gamma)
         + a.a0
-        + (budget.rho_v**2 + budget.rho_a) * jn
+        + ((budget.rho_v * budget.rho_v) + budget.rho_a) * jn
         + budget.rho_d_hat
     )
     kappa = lmin - a.a3 - budget.rho_E * b3
@@ -106,6 +106,11 @@ def _complete(budget: UncertaintyBudget, gains: ControllerGains,
 
 def compute_coefficients(budget: UncertaintyBudget, gains: ControllerGains) -> BoundCoefficients:
     return _complete(budget, gains, robust_coefficients(budget, gains.k))
+
+
+def epsilon_condition(gains: ControllerGains, coeffs: BoundCoefficients) -> bool:
+    """epsilon > rho_s: check_gain_conditions reports it, predict() tests it."""
+    return gains.epsilon > coeffs.rho_s
 
 
 PhiFn = Callable[[float, float], float]
@@ -221,6 +226,8 @@ def predict(budget: UncertaintyBudget, gains: ControllerGains) -> BoundTrace:
     coeffs = compute_coefficients(budget, gains)
     if not coeffs.kappa > 0:  # the verdict of check_gain_conditions
         raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
+    if not epsilon_condition(gains, coeffs):
+        raise GainConditionViolated(f"epsilon = {gains.epsilon} <= rho_s = {coeffs.rho_s}")
     _, phi2, phi_bar = phi_functions(coeffs, gains, budget)
     ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
     trace = BoundTrace()

@@ -1,5 +1,5 @@
-"""Gain, model-estimate, and uncertainty-budget containers, and the
-inertia check."""
+"""Gain, model-estimate, and uncertainty-budget containers, the observer
+contract of Assumption 1, and the inertia check."""
 
 from __future__ import annotations
 
@@ -9,11 +9,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularInertia
-from .estimation import Assumption1Budget
 from .so3 import spectral_norm
 
 
-@dataclass
+def freeze_arrays(obj, *names: str):
+    """Store each named field of a frozen dataclass as a read-only float copy."""
+    for name in names:
+        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=float))
+        getattr(obj, name).flags.writeable = False
+
+
+@dataclass(frozen=True)
+class Assumption1Budget:
+    """Ultimate bounds on the observer errors: ||qtilde_v|| and ||omega_tilde||."""
+
+    rho_q: float
+    rho_w: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rho_q < 1.0:
+            raise ValueError("rho_q must be in [0, 1)")
+        if not 0.0 <= self.rho_w < math.inf:
+            raise ValueError(f"rho_w must be nonnegative and finite, got {self.rho_w!r}")
+
+
+@dataclass(frozen=True)
 class ControllerGains:
     """Sliding-mode controller parameters.
 
@@ -27,7 +47,7 @@ class ControllerGains:
     gamma: float
 
     def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=float)
+        freeze_arrays(self, "K")
         if self.K.shape != (3, 3):
             raise ValueError(f"K must be 3x3, got shape {self.K.shape}")
         for name in ("k", "epsilon", "gamma"):
@@ -65,7 +85,7 @@ def inertia_inverse(J: np.ndarray) -> np.ndarray:
     return np.linalg.inv(J)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelEstimates:
     """Inertia and disturbance estimates used by the controller."""
 
@@ -73,8 +93,7 @@ class ModelEstimates:
     tau_d_hat: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.J_hat = np.asarray(self.J_hat, dtype=float)
-        self.tau_d_hat = np.asarray(self.tau_d_hat, dtype=float)
+        freeze_arrays(self, "J_hat", "tau_d_hat")
         if self.J_hat.shape != (3, 3):
             raise ValueError(f"J_hat must be 3x3, got shape {self.J_hat.shape}")
         if self.tau_d_hat.shape != (3,):
@@ -87,7 +106,7 @@ class ModelEstimates:
         return spectral_norm(self.J_hat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UncertaintyBudget:
     """Known bounds on all system uncertainties.
 
@@ -110,9 +129,6 @@ class UncertaintyBudget:
     J_hat_norm: float
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         Assumption1Budget(rho_q=self.rho_q, rho_w=self.rho_w)
         if not 0.0 <= self.rho_E < 1.0:
             raise ValueError("rho_E must be in [0, 1)")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BoundCoefficients, RobustCoefficients, _complete
+from .bounds import BoundCoefficients, RobustCoefficients, _complete, epsilon_condition
 from .config import ControllerGains, UncertaintyBudget
 
 
@@ -32,9 +32,9 @@ class GainCheckReport:
 def check_gain_conditions(
     gains: ControllerGains, coeffs: RobustCoefficients, budget: UncertaintyBudget
 ) -> GainCheckReport:
-    """kappa = lambda_min(K) - a3 - rho_E*b3 > 0, the number predict() tests,
-    and epsilon > rho_s. coeffs may already be the gains' BoundCoefficients;
-    the threshold a3 + rho_E*b3 is for display."""
+    """kappa = lambda_min(K) - a3 - rho_E*b3 > 0 and epsilon > rho_s, the
+    conditions predict() tests. coeffs may already be the gains'
+    BoundCoefficients; the threshold a3 + rho_E*b3 is for display."""
     c = coeffs if isinstance(coeffs, BoundCoefficients) else _complete(budget, gains, coeffs)
     return GainCheckReport(
         lambda_min_K=c.lambda_min_K,
@@ -43,6 +43,6 @@ def check_gain_conditions(
         k_margin=c.kappa,
         rho_s=c.rho_s,
         epsilon=gains.epsilon,
-        epsilon_condition=gains.epsilon > c.rho_s,
+        epsilon_condition=epsilon_condition(gains, c),
         epsilon_margin=gains.epsilon - c.rho_s,
     )

@@ -17,16 +17,12 @@ class RankDeficient(FtacsError):
     """D*Ehat^3*D^T lost rank; the fully-actuated assumption is violated."""
 
 
-class BudgetViolation(FtacsError):
-    """An injected-error profile exceeds its declared bound."""
-
-
 class EmptyTail(FtacsError):
     """Requested tail window contains no samples."""
 
 
 class GainConditionViolated(FtacsError):
-    """kappa <= 0; the stability gain condition fails."""
+    """kappa <= 0 or epsilon <= rho_s; a stability gain condition fails."""
 
 
 class NotContractive(FtacsError):

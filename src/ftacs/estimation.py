@@ -1,7 +1,6 @@
-"""Sensor noise, the bounded-estimation-error observer contract
-(Assumption 1) and the synthetic observer's error profile. kernel runs the
-observers: synthetic error injection and a multiplicative complementary
-filter with gyro-bias estimation."""
+"""Sensor noise, the synthetic observer's error profile and the empirical
+Assumption 1 bounds. kernel runs the observers: synthetic error injection
+and a multiplicative complementary filter with gyro-bias estimation."""
 
 from __future__ import annotations
 
@@ -10,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetViolation, EmptyTail
+from .config import Assumption1Budget, freeze_arrays
+from .errors import EmptyTail
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseParams:
     """Sensor noise levels, all in SI radians.
 
@@ -29,21 +29,7 @@ class NoiseParams:
     b0: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.b0 = np.asarray(self.b0, dtype=float)
-
-
-@dataclass
-class Assumption1Budget:
-    """Ultimate bounds on the observer errors: ||qtilde_v|| and ||omega_tilde||."""
-
-    rho_q: float
-    rho_w: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho_q < 1.0:
-            raise ValueError("rho_q must be in [0, 1)")
-        if not 0.0 <= self.rho_w < math.inf:
-            raise ValueError(f"rho_w must be nonnegative and finite, got {self.rho_w!r}")
+        freeze_arrays(self, "b0")
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -64,7 +50,7 @@ AXIS_W = np.array([1.0, -1.0, 1.0]) / math.sqrt(3)
 AXIS_W /= np.linalg.norm(AXIS_W)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticErrorProfile:
     """Deterministic sinusoidal estimation errors within an ultimate-bound budget.
 
@@ -84,13 +70,6 @@ class SyntheticErrorProfile:
             Assumption1Budget(rho_q=self.amp_q, rho_w=self.amp_w)
         except ValueError as exc:
             raise ValueError(f"(amp_q, amp_w) = ({self.amp_q}, {self.amp_w}): {exc}") from None
-
-    def check_budget(self, budget: Assumption1Budget):
-        if self.amp_q > budget.rho_q or self.amp_w > budget.rho_w:
-            raise BudgetViolation(
-                f"profile amplitudes ({self.amp_q}, {self.amp_w}) exceed "
-                f"budget ({budget.rho_q}, {budget.rho_w})"
-            )
 
     def qtilde(self, t) -> np.ndarray:
         """(4,) error quaternion at a time, or (n, 4) on an array of n times."""

@@ -178,7 +178,7 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     del wdh, wdf
 
     # allocation matrices, computed once per distinct health-estimate row
-    rows, runs, starts = scenario.health_estimate_runs()
+    rows, runs, starts = scenario.health_estimate_runs
     alloc = np.array([allocation_matrix(scenario.bank, e) for e in rows])
 
     qtilde_inv = omega_tilde = None

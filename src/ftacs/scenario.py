@@ -1,6 +1,6 @@
 """Scenario configuration: closed-form time profiles, validation, YAML I/O,
 and the built-in presets (paper fault-free / faulty cases and a
-zero-uncertainty nominal case)."""
+zero-uncertainty nominal case). Scenarios are frozen and checked when built."""
 
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ import numpy as np
 import yaml
 
 from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
-from .config import ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia, zero_budget
+from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
+                     freeze_arrays, zero_budget)
 from .errors import RankDeficient, SingularInertia
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalSpec:
     """Closed-form scalar signal with an analytic derivative.
 
@@ -51,7 +52,7 @@ class SignalSpec:
         raise ValueError(f"unknown signal kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorSignal:
     """Three per-axis SignalSpecs evaluated as a 3-vector (or n x 3 array)."""
 
@@ -66,7 +67,7 @@ class VectorSignal:
         return np.stack([self.x.derivative(t), self.y.derivative(t), self.z.derivative(t)], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObserverSpec:
     """Observer selection: "perfect", "synthetic" (deterministic bounded error
     injection), or "bias" (complementary filter fed by noisy sensors)."""
@@ -100,19 +101,21 @@ class ObserverSpec:
         return SyntheticErrorProfile(**{f.name: getattr(self, f.name) for f in fields(SyntheticErrorProfile)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialConditionSpec:
     """Fixed (q0, omega0) or the random tumble distribution: per-axis rate
     uniform in +-omega_abs_max, rotation angle uniform in [0, theta_max],
     axis uniform on the unit sphere."""
 
     kind: str = "fixed"
-    q0: list = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
-    omega0: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    q0: tuple = (1.0, 0.0, 0.0, 0.0)
+    omega0: tuple = (0.0, 0.0, 0.0)
     omega_abs_max: float = 0.02
     theta_max: float = math.pi
 
     def __post_init__(self):
+        object.__setattr__(self, "q0", tuple(self.q0))
+        object.__setattr__(self, "omega0", tuple(self.omega0))
         if self.kind not in ("fixed", "random"):
             raise ValueError(f"unknown initial-condition kind {self.kind!r}")
         if len(self.q0) != 4 or len(self.omega0) != 3:
@@ -120,9 +123,13 @@ class InitialConditionSpec:
                              f"got {len(self.q0)} and {len(self.omega0)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run one closed-loop simulation."""
+    """Everything needed to run one closed-loop simulation. Construction also
+    sets health_estimate_runs, not a field: (rows, runs, starts), the health
+    estimate on the step grid as runs of equal rows. Run i starts at step
+    starts[i] and has the row rows[runs[i]]; rows holds the distinct rows,
+    rounded to 15 decimals, in order of first appearance."""
 
     name: str
     J: np.ndarray
@@ -145,11 +152,7 @@ class Scenario:
     record_decimation: int = 1
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        self.qd0 = np.asarray(self.qd0, dtype=float)
-        self.validate()
-
-    def validate(self):
+        freeze_arrays(self, "J", "qd0")
         if self.J.shape != (3, 3):
             raise ValueError(f"J must be 3x3, got shape {self.J.shape}")
         check_inertia(self.J)
@@ -163,8 +166,6 @@ class Scenario:
             raise ValueError("record_decimation must be >= 1")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
-        if self.budget is not None:
-            self.budget.validate()
         n_health = len(self.health.profiles)
         n_estimate = len(self.health_estimate.profiles)
         if not n_health == n_estimate == self.bank.m:
@@ -172,10 +173,16 @@ class Scenario:
                 f"the bank has {self.bank.m} thruster pairs, but health has {n_health} "
                 f"profiles and health_estimate has {n_estimate}"
             )
-        # fully-actuated check on the health estimate at every step of the
-        # grid, whose runs scenario_signals reuses
-        self._estimate_runs = _equal_row_runs(self.health_estimate(self.dt * np.arange(self.n_steps)))
-        rows, runs, starts = self._estimate_runs
+        b, obs, jn = self.budget, self.observer, self.estimates.J_hat_norm
+        if b is not None and not math.isclose(b.J_hat_norm, jn, rel_tol=1e-12):
+            raise ValueError(f"budget.J_hat_norm = {b.J_hat_norm!r} is not ||estimates.J_hat|| = {jn!r}")
+        if b is not None and obs.kind == "synthetic" and (obs.amp_q > b.rho_q or obs.amp_w > b.rho_w):
+            raise ValueError(f"observer (amp_q, amp_w) = ({obs.amp_q!r}, {obs.amp_w!r}) exceed "
+                             f"budget (rho_q, rho_w) = ({b.rho_q!r}, {b.rho_w!r})")
+        # fully-actuated check on the health estimate at every step of the grid
+        object.__setattr__(self, "health_estimate_runs", _equal_row_runs(
+            self.health_estimate(self.dt * np.arange(self.n_steps))))
+        rows, runs, starts = self.health_estimate_runs
         lost = rank_deficient(self.bank, rows)[runs]
         if lost.any():
             t = self.dt * starts[lost.argmax()]
@@ -190,16 +197,6 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
-
-    def health_estimate_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, runs, starts): the health estimate on the step grid as runs
-        of equal rows. Run i starts at step starts[i] and has the row
-        rows[runs[i]]; rows holds the distinct rows, rounded to 15 decimals,
-        in order of first appearance.
-
-        validate() evaluates them, and construction runs validate(): a
-        scenario changed after construction is validated again with it."""
-        return self._estimate_runs
 
 
 def _equal_row_runs(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +227,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     def _clean(obj):
         if isinstance(obj, dict):
             return {k: _clean(v) for k, v in obj.items()}
-        if isinstance(obj, list):
+        if isinstance(obj, (list, tuple)):
             return [_clean(v) for v in obj]
         if isinstance(obj, np.ndarray):
             return obj.tolist()
@@ -242,13 +239,14 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 _SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
-            str: ((str,), "a string"), list: ((list,), "a list")}
+            str: ((str,), "a string"), tuple: ((list,), "a list")}
 
 
 @functools.cache
 def _schema(cls) -> dict:
-    """{field name: (type, item type of a list, may be None, required)} of a
-    dataclass. A field is optional when it has a default or may be None."""
+    """{field name: (type, item type of a tuple, may be None, required)} of a
+    dataclass, a tuple being read from a list. A field is optional when it
+    has a default or may be None."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in fields(cls):
@@ -256,8 +254,8 @@ def _schema(cls) -> dict:
         nullable = type(None) in typing.get_args(hint)
         if nullable:
             (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        if typing.get_origin(hint) is list:
-            hint, (item,) = list, typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            hint, (item, _) = tuple, typing.get_args(hint)
         required = f.default is MISSING and f.default_factory is MISSING and not nullable
         schema[f.name] = (hint, item, nullable, required)
     return schema
@@ -410,12 +408,12 @@ def _paper_disturbance() -> VectorSignal:
 def _paper_common(name: str, rho_E: float, **overrides) -> dict:
     base = dict(
         name=name,
-        J=PAPER_J.copy(),
-        estimates=ModelEstimates(J_hat=PAPER_J_HAT.copy(), tau_d_hat=np.zeros(3)),
+        J=PAPER_J,
+        estimates=ModelEstimates(J_hat=PAPER_J_HAT, tau_d_hat=np.zeros(3)),
         omega_d=_paper_omega_d(),
         qd0=np.array([1.0, 0.0, 0.0, 0.0]),
         disturbance=_paper_disturbance(),
-        bank=ActuatorBank(D=PAPER_D.copy(), tau_max=PAPER_TAU_MAX),
+        bank=ActuatorBank(D=PAPER_D, tau_max=PAPER_TAU_MAX),
         noise=NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0)),
         observer=ObserverSpec(kind="synthetic", amp_q=PAPER_RHO_Q, amp_w=PAPER_RHO_W),
         gains=paper_gains(),
@@ -468,24 +466,25 @@ def paper_faulty(**overrides) -> Scenario:
 def nominal_exact(**overrides) -> Scenario:
     """Zero-uncertainty regression case: perfect state feedback, exact model,
     no disturbance, no faults."""
+    estimates = ModelEstimates(J_hat=PAPER_J, tau_d_hat=np.zeros(3))
     axis = np.array([1.0, 2.0, -1.0])
     axis /= np.linalg.norm(axis)
     theta0 = math.radians(30.0)
     q0 = [math.cos(theta0 / 2), *(math.sin(theta0 / 2) * axis)]
     kw = dict(
         name="nominal-exact",
-        J=PAPER_J.copy(),
-        estimates=ModelEstimates(J_hat=PAPER_J.copy(), tau_d_hat=np.zeros(3)),
+        J=PAPER_J,
+        estimates=estimates,
         omega_d=_paper_omega_d(),
         qd0=np.array([1.0, 0.0, 0.0, 0.0]),
         disturbance=VectorSignal(),
-        bank=ActuatorBank(D=PAPER_D.copy(), tau_max=PAPER_TAU_MAX),
+        bank=ActuatorBank(D=PAPER_D, tau_max=PAPER_TAU_MAX),
         health=HealthProfile.healthy(4),
         health_estimate=HealthProfile.healthy(4),
         noise=NoiseParams(sigma_theta=0.0, sigma_u=0.0, sigma_v=0.0),
         observer=ObserverSpec(kind="perfect"),
         gains=ControllerGains(k=0.5, K=2.0 * np.eye(3), epsilon=0.01, gamma=0.01),
-        budget=zero_budget(J_hat_norm=8.0, lambda_l=6.0, lambda_r=8.5),
+        budget=zero_budget(J_hat_norm=estimates.J_hat_norm, lambda_l=6.0, lambda_r=8.5),
         init=InitialConditionSpec(kind="fixed", q0=q0, omega0=[0.0, 0.0, 0.0]),
         duration=200.0,
         dt=0.01,

@@ -21,7 +21,6 @@ from ftacs.bounds import RobustCoefficients
 from ftacs.config import ControllerGains, ModelEstimates, inertia_inverse
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import (
-    Assumption1Budget,
     NoiseParams,
     SyntheticErrorProfile,
     random_unit_vector,
@@ -296,15 +295,9 @@ def sensor_sample(
     return SensorSample(qm=qm, omega_m=omega_m), bias_new
 
 
-def synthetic_observer(
-    truth: SpacecraftState,
-    profile: SyntheticErrorProfile,
-    t: float,
-    budget: Assumption1Budget | None = None,
-) -> ObserverOutput:
+def synthetic_observer(truth: SpacecraftState, profile: SyntheticErrorProfile,
+                       t: float) -> ObserverOutput:
     """Emit q_hat = q (x) qtilde(t)^-1 and omega_hat = omega + omega_tilde(t)."""
-    if budget is not None:
-        profile.check_budget(budget)
     return ObserverOutput(
         q_hat=quat_mul(truth.q, quat_inv(profile.qtilde(t))),
         omega_hat=truth.omega + profile.omega_tilde(t),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftacs.bounds import (
     ETA,
@@ -12,7 +14,8 @@ from ftacs.bounds import (
     predict,
     rho_zero,
 )
-from ftacs.config import ControllerGains, zero_budget
+from ftacs.config import ControllerGains, UncertaintyBudget, zero_budget
+from ftacs.controller import check_gain_conditions
 from ftacs.errors import GainConditionViolated, NotContractive
 from ftacs.scenario import paper_budget
 
@@ -203,3 +206,56 @@ def test_gain_sweep_consistency(budget_faulty, gains):
 def test_gain_sweep_empty_grid(budget_faulty):
     with pytest.raises(ValueError):
         gain_sweep(budget_faulty, [])
+
+
+@st.composite
+def budgets_and_gains(draw):
+    # half the draws stay near the paper's sizes, where most predictions
+    # converge; in the other half any field may be huge but finite
+    huge = draw(st.booleans())
+
+    def size(paper, large):
+        return draw(st.floats(0.0, large if huge else 2.0 * paper))
+
+    lambda_l = draw(st.floats(1e-3, 1e3))
+    budget = UncertaintyBudget(
+        rho_q=draw(st.floats(0.0, 1.0, exclude_max=True) if huge else st.floats(0.0, 1e-4)),
+        rho_w=size(1.56e-5, 1e100),
+        rho_J=size(0.5, 1e100),
+        rho_d=size(3e-6, 1e100),
+        rho_d_hat=size(3e-6, 1e100),
+        lambda_l=lambda_l,
+        lambda_r=lambda_l * draw(st.floats(1.0, 10.0)),
+        rho_v=size(0.0022, 1e200),
+        rho_a=size(2.2e-6, 1e100),
+        rho_E=draw(st.floats(0.0, 1.0, exclude_max=True) if huge else st.floats(0.0, 0.2)),
+        J_hat_norm=size(8.0, 1e100),
+    )
+    gains = ControllerGains(
+        k=draw(st.floats(0.02, 2.0)),
+        K=np.diag(draw(st.lists(st.floats(0.2, 6.0), min_size=3, max_size=3))),
+        epsilon=draw(st.floats(1e-7, 0.1)),
+        gamma=draw(st.floats(1e-4, 0.1)),
+    )
+    return budget, gains
+
+
+@settings(max_examples=500, deadline=None)
+@given(budgets_and_gains())
+def test_predict_on_any_finite_budget_and_gains(case):
+    # predict ends in a bound or a named failure, its bounds only tighten,
+    # and check-gains passes exactly when predict accepts the gains
+    budget, gains = case
+    passed = check_gain_conditions(gains, compute_coefficients(budget, gains), budget).passed
+    try:
+        trace = predict(budget, gains)
+    except GainConditionViolated:
+        assert not passed
+        return
+    except NotContractive:
+        assert passed
+        return
+    assert passed
+    for start, loop in ((1.0, trace.loop1), (trace.q_inf, trace.loop2)):
+        q = [start] + [q_i for _, q_i in loop]
+        assert all(b <= a for a, b in zip(q, q[1:]))

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.errors import BudgetViolation, EmptyTail
+from ftacs.errors import EmptyTail
 from ftacs.estimation import (
-    Assumption1Budget,
     NoiseParams,
     SyntheticErrorProfile,
     estimate_assumption1_bounds,
@@ -105,14 +104,6 @@ def test_sensor_sample_rejects_bad_dt(rng):
     truth = SpacecraftState(q=IDENTITY_QUAT.copy(), omega=np.zeros(3))
     with pytest.raises(ValueError):
         sensor_sample(truth, np.zeros(3), NoiseParams(), rng, 0.0)
-
-
-def test_synthetic_profile_budget():
-    budget = Assumption1Budget(rho_q=2.15e-5, rho_w=1.56e-5)
-    prof = SyntheticErrorProfile(amp_q=budget.rho_q, amp_w=budget.rho_w)
-    prof.check_budget(budget)  # at the budget is allowed
-    with pytest.raises(BudgetViolation):
-        SyntheticErrorProfile(amp_q=3e-5, amp_w=1e-5).check_budget(budget)
 
 
 def test_synthetic_profile_unit_quaternion():

@@ -33,6 +33,7 @@ from ftacs.harness import (
     verify,
 )
 from ftacs.scenario import (
+    PAPER_J,
     ObserverSpec,
     nominal_exact,
     paper_budget,
@@ -42,6 +43,10 @@ from ftacs.scenario import (
     save_scenario,
     scenario_to_dict,
 )
+from ftacs.so3 import spectral_norm
+
+# the published fault-free budget, declared for nominal-exact's inertia estimate
+NOMINAL_PAPER_BUDGET = replace(paper_budget(rho_E=0.0), J_hat_norm=spectral_norm(PAPER_J))
 
 
 def short_scenario(**overrides):
@@ -368,7 +373,7 @@ def test_campaign_rejects_bad_n():
 def test_verify_passes_when_bounds_comfortable():
     # exact-model loop with the published budget attached: actual errors are
     # orders of magnitude inside the predicted bounds
-    sc = nominal_exact(duration=60.0, budget=paper_budget(rho_E=0.0))
+    sc = nominal_exact(duration=60.0, budget=NOMINAL_PAPER_BUDGET)
     report = verify(sc, 2)
     assert report["passed"]
     assert report["theta_margin_ratio"] > 1.0
@@ -379,7 +384,7 @@ def tiny_budget_scenario():
     # a nonzero initial tumble with a near-zero budget: predicted bounds are
     # essentially zero, the early-window errors are not
     tiny = replace(
-        paper_budget(rho_E=0.0),
+        NOMINAL_PAPER_BUDGET,
         rho_q=1e-12, rho_w=1e-12, rho_J=1e-9, rho_d=1e-15, rho_d_hat=1e-15,
         rho_v=1e-9, rho_a=1e-15,
     )
@@ -405,7 +410,7 @@ def planted_failure(monkeypatch, failing=(1,)):
     instances stay well inside the bounds, and whose instances `failing`
     raise NonFiniteState; returns the scenario and the failure lines it
     records."""
-    sc = nominal_exact(duration=60.0, budget=paper_budget(rho_E=0.0))
+    sc = nominal_exact(duration=60.0, budget=NOMINAL_PAPER_BUDGET)
     seeds = instance_seeds(sc.seed, 2)
     plant(monkeypatch, [seeds[i] for i in failing], NonFiniteState("planted"))
     return sc, [f"instance {i} (seed {seeds[i]}): planted" for i in failing]
@@ -585,8 +590,7 @@ def test_cli_montecarlo(tmp_path, capsys):
 
 def test_cli_check_gains_pass_and_fail(tmp_path, capsys):
     assert cli_main(["check-gains", "--scenario", "paper-faulty"]) == 0
-    sc = paper_faulty()
-    sc.gains = ControllerGains(k=0.2, K=0.1 * np.eye(3), epsilon=0.01, gamma=0.01)
+    sc = paper_faulty(gains=ControllerGains(k=0.2, K=0.1 * np.eye(3), epsilon=0.01, gamma=0.01))
     sc_path = tmp_path / "weak.yaml"
     save_scenario(sc, sc_path)
     assert cli_main(["check-gains", "--scenario", str(sc_path)]) == 2
@@ -606,7 +610,7 @@ def test_cli_failed_gain_condition_exits_2_before_simulating(tmp_path, monkeypat
 
 
 def test_cli_verify(tmp_path, capsys):
-    sc = nominal_exact(duration=80.0, budget=paper_budget(rho_E=0.0))
+    sc = nominal_exact(duration=80.0, budget=NOMINAL_PAPER_BUDGET)
     sc_path = tmp_path / "nominal.yaml"
     save_scenario(sc, sc_path)
     code = cli_main(["verify", "--scenario", str(sc_path), "-n", "1", "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget
 from ftacs.errors import RankDeficient
+from ftacs.estimation import Assumption1Budget
 from ftacs.scenario import (
     PRESETS,
     InitialConditionSpec,
@@ -52,7 +54,36 @@ def test_presets_valid():
     for name, factory in PRESETS.items():
         sc = factory()
         assert sc.name == name
-        sc.validate()
+        assert scenario_to_dict(replace(sc)) == scenario_to_dict(sc)  # built and checked again
+
+
+def test_configuration_objects_are_frozen():
+    sc = paper_faulty(duration=10.0)
+    objects = [sc, sc.estimates, sc.gains, sc.budget, sc.noise, Assumption1Budget(1e-5, 1e-5),
+               sc.observer.synthetic_profile(), sc.health.profiles[0], sc.health, sc.bank,
+               sc.omega_d.x, sc.omega_d, sc.observer, sc.init]
+    assert len({type(obj) for obj in objects}) == 14
+    arrays = []
+    for obj in objects:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, value)
+            if isinstance(value, np.ndarray):
+                arrays.append(f.name)
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0.0
+    assert sorted(arrays) == ["D", "J", "J_hat", "K", "b0", "qd0", "tau_d_hat"]
+    assert all(type(v) is tuple for v in (sc.health.profiles, sc.init.q0, sc.init.omega0))
+    with pytest.raises(FrozenInstanceError):
+        sc.health_estimate_runs = None
+    with pytest.raises(ValueError, match="dt must be positive"):
+        replace(sc, dt=-1.0)
+    # an array field is a copy: the caller's array stays writable and apart
+    K = np.eye(3)
+    gains = ControllerGains(k=0.2, K=K, epsilon=0.01, gamma=0.01)
+    K[0, 0] = 5.0
+    assert gains.K[0, 0] == 1.0
 
 
 def test_paper_presets_numbers():
@@ -163,7 +194,7 @@ def test_health_estimate_runs():
                               ProfileSpec(kind="sin", offset=0.9, scale=0.2, freq=0.3)])
     sc = paper_fault_free(duration=60.0, health_estimate=estimate)
     grid = np.round(estimate(sc.dt * np.arange(sc.n_steps)), 15)
-    rows, runs, starts = sc.health_estimate_runs()
+    rows, runs, starts = sc.health_estimate_runs
     index = np.repeat(runs, np.diff(starts, append=len(grid)))
     assert np.array_equal(rows[index], grid)
     assert starts[0] == 0 and np.all(np.diff(runs) != 0)  # runs are maximal
@@ -313,6 +344,11 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "bias-k_b-infinite": (_set("observer", value={"kind": "bias", "k_o": 1.0, "k_b": math.inf}),
                           "bias observer gain k_b must be positive and finite, got inf"),
     "tail_fraction-zero": (_set("tail_fraction", value=0.0), "tail_fraction must be in (0, 1]"),
+    "amplitude-above-budget": (_set("observer", "amp_q", value=3e-5),
+                               "observer (amp_q, amp_w) = (3e-05, 1.56e-05) exceed "
+                               "budget (rho_q, rho_w) = (2.15e-05, 1.56e-05)"),
+    "J_hat_norm-mismatch": (_set("budget", "J_hat_norm", value=1.0),
+                            "budget.J_hat_norm = 1.0 is not ||estimates.J_hat|| = 8.0"),
 }
 
 
@@ -328,6 +364,21 @@ def test_cli_nan_budget_or_gain_in_file_exits_1_naming_it(tmp_path, capsys, path
     err = capsys.readouterr().err
     assert err.startswith(f"error: {file}: {path[1]} must be ")
     assert not list(tmp_path.glob("*.jsonl"))
+
+
+# epsilon <= rho_s fails both commands alike; a rho_v whose square overflows
+# makes rho_s huge, where squaring it with ** raised OverflowError
+@pytest.mark.parametrize("command", ["check-gains", "predict-bounds"])
+@pytest.mark.parametrize("path, value", [(("gains", "epsilon"), 1.5e-5), (("budget", "rho_v"), 1e200)])
+def test_cli_epsilon_not_above_rho_s_exits_2(tmp_path, capsys, command, path, value):
+    file = tmp_path / "eps.yaml"
+    file.write_text(_set(*path, value=value)())
+    assert cli_main([command, "--scenario", str(file)]) == 2
+    out, err = capsys.readouterr()
+    if command == "check-gains":
+        assert re.search(r"^epsilon = .* vs rho_s = .*: FAIL", out, re.M)
+    else:
+        assert re.fullmatch(r"prediction failed: epsilon = \S+ <= rho_s = \S+\n", err)
 
 
 @pytest.mark.parametrize("command", ["check-gains", "predict-bounds", "simulate"])
