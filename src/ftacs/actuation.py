@@ -3,11 +3,12 @@ fault-mismatch operator H."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import freeze_arrays
+from .config import check_finite, freeze_arrays
 from .errors import RankDeficient
 from .so3 import spectral_norm
 
@@ -28,6 +29,11 @@ class ProfileSpec:
     freq: float = 1.0
     phase: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("const", "sin", "cos", "abs_sin"):
+            raise ValueError(f"unknown profile kind {self.kind!r}")
+        check_finite(self, "offset", "scale", "freq", "phase")
+
     def __call__(self, t):
         """Value at a time (a float) or on an array of times (an array)."""
         t = np.asarray(t, dtype=float)
@@ -37,10 +43,8 @@ class ProfileSpec:
             v = self.offset + self.scale * np.sin(self.freq * t + self.phase)
         elif self.kind == "cos":
             v = self.offset + self.scale * np.cos(self.freq * t + self.phase)
-        elif self.kind == "abs_sin":
+        else:  # abs_sin
             v = self.offset + self.scale * np.abs(np.sin(self.freq * t + self.phase))
-        else:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
         v = np.clip(v, 0.0, 1.0)
         return float(v) if v.ndim == 0 else v
 
@@ -72,13 +76,15 @@ class ActuatorBank:
 
     def __post_init__(self):
         freeze_arrays(self, "D")
-        if self.D.shape[0] != 3 or self.D.shape[1] < 3:
-            raise ValueError("D must be 3 x m with m >= 3")
+        if self.D.ndim != 2 or self.D.shape[0] != 3 or self.D.shape[1] < 3:
+            raise ValueError(f"D must be 3 x m with m >= 3, got shape {self.D.shape}")
         col_norms = np.linalg.norm(self.D, axis=0)
-        if np.any(np.abs(col_norms - 1.0) > 1e-12):
+        if not np.all(np.abs(col_norms - 1.0) <= 1e-12):  # also rejects NaN
             raise ValueError("columns of D must be unit vectors")
         if np.linalg.matrix_rank(self.D) != 3:
             raise ValueError("D must have rank 3")
+        if not 0.0 < self.tau_max <= math.inf:
+            raise ValueError(f"tau_max must be positive, got {self.tau_max!r}")
 
     @property
     def m(self) -> int:

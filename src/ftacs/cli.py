@@ -78,7 +78,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_predict_bounds(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = predict(scenario.require_budget(), scenario.gains)
+    trace = predict(scenario.budget, scenario.gains)
     out = _out_dir(args) / f"{scenario.name}-bounds.jsonl"
     export_bound_trace_jsonl(trace, out)
     print(f"wrote {out}")
@@ -111,9 +111,8 @@ def cmd_verify(args) -> int:
 
 def cmd_check_gains(args) -> int:
     scenario = load_scenario(args.scenario)
-    budget = scenario.require_budget()
-    coeffs = compute_coefficients(budget, scenario.gains)
-    report = check_gain_conditions(scenario.gains, coeffs, budget)
+    coeffs = compute_coefficients(scenario.budget, scenario.gains)
+    report = check_gain_conditions(scenario.gains, coeffs, scenario.budget)
     print(
         f"lambda_min(K) = {report.lambda_min_K:.6g} vs threshold "
         f"{report.k_threshold:.6g}: {'PASS' if report.k_condition else 'FAIL'} "

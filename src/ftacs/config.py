@@ -12,6 +12,14 @@ from .errors import SingularInertia
 from .so3 import spectral_norm
 
 
+def check_finite(obj, *names: str):
+    """Raise a ValueError naming the first named field of obj that is not a
+    finite number."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
 def freeze_arrays(obj, *names: str):
     """Store each named field of a frozen dataclass as a read-only float copy."""
     for name in names:

@@ -9,7 +9,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -19,7 +19,6 @@ import numpy as np
 from . import kernel
 from .actuation import allocation_matrix
 from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
-from .config import zero_budget
 from .errors import BoundViolated, NonFiniteState
 from .estimation import _tail_window, random_unit_vector
 from .kernel import ROW_BLOCK
@@ -57,26 +56,49 @@ class TailStats:
     wtilde_max: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignSummary:
-    """Per-instance tail statistics and campaign-wide maxima."""
+    """The outcome of each instance in seed order, the tail statistics of an
+    instance that finished or the failure line of one whose state went
+    non-finite, beside its seed, and the predicted bounds. The lists of
+    finished instances and of failures and the campaign-wide maxima are read
+    from the outcomes."""
 
-    instances: list[TailStats]
+    outcomes: list[TailStats | str]
     seeds: list[int]
-    failures: list[str]
-    theta_e_max_deg: float
-    omega_e_max: float
-    qe_vec_max: float
-    qtilde_max: float
-    wtilde_max: float
-    predicted: BoundTrace | None = None
-    instance_pass: list[bool] = field(default_factory=list)
+    predicted: BoundTrace
+    # maxima over the finished instances, NaN when none finished
+    theta_e_max_deg: float = field(init=False)
+    omega_e_max: float = field(init=False)
+    qe_vec_max: float = field(init=False)
+    qtilde_max: float = field(init=False)
+    wtilde_max: float = field(init=False)
+
+    def __post_init__(self):
+        for name in [f.name for f in fields(self) if not f.init]:
+            object.__setattr__(self, name, max((getattr(st, name) for st in self.instances),
+                                               default=math.nan))
+
+    @property
+    def instances(self) -> list[TailStats]:
+        return [r for r in self.outcomes if isinstance(r, TailStats)]
+
+    @property
+    def failures(self) -> list[str]:
+        return [r for r in self.outcomes if isinstance(r, str)]
+
+    @property
+    def instance_pass(self) -> list[bool]:
+        """Per instance in seed order: it finished inside both predicted
+        bounds. A failed instance does not pass."""
+        env = self.envelope()
+        return [isinstance(r, TailStats) and r.theta_e_max_deg <= env["theta_bound_deg"]
+                and r.omega_e_max <= env["omega_bound_rad_s"] for r in self.outcomes]
 
     @property
     def passed(self) -> bool:
-        """No instance failed and every instance is inside both predicted
-        bounds; without a prediction, no instance failed."""
-        return not self.failures and all(self.instance_pass)
+        """Every instance finished inside both predicted bounds."""
+        return all(self.instance_pass)
 
     def envelope(self) -> dict:
         """The predicted bounds (theta in degrees, omega in rad/s, |qe|) and
@@ -158,9 +180,6 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     estimate loses full actuation anywhere on the grid."""
     dt = scenario.dt
     n = scenario.n_steps
-    budget = scenario.budget
-    if budget is None:
-        budget = zero_budget(scenario.estimates.J_hat_norm)
     t = dt * np.arange(n)
     wd0 = scenario.omega_d(t)
     wdh = scenario.omega_d(t + 0.5 * dt)
@@ -189,7 +208,7 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
 
     return ScenarioSignals(
         scenario=scenario,
-        coeffs=robust_coefficients(budget, scenario.gains.k),
+        coeffs=robust_coefficients(scenario.budget, scenario.gains.k),
         t=t,
         qd=qd,
         omega_d=wd0,
@@ -368,11 +387,11 @@ def _receive(pipe):
 
 
 def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
-    """Run n independent instances; aggregate tail statistics.
+    """Run n independent instances; keep the outcome of each in seed order.
 
-    The bound prediction (when the scenario has a budget) and the shared
-    precompute come first. Per-instance failures are recorded and the
-    campaign continues.
+    The bound prediction and the shared precompute come first. An instance
+    whose state goes non-finite is recorded as failed and the campaign
+    continues.
 
     The instances are split into one contiguous chunk per available CPU.
     This process runs the first chunk and a forked child runs each other one,
@@ -382,9 +401,7 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     # a failed gain condition or rank-deficient allocation fails before any instance runs
-    predicted = None
-    if scenario.budget is not None:
-        predicted = predict(scenario.budget, scenario.gains)
+    predicted = predict(scenario.budget, scenario.gains)
     signals = scenario_signals(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
     w = min(n_instances, _available_cpus())
@@ -404,34 +421,11 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    instances = [r for r in results if isinstance(r, TailStats)]
-
-    def agg(attr):
-        return max((getattr(st, attr) for st in instances), default=math.nan)
-
-    summary = CampaignSummary(
-        instances=instances,
-        seeds=seeds,
-        failures=[r for r in results if isinstance(r, str)],
-        theta_e_max_deg=agg("theta_e_max_deg"),
-        omega_e_max=agg("omega_e_max"),
-        qe_vec_max=agg("qe_vec_max"),
-        qtilde_max=agg("qtilde_max"),
-        wtilde_max=agg("wtilde_max"),
-        predicted=predicted,
-    )
-    if predicted is not None:
-        env = summary.envelope()
-        summary.instance_pass = [
-            st.theta_e_max_deg <= env["theta_bound_deg"] and st.omega_e_max <= env["omega_bound_rad_s"]
-            for st in instances
-        ]
-    return summary
+    return CampaignSummary(outcomes=results, seeds=seeds, predicted=predicted)
 
 
 def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:
     """Predict bounds, run a campaign, and check the envelope property."""
-    scenario.require_budget()
     summary = run_campaign(scenario, n_instances)
     env = summary.envelope()
     report = {
@@ -451,9 +445,10 @@ def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:
     if strict and not summary.passed:
         if summary.failures:
             raise BoundViolated(f"failed instances: {'; '.join(summary.failures)}")
-        offenders = [i for i, ok in enumerate(summary.instance_pass) if not ok]
+        offenders = [f"instance {i} (seed {seed})" for i, (seed, ok)
+                     in enumerate(zip(summary.seeds, summary.instance_pass, strict=True)) if not ok]
         raise BoundViolated(
-            f"tail maxima exceed predicted bounds (instances {offenders}): "
+            f"tail maxima exceed predicted bounds in {', '.join(offenders)}: "
             f"theta {summary.theta_e_max_deg:.4g} deg vs {env['theta_bound_deg']:.4g} deg, "
             f"omega {summary.omega_e_max:.4g} vs {env['omega_bound_rad_s']:.4g} rad/s"
         )
@@ -498,13 +493,15 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
 
 
 def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
-    """One JSONL record per instance plus a campaign-level record."""
+    """One JSONL record per finished instance, labelled with its index and
+    seed, plus a campaign-level record."""
     with open(path, "w") as fh:
-        for idx, (st, seed) in enumerate(zip(summary.instances, summary.seeds)):
-            rec = {"instance": idx, "seed": seed, **st.__dict__}
-            if summary.instance_pass:
-                rec["passed"] = summary.instance_pass[idx]
-            fh.write(json.dumps(rec) + "\n")
+        for idx, (outcome, seed, ok) in enumerate(
+                zip(summary.outcomes, summary.seeds, summary.instance_pass, strict=True)):
+            if isinstance(outcome, TailStats):
+                fh.write(json.dumps({"instance": idx, "seed": seed, **outcome.__dict__,
+                                     "passed": ok}) + "\n")
+        env = summary.envelope()
         camp = {
             "campaign": True,
             "theta_e_max_deg": summary.theta_e_max_deg,
@@ -513,11 +510,8 @@ def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
             "qtilde_max": summary.qtilde_max,
             "wtilde_max": summary.wtilde_max,
             "failures": summary.failures,
+            **{key: env[key] for key in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound")},
         }
-        if summary.predicted is not None:
-            env = summary.envelope()
-            for key in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound"):
-                camp[key] = env[key]
         fh.write(json.dumps(camp) + "\n")
 
 

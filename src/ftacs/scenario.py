@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -14,8 +15,8 @@ import numpy as np
 import yaml
 
 from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
-from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
-                     freeze_arrays, zero_budget)
+from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_finite,
+                     check_inertia, freeze_arrays, zero_budget)
 from .errors import RankDeficient, SingularInertia
 from .estimation import NoiseParams, SyntheticErrorProfile
 
@@ -33,23 +34,24 @@ class SignalSpec:
     freq: float = 1.0
     phase: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("const", "sin", "cos"):
+            raise ValueError(f"unknown signal kind {self.kind!r}")
+        check_finite(self, "offset", "scale", "freq", "phase")
+
     def __call__(self, t):
         if self.kind == "const":
             return self.offset + np.zeros_like(np.asarray(t, dtype=float))
         if self.kind == "sin":
             return self.offset + self.scale * np.sin(self.freq * np.asarray(t) + self.phase)
-        if self.kind == "cos":
-            return self.offset + self.scale * np.cos(self.freq * np.asarray(t) + self.phase)
-        raise ValueError(f"unknown signal kind {self.kind!r}")
+        return self.offset + self.scale * np.cos(self.freq * np.asarray(t) + self.phase)
 
     def derivative(self, t):
         if self.kind == "const":
             return np.zeros_like(np.asarray(t, dtype=float))
         if self.kind == "sin":
             return self.scale * self.freq * np.cos(self.freq * np.asarray(t) + self.phase)
-        if self.kind == "cos":
-            return -self.scale * self.freq * np.sin(self.freq * np.asarray(t) + self.phase)
-        raise ValueError(f"unknown signal kind {self.kind!r}")
+        return -self.scale * self.freq * np.sin(self.freq * np.asarray(t) + self.phase)
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,10 @@ class ObserverSpec:
         return SyntheticErrorProfile(**{f.name: getattr(self, f.name) for f in fields(SyntheticErrorProfile)})
 
 
+def _is_finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class InitialConditionSpec:
     """Fixed (q0, omega0) or the random tumble distribution: per-axis rate
@@ -121,6 +127,14 @@ class InitialConditionSpec:
         if len(self.q0) != 4 or len(self.omega0) != 3:
             raise ValueError(f"init needs a 4-element q0 and a 3-element omega0, "
                              f"got {len(self.q0)} and {len(self.omega0)}")
+        for name in ("q0", "omega0"):
+            if not all(_is_finite_number(v) for v in getattr(self, name)):
+                raise ValueError(f"init.{name} must be finite numbers, got {list(getattr(self, name))!r}")
+        if not any(self.q0):
+            raise ValueError("init.q0 must be nonzero")
+        for name in ("omega_abs_max", "theta_max"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"init.{name} must be nonnegative and finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,7 @@ class Scenario:
     noise: NoiseParams
     observer: ObserverSpec
     gains: ControllerGains
-    budget: UncertaintyBudget | None
+    budget: UncertaintyBudget
     init: InitialConditionSpec
     duration: float = 600.0
     dt: float = 0.01
@@ -158,10 +172,14 @@ class Scenario:
         check_inertia(self.J)
         if self.qd0.shape != (4,):
             raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.duration < 10 * self.dt:
-            raise ValueError("duration must be at least 10*dt")
+        if not np.isfinite(self.qd0).all() or not self.qd0.any():
+            raise ValueError(f"qd0 must be finite and nonzero, got {self.qd0.tolist()!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 10 * self.dt <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and at least 10*dt, got {self.duration!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
         if not 0.0 < self.tail_fraction <= 1.0:
@@ -174,9 +192,9 @@ class Scenario:
                 f"profiles and health_estimate has {n_estimate}"
             )
         b, obs, jn = self.budget, self.observer, self.estimates.J_hat_norm
-        if b is not None and not math.isclose(b.J_hat_norm, jn, rel_tol=1e-12):
+        if not math.isclose(b.J_hat_norm, jn, rel_tol=1e-12):
             raise ValueError(f"budget.J_hat_norm = {b.J_hat_norm!r} is not ||estimates.J_hat|| = {jn!r}")
-        if b is not None and obs.kind == "synthetic" and (obs.amp_q > b.rho_q or obs.amp_w > b.rho_w):
+        if obs.kind == "synthetic" and (obs.amp_q > b.rho_q or obs.amp_w > b.rho_w):
             raise ValueError(f"observer (amp_q, amp_w) = ({obs.amp_q!r}, {obs.amp_w!r}) exceed "
                              f"budget (rho_q, rho_w) = ({b.rho_q!r}, {b.rho_w!r})")
         # fully-actuated check on the health estimate at every step of the grid
@@ -187,12 +205,6 @@ class Scenario:
         if lost.any():
             t = self.dt * starts[lost.argmax()]
             raise RankDeficient(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
-
-    def require_budget(self) -> UncertaintyBudget:
-        """The uncertainty budget; ValueError when the scenario has none."""
-        if self.budget is None:
-            raise ValueError("scenario has no uncertainty budget")
-        return self.budget
 
     @property
     def n_steps(self) -> int:
@@ -244,20 +256,15 @@ _SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
 
 @functools.cache
 def _schema(cls) -> dict:
-    """{field name: (type, item type of a tuple, may be None, required)} of a
-    dataclass, a tuple being read from a list. A field is optional when it
-    has a default or may be None."""
+    """{field name: (type, item type of a tuple, required)} of a dataclass, a
+    tuple being read from a list. A field is optional when it has a default."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in fields(cls):
         hint, item = hints[f.name], None
-        nullable = type(None) in typing.get_args(hint)
-        if nullable:
-            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         if typing.get_origin(hint) is tuple:
             hint, (item, _) = tuple, typing.get_args(hint)
-        required = f.default is MISSING and f.default_factory is MISSING and not nullable
-        schema[f.name] = (hint, item, nullable, required)
+        schema[f.name] = (hint, item, f.default is MISSING and f.default_factory is MISSING)
     return schema
 
 
@@ -275,15 +282,13 @@ def _build(cls, d, where: str):
         if key not in schema:
             raise ValueError(f"unknown key {_key(where, key)!r} (known: {', '.join(schema)})")
     kwargs = {}
-    for name, (hint, item, nullable, required) in schema.items():
+    for name, (hint, item, required) in schema.items():
         key, value = _key(where, name), d.get(name)
-        if name not in d and required:
-            raise ValueError(f"missing key {key!r}")
-        if value is None and nullable:
-            kwargs[name] = None  # also when left out
-        elif name not in d:
+        if name not in d:
+            if required:
+                raise ValueError(f"missing key {key!r}")
             continue  # the field's default
-        elif hint in _SCALARS:
+        if hint in _SCALARS:
             types, expected = _SCALARS[hint]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"{key}: expected {expected}, got {value!r}")

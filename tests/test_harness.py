@@ -21,6 +21,7 @@ from ftacs.errors import BoundViolated, EmptyTail, NonFiniteState, RankDeficient
 from ftacs.harness import (
     CampaignSummary,
     RunTrace,
+    TailStats,
     export_bound_trace_jsonl,
     export_summary_jsonl,
     export_trace_csv,
@@ -393,25 +394,20 @@ def tiny_budget_scenario():
 
 def test_verify_raises_on_violation():
     sc = tiny_budget_scenario()
-    with pytest.raises(BoundViolated):
+    seed = instance_seeds(sc.seed, 1)[0]
+    with pytest.raises(BoundViolated, match=re.escape(f"bounds in instance 0 (seed {seed}): theta ")):
         verify(sc, 1)
     report = verify(sc, 1, strict=False)
     assert not report["passed"]
 
 
-def test_verify_requires_budget():
-    sc = nominal_exact(budget=None)
-    with pytest.raises(ValueError):
-        verify(sc, 1)
-
-
-def planted_failure(monkeypatch, failing=(1,)):
-    """A 2-instance nominal-exact campaign with the paper budget, whose
+def planted_failure(monkeypatch, failing=(1,), n=2):
+    """An n-instance nominal-exact campaign with the paper budget, whose
     instances stay well inside the bounds, and whose instances `failing`
     raise NonFiniteState; returns the scenario and the failure lines it
     records."""
     sc = nominal_exact(duration=60.0, budget=NOMINAL_PAPER_BUDGET)
-    seeds = instance_seeds(sc.seed, 2)
+    seeds = instance_seeds(sc.seed, n)
     plant(monkeypatch, [seeds[i] for i in failing], NonFiniteState("planted"))
     return sc, [f"instance {i} (seed {seeds[i]}): planted" for i in failing]
 
@@ -430,7 +426,7 @@ def test_failed_instance_fails_the_campaign_and_verify_names_it(monkeypatch):
     sc, (line,) = planted_failure(monkeypatch)
     summary = run_campaign(sc, 2)
     assert summary.failures == [line]
-    assert summary.instance_pass == [True]
+    assert summary.instance_pass == [True, False]
     assert not summary.passed
     assert not verify(sc, 2, strict=False)["passed"]
     with pytest.raises(BoundViolated, match=re.escape(line)) as raised:
@@ -473,8 +469,8 @@ def test_envelope_margins():
     theta_bound_deg = math.degrees(predicted.theta_bound)
 
     def envelope(theta_max_deg, omega_max):
-        return CampaignSummary([], [], [], theta_max_deg, omega_max, 0.0, 0.0, 0.0,
-                               predicted=predicted).envelope()
+        st = TailStats(theta_max_deg, omega_max, 0.0, 0.0, 0.0, 0.0)
+        return CampaignSummary([st], [1], predicted).envelope()
 
     env = envelope(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)
     assert env == {
@@ -545,6 +541,21 @@ def test_summary_jsonl_record_count(tmp_path):
     assert len(records) == 4  # 3 instances + campaign record
     assert records[-1]["campaign"] is True
     assert records[-1]["theta_e_max_deg"] == summary.theta_e_max_deg
+
+
+def test_summary_jsonl_labels_each_record_with_its_own_index_and_seed(tmp_path, monkeypatch):
+    # the record after a failed instance names its own index and seed, not
+    # those of the instance before it
+    sc, (line,) = planted_failure(monkeypatch, failing=(1,), n=3)
+    summary = run_campaign(sc, 3)
+    path = tmp_path / "summary.jsonl"
+    export_summary_jsonl(summary, path)
+    *records, camp = [json.loads(text) for text in path.read_text().splitlines()]
+    seeds = instance_seeds(sc.seed, 3)
+    assert [(r["instance"], r["seed"]) for r in records] == [(0, seeds[0]), (2, seeds[2])]
+    st = steady_state_stats(run_scenario(sc, seed=seeds[2]), sc.tail_fraction)
+    assert records[1] == {"instance": 2, "seed": seeds[2], **st.__dict__, "passed": True}
+    assert camp["failures"] == [line]
 
 
 def test_bound_trace_jsonl_record_count(tmp_path):
@@ -637,12 +648,19 @@ def test_cli_verify_violation_exits_2_and_writes_no_report(tmp_path, capsys):
     assert not list(tmp_path.glob("*-verify-n1.json"))
 
 
-@pytest.mark.parametrize("command", ["predict-bounds", "check-gains"])
-def test_cli_scenario_without_budget_exits_1(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["predict-bounds", "check-gains", "simulate", "montecarlo",
+                                     "verify"])
+def test_cli_scenario_without_budget_exits_1(tmp_path, monkeypatch, capsys, command):
+    d = scenario_to_dict(nominal_exact(duration=10.0))
+    del d["budget"]
     sc_path = tmp_path / "nobudget.yaml"
-    save_scenario(nominal_exact(budget=None), sc_path)
+    sc_path.write_text(yaml.safe_dump(d, sort_keys=False))
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "run_scenario", never_called)
+    monkeypatch.chdir(tmp_path)
     assert cli_main([command, "--scenario", str(sc_path)]) == 1
-    assert capsys.readouterr().err == "error: scenario has no uncertainty budget\n"
+    assert capsys.readouterr().err == f"error: {sc_path}: missing key 'budget'\n"
+    assert list(tmp_path.iterdir()) == [sc_path]
 
 
 @pytest.mark.parametrize("argv", [

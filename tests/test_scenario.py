@@ -240,12 +240,11 @@ def test_yaml_io_matches_safe_dump_and_safe_load(tmp_path, monkeypatch, pure_pyt
 
 def test_scenario_file_keys_with_defaults_may_be_left_out():
     d = scenario_to_dict(paper_faulty())
-    for key in ("budget", "tail_fraction", "record_decimation", "duration"):
+    for key in ("tail_fraction", "record_decimation", "duration"):
         del d[key]
     del d["noise"]["b0"]
     del d["omega_d"]["z"]
     sc = scenario_from_dict(d)
-    assert sc.budget is None
     assert (sc.tail_fraction, sc.record_decimation, sc.duration) == (0.2, 1, 600.0)
     assert np.array_equal(sc.noise.b0, np.zeros(3))
     assert sc.omega_d.z == SignalSpec()
@@ -349,6 +348,32 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                                "budget (rho_q, rho_w) = (2.15e-05, 1.56e-05)"),
     "J_hat_norm-mismatch": (_set("budget", "J_hat_norm", value=1.0),
                             "budget.J_hat_norm = 1.0 is not ||estimates.J_hat|| = 8.0"),
+    "D-not-2-d": (_set("bank", "D", value=[1.0, 0.0, 0.0]), "D must be 3 x m with m >= 3, got shape (3,)"),
+    "tau_max-negative": (_set("bank", "tau_max", value=-1.0), "tau_max must be positive, got -1.0"),
+    "tau_max-zero": (_set("bank", "tau_max", value=0.0), "tau_max must be positive, got 0.0"),
+    "tau_max-nan": (_set("bank", "tau_max", value=math.nan), "tau_max must be positive, got nan"),
+    "q0-zero": (_set("init", "q0", value=[0.0, 0.0, 0.0, 0.0]), "init.q0 must be nonzero"),
+    "q0-not-numbers": (_set("init", "q0", value=["a", "b", "c", "d"]),
+                       "init.q0 must be finite numbers, got ['a', 'b', 'c', 'd']"),
+    "omega0-infinite": (_set("init", "omega0", value=[math.inf, 0.0, 0.0]),
+                        "init.omega0 must be finite numbers, got [inf, 0.0, 0.0]"),
+    "omega_abs_max-nan": (_set("init", "omega_abs_max", value=math.nan),
+                          "init.omega_abs_max must be nonnegative and finite, got nan"),
+    "theta_max-negative": (_set("init", "theta_max", value=-1.0),
+                           "init.theta_max must be nonnegative and finite, got -1.0"),
+    "qd0-zero": (_set("qd0", value=[0.0, 0.0, 0.0, 0.0]), "qd0 must be finite and nonzero"),
+    "qd0-nan": (_set("qd0", value=[math.nan, 0.0, 0.0, 1.0]), "qd0 must be finite and nonzero"),
+    "disturbance-unknown-kind": (_set("disturbance", "x", "kind", value="tan"),
+                                 "unknown signal kind 'tan'"),
+    "health-unknown-kind": (_set("health", "profiles", 0, "kind", value="tan"),
+                            "unknown profile kind 'tan'"),
+    "omega_d-freq-nan": (_set("omega_d", "x", "freq", value=math.nan), "freq must be finite, got nan"),
+    "health-scale-infinite": (_set("health", "profiles", 1, "scale", value=math.inf),
+                              "scale must be finite, got inf"),
+    "dt-nan": (_set("dt", value=math.nan), "dt must be positive and finite, got nan"),
+    "duration-infinite": (_set("duration", value=math.inf),
+                          "duration must be finite and at least 10*dt, got inf"),
+    "seed-negative": (_set("seed", value=-5), "seed must be >= 0, got -5"),
 }
 
 
@@ -393,6 +418,7 @@ def test_cli_invalid_inertia_or_observer_exits_1_before_any_step(tmp_path, monke
         raise AssertionError("the closed loop ran")
 
     monkeypatch.setattr(cli, "run_scenario", never_called)
+    monkeypatch.chdir(tmp_path)  # where a file that loaded would be written
     assert cli_main([command, "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
