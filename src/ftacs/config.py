@@ -14,10 +14,19 @@ from .so3 import spectral_norm
 
 def check_finite(obj, *names: str):
     """Raise a ValueError naming the first named field of obj that is not a
-    finite number."""
+    finite number or an array of finite numbers."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+        value = getattr(obj, name)
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()!r}")
+
+
+def check_nonnegative(obj, *names: str):
+    """Raise a ValueError naming the first named field of obj that is not a
+    nonnegative finite number."""
+    for name in names:
+        if not 0.0 <= getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {getattr(obj, name)!r}")
 
 
 def freeze_arrays(obj, *names: str):
@@ -37,8 +46,7 @@ class Assumption1Budget:
     def __post_init__(self):
         if not 0.0 <= self.rho_q < 1.0:
             raise ValueError("rho_q must be in [0, 1)")
-        if not 0.0 <= self.rho_w < math.inf:
-            raise ValueError(f"rho_w must be nonnegative and finite, got {self.rho_w!r}")
+        check_nonnegative(self, "rho_w")
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,7 @@ class ControllerGains:
 
     k: sliding-variable gain (1/s), K: 3x3 SPD feedback matrix,
     epsilon: boundary-layer width, gamma: robust-term margin.
+    The eigenvalue extremes of K are computed once, at construction.
     """
 
     k: float
@@ -65,16 +74,18 @@ class ControllerGains:
             raise ValueError("K must be finite")
         if spectral_norm(self.K - self.K.T) > 1e-12:
             raise ValueError("K must be symmetric")
-        if np.linalg.eigvalsh(self.K).min() <= 0:
+        eig = np.linalg.eigvalsh(self.K)  # ascending
+        if eig[0] <= 0:
             raise ValueError("K must be positive definite")
+        object.__setattr__(self, "_lambda_K", (float(eig[0]), float(eig[-1])))
 
     @property
     def lambda_min_K(self) -> float:
-        return float(np.linalg.eigvalsh(self.K)[0])
+        return self._lambda_K[0]
 
     @property
     def lambda_max_K(self) -> float:
-        return float(np.linalg.eigvalsh(self.K)[-1])
+        return self._lambda_K[1]
 
 
 def check_inertia(J: np.ndarray) -> np.ndarray:
@@ -106,6 +117,7 @@ class ModelEstimates:
             raise ValueError(f"J_hat must be 3x3, got shape {self.J_hat.shape}")
         if self.tau_d_hat.shape != (3,):
             raise ValueError(f"tau_d_hat must be a 3-vector, got shape {self.tau_d_hat.shape}")
+        check_finite(self, "tau_d_hat")
         if spectral_norm(self.J_hat - self.J_hat.T) > 1e-12:
             raise ValueError("J_hat must be symmetric")
 
@@ -143,9 +155,7 @@ class UncertaintyBudget:
         if not 0.0 < self.lambda_l <= self.lambda_r < math.inf:
             raise ValueError(f"need 0 < lambda_l <= lambda_r < inf, got lambda_l = "
                              f"{self.lambda_l!r} and lambda_r = {self.lambda_r!r}")
-        for name in ("rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
+        check_nonnegative(self, "rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm")
 
 
 def zero_budget(J_hat_norm: float, lambda_l: float = 1.0, lambda_r: float = 1.0) -> UncertaintyBudget:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Assumption1Budget, freeze_arrays
+from .config import Assumption1Budget, check_finite, check_nonnegative, freeze_arrays
 from .errors import EmptyTail
 
 
@@ -30,6 +30,10 @@ class NoiseParams:
 
     def __post_init__(self):
         freeze_arrays(self, "b0")
+        check_nonnegative(self, "sigma_theta", "sigma_u", "sigma_v")
+        if self.b0.shape != (3,):
+            raise ValueError(f"b0 must be a 3-vector, got shape {self.b0.shape}")
+        check_finite(self, "b0")
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -66,6 +70,7 @@ class SyntheticErrorProfile:
     phase_w: float = 0.7
 
     def __post_init__(self):
+        check_finite(self, "freq_q", "freq_w", "phase_q", "phase_w")
         try:  # the amplitudes bound the errors, so Assumption 1's rule holds them
             Assumption1Budget(rho_q=self.amp_q, rho_w=self.amp_w)
         except ValueError as exc:

@@ -208,6 +208,29 @@ def test_gain_sweep_empty_grid(budget_faulty):
         gain_sweep(budget_faulty, [])
 
 
+def test_eigenvalues_of_K_computed_once_at_construction(monkeypatch, budget_faulty):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    gains = ControllerGains(k=0.2, K=np.diag([0.7, 0.8, 0.9]), epsilon=0.01, gamma=0.01)
+    assert len(calls) == 1
+    report = check_gain_conditions(gains, compute_coefficients(budget_faulty, gains), budget_faulty)
+    predict(budget_faulty, gains)
+    assert len(calls) == 1
+    assert (report.lambda_min_K, gains.lambda_max_K) == (0.7, 0.9)
+
+
+def test_eigenvalue_extremes_of_K_stay_properties():
+    # they are read through the class attribute, which may be wrapped
+    for name in ("lambda_min_K", "lambda_max_K"):
+        assert isinstance(ControllerGains.__dict__[name], property)
+
+
 @st.composite
 def budgets_and_gains(draw):
     # half the draws stay near the paper's sizes, where most predictions

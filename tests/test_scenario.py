@@ -374,6 +374,14 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "duration-infinite": (_set("duration", value=math.inf),
                           "duration must be finite and at least 10*dt, got inf"),
     "seed-negative": (_set("seed", value=-5), "seed must be >= 0, got -5"),
+    "sigma_theta-negative": (_set("noise", "sigma_theta", value=-1.0),
+                             "sigma_theta must be nonnegative and finite, got -1.0"),
+    "sigma_u-nan": (_set("noise", "sigma_u", value=math.nan),
+                    "sigma_u must be nonnegative and finite, got nan"),
+    "b0-2-elements": (_set("noise", "b0", value=[0.0, 0.0]), "b0 must be a 3-vector, got shape (2,)"),
+    "synthetic-freq_q-nan": (_set("observer", "freq_q", value=math.nan), "freq_q must be finite, got nan"),
+    "tau_d_hat-nan": (_set("estimates", "tau_d_hat", value=[math.nan, 0.0, 0.0]),
+                      "tau_d_hat must be finite, got [nan, 0.0, 0.0]"),
 }
 
 
@@ -423,3 +431,4 @@ def test_cli_invalid_inertia_or_observer_exits_1_before_any_step(tmp_path, monke
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert named in err
+    assert "Traceback" not in err
