@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_finite, freeze_arrays
+from .config import check_finite, freeze_arrays, freeze_floats
 from .errors import RankDeficient
 from .so3 import spectral_norm
 
@@ -83,6 +83,7 @@ class ActuatorBank:
             raise ValueError("columns of D must be unit vectors")
         if np.linalg.matrix_rank(self.D) != 3:
             raise ValueError("D must have rank 3")
+        freeze_floats(self, "tau_max")
         if not 0.0 < self.tau_max <= math.inf:
             raise ValueError(f"tau_max must be positive, got {self.tau_max!r}")
 

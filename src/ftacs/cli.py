@@ -106,6 +106,9 @@ def cmd_verify(args) -> int:
         f"bound {math.degrees(report['omega_bound_rad_s']):.6g} deg/s "
         f"(margin x{report['omega_margin_ratio']:.2f})"
     )
+    if min(report["theta_margin_ratio"], report["omega_margin_ratio"]) < 1.0:
+        print(f"a tail max exceeds its bound by at most the round-off floor "
+              f"{report['roundoff_floor']:g}")
     return EXIT_OK
 
 

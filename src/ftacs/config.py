@@ -4,7 +4,8 @@ contract of Assumption 1, and the inertia check."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +30,17 @@ def check_nonnegative(obj, *names: str):
             raise ValueError(f"{name} must be nonnegative and finite, got {getattr(obj, name)!r}")
 
 
+def freeze_floats(obj, *names: str):
+    """Store each named field of a frozen dataclass as a Python float, so
+    that the arithmetic on it runs on floats, not numpy scalars. A bool or a
+    value that is not a real number raises a ValueError naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(obj, name, float(value))
+
+
 def freeze_arrays(obj, *names: str):
     """Store each named field of a frozen dataclass as a read-only float copy."""
     for name in names:
@@ -44,6 +56,7 @@ class Assumption1Budget:
     rho_w: float
 
     def __post_init__(self):
+        freeze_floats(self, "rho_q", "rho_w")
         if not 0.0 <= self.rho_q < 1.0:
             raise ValueError("rho_q must be in [0, 1)")
         check_nonnegative(self, "rho_w")
@@ -55,7 +68,8 @@ class ControllerGains:
 
     k: sliding-variable gain (1/s), K: 3x3 SPD feedback matrix,
     epsilon: boundary-layer width, gamma: robust-term margin.
-    The eigenvalue extremes of K are computed once, at construction.
+    k, epsilon and gamma are stored as floats, and the eigenvalue extremes
+    of K are computed once, at construction.
     """
 
     k: float
@@ -65,6 +79,7 @@ class ControllerGains:
 
     def __post_init__(self):
         freeze_arrays(self, "K")
+        freeze_floats(self, "k", "epsilon", "gamma")
         if self.K.shape != (3, 3):
             raise ValueError(f"K must be 3x3, got shape {self.K.shape}")
         for name in ("k", "epsilon", "gamma"):
@@ -149,6 +164,7 @@ class UncertaintyBudget:
     J_hat_norm: float
 
     def __post_init__(self):
+        freeze_floats(self, *(f.name for f in fields(self)))
         Assumption1Budget(rho_q=self.rho_q, rho_w=self.rho_w)
         if not 0.0 <= self.rho_E < 1.0:
             raise ValueError("rho_E must be in [0, 1)")

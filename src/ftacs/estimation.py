@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Assumption1Budget, check_finite, check_nonnegative, freeze_arrays
+from .config import Assumption1Budget, check_finite, check_nonnegative, freeze_arrays, freeze_floats
 from .errors import EmptyTail
 
 
@@ -30,6 +30,7 @@ class NoiseParams:
 
     def __post_init__(self):
         freeze_arrays(self, "b0")
+        freeze_floats(self, "sigma_theta", "sigma_u", "sigma_v")
         check_nonnegative(self, "sigma_theta", "sigma_u", "sigma_v")
         if self.b0.shape != (3,):
             raise ValueError(f"b0 must be a 3-vector, got shape {self.b0.shape}")

@@ -89,13 +89,12 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
 
     The law of the reference's control_step (tests/reference.py), with the
     m x 3 allocation matrix given as m rows."""
-    k = float(gains.k)
+    k = gains.k
     (K00, K01, K02), (K10, K11, K12), (K20, K21, K22) = gains.K.tolist()
     (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = est.J_hat.tolist()
     tdx, tdy, tdz = est.tau_d_hat.tolist()
-    a0, a1 = float(coeffs.a0), float(coeffs.a1)
-    gamma, eps = float(gains.gamma), float(gains.epsilon)
-    tmax = float(tau_max)
+    a0, a1 = coeffs.a0, coeffs.a1
+    gamma, eps = gains.gamma, gains.epsilon
     c_qq = -0.5 * k * k
     c_g = 0.5 * k
 
@@ -166,7 +165,7 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
         tau_u = []
         for r0, r1, r2 in alloc:
             r = r0 * ux + r1 * uy + r2 * uz
-            tau_u.append(tmax if r > tmax else -tmax if r < -tmax else r)
+            tau_u.append(tau_max if r > tau_max else -tau_max if r < -tau_max else r)
         return tau_u, (sx, sy, sz)
 
     return control
@@ -302,8 +301,6 @@ def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
     """
     if dt <= 0:  # ObserverSpec checks the gains
         raise ValueError("dt must be positive")
-    sigma_theta = float(noise.sigma_theta)
-    sigma_u = float(noise.sigma_u)
     walk = noise.sigma_v * math.sqrt(dt)
     bias = noise.b0.reshape(1, 3)
     q_hat = None
@@ -321,14 +318,14 @@ def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
             i = 10 * short[0] + 1
             draws = np.concatenate((draws[:i], draws[i + 3:], rng.standard_normal(3)))
         draws = draws.reshape(ROW_BLOCK, 10)
-        half = 0.5 * (sigma_theta * draws[:, 0])
+        half = 0.5 * (noise.sigma_theta * draws[:, 0])
         sh = np.sin(half)
         c0, c1, c2, c3 = np.cos(half), sh * (x / norm), sh * (y / norm), sh * (z / norm)
         n = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
         walked = np.cumsum(np.concatenate((bias, walk * draws[:, 7:10])), axis=0)
         bias = walked[-1:]
         return np.column_stack((c0 / n, -c1 / n, -c2 / n, -c3 / n, walked[:-1],
-                                sigma_u * draws[:, 4:7])).tolist()
+                                noise.sigma_u * draws[:, 4:7])).tolist()
 
     # the 10 floats of the next step, from one block after another
     sample = chain.from_iterable(iter(noise_block, None)).__next__

@@ -10,6 +10,7 @@ the kernel to them (test_kernel.py).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -522,3 +523,16 @@ def _rotate(q, v):
         vy - 2.0 * q0 * cy + 2.0 * (q3 * cx - q1 * cz),
         vz - 2.0 * q0 * cz + 2.0 * (q1 * cy - q2 * cx),
     )
+
+
+# ---------------------------------------------------------------------------
+# configuration scalars as numpy scalars
+
+
+def with_numpy_scalars(obj, *names):
+    """A copy of a frozen configuration object whose named fields hold numpy
+    scalars, bypassing the constructor, which stores them as floats."""
+    obj = copy.copy(obj)
+    for name in names:
+        object.__setattr__(obj, name, np.float64(getattr(obj, name)))
+    return obj

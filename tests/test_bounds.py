@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,13 @@ from ftacs.bounds import (
     phi_functions,
     predict,
     rho_zero,
+    robust_coefficients,
 )
 from ftacs.config import ControllerGains, UncertaintyBudget, zero_budget
 from ftacs.controller import check_gain_conditions
 from ftacs.errors import GainConditionViolated, NotContractive
-from ftacs.scenario import paper_budget
+from ftacs.scenario import paper_budget, paper_gains
+from reference import with_numpy_scalars
 
 
 def test_rho_zero_frozen(budget_free):
@@ -229,6 +231,47 @@ def test_eigenvalue_extremes_of_K_stay_properties():
     # they are read through the class attribute, which may be wrapped
     for name in ("lambda_min_K", "lambda_max_K"):
         assert isinstance(ControllerGains.__dict__[name], property)
+
+
+def prediction(budget, gains):
+    try:
+        return predict(budget, gains)
+    except (GainConditionViolated, NotContractive) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_numpy_scalars_change_nothing_but_the_type():
+    # the bound path on numpy-scalar gains and budgets gives the results of
+    # the float path bit for bit, over a grid with every outcome
+    rng = np.random.default_rng(20190430)
+    base = paper_gains()
+    centre = np.array([base.k, *np.diag(base.K), base.epsilon, base.gamma])
+    spread = np.array([1.0, 1.5, 1.5, 1.5, 1.0, 1.0])
+    params = centre * 2.0 ** (spread * rng.uniform(-1.0, 1.0, size=(1000, 6)))
+    grid = [ControllerGains(k=p[0], K=np.diag(p[1:4]), epsilon=p[4], gamma=p[5]) for p in params]
+    assert all(type(g.k) is type(g.epsilon) is type(g.gamma) is float for g in grid)
+    numpy_grid = [with_numpy_scalars(g, "k", "epsilon", "gamma") for g in grid]
+    outcomes = dict.fromkeys(["converged", "GainConditionViolated", "NotContractive"], 0)
+    for budget in (paper_budget(0.0), paper_budget(0.08)):
+        numpy_budget = with_numpy_scalars(budget, *(f.name for f in fields(UncertaintyBudget)))
+        for gains, numpy_gains in zip(grid, numpy_grid):
+            report = check_gain_conditions(gains, robust_coefficients(budget, gains.k), budget)
+            assert check_gain_conditions(
+                numpy_gains, robust_coefficients(numpy_budget, numpy_gains.k), numpy_budget) == report
+            trace = prediction(budget, gains)
+            assert prediction(numpy_budget, numpy_gains) == trace
+            if isinstance(trace, tuple):
+                outcomes[trace[0]] += 1
+                continue
+            outcomes["converged"] += 1
+            values = [trace.s_inf, trace.q_inf, trace.omega_bound, trace.theta_bound,
+                      *(v for pair in trace.loop1 + trace.loop2 for v in pair)]
+            if trace.switch_index is not None:
+                values += [trace.s_inf_prime, trace.q_inf_prime]
+            assert all(type(v) is float for v in values)
+        assert gain_sweep(numpy_budget, numpy_grid) == gain_sweep(budget, grid)
+    assert sum(outcomes.values()) == 2000
+    assert all(count >= 20 for count in outcomes.values()), outcomes
 
 
 @st.composite

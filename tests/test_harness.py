@@ -17,6 +17,7 @@ from ftacs import ControllerGains, cli, harness
 from ftacs.actuation import HealthProfile, ProfileSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
+from ftacs.config import UncertaintyBudget, zero_budget
 from ftacs.errors import BoundViolated, EmptyTail, NonFiniteState, RankDeficient
 from ftacs.harness import (
     CampaignSummary,
@@ -45,6 +46,7 @@ from ftacs.scenario import (
     scenario_to_dict,
 )
 from ftacs.so3 import spectral_norm
+from reference import with_numpy_scalars
 
 # the published fault-free budget, declared for nominal-exact's inertia estimate
 NOMINAL_PAPER_BUDGET = replace(paper_budget(rho_E=0.0), J_hat_norm=spectral_norm(PAPER_J))
@@ -79,6 +81,21 @@ def test_determinism_bitwise():
     for kind in ("synthetic", "bias"):
         sc = short_scenario(observer=ObserverSpec(kind=kind))
         assert_traces_equal(run_scenario(sc), run_scenario(sc))
+
+
+def test_numpy_scalar_configuration_gives_the_same_trace():
+    # the kernel takes the gains, the robust coefficients, tau_max and the
+    # noise levels as they are stored; numpy scalars give the trace of floats
+    for sc in (paper_faulty(duration=20.0), short_scenario(observer=ObserverSpec(kind="bias"))):
+        numpy_sc = replace(
+            sc,
+            gains=with_numpy_scalars(sc.gains, "k", "epsilon", "gamma"),
+            budget=with_numpy_scalars(sc.budget, *(f.name for f in fields(UncertaintyBudget))),
+            noise=with_numpy_scalars(sc.noise, "sigma_theta", "sigma_u", "sigma_v"),
+            bank=with_numpy_scalars(sc.bank, "tau_max"),
+        )
+        assert type(numpy_sc.gains.k) is type(numpy_sc.bank.tau_max) is np.float64
+        assert_traces_equal(run_scenario(numpy_sc), run_scenario(sc))
 
 
 def test_seed_changes_random_initial_condition():
@@ -381,6 +398,28 @@ def test_verify_passes_when_bounds_comfortable():
     assert report["theta_tail_max_deg"] <= report["theta_bound_deg"]
 
 
+def test_verify_passes_on_a_zero_budget_within_the_roundoff_floor(monkeypatch):
+    # the zero budget predicts bounds of exactly 0; the simulated errors keep
+    # round-off below the floor, and an excess of 1e-9 still fails
+    sc = nominal_exact()
+    assert sc.budget == zero_budget(sc.budget.J_hat_norm, 6.0, 8.5)
+    report = verify(sc, 1)
+    assert report["passed"] and report["roundoff_floor"] == harness.ROUNDOFF_FLOOR <= 1e-12
+    assert report["omega_bound_rad_s"] == 0.0 < report["omega_tail_max_rad_s"] <= 1e-12
+    stats = harness.steady_state_stats
+    for field_name in ("theta_e_max_deg", "omega_e_max"):
+        def planted(trace, tail_fraction, name=field_name):
+            st = stats(trace, tail_fraction)
+            return replace(st, **{name: getattr(st, name) + 1e-9})
+
+        monkeypatch.setattr(harness, "steady_state_stats", planted)
+        with pytest.raises(BoundViolated, match=re.escape("bounds in instance 0")):
+            verify(sc, 1)
+    predicted = predict(sc.budget, sc.gains)
+    assert CampaignSummary([TailStats(1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0)], [1], predicted).passed
+    assert not CampaignSummary([TailStats(0.0, 1.1e-12, 0.0, 0.0, 0.0, 0.0)], [1], predicted).passed
+
+
 def tiny_budget_scenario():
     # a nonzero initial tumble with a near-zero budget: predicted bounds are
     # essentially zero, the early-window errors are not
@@ -627,6 +666,15 @@ def test_cli_verify(tmp_path, capsys):
     code = cli_main(["verify", "--scenario", str(sc_path), "-n", "1", "--out", str(tmp_path)])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_verify_nominal_exact_passes_and_reports_the_floor(tmp_path, capsys):
+    code = cli_main(["verify", "--scenario", "nominal-exact", "-n", "1", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "round-off floor 1e-12" in out
+    report = json.loads((tmp_path / "nominal-exact-verify-n1.json").read_text())
+    assert report["passed"] and report["roundoff_floor"] == 1e-12
 
 
 def test_cli_montecarlo_failed_instance_exits_2(tmp_path, monkeypatch, capsys):

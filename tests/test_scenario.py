@@ -169,6 +169,38 @@ def test_validation_rejects_non_finite_budget_and_gains(value):
         replace(gains, K=np.diag([0.7, value, 0.7]))
 
 
+def _float_fields(sc):
+    """(object, field name) of every configuration scalar stored as a float."""
+    return ([(sc.gains, name) for name in ("k", "epsilon", "gamma")]
+            + [(sc.budget, f.name) for f in fields(UncertaintyBudget)]
+            + [(Assumption1Budget(1e-5, 1e-5), name) for name in ("rho_q", "rho_w")]
+            + [(sc.noise, name) for name in ("sigma_theta", "sigma_u", "sigma_v")]
+            + [(sc.bank, "tau_max")])
+
+
+def test_configuration_scalars_are_stored_as_floats():
+    sc = paper_faulty(duration=10.0)
+    cases = _float_fields(sc)
+    assert len(cases) == 20
+    for obj, name in cases:
+        value = getattr(obj, name)
+        assert type(value) is float
+        for given in (np.float64(value), np.float32(value)):
+            assert type(getattr(replace(obj, **{name: given}), name)) is float
+    gains = ControllerGains(k=1, K=np.eye(3), epsilon=np.int64(2), gamma=0.01)
+    assert (gains.k, gains.epsilon) == (1.0, 2.0)
+    assert type(gains.k) is type(gains.epsilon) is float
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j, np.array([0.5]), np.array(0.5)],
+                         ids=["bool", "numpy-bool", "str", "None", "complex", "array", "0-d-array"])
+def test_configuration_scalars_must_be_real_numbers(value):
+    # the scenario file reader rejects these by key; the constructors name the field
+    for obj, name in _float_fields(paper_faulty(duration=10.0)):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "):
+            replace(obj, **{name: value})
+
+
 def test_validation_rejects_rank_deficient_allocation():
     dead = HealthProfile([ProfileSpec(kind="const", offset=0.0) for _ in range(4)])
     with pytest.raises(RankDeficient):
