@@ -37,22 +37,23 @@ def rho_zero(rho_q: float) -> float:
 
 def robust_coefficients(budget: UncertaintyBudget, k: float) -> RobustCoefficients:
     """a0..a3 such that ||tau_r|| <= a3*||s|| + a2*||q_e||^2 + a1*||q_e|| + a0."""
-    r0 = rho_zero(budget.rho_q)
-    jn = budget.J_hat_norm
-    a3 = 0.5 * k * (r0 * jn + budget.rho_J)
-    a2 = 0.5 * k * k * budget.rho_J
-    a1 = k * k * r0 * jn + k * a3 + 3.0 * k * budget.rho_v * (budget.rho_J + 2.0 * budget.rho_q * jn)
+    rho_q, rho_w, rho_J, rho_v = budget.rho_q, budget.rho_w, budget.rho_J, budget.rho_v
+    rho_a, jn = budget.rho_a, budget.J_hat_norm
+    r0 = rho_zero(rho_q)
+    a3 = 0.5 * k * (r0 * jn + rho_J)
+    a2 = 0.5 * k * k * rho_J
+    a1 = k * k * r0 * jn + k * a3 + 3.0 * k * rho_v * (rho_J + 2.0 * rho_q * jn)
     a0 = (
         0.5 * k * k * r0 * r0 * jn
-        + 0.5 * k * (budget.rho_w + 2.0 * budget.rho_q * budget.rho_v) * jn
-        + 3.0 * k * budget.rho_v * r0 * jn
-        + 4.0 * budget.rho_q * (budget.rho_v * budget.rho_v) * jn
-        + 2.0 * budget.rho_q * budget.rho_a * jn
-        + budget.rho_J * (budget.rho_v * budget.rho_v)
-        + budget.rho_J * budget.rho_a
+        + 0.5 * k * (rho_w + 2.0 * rho_q * rho_v) * jn
+        + 3.0 * k * rho_v * r0 * jn
+        + 4.0 * rho_q * (rho_v * rho_v) * jn
+        + 2.0 * rho_q * rho_a * jn
+        + rho_J * (rho_v * rho_v)
+        + rho_J * rho_a
         + budget.rho_d
     )
-    return RobustCoefficients(rho_0=r0, a0=a0, a1=a1, a2=a2, a3=a3)
+    return RobustCoefficients(r0, a0, a1, a2, a3)
 
 
 @dataclass
@@ -76,32 +77,27 @@ def _complete(budget: UncertaintyBudget, gains: ControllerGains,
               a: RobustCoefficients) -> BoundCoefficients:
     """The BoundCoefficients of the gains on top of their robust coefficients;
     compute_coefficients and check_gain_conditions both come here."""
-    k = gains.k
-    jn = budget.J_hat_norm
+    rho_q, rho_w, rho_v, jn = budget.rho_q, budget.rho_w, budget.rho_v, budget.J_hat_norm
+    k, gam, eps = gains.k, gains.gamma, gains.epsilon
     lmin, lmax = gains.lambda_min_K, gains.lambda_max_K
-    r0 = a.rho_0
-    rs = budget.rho_w + 2.0 * budget.rho_q * budget.rho_v + k * r0  # bound on the s-estimation error
+    r0, a0, a1, a2, a3 = a.rho_0, a.a0, a.a1, a.a2, a.a3
+    rs = rho_w + 2.0 * rho_q * rho_v + k * r0  # bound on the s-estimation error
     b3 = 0.5 * k * jn + lmax
     b2 = 0.5 * k * k * jn
-    b1 = 2.0 * b2 * r0 + 0.5 * k * k * jn + 3.0 * k * budget.rho_v * jn + a.a1
+    b1 = 2.0 * b2 * r0 + 0.5 * k * k * jn + 3.0 * k * rho_v * jn + a1
     b0 = (
         b2 * r0 * r0
-        + 0.5 * k * (budget.rho_w + 2.0 * budget.rho_q * budget.rho_v) * jn
-        + 3.0 * k * budget.rho_v * r0 * jn
+        + 0.5 * k * (rho_w + 2.0 * rho_q * rho_v) * jn
+        + 3.0 * k * rho_v * r0 * jn
         + lmax * rs
-        + a.a1 * (r0 + gains.gamma)
-        + a.a0
-        + ((budget.rho_v * budget.rho_v) + budget.rho_a) * jn
+        + a1 * (r0 + gam)
+        + a0
+        + ((rho_v * rho_v) + budget.rho_a) * jn
         + budget.rho_d_hat
     )
-    kappa = lmin - a.a3 - budget.rho_E * b3
-    return BoundCoefficients(
-        rho_0=r0, a0=a.a0, a1=a.a1, a2=a.a2, a3=a.a3,
-        rho_s=rs, b0=b0, b1=b1, b2=b2, b3=b3,
-        lambda_min_K=lmin, lambda_max_K=lmax,
-        kappa=kappa,
-        kappa_prime=kappa + (a.a1 * gains.gamma + a.a0) / gains.epsilon,
-    )
+    kappa = lmin - a3 - budget.rho_E * b3
+    return BoundCoefficients(r0, a0, a1, a2, a3, rs, b0, b1, b2, b3, lmin, lmax,
+                             kappa, kappa + (a1 * gam + a0) / eps)
 
 
 def compute_coefficients(budget: UncertaintyBudget, gains: ControllerGains) -> BoundCoefficients:
@@ -130,32 +126,52 @@ def phi_functions(
     eps = gains.epsilon
     gam = gains.gamma
     lmax = c.lambda_max_K
-    a0, a1, a2 = c.a0, c.a1, c.a2
+    a0, a1 = c.a0, c.a1
     r0, rs = c.rho_0, c.rho_s
+    # the terms that depend on neither x nor y, each computed in the order the
+    # full expressions compute it, so that hoisting them changes no bit
+    quad = c.a2 + rE * c.b2
+    rE_b1, rE_b0 = rE * c.b1, rE * c.b0
+    two_eps = 2.0 / eps
+    two_eps_a1 = two_eps * a1
+    gam_r0 = gam + r0
+    slope1_y = 2.0 + lmax + a1
+    offset1 = a1 * gam - a1 * r0 - lmax * rs
 
     def phi1(x: float, y: float = 0.0) -> float:
+        rs_y = rs + y
         return (
-            (a2 + rE * c.b2) * x * x
-            + (2.0 / eps * a1 * (rs + y) + rE * c.b1) * x
-            + 2.0 / eps * (rs + y) * (a1 * (gam + r0 + y) + a0)
-            + rE * c.b0
-            + (2.0 + lmax + a1) * y
-            - (a1 * gam - a1 * r0 - lmax * rs)
+            quad * x * x
+            + (two_eps_a1 * rs_y + rE_b1) * x
+            + two_eps * rs_y * (a1 * (gam_r0 + y) + a0)
+            + rE_b0
+            + slope1_y * y
+            - offset1
         )
 
     def phi2(x: float, y: float = 0.0) -> float:
+        rs_y = rs + y
         return (
-            (a2 + rE * c.b2) * x * x
-            + (a1 * (rs + y) / eps + a1 + rE * c.b1) * x
-            + (rs + y) / eps * (a1 * (gam + r0 + y) + a0)
+            quad * x * x
+            + (a1 * rs_y / eps + a1 + rE_b1) * x
+            + rs_y / eps * (a1 * (gam_r0 + y) + a0)
             + a0
-            + rE * c.b0
-            + lmax * (rs + y)
+            + rE_b0
+            + lmax * rs_y
             + 2.0 * y
         )
 
     def phi_bar(x: float, y: float = 0.0) -> float:
-        return max(phi1(x, y), phi2(x, y))
+        # phi1 and phi2 inlined, sharing their common terms; the comparison
+        # is the one max(phi1, phi2) makes
+        rs_y = rs + y
+        quad_xx = quad * x * x
+        m = a1 * (gam_r0 + y) + a0
+        p1 = (quad_xx + (two_eps_a1 * rs_y + rE_b1) * x + two_eps * rs_y * m
+              + rE_b0 + slope1_y * y - offset1)
+        p2 = (quad_xx + (a1 * rs_y / eps + a1 + rE_b1) * x + rs_y / eps * m
+              + a0 + rE_b0 + lmax * rs_y + 2.0 * y)
+        return p2 if p2 > p1 else p1
 
     return phi1, phi2, phi_bar
 

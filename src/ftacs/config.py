@@ -104,8 +104,10 @@ class ControllerGains:
 
 
 def check_inertia(J: np.ndarray) -> np.ndarray:
-    """Validate a symmetric positive-definite inertia matrix."""
+    """Validate a finite, symmetric positive-definite inertia matrix."""
     J = np.asarray(J, dtype=float)
+    if not np.isfinite(J).all():
+        raise ValueError(f"J must be finite, got {J.tolist()!r}")
     if spectral_norm(J - J.T) > 1e-12:
         raise SingularInertia("inertia matrix must be symmetric")
     eig = np.linalg.eigvalsh(J)
@@ -132,7 +134,7 @@ class ModelEstimates:
             raise ValueError(f"J_hat must be 3x3, got shape {self.J_hat.shape}")
         if self.tau_d_hat.shape != (3,):
             raise ValueError(f"tau_d_hat must be a 3-vector, got shape {self.tau_d_hat.shape}")
-        check_finite(self, "tau_d_hat")
+        check_finite(self, "J_hat", "tau_d_hat")
         if spectral_norm(self.J_hat - self.J_hat.T) > 1e-12:
             raise ValueError("J_hat must be symmetric")
 

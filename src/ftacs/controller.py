@@ -36,13 +36,6 @@ def check_gain_conditions(
     conditions predict() tests. coeffs may already be the gains'
     BoundCoefficients; the threshold a3 + rho_E*b3 is for display."""
     c = coeffs if isinstance(coeffs, BoundCoefficients) else _complete(budget, gains, coeffs)
-    return GainCheckReport(
-        lambda_min_K=c.lambda_min_K,
-        k_threshold=c.a3 + budget.rho_E * c.b3,
-        k_condition=c.kappa > 0,
-        k_margin=c.kappa,
-        rho_s=c.rho_s,
-        epsilon=gains.epsilon,
-        epsilon_condition=epsilon_condition(gains, c),
-        epsilon_margin=gains.epsilon - c.rho_s,
-    )
+    eps, rs, kappa = gains.epsilon, c.rho_s, c.kappa
+    return GainCheckReport(c.lambda_min_K, c.a3 + budget.rho_E * c.b3, kappa > 0, kappa,
+                           rs, eps, epsilon_condition(gains, c), eps - rs)

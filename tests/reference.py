@@ -5,7 +5,8 @@ functions here state the same math on numpy arrays: quaternion algebra, the
 rigid-body plant and its RK4 step, the tracking-error coordinates and the
 sliding-variable flow, the sensors and observers, the allocation and the
 control law. The tests check them against the paper's identities and hold
-the kernel to them (test_kernel.py).
+the kernel to them (test_kernel.py). The bound prediction has its reference
+here too, which test_bounds.py holds ftacs.bounds to.
 """
 
 from __future__ import annotations
@@ -18,9 +19,18 @@ from typing import Callable
 import numpy as np
 
 from ftacs.actuation import ActuatorBank, allocation_matrix
-from ftacs.bounds import RobustCoefficients
-from ftacs.config import ControllerGains, ModelEstimates, inertia_inverse
-from ftacs.errors import NonFiniteState
+from ftacs.bounds import (
+    ETA,
+    BoundCoefficients,
+    BoundTrace,
+    PhiFn,
+    RobustCoefficients,
+    epsilon_condition,
+    rho_zero,
+)
+from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, inertia_inverse
+from ftacs.controller import GainCheckReport
+from ftacs.errors import GainConditionViolated, NonFiniteState, NotContractive
 from ftacs.estimation import (
     NoiseParams,
     SyntheticErrorProfile,
@@ -522,6 +532,180 @@ def _rotate(q, v):
         vx - 2.0 * q0 * cx + 2.0 * (q2 * cz - q3 * cy),
         vy - 2.0 * q0 * cy + 2.0 * (q3 * cx - q1 * cz),
         vz - 2.0 * q0 * cz + 2.0 * (q1 * cy - q2 * cx),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the bound path: coefficient map, phi functions, fixed-point loops and gain
+# conditions, with every constant written inside the expression that uses it
+# and phi_bar as the max of phi1 and phi2. The package reads each field once
+# and hoists the constants out of the phi functions (ftacs.bounds,
+# ftacs.controller); the tests hold it to these functions with ==.
+
+
+def robust_coefficients(budget: UncertaintyBudget, k: float) -> RobustCoefficients:
+    """a0..a3 such that ||tau_r|| <= a3*||s|| + a2*||q_e||^2 + a1*||q_e|| + a0."""
+    r0 = rho_zero(budget.rho_q)
+    jn = budget.J_hat_norm
+    a3 = 0.5 * k * (r0 * jn + budget.rho_J)
+    a2 = 0.5 * k * k * budget.rho_J
+    a1 = k * k * r0 * jn + k * a3 + 3.0 * k * budget.rho_v * (budget.rho_J + 2.0 * budget.rho_q * jn)
+    a0 = (
+        0.5 * k * k * r0 * r0 * jn
+        + 0.5 * k * (budget.rho_w + 2.0 * budget.rho_q * budget.rho_v) * jn
+        + 3.0 * k * budget.rho_v * r0 * jn
+        + 4.0 * budget.rho_q * (budget.rho_v * budget.rho_v) * jn
+        + 2.0 * budget.rho_q * budget.rho_a * jn
+        + budget.rho_J * (budget.rho_v * budget.rho_v)
+        + budget.rho_J * budget.rho_a
+        + budget.rho_d
+    )
+    return RobustCoefficients(rho_0=r0, a0=a0, a1=a1, a2=a2, a3=a3)
+
+
+def _complete(budget: UncertaintyBudget, gains: ControllerGains,
+              a: RobustCoefficients) -> BoundCoefficients:
+    """The BoundCoefficients of the gains on top of their robust coefficients;
+    compute_coefficients and check_gain_conditions both come here."""
+    k = gains.k
+    jn = budget.J_hat_norm
+    lmin, lmax = gains.lambda_min_K, gains.lambda_max_K
+    r0 = a.rho_0
+    rs = budget.rho_w + 2.0 * budget.rho_q * budget.rho_v + k * r0  # bound on the s-estimation error
+    b3 = 0.5 * k * jn + lmax
+    b2 = 0.5 * k * k * jn
+    b1 = 2.0 * b2 * r0 + 0.5 * k * k * jn + 3.0 * k * budget.rho_v * jn + a.a1
+    b0 = (
+        b2 * r0 * r0
+        + 0.5 * k * (budget.rho_w + 2.0 * budget.rho_q * budget.rho_v) * jn
+        + 3.0 * k * budget.rho_v * r0 * jn
+        + lmax * rs
+        + a.a1 * (r0 + gains.gamma)
+        + a.a0
+        + ((budget.rho_v * budget.rho_v) + budget.rho_a) * jn
+        + budget.rho_d_hat
+    )
+    kappa = lmin - a.a3 - budget.rho_E * b3
+    return BoundCoefficients(
+        rho_0=r0, a0=a.a0, a1=a.a1, a2=a.a2, a3=a.a3,
+        rho_s=rs, b0=b0, b1=b1, b2=b2, b3=b3,
+        lambda_min_K=lmin, lambda_max_K=lmax,
+        kappa=kappa,
+        kappa_prime=kappa + (a.a1 * gains.gamma + a.a0) / gains.epsilon,
+    )
+
+
+def compute_coefficients(budget: UncertaintyBudget, gains: ControllerGains) -> BoundCoefficients:
+    return _complete(budget, gains, robust_coefficients(budget, gains.k))
+
+
+def phi_functions(
+    coeffs: BoundCoefficients, gains: ControllerGains, budget: UncertaintyBudget
+) -> tuple[PhiFn, PhiFn, PhiFn]:
+    """The comparison quadratics phi1 (outside the boundary layer), phi2
+    (inside), and their pointwise max phi_bar.
+
+    The second argument is the vanishing slack of the ultimate-bound limits;
+    predictions evaluate at y = 0.
+    """
+    c = coeffs
+    rE = budget.rho_E
+    eps = gains.epsilon
+    gam = gains.gamma
+    lmax = c.lambda_max_K
+    a0, a1, a2 = c.a0, c.a1, c.a2
+    r0, rs = c.rho_0, c.rho_s
+
+    def phi1(x: float, y: float = 0.0) -> float:
+        return (
+            (a2 + rE * c.b2) * x * x
+            + (2.0 / eps * a1 * (rs + y) + rE * c.b1) * x
+            + 2.0 / eps * (rs + y) * (a1 * (gam + r0 + y) + a0)
+            + rE * c.b0
+            + (2.0 + lmax + a1) * y
+            - (a1 * gam - a1 * r0 - lmax * rs)
+        )
+
+    def phi2(x: float, y: float = 0.0) -> float:
+        return (
+            (a2 + rE * c.b2) * x * x
+            + (a1 * (rs + y) / eps + a1 + rE * c.b1) * x
+            + (rs + y) / eps * (a1 * (gam + r0 + y) + a0)
+            + a0
+            + rE * c.b0
+            + lmax * (rs + y)
+            + 2.0 * y
+        )
+
+    def phi_bar(x: float, y: float = 0.0) -> float:
+        return max(phi1(x, y), phi2(x, y))
+
+    return phi1, phi2, phi_bar
+
+
+def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float,
+                 history: list[tuple[float, float]], contract: bool = False) -> tuple[float, float]:
+    """Iterate s_i = ratio*phi(q_{i-1})/kappa, q_i = s_i/k from q0, appending
+    each (s_i, q_i) to history, until |q_i - q_{i-1}| <= ETA; returns the
+    limit. With contract, a first iterate q_1 >= 1 raises NotContractive, and
+    so does any iterate that is not finite: finite inputs whose coefficients
+    overflow (inf * 0 = nan) would otherwise never meet the tolerance."""
+    q_prev = q0
+    while True:
+        s_i = ratio * phi(q_prev, 0.0) / kappa
+        q_i = s_i / k
+        history.append((s_i, q_i))
+        if contract and len(history) == 1 and q_i >= 1.0:
+            raise NotContractive(f"q_bar_1 = {q_i} >= 1; sequence does not contract")
+        if not math.isfinite(q_i):
+            raise NotContractive(f"q_bar_{len(history)} = {q_i}; sequence does not contract")
+        if abs(q_i - q_prev) <= ETA:
+            return s_i, q_i
+        q_prev = q_i
+
+
+def predict(budget: UncertaintyBudget, gains: ControllerGains) -> BoundTrace:
+    """Run the two-stage bound prediction end to end.
+
+    Loop 1 iterates phi_bar with kappa from q_bar_0 = 1. When the
+    boundary-layer guard s_inf + rho_s < epsilon holds, loop 2 iterates phi2
+    with kappa' from loop 1's limit; otherwise the loop-1 limits stand as final.
+    """
+    coeffs = compute_coefficients(budget, gains)
+    if not coeffs.kappa > 0:  # the verdict of check_gain_conditions
+        raise GainConditionViolated(f"kappa = {coeffs.kappa} <= 0")
+    if not epsilon_condition(gains, coeffs):
+        raise GainConditionViolated(f"epsilon = {gains.epsilon} <= rho_s = {coeffs.rho_s}")
+    _, phi2, phi_bar = phi_functions(coeffs, gains, budget)
+    ratio = math.sqrt(budget.lambda_r / budget.lambda_l)
+    trace = BoundTrace()
+    trace.s_inf, trace.q_inf = _fixed_point(
+        phi_bar, coeffs.kappa, 1.0, ratio, gains.k, trace.loop1, contract=True
+    )
+    if trace.s_inf + coeffs.rho_s < gains.epsilon:
+        trace.switch_index = len(trace.loop1)
+        trace.s_inf_prime, trace.q_inf_prime = _fixed_point(
+            phi2, coeffs.kappa_prime, trace.q_inf, ratio, gains.k, trace.loop2
+        )
+    return trace
+
+
+def check_gain_conditions(
+    gains: ControllerGains, coeffs: RobustCoefficients, budget: UncertaintyBudget
+) -> GainCheckReport:
+    """kappa = lambda_min(K) - a3 - rho_E*b3 > 0 and epsilon > rho_s, the
+    conditions predict() tests. coeffs may already be the gains'
+    BoundCoefficients; the threshold a3 + rho_E*b3 is for display."""
+    c = coeffs if isinstance(coeffs, BoundCoefficients) else _complete(budget, gains, coeffs)
+    return GainCheckReport(
+        lambda_min_K=c.lambda_min_K,
+        k_threshold=c.a3 + budget.rho_E * c.b3,
+        k_condition=c.kappa > 0,
+        k_margin=c.kappa,
+        rho_s=c.rho_s,
+        epsilon=gains.epsilon,
+        epsilon_condition=epsilon_condition(gains, c),
+        epsilon_margin=gains.epsilon - c.rho_s,
     )
 
 

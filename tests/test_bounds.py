@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from ftacs.config import ControllerGains, UncertaintyBudget, zero_budget
 from ftacs.controller import check_gain_conditions
 from ftacs.errors import GainConditionViolated, NotContractive
 from ftacs.scenario import paper_budget, paper_gains
+import reference
 from reference import with_numpy_scalars
 
 
@@ -53,7 +55,11 @@ def test_phi_frozen_values(budget_free, gains):
     phi1, phi2, phi_bar = phi_functions(coeffs, gains, budget_free)
     assert phi1(1.0, 0.0) == pytest.approx(0.009950694312771943, rel=1e-12)
     assert phi2(1.0, 0.0) == pytest.approx(0.020725665386852655, rel=1e-12)
-    assert phi_bar(1.0, 0.0) == max(phi1(1.0, 0.0), phi2(1.0, 0.0))
+    # phi_bar evaluates both quadratics itself; phi2 is the larger at y = 0
+    # and phi1 at y = 0.1
+    for x in (0.0, 0.3, 1.0):
+        for y in (0.0, 1e-3, 0.1):
+            assert phi_bar(x, y) == max(phi1(x, y), phi2(x, y))
 
 
 def test_phi_monotone_in_slack(budget_faulty, gains):
@@ -233,22 +239,63 @@ def test_eigenvalue_extremes_of_K_stay_properties():
         assert isinstance(ControllerGains.__dict__[name], property)
 
 
-def prediction(budget, gains):
+def prediction(budget, gains, run=predict):
     try:
-        return predict(budget, gains)
+        return run(budget, gains)
     except (GainConditionViolated, NotContractive) as exc:
         return type(exc).__name__, str(exc)
+
+
+def gain_grid(n, seed):
+    """n gain sets drawn log-uniformly around the paper gains; on the paper
+    budgets their predictions converge, violate a gain condition or fail to
+    contract."""
+    rng = np.random.default_rng(seed)
+    base = paper_gains()
+    centre = np.array([base.k, *np.diag(base.K), base.epsilon, base.gamma])
+    spread = np.array([1.0, 1.5, 1.5, 1.5, 1.0, 1.0])
+    params = centre * 2.0 ** (spread * rng.uniform(-1.0, 1.0, size=(n, 6)))
+    return [ControllerGains(k=p[0], K=np.diag(p[1:4]), epsilon=p[4], gamma=p[5]) for p in params]
+
+
+def test_bound_path_equals_reference():
+    # the bound path gives the reference's results with ==, over a grid with
+    # every outcome: the coefficients, the gain report from robust or from
+    # complete coefficients, phi1, phi2 and phi_bar on and off y = 0, and the
+    # trace (both loop histories, the limits, switch_index) or the failure's
+    # type and message; the narrow boundary layers keep loop 2 from starting
+    grid = gain_grid(1100, seed=7)
+    grid += [replace(gains, epsilon=5e-5) for gains in grid[:100]]
+    outcomes = Counter()
+    for budget in (paper_budget(0.0), paper_budget(0.08)):
+        for gains in grid:
+            robust = robust_coefficients(budget, gains.k)
+            assert robust == reference.robust_coefficients(budget, gains.k)
+            coeffs = compute_coefficients(budget, gains)
+            assert coeffs == reference.compute_coefficients(budget, gains)
+            for c in (robust, coeffs):
+                assert check_gain_conditions(gains, c, budget) == \
+                    reference.check_gain_conditions(gains, c, budget)
+            phis = phi_functions(coeffs, gains, budget)
+            reference_phis = reference.phi_functions(coeffs, gains, budget)
+            for x in (0.0, 1e-4, 0.3, 1.0):
+                for y in (0.0, 1e-3, 0.1):
+                    assert [phi(x, y) for phi in phis] == [phi(x, y) for phi in reference_phis]
+            trace = prediction(budget, gains)
+            assert trace == prediction(budget, gains, reference.predict)
+            if isinstance(trace, tuple):
+                outcomes[trace[0]] += 1
+            else:
+                outcomes["loop 2" if trace.switch_index is not None else "loop 1 only"] += 1
+    assert sum(outcomes.values()) == 2400
+    assert all(outcomes[name] >= 20 for name in
+               ("loop 2", "loop 1 only", "GainConditionViolated", "NotContractive")), outcomes
 
 
 def test_numpy_scalars_change_nothing_but_the_type():
     # the bound path on numpy-scalar gains and budgets gives the results of
     # the float path bit for bit, over a grid with every outcome
-    rng = np.random.default_rng(20190430)
-    base = paper_gains()
-    centre = np.array([base.k, *np.diag(base.K), base.epsilon, base.gamma])
-    spread = np.array([1.0, 1.5, 1.5, 1.5, 1.0, 1.0])
-    params = centre * 2.0 ** (spread * rng.uniform(-1.0, 1.0, size=(1000, 6)))
-    grid = [ControllerGains(k=p[0], K=np.diag(p[1:4]), epsilon=p[4], gamma=p[5]) for p in params]
+    grid = gain_grid(1000, seed=20190430)
     assert all(type(g.k) is type(g.epsilon) is type(g.gamma) is float for g in grid)
     numpy_grid = [with_numpy_scalars(g, "k", "epsilon", "gamma") for g in grid]
     outcomes = dict.fromkeys(["converged", "GainConditionViolated", "NotContractive"], 0)
@@ -312,6 +359,7 @@ def test_predict_on_any_finite_budget_and_gains(case):
     # predict ends in a bound or a named failure, its bounds only tighten,
     # and check-gains passes exactly when predict accepts the gains
     budget, gains = case
+    assert prediction(budget, gains) == prediction(budget, gains, reference.predict)
     passed = check_gain_conditions(gains, compute_coefficients(budget, gains), budget).passed
     try:
         trace = predict(budget, gains)

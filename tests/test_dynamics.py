@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def test_check_inertia_rejects_asymmetric():
 def test_check_inertia_rejects_indefinite():
     with pytest.raises(SingularInertia):
         check_inertia(np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_inertia_rejects_non_finite_before_any_svd(bad):
+    J = np.diag([8.0, 7.0, 6.0])
+    J[0, 1] = J[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the symmetry test warned
+        with pytest.raises(ValueError, match=r"^J must be finite, got \[\[8.0, (nan|inf), 0.0\]"):
+            check_inertia(J)
 
 
 def test_attitude_kinematics_preserves_norm():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -289,6 +290,10 @@ def test_shapes_checked_at_construction():
         ModelEstimates(J_hat=np.eye(2))
     with pytest.raises(ValueError, match="tau_d_hat must be a 3-vector"):
         ModelEstimates(J_hat=np.eye(3), tau_d_hat=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the symmetry test warned
+        with pytest.raises(ValueError, match=r"^J_hat must be finite, got \[\[8.0, inf, 0.0\]"):
+            ModelEstimates(J_hat=np.array([[8.0, math.inf, 0.0], [math.inf, 7.0, 0.0], [0.0, 0.0, 6.0]]))
     with pytest.raises(ValueError, match="J must be 3x3"):
         nominal_exact(J=np.eye(2))
     with pytest.raises(ValueError, match="qd0 must be a 4-vector"):
@@ -364,6 +369,11 @@ def test_cli_malformed_scenario_file_exits_1_naming_the_key(tmp_path, capsys, ca
 
 
 INVALID_INERTIA_OR_OBSERVER_FILES = {
+    "J-nan": (_set("J", value=[[math.nan, 0.15, -0.27], [0.15, 6.75, -0.1], [-0.27, -0.1, 6.25]]),
+              "J must be finite, got [[nan, 0.15, -0.27]"),
+    "J_hat-inf": (_set("estimates", "J_hat", value=[[8.0, math.inf, 0.0], [math.inf, 7.0, 0.0],
+                                                     [0.0, 0.0, 6.0]]),
+                  "J_hat must be finite, got [[8.0, inf, 0.0]"),
     "indefinite-J": (_set("J", value=[[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]]),
                      "inertia matrix must be positive definite"),
     "asymmetric-J": (_set("J", value=[[8.0, 0.5, 0.0], [0.0, 7.0, 0.0], [0.0, 0.0, 6.0]]),
