@@ -1,5 +1,5 @@
 """Gain, model-estimate, and uncertainty-budget containers, the observer
-contract of Assumption 1, and the inertia check."""
+contract of Assumption 1, and the checks of a 3x3 matrix input."""
 
 from __future__ import annotations
 
@@ -80,16 +80,11 @@ class ControllerGains:
     def __post_init__(self):
         freeze_arrays(self, "K")
         freeze_floats(self, "k", "epsilon", "gamma")
-        if self.K.shape != (3, 3):
-            raise ValueError(f"K must be 3x3, got shape {self.K.shape}")
+        eig = check_symmetric(self, "K")
         for name in ("k", "epsilon", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not np.isfinite(self.K).all():
-            raise ValueError("K must be finite")
-        if spectral_norm(self.K - self.K.T) > 1e-12:
-            raise ValueError("K must be symmetric")
-        eig = np.linalg.eigvalsh(self.K)  # ascending
+        # any positive lambda_min(K) is valid here; a small one fails kappa > 0
         if eig[0] <= 0:
             raise ValueError("K must be positive definite")
         object.__setattr__(self, "_lambda_K", (float(eig[0]), float(eig[-1])))
@@ -103,44 +98,42 @@ class ControllerGains:
         return self._lambda_K[1]
 
 
-def check_inertia(J: np.ndarray) -> np.ndarray:
-    """Validate a finite, symmetric positive-definite inertia matrix."""
-    J = np.asarray(J, dtype=float)
-    if not np.isfinite(J).all():
-        raise ValueError(f"J must be finite, got {J.tolist()!r}")
-    if spectral_norm(J - J.T) > 1e-12:
-        raise SingularInertia("inertia matrix must be symmetric")
-    eig = np.linalg.eigvalsh(J)
-    if eig.min() <= 1e-12:
-        raise SingularInertia("inertia matrix must be positive definite")
-    return J
+def check_symmetric(obj, name: str) -> np.ndarray:
+    """Raise a ValueError naming the field of obj that is not a finite,
+    symmetric 3x3 matrix; return its eigenvalues, ascending."""
+    a = getattr(obj, name)
+    if a.shape != (3, 3):
+        raise ValueError(f"{name} must be 3x3, got shape {a.shape}")
+    check_finite(obj, name)
+    if spectral_norm(a - a.T) > 1e-12:
+        raise ValueError(f"{name} must be symmetric")
+    return np.linalg.eigvalsh(a)
 
 
-def inertia_inverse(J: np.ndarray) -> np.ndarray:
-    check_inertia(J)
-    return np.linalg.inv(J)
+def check_inertia(obj, name: str) -> np.ndarray:
+    """check_symmetric, and a SingularInertia unless the field is positive
+    definite; return its eigenvalues, ascending."""
+    eig = check_symmetric(obj, name)
+    if eig[0] <= 1e-12:
+        raise SingularInertia(f"{name} must be positive definite")
+    return eig
 
 
 @dataclass(frozen=True)
 class ModelEstimates:
-    """Inertia and disturbance estimates used by the controller."""
+    """Inertia and disturbance estimates used by the controller. Construction
+    also sets J_hat_norm, not a field: ||J_hat|| = lambda_max(J_hat)."""
 
     J_hat: np.ndarray
     tau_d_hat: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         freeze_arrays(self, "J_hat", "tau_d_hat")
-        if self.J_hat.shape != (3, 3):
-            raise ValueError(f"J_hat must be 3x3, got shape {self.J_hat.shape}")
+        eig = check_inertia(self, "J_hat")
         if self.tau_d_hat.shape != (3,):
             raise ValueError(f"tau_d_hat must be a 3-vector, got shape {self.tau_d_hat.shape}")
-        check_finite(self, "J_hat", "tau_d_hat")
-        if spectral_norm(self.J_hat - self.J_hat.T) > 1e-12:
-            raise ValueError("J_hat must be symmetric")
-
-    @property
-    def J_hat_norm(self) -> float:
-        return spectral_norm(self.J_hat)
+        check_finite(self, "tau_d_hat")
+        object.__setattr__(self, "J_hat_norm", float(eig[-1]))
 
 
 @dataclass(frozen=True)

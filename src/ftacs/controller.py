@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BoundCoefficients, RobustCoefficients, _complete, epsilon_condition
+from .bounds import RobustCoefficients, _complete, epsilon_condition
 from .config import ControllerGains, UncertaintyBudget
 
 
@@ -33,9 +33,9 @@ def check_gain_conditions(
     gains: ControllerGains, coeffs: RobustCoefficients, budget: UncertaintyBudget
 ) -> GainCheckReport:
     """kappa = lambda_min(K) - a3 - rho_E*b3 > 0 and epsilon > rho_s, the
-    conditions predict() tests. coeffs may already be the gains'
-    BoundCoefficients; the threshold a3 + rho_E*b3 is for display."""
-    c = coeffs if isinstance(coeffs, BoundCoefficients) else _complete(budget, gains, coeffs)
+    conditions predict() tests, on the gains' BoundCoefficients completed
+    from the robust part of coeffs; the threshold a3 + rho_E*b3 is for display."""
+    c = _complete(budget, gains, coeffs)
     eps, rs, kappa = gains.epsilon, c.rho_s, c.kappa
     return GainCheckReport(c.lambda_min_K, c.a3 + budget.rho_E * c.b3, kappa > 0, kappa,
                            rs, eps, epsilon_condition(gains, c), eps - rs)

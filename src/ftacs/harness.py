@@ -53,7 +53,8 @@ class RunTrace:
 
 @dataclass
 class TailStats:
-    """Maxima over the final tail window of a run."""
+    """Maxima over the final tail window of a run, and tau_u_peak: per thruster
+    pair, the max |tau_u,i| over the whole recorded run, not only the tail."""
 
     theta_e_max_deg: float
     omega_e_max: float
@@ -61,6 +62,7 @@ class TailStats:
     s_max: float
     qtilde_max: float
     wtilde_max: float
+    tau_u_peak: list[float]
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ def run_scenario(
 
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float = 0.2) -> TailStats:
-    """Maxima over the final tail_fraction of recorded samples."""
+    """Maxima over the final tail_fraction of recorded samples, and tau_u_peak."""
     sl = _tail_window(len(trace.t), tail_fraction)
     return TailStats(
         theta_e_max_deg=float(np.max(trace.theta_e_deg[sl])),
@@ -322,6 +324,7 @@ def steady_state_stats(trace: RunTrace, tail_fraction: float = 0.2) -> TailStats
         s_max=float(np.max(np.linalg.norm(trace.s[sl], axis=1))),
         qtilde_max=float(np.max(trace.qtilde_norm[sl])),
         wtilde_max=float(np.max(trace.wtilde_norm[sl])),
+        tau_u_peak=np.abs(trace.tau_u).max(axis=0).tolist(),
     )
 
 

@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .bounds import RobustCoefficients
-from .config import ControllerGains, ModelEstimates, inertia_inverse
+from .config import ControllerGains, ModelEstimates
 from .errors import NonFiniteState
 from .estimation import NoiseParams
 
@@ -173,9 +173,10 @@ def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
 
 def plant_step(J: np.ndarray, dt: float):
     """step(q, omega, tau) -> (q, omega): RK4 of the rigid body under a torque
-    held constant over the step, q renormalized once; raises NonFiniteState."""
+    held constant over the step, q renormalized once; raises NonFiniteState.
+    J is a Scenario's inertia, checked positive definite when it was built."""
     (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = J.tolist()
-    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = inertia_inverse(J).tolist()
+    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(J).tolist()
     h = 0.5 * dt
     c = dt / 6.0
 

@@ -167,9 +167,7 @@ class Scenario:
 
     def __post_init__(self):
         freeze_arrays(self, "J", "qd0")
-        if self.J.shape != (3, 3):
-            raise ValueError(f"J must be 3x3, got shape {self.J.shape}")
-        check_inertia(self.J)
+        check_inertia(self, "J")
         if self.qd0.shape != (4,):
             raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
         if not np.isfinite(self.qd0).all() or not self.qd0.any():

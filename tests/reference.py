@@ -28,7 +28,7 @@ from ftacs.bounds import (
     epsilon_condition,
     rho_zero,
 )
-from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, inertia_inverse
+from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget
 from ftacs.controller import GainCheckReport
 from ftacs.errors import GainConditionViolated, NonFiniteState, NotContractive
 from ftacs.estimation import (
@@ -164,7 +164,7 @@ def euler_dynamics(
 ) -> np.ndarray:
     """Rate derivative J^-1 * (-omega x J*omega + tau_c + tau_d)."""
     if J_inv is None:
-        J_inv = inertia_inverse(J)
+        J_inv = np.linalg.inv(J)
     return J_inv @ (-np.cross(omega, J @ omega) + tau_c + tau_d)
 
 
@@ -212,7 +212,7 @@ def s_dot_rhs(
 ) -> np.ndarray:
     """Analytic sdot from the closed-form sliding-variable dynamics."""
     if J_inv is None:
-        J_inv = inertia_inverse(J)
+        J_inv = np.linalg.inv(J)
     qx = skew(err.qe[1:])
     psi, psi_d = psi_terms(J, err, desired, k)
     js_dot = (
@@ -243,7 +243,7 @@ def rk4_step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     if J_inv is None:
-        J_inv = inertia_inverse(J)
+        J_inv = np.linalg.inv(J)
 
     def deriv(ti: float, q: np.ndarray, w: np.ndarray):
         st = SpacecraftState.__new__(SpacecraftState)

@@ -1,10 +1,11 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ftacs.config import check_inertia, inertia_inverse
+from ftacs.config import check_inertia
 from ftacs.errors import SingularInertia
 from ftacs.scenario import PAPER_J
 from ftacs.so3 import normalize
@@ -23,14 +24,24 @@ from reference import (
 )
 
 
+def _inertia(J):
+    """An object whose field J holds J, as a Scenario's does."""
+    return SimpleNamespace(J=np.asarray(J, dtype=float))
+
+
+def test_check_inertia_returns_the_ascending_eigenvalues():
+    eig = check_inertia(_inertia(PAPER_J), "J")
+    assert np.array_equal(eig, np.linalg.eigvalsh(PAPER_J))
+
+
 def test_check_inertia_rejects_asymmetric():
-    with pytest.raises(SingularInertia):
-        check_inertia(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^J must be symmetric$"):
+        check_inertia(_inertia([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "J")
 
 
 def test_check_inertia_rejects_indefinite():
-    with pytest.raises(SingularInertia):
-        check_inertia(np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(SingularInertia, match="^J_hat must be positive definite$"):
+        check_inertia(SimpleNamespace(J_hat=np.diag([1.0, -1.0, 1.0])), "J_hat")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -40,7 +51,7 @@ def test_check_inertia_rejects_non_finite_before_any_svd(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # inf - inf in the symmetry test warned
         with pytest.raises(ValueError, match=r"^J must be finite, got \[\[8.0, (nan|inf), 0.0\]"):
-            check_inertia(J)
+            check_inertia(_inertia(J), "J")
 
 
 def test_attitude_kinematics_preserves_norm():
@@ -54,7 +65,7 @@ def test_attitude_kinematics_preserves_norm():
 def test_torque_free_conservation():
     # kinetic energy and angular-momentum magnitude are invariants
     J = PAPER_J
-    J_inv = inertia_inverse(J)
+    J_inv = np.linalg.inv(J)
     state = SpacecraftState(q=np.array([1.0, 0, 0, 0]), omega=np.array([0.05, -0.02, 0.03]))
     energy0 = 0.5 * state.omega @ J @ state.omega
     h0 = np.linalg.norm(J @ state.omega)
@@ -89,7 +100,7 @@ def test_rk4_matches_axisymmetric_closed_form():
 
 def test_rk4_fourth_order_convergence():
     J = PAPER_J
-    J_inv = inertia_inverse(J)
+    J_inv = np.linalg.inv(J)
     torque = lambda ti, st: np.array([0.01 * math.sin(ti), -0.02, 0.015 * math.cos(ti)])
     zero_d = lambda ti: np.zeros(3)
 
@@ -153,7 +164,7 @@ def sliding_variable_fd_error(rng, n_configs, k=0.2, h=1e-5):
     Also used by the acceptance suite with n_configs=100.
     """
     J = PAPER_J
-    J_inv = inertia_inverse(J)
+    J_inv = np.linalg.inv(J)
     worst = 0.0
     for _ in range(n_configs):
         omega_d_fn = _random_reference(rng)

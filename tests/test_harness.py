@@ -144,6 +144,15 @@ def test_steady_state_stats_full_window_is_global_max():
     assert steady_state_stats(trace, 1.0).theta_e_max_deg == 5.0
 
 
+def test_steady_state_stats_command_peak_covers_the_whole_run():
+    trace = _fake_trace(np.ones(10), np.zeros((10, 3)))
+    trace.tau_u[0] = [0.02, -0.015, 0.0, 0.001]  # before the tail window
+    trace.tau_u[9, 3] = -0.005
+    st = steady_state_stats(trace, 0.2)
+    assert st.tau_u_peak == [0.02, 0.015, 0.0, 0.005]
+    assert all(type(peak) is float for peak in st.tau_u_peak)
+
+
 def test_steady_state_stats_bad_fraction():
     trace = _fake_trace(np.ones(10), np.zeros((10, 3)))
     with pytest.raises(ValueError):
@@ -416,8 +425,10 @@ def test_verify_passes_on_a_zero_budget_within_the_roundoff_floor(monkeypatch):
         with pytest.raises(BoundViolated, match=re.escape("bounds in instance 0")):
             verify(sc, 1)
     predicted = predict(sc.budget, sc.gains)
-    assert CampaignSummary([TailStats(1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0)], [1], predicted).passed
-    assert not CampaignSummary([TailStats(0.0, 1.1e-12, 0.0, 0.0, 0.0, 0.0)], [1], predicted).passed
+    at_floor = TailStats(1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
+    above_floor = TailStats(0.0, 1.1e-12, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
+    assert CampaignSummary([at_floor], [1], predicted).passed
+    assert not CampaignSummary([above_floor], [1], predicted).passed
 
 
 def tiny_budget_scenario():
@@ -508,7 +519,7 @@ def test_envelope_margins():
     theta_bound_deg = math.degrees(predicted.theta_bound)
 
     def envelope(theta_max_deg, omega_max):
-        st = TailStats(theta_max_deg, omega_max, 0.0, 0.0, 0.0, 0.0)
+        st = TailStats(theta_max_deg, omega_max, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
         return CampaignSummary([st], [1], predicted).envelope()
 
     env = envelope(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)

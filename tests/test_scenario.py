@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ftacs import cli, scenario
+from ftacs import cli, harness, scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget
@@ -368,6 +368,10 @@ def test_cli_malformed_scenario_file_exits_1_naming_the_key(tmp_path, capsys, ca
     assert not (tmp_path / "paper-faulty-bounds.jsonl").exists()
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the closed loop ran")
+
+
 INVALID_INERTIA_OR_OBSERVER_FILES = {
     "J-nan": (_set("J", value=[[math.nan, 0.15, -0.27], [0.15, 6.75, -0.1], [-0.27, -0.1, 6.25]]),
               "J must be finite, got [[nan, 0.15, -0.27]"),
@@ -375,9 +379,13 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                                                      [0.0, 0.0, 6.0]]),
                   "J_hat must be finite, got [[8.0, inf, 0.0]"),
     "indefinite-J": (_set("J", value=[[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]]),
-                     "inertia matrix must be positive definite"),
+                     "J must be positive definite"),
     "asymmetric-J": (_set("J", value=[[8.0, 0.5, 0.0], [0.0, 7.0, 0.0], [0.0, 0.0, 6.0]]),
-                     "inertia matrix must be symmetric"),
+                     "J must be symmetric"),
+    # the paper-faulty file with -7.0 in place of J_hat's 7.0
+    "indefinite-J_hat": (_set("estimates", "J_hat", value=[[8.0, 0.0, 0.0], [0.0, -7.0, 0.0],
+                                                          [0.0, 0.0, 6.0]]),
+                         "J_hat must be positive definite"),
     "synthetic-amplitudes": (_set("observer", value={"kind": "synthetic", "amp_q": 1.5, "amp_w": -1}),
                              "rho_q must be in [0, 1)"),
     "bias-k_o-negative": (_set("observer", value={"kind": "bias", "k_o": -1.0, "k_b": 0.1}),
@@ -463,14 +471,23 @@ def test_cli_invalid_inertia_or_observer_exits_1_before_any_step(tmp_path, monke
     text, named = INVALID_INERTIA_OR_OBSERVER_FILES[case]
     path = tmp_path / "bad.yaml"
     path.write_text(text())
-
-    def never_called(*args, **kwargs):
-        raise AssertionError("the closed loop ran")
-
-    monkeypatch.setattr(cli, "run_scenario", never_called)
+    monkeypatch.setattr(cli, "run_scenario", _never_called)
     monkeypatch.chdir(tmp_path)  # where a file that loaded would be written
     assert cli_main([command, "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo", "predict-bounds", "verify",
+                                     "check-gains"])
+def test_cli_indefinite_J_hat_exits_1_from_every_command(tmp_path, monkeypatch, capsys, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text(INVALID_INERTIA_OR_OBSERVER_FILES["indefinite-J_hat"][0]())
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "run_scenario", _never_called)
+    monkeypatch.chdir(tmp_path)  # where a file that loaded would be written
+    assert cli_main([command, "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: J_hat must be positive definite\n"
+    assert list(tmp_path.iterdir()) == [path]
