@@ -3,9 +3,9 @@
 Library layout:
     so3         quaternion normalization, axis-angle, spectral norm
     config      gain, model-estimate, and uncertainty-budget dataclasses,
-                inertia check
+                observer-bound and inertia checks
     actuation   redundant thruster bank, health-weighted allocation
-    estimation  sensor noise, observer error bounds, synthetic error profile
+    estimation  sensor noise, synthetic observer error profile
     controller  stability gain conditions of the control law
     bounds      sequential fixed-point prediction of ultimate error bounds
     scenario    scenario configs, YAML I/O, built-in presets

@@ -1,5 +1,4 @@
-"""Thruster-pair bank: health profiles, torque allocation, and the
-fault-mismatch operator H."""
+"""Thruster-pair bank: health profiles and torque allocation."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import numpy as np
 
 from .config import check_finite, freeze_arrays, freeze_floats
 from .errors import RankDeficient
-from .so3 import spectral_norm
 
 RANK_TOL = 1e-10
 
@@ -122,21 +120,3 @@ def allocation_matrix(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
     subject to D*Ehat*tau_u = u, so dead pairs (e_hat_i = 0) receive zero
     command."""
     return (e_hat**2)[:, None] * bank.D.T @ _weighted_gram_inverse(bank, e_hat)
-
-
-def h_matrix(bank: ActuatorBank, e_vals: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
-    """Fault-mismatch operator H = D*(E-Ehat)*Ehat^2*D^T*(D*Ehat^3*D^T)^-1."""
-    return (bank.D * ((e_vals - e_hat) * e_hat**2)) @ bank.D.T @ _weighted_gram_inverse(bank, e_hat)
-
-
-def rho_E_estimate(
-    bank: ActuatorBank,
-    profile: HealthProfile,
-    estimate: HealthProfile,
-    t_grid: np.ndarray,
-) -> float:
-    """Max spectral norm of H(t) over a time grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    return max(spectral_norm(h_matrix(bank, profile(t), estimate(t))) for t in t_grid)

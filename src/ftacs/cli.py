@@ -11,7 +11,6 @@ be overridden by --out or the FTACS_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -24,6 +23,7 @@ from .harness import (
     export_bound_trace_jsonl,
     export_summary_jsonl,
     export_trace_csv,
+    json_record,
     run_campaign,
     run_scenario,
     steady_state_stats,
@@ -96,7 +96,7 @@ def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     report = verify(scenario, args.n, strict=True)
     out = _out_dir(args) / f"{scenario.name}-verify-n{args.n}.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json_record(report, indent=2) + "\n")
     print(f"wrote {out}")
     print(
         f"PASS: theta_e tail max {report['theta_tail_max_deg']:.6g} deg <= "

@@ -1,5 +1,5 @@
 """Gain, model-estimate, and uncertainty-budget containers, the observer
-contract of Assumption 1, and the checks of a 3x3 matrix input."""
+bounds of Assumption 1, and the checks of a 3x3 matrix input."""
 
 from __future__ import annotations
 
@@ -48,18 +48,13 @@ def freeze_arrays(obj, *names: str):
         getattr(obj, name).flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Assumption1Budget:
-    """Ultimate bounds on the observer errors: ||qtilde_v|| and ||omega_tilde||."""
-
-    rho_q: float
-    rho_w: float
-
-    def __post_init__(self):
-        freeze_floats(self, "rho_q", "rho_w")
-        if not 0.0 <= self.rho_q < 1.0:
-            raise ValueError("rho_q must be in [0, 1)")
-        check_nonnegative(self, "rho_w")
+def check_observer_bounds(rho_q: float, rho_w: float):
+    """Raise a ValueError naming the Assumption 1 bound out of its range: rho_q
+    on ||qtilde_v|| must be in [0, 1), rho_w on ||omega_tilde|| nonnegative."""
+    if not 0.0 <= rho_q < 1.0:
+        raise ValueError("rho_q must be in [0, 1)")
+    if not 0.0 <= rho_w < math.inf:
+        raise ValueError(f"rho_w must be nonnegative and finite, got {rho_w!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ class UncertaintyBudget:
 
     def __post_init__(self):
         freeze_floats(self, *(f.name for f in fields(self)))
-        Assumption1Budget(rho_q=self.rho_q, rho_w=self.rho_w)
+        check_observer_bounds(self.rho_q, self.rho_w)
         if not 0.0 <= self.rho_E < 1.0:
             raise ValueError("rho_E must be in [0, 1)")
         if not 0.0 < self.lambda_l <= self.lambda_r < math.inf:

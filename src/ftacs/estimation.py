@@ -1,6 +1,6 @@
-"""Sensor noise, the synthetic observer's error profile and the empirical
-Assumption 1 bounds. kernel runs the observers: synthetic error injection
-and a multiplicative complementary filter with gyro-bias estimation."""
+"""Sensor noise and the synthetic observer's error profile. kernel runs the
+observers: synthetic error injection and a multiplicative complementary
+filter with gyro-bias estimation."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Assumption1Budget, check_finite, check_nonnegative, freeze_arrays, freeze_floats
-from .errors import EmptyTail
+from .config import check_finite, check_nonnegative, check_observer_bounds, freeze_arrays, freeze_floats
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,9 @@ class SyntheticErrorProfile:
 
     def __post_init__(self):
         check_finite(self, "freq_q", "freq_w", "phase_q", "phase_w")
+        freeze_floats(self, "amp_q", "amp_w")
         try:  # the amplitudes bound the errors, so Assumption 1's rule holds them
-            Assumption1Budget(rho_q=self.amp_q, rho_w=self.amp_w)
+            check_observer_bounds(self.amp_q, self.amp_w)
         except ValueError as exc:
             raise ValueError(f"(amp_q, amp_w) = ({self.amp_q}, {self.amp_w}): {exc}") from None
 
@@ -88,28 +88,3 @@ class SyntheticErrorProfile:
         """(3,) rate error at a time, or (n, 3) on an array of n times."""
         amp = self.amp_w * np.sin(self.freq_w * np.asarray(t, dtype=float) + self.phase_w)
         return amp[..., None] * AXIS_W
-
-
-def _tail_window(n: int, tail_fraction: float) -> slice:
-    """The final max(1, round(tail_fraction*n)) of n samples."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    if n == 0:
-        raise EmptyTail("tail window has no samples")
-    return slice(n - max(1, round(tail_fraction * n)), n)
-
-
-def estimate_assumption1_bounds(
-    traces: list[tuple[np.ndarray, np.ndarray]],
-    tail_fraction: float = 0.2,
-) -> Assumption1Budget:
-    """Empirical (rho_q, rho_w): max of the error norms over each trace tail."""
-    if not traces:
-        raise EmptyTail("no traces supplied")
-    rho_q = 0.0
-    rho_w = 0.0
-    for qtilde_norm, wtilde_norm in traces:
-        tail = _tail_window(len(qtilde_norm), tail_fraction)
-        rho_q = max(rho_q, float(np.max(qtilde_norm[tail])))
-        rho_w = max(rho_w, float(np.max(wtilde_norm[tail])))
-    return Assumption1Budget(rho_q=rho_q, rho_w=rho_w)

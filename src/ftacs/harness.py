@@ -19,8 +19,8 @@ import numpy as np
 from . import kernel
 from .actuation import allocation_matrix
 from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
-from .errors import BoundViolated, NonFiniteState
-from .estimation import _tail_window, random_unit_vector
+from .errors import BoundViolated, EmptyTail, NonFiniteState
+from .estimation import random_unit_vector
 from .kernel import ROW_BLOCK
 from .scenario import Scenario
 from .so3 import normalize, quat_from_axis_angle
@@ -308,15 +308,21 @@ def run_scenario(
 
     return RunTrace(
         **rec,
-        seed=int(seed) if np.isscalar(seed) else -1,
+        seed=int(seed),
         scenario_name=scenario.name,
         dt=dt * dec,
     )
 
 
-def steady_state_stats(trace: RunTrace, tail_fraction: float = 0.2) -> TailStats:
-    """Maxima over the final tail_fraction of recorded samples, and tau_u_peak."""
-    sl = _tail_window(len(trace.t), tail_fraction)
+def steady_state_stats(trace: RunTrace, tail_fraction: float) -> TailStats:
+    """Maxima over the final max(1, round(tail_fraction*n)) of the n recorded
+    samples, and tau_u_peak."""
+    n = len(trace.t)
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    if n == 0:
+        raise EmptyTail("tail window has no samples")
+    sl = slice(n - max(1, round(tail_fraction * n)), n)
     return TailStats(
         theta_e_max_deg=float(np.max(trace.theta_e_deg[sl])),
         omega_e_max=float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
@@ -505,6 +511,16 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
             fh.writelines(map(row.__mod__, map(tuple, data[rows].tolist())))
 
 
+def json_record(record: dict, **kwargs) -> str:
+    """The JSON text of a record whose values are scalars or lists of them,
+    each non-finite float written as null: strict parsers reject NaN and
+    Infinity. A non-finite value anywhere else raises."""
+    def finite(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps({key: list(map(finite, v)) if isinstance(v, list) else finite(v)
+                       for key, v in record.items()}, allow_nan=False, **kwargs)
+
+
 def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
     """One JSONL record per finished instance, labelled with its index and
     seed, plus a campaign-level record."""
@@ -512,8 +528,8 @@ def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
         for idx, (outcome, seed, ok) in enumerate(
                 zip(summary.outcomes, summary.seeds, summary.instance_pass, strict=True)):
             if isinstance(outcome, TailStats):
-                fh.write(json.dumps({"instance": idx, "seed": seed, **outcome.__dict__,
-                                     "passed": ok}) + "\n")
+                fh.write(json_record({"instance": idx, "seed": seed, **outcome.__dict__,
+                                      "passed": ok}) + "\n")
         env = summary.envelope()
         camp = {
             "campaign": True,
@@ -525,18 +541,18 @@ def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
             "failures": summary.failures,
             **{key: env[key] for key in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound")},
         }
-        fh.write(json.dumps(camp) + "\n")
+        fh.write(json_record(camp) + "\n")
 
 
 def export_bound_trace_jsonl(trace: BoundTrace, path: str | Path):
     """One record per fixed-point iteration plus a summary record."""
     with open(path, "w") as fh:
         for i, (s, q) in enumerate(trace.loop1, start=1):
-            fh.write(json.dumps({"loop": 1, "i": i, "s_bar": s, "q_bar": q}) + "\n")
+            fh.write(json_record({"loop": 1, "i": i, "s_bar": s, "q_bar": q}) + "\n")
         for i, (s, q) in enumerate(trace.loop2, start=1):
-            fh.write(json.dumps({"loop": 2, "i": i, "s_bar": s, "q_bar": q}) + "\n")
+            fh.write(json_record({"loop": 2, "i": i, "s_bar": s, "q_bar": q}) + "\n")
         fh.write(
-            json.dumps(
+            json_record(
                 {
                     "summary": True,
                     "eta": ETA,

@@ -8,7 +8,7 @@ import functools
 import math
 import numbers
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -504,12 +504,11 @@ PRESETS = {
 }
 
 
-def load_scenario(name_or_path: str, **overrides) -> Scenario:
+def load_scenario(name_or_path: str) -> Scenario:
     """Resolve a preset name or a YAML file path into a Scenario."""
     if name_or_path in PRESETS:
-        return PRESETS[name_or_path](**overrides)
+        return PRESETS[name_or_path]()
     path = Path(name_or_path)
     if path.exists():
-        scenario = load_scenario_file(path)
-        return replace(scenario, **overrides) if overrides else scenario
+        return load_scenario_file(path)
     raise ValueError(f"unknown scenario {name_or_path!r} (not a preset, not a file)")

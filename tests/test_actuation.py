@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec, h_matrix, rho_E_estimate
+from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec
 from ftacs.errors import RankDeficient
-from ftacs.scenario import PAPER_D, paper_faulty
+from ftacs.scenario import PAPER_D
 from reference import allocate, effective_torque, saturate
 
 
@@ -102,46 +102,3 @@ def test_effective_torque_definition():
     e = np.array([0.9, 0.7, 0.0, 0.5])
     tau_u = np.array([0.01, -0.02, 0.03, 0.004])
     assert np.allclose(effective_torque(bank, e, tau_u), bank.D @ np.diag(e) @ tau_u, atol=1e-15)
-
-
-def test_h_matrix_zero_when_estimate_exact():
-    bank = paper_bank()
-    e = np.array([0.9, 0.7, 0.2, 0.5])
-    assert np.allclose(h_matrix(bank, e, e), 0.0, atol=1e-14)
-
-
-def test_h_matrix_mismatch_identity():
-    # realized torque = (I + H) u under health mismatch
-    bank = paper_bank()
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        e = rng.uniform(0.2, 1.0, 4)
-        e_hat = rng.uniform(0.2, 1.0, 4)
-        u = rng.standard_normal(3) * 0.01
-        tau_u = allocate(bank, e_hat, u)
-        realized = effective_torque(bank, e, tau_u)
-        H = h_matrix(bank, e, e_hat)
-        assert np.allclose(realized, u + H @ u, atol=1e-12)
-
-
-def test_rho_E_estimate_frozen_value():
-    # max ||H(t)|| over one fault period for the published profiles.
-    # Note: this measured value (~0.566) is far above the 0.08 budget used in
-    # the bound predictions; the budget is taken as given, while this function
-    # reports what the profiles actually produce.
-    sc = paper_faulty()
-    t = np.arange(0.0, 2 * math.pi, 0.01)
-    val = rho_E_estimate(sc.bank, sc.health, sc.health_estimate, t)
-    assert abs(val - 0.5659659397578952) < 1e-9
-
-
-def test_rho_E_estimate_zero_for_exact_health():
-    sc = paper_faulty()
-    t = np.linspace(0.0, 5.0, 50)
-    assert rho_E_estimate(sc.bank, sc.health_estimate, sc.health_estimate, t) < 1e-14
-
-
-def test_rho_E_estimate_empty_grid():
-    sc = paper_faulty()
-    with pytest.raises(ValueError):
-        rho_E_estimate(sc.bank, sc.health, sc.health_estimate, np.array([]))

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.errors import EmptyTail
 from ftacs.estimation import (
     NoiseParams,
     SyntheticErrorProfile,
-    estimate_assumption1_bounds,
     random_unit_vector,
 )
 from ftacs.so3 import normalize
@@ -175,18 +173,3 @@ def test_bias_observer_rejects_bad_gains():
     sample = SensorSample(qm=IDENTITY_QUAT.copy(), omega_m=np.zeros(3))
     with pytest.raises(ValueError):
         bias_observer_step(IDENTITY_QUAT.copy(), np.zeros(3), sample, 0.0, 0.1, 0.01)
-
-
-def test_estimate_assumption1_bounds():
-    qtn = np.concatenate([np.full(80, 0.5), np.full(20, 1e-5)])
-    wtn = np.concatenate([np.full(80, 0.5), np.full(20, 2e-5)])
-    budget = estimate_assumption1_bounds([(qtn, wtn)])
-    assert budget.rho_q == pytest.approx(1e-5)
-    assert budget.rho_w == pytest.approx(2e-5)
-    with pytest.raises(EmptyTail):
-        estimate_assumption1_bounds([])
-    with pytest.raises(EmptyTail):
-        estimate_assumption1_bounds([(np.empty(0), np.empty(0))])
-    for fraction in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError, match="tail_fraction"):
-            estimate_assumption1_bounds([(qtn, wtn)], tail_fraction=fraction)

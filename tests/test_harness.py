@@ -688,6 +688,25 @@ def test_cli_verify_nominal_exact_passes_and_reports_the_floor(tmp_path, capsys)
     assert report["passed"] and report["roundoff_floor"] == 1e-12
 
 
+def test_cli_writes_non_finite_values_as_null(tmp_path, monkeypatch, capsys):
+    # NaN and Infinity are not JSON: strict parsers reject the file
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert cli_main(["verify", "--scenario", "nominal-exact", "-n", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "nominal-exact-verify-n1.json").read_text(), parse_constant=reject)
+    assert report["theta_tail_max_deg"] == 0.0 and report["theta_margin_ratio"] is None
+    sc, lines = planted_failure(monkeypatch, failing=(0, 1))
+    sc_path = tmp_path / "nominal.yaml"
+    save_scenario(sc, sc_path)
+    assert cli_main(["montecarlo", "--scenario", str(sc_path), "-n", "2", "--out", str(tmp_path)]) == 2
+    text = (tmp_path / "nominal-exact-campaign-n2.jsonl").read_text()
+    (camp,) = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+    assert camp["theta_e_max_deg"] is None and camp["failures"] == lines
+    with pytest.raises(ValueError, match="Out of range float"):
+        harness.json_record({"nested": {"x": math.nan}})
+
+
 def test_cli_montecarlo_failed_instance_exits_2(tmp_path, monkeypatch, capsys):
     sc, (line,) = planted_failure(monkeypatch)
     sc_path = tmp_path / "nominal.yaml"
