@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_synthetic_profile_unit_quaternion():
         assert qt[0] >= 0
         assert np.linalg.norm(qt[1:]) <= prof.amp_q + 1e-15
         assert np.linalg.norm(prof.omega_tilde(t)) <= prof.amp_w + 1e-15
+
+
+def test_synthetic_profile_amplitudes_obey_assumption1():
+    # the amplitudes bound the errors, so they are held to rho_q, rho_w's rule
+    prof = SyntheticErrorProfile(amp_q=0, amp_w=np.float32(0.5))
+    assert (prof.amp_q, prof.amp_w) == (0.0, 0.5) and type(prof.amp_w) is float
+    for amp_q, amp_w, message in ((1.5, 0.1, "rho_q must be in [0, 1)"),
+                                  (-0.1, 0.1, "rho_q must be in [0, 1)"),
+                                  (0.1, -1.0, "rho_w must be nonnegative and finite, got -1.0"),
+                                  (0.1, math.inf, "rho_w must be nonnegative and finite, got inf")):
+        with pytest.raises(ValueError, match=re.escape(f"(amp_q, amp_w) = ({amp_q}, {amp_w}): {message}")):
+            SyntheticErrorProfile(amp_q=amp_q, amp_w=amp_w)
+    for value in (True, "1"):
+        with pytest.raises(ValueError, match="^amp_q must be a real number"):
+            SyntheticErrorProfile(amp_q=value)
 
 
 def test_synthetic_observer_roundtrip(rng):

@@ -155,8 +155,29 @@ def test_steady_state_stats_command_peak_covers_the_whole_run():
 
 def test_steady_state_stats_bad_fraction():
     trace = _fake_trace(np.ones(10), np.zeros((10, 3)))
-    with pytest.raises(ValueError):
-        steady_state_stats(trace, 0.0)
+    for fraction in (0.0, -0.2, 1.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape("tail_fraction must be in (0, 1]")):
+            steady_state_stats(trace, fraction)
+
+
+def test_steady_state_stats_window_length():
+    # theta falls by one per sample, so the maximum names the window's first
+    # sample: the window holds the final max(1, round(fraction*n)) samples
+    n = 10
+    trace = _fake_trace(np.arange(n, 0, -1, dtype=float), np.zeros((n, 3)))
+    for fraction, length in ((1.0, 10), (0.2, 2), (0.25, 2), (0.35, 4), (0.04, 1), (1e-9, 1)):
+        assert steady_state_stats(trace, fraction).theta_e_max_deg == length
+
+
+def test_json_record_writes_non_finite_floats_as_null():
+    record = {"a": math.nan, "b": [1.0, math.inf, -math.inf, 2], "c": 3, "d": "x", "e": None}
+    text = harness.json_record(record)
+    assert text == '{"a": null, "b": [1.0, null, null, 2], "c": 3, "d": "x", "e": null}'
+    finite = {"a": 0.1, "b": [1e-300, -2.5], "c": True}
+    assert harness.json_record(finite) == json.dumps(finite)
+    assert harness.json_record(finite, sort_keys=True) == json.dumps(finite, sort_keys=True)
+    with pytest.raises(ValueError, match="Out of range float"):  # only scalars and lists are mapped
+        harness.json_record({"a": (math.inf,)})
 
 
 def test_steady_state_stats_empty():

@@ -10,7 +10,7 @@ import yaml
 from ftacs import cli, harness, scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
-from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget
+from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, check_observer_bounds
 from ftacs.errors import RankDeficient
 from ftacs.scenario import (
     PRESETS,
@@ -199,6 +199,23 @@ def test_configuration_scalars_must_be_real_numbers(value):
     for obj, name in _float_fields(paper_faulty(duration=10.0)):
         with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "):
             replace(obj, **{name: value})
+
+
+def test_observer_bounds_follow_assumption1():
+    # rho_q bounds ||qtilde_v|| of a unit quaternion, so it is below 1
+    for rho_q, rho_w in ((0.0, 0.0), (0.999, 1e3), (2.15e-5, 1.56e-5)):
+        check_observer_bounds(rho_q, rho_w)
+    for rho_q in (1.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape("rho_q must be in [0, 1)")):
+            check_observer_bounds(rho_q, 0.0)
+    for rho_w in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^rho_w must be nonnegative and finite, got {rho_w!r}$"):
+            check_observer_bounds(0.0, rho_w)
+    budget = paper_faulty(duration=10.0).budget
+    with pytest.raises(ValueError, match=re.escape("rho_q must be in [0, 1)")):
+        replace(budget, rho_q=1.0)
+    with pytest.raises(ValueError, match="^rho_w must be nonnegative and finite, got -1.0$"):
+        replace(budget, rho_w=-1.0)
 
 
 def test_validation_rejects_rank_deficient_allocation():
