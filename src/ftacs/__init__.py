@@ -27,13 +27,10 @@ from .config import ControllerGains, ModelEstimates, UncertaintyBudget, zero_bud
 from .controller import check_gain_conditions
 from .errors import (
     BoundViolated,
-    EmptyTail,
     FtacsError,
     GainConditionViolated,
     NonFiniteState,
     NotContractive,
-    RankDeficient,
-    SingularInertia,
 )
 from .harness import (
     CampaignSummary,
@@ -66,17 +63,14 @@ __all__ = [
     "BoundViolated",
     "CampaignSummary",
     "ControllerGains",
-    "EmptyTail",
     "FtacsError",
     "GainConditionViolated",
     "ModelEstimates",
     "NonFiniteState",
     "NotContractive",
     "PRESETS",
-    "RankDeficient",
     "RunTrace",
     "Scenario",
-    "SingularInertia",
     "TailStats",
     "UncertaintyBudget",
     "check_gain_conditions",

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_finite, freeze_arrays, freeze_floats
-from .errors import RankDeficient
 
 RANK_TOL = 1e-10
 
@@ -106,17 +105,12 @@ def rank_deficient(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
     return _singular(_weighted_gram(bank, e_hat))
 
 
-def _weighted_gram_inverse(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
-    """Inverse of D * Ehat^3 * D^T with a singularity check."""
-    gram = _weighted_gram(bank, e_hat)
-    if _singular(gram):
-        raise RankDeficient("D*Ehat^3*D^T is singular; fully-actuated assumption violated")
-    return np.linalg.inv(gram)
-
-
 def allocation_matrix(bank: ActuatorBank, e_hat: np.ndarray) -> np.ndarray:
     """m x 3 map u -> tau_u = Ehat^2 * D^T * (D*Ehat^3*D^T)^-1 * u: the
     fault-weighted pseudo-inverse, which minimizes tau_u^T * Ehat^-1 * tau_u
     subject to D*Ehat*tau_u = u, so dead pairs (e_hat_i = 0) receive zero
     command."""
-    return (e_hat**2)[:, None] * bank.D.T @ _weighted_gram_inverse(bank, e_hat)
+    gram = _weighted_gram(bank, e_hat)
+    if _singular(gram):
+        raise ValueError("D*Ehat^3*D^T is singular; fully-actuated assumption violated")
+    return (e_hat**2)[:, None] * bank.D.T @ np.linalg.inv(gram)

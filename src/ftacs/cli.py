@@ -2,9 +2,10 @@
 
 Subcommands: simulate, montecarlo, predict-bounds, verify, check-gains.
 Exit status 0 on success/pass, 1 on a usage error or validation failure, 2
-on a violated or unattainable bound, a failed gain condition or a failed
-campaign instance; main() is the one place where a raised failure becomes an
-exit status. The output directory defaults to the current directory and can
+on a violated or unattainable bound, a failed gain condition, a non-finite
+state or a failed campaign instance; main() is the one place where a raised
+failure becomes an exit status: a ValueError or OSError exits 1, an
+FtacsError 2. The output directory defaults to the current directory and can
 be overridden by --out or the FTACS_OUT_DIR environment variable.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .bounds import compute_coefficients, predict
 from .controller import check_gain_conditions
-from .errors import BoundViolated, FtacsError, GainConditionViolated, NotContractive
+from .errors import FtacsError, GainConditionViolated, NotContractive
 from .harness import (
     export_bound_trace_jsonl,
     export_summary_jsonl,
@@ -65,7 +66,7 @@ def cmd_montecarlo(args) -> int:
     export_summary_jsonl(summary, out)
     print(f"wrote {out}")
     print(
-        f"campaign maxima over {args.n} instances: "
+        f"campaign maxima over {len(summary.instances)} of {args.n} finished instances: "
         f"theta_e {summary.theta_e_max_deg:.6g} deg, "
         f"|omega_e| {math.degrees(summary.omega_e_max):.6g} deg/s"
     )
@@ -179,10 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GainConditionViolated, NotContractive) as exc:
         print(f"prediction failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
-    except BoundViolated as exc:
+    except FtacsError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
-    except (FtacsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

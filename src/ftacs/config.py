@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import SingularInertia
 from .so3 import spectral_norm
 
 
@@ -106,11 +105,11 @@ def check_symmetric(obj, name: str) -> np.ndarray:
 
 
 def check_inertia(obj, name: str) -> np.ndarray:
-    """check_symmetric, and a SingularInertia unless the field is positive
+    """check_symmetric, and a ValueError unless the field is positive
     definite; return its eigenvalues, ascending."""
     eig = check_symmetric(obj, name)
     if eig[0] <= 1e-12:
-        raise SingularInertia(f"{name} must be positive definite")
+        raise ValueError(f"{name} must be positive definite")
     return eig
 
 
@@ -164,7 +163,7 @@ class UncertaintyBudget:
         check_nonnegative(self, "rho_J", "rho_d", "rho_d_hat", "rho_v", "rho_a", "J_hat_norm")
 
 
-def zero_budget(J_hat_norm: float, lambda_l: float = 1.0, lambda_r: float = 1.0) -> UncertaintyBudget:
+def zero_budget(J_hat_norm: float, lambda_l: float, lambda_r: float) -> UncertaintyBudget:
     """Budget with every uncertainty bound set to zero."""
     return UncertaintyBudget(
         rho_q=0.0,

@@ -1,24 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Invalid input raises a ValueError. An FtacsError means that valid input
+broke one of the paper's promises: the state stays finite, the gain
+conditions hold, the bound sequence contracts, and the closed loop stays
+inside the predicted envelope.
+"""
 
 
 class FtacsError(Exception):
-    """Base class for all package errors."""
-
-
-class SingularInertia(FtacsError):
-    """Inertia matrix is not invertible at the working tolerance."""
+    """Base class of the failed promises."""
 
 
 class NonFiniteState(FtacsError):
     """A state component became NaN or infinite during propagation."""
-
-
-class RankDeficient(FtacsError):
-    """D*Ehat^3*D^T lost rank; the fully-actuated assumption is violated."""
-
-
-class EmptyTail(FtacsError):
-    """Requested tail window contains no samples."""
 
 
 class GainConditionViolated(FtacsError):

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernel
 from .actuation import allocation_matrix
 from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
-from .errors import BoundViolated, EmptyTail, NonFiniteState
+from .errors import BoundViolated, NonFiniteState
 from .estimation import random_unit_vector
 from .kernel import ROW_BLOCK
 from .scenario import Scenario
@@ -187,8 +187,7 @@ class ScenarioSignals:
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     """Evaluate the scenario's reference, disturbance, health and synthetic
     observer signals on the step grid, integrate the reference attitude and
-    build the allocation matrices. Raises RankDeficient when the health
-    estimate loses full actuation anywhere on the grid."""
+    build the allocation matrices."""
     dt = scenario.dt
     n = scenario.n_steps
     t = dt * np.arange(n)
@@ -321,7 +320,7 @@ def steady_state_stats(trace: RunTrace, tail_fraction: float) -> TailStats:
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must be in (0, 1]")
     if n == 0:
-        raise EmptyTail("tail window has no samples")
+        raise ValueError("tail window has no samples")
     sl = slice(n - max(1, round(tail_fraction * n)), n)
     return TailStats(
         theta_e_max_deg=float(np.max(trace.theta_e_deg[sl])),

@@ -17,7 +17,6 @@ import yaml
 from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_finite,
                      check_inertia, freeze_arrays, zero_budget)
-from .errors import RankDeficient, SingularInertia
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
@@ -202,7 +201,7 @@ class Scenario:
         lost = rank_deficient(self.bank, rows)[runs]
         if lost.any():
             t = self.dt * starts[lost.argmax()]
-            raise RankDeficient(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
+            raise ValueError(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
 
     @property
     def n_steps(self) -> int:
@@ -343,8 +342,6 @@ def load_scenario_file(path: str | Path) -> Scenario:
         return scenario_from_dict(d)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except (RankDeficient, SingularInertia) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +405,7 @@ def _paper_disturbance() -> VectorSignal:
     )
 
 
-def _paper_common(name: str, rho_E: float, **overrides) -> dict:
+def _paper_common(name: str, /, rho_E: float, **overrides) -> dict:
     base = dict(
         name=name,
         J=PAPER_J,
@@ -475,13 +472,8 @@ def nominal_exact(**overrides) -> Scenario:
     theta0 = math.radians(30.0)
     q0 = [math.cos(theta0 / 2), *(math.sin(theta0 / 2) * axis)]
     kw = dict(
-        name="nominal-exact",
-        J=PAPER_J,
         estimates=estimates,
-        omega_d=_paper_omega_d(),
-        qd0=np.array([1.0, 0.0, 0.0, 0.0]),
         disturbance=VectorSignal(),
-        bank=ActuatorBank(D=PAPER_D, tau_max=PAPER_TAU_MAX),
         health=HealthProfile.healthy(4),
         health_estimate=HealthProfile.healthy(4),
         noise=NoiseParams(sigma_theta=0.0, sigma_u=0.0, sigma_v=0.0),
@@ -490,11 +482,10 @@ def nominal_exact(**overrides) -> Scenario:
         budget=zero_budget(J_hat_norm=estimates.J_hat_norm, lambda_l=6.0, lambda_r=8.5),
         init=InitialConditionSpec(kind="fixed", q0=q0, omega0=[0.0, 0.0, 0.0]),
         duration=200.0,
-        dt=0.01,
         seed=1,
     )
     kw.update(overrides)
-    return Scenario(**kw)
+    return Scenario(**_paper_common("nominal-exact", rho_E=0.0, **kw))
 
 
 PRESETS = {

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec
-from ftacs.errors import RankDeficient
 from ftacs.scenario import PAPER_D
 from reference import allocate, effective_torque, saturate
 
@@ -89,7 +88,8 @@ def test_dead_pair_receives_zero():
 
 def test_allocation_rank_deficient():
     bank = paper_bank()
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match=r"^D\*Ehat\^3\*D\^T is singular; "
+                                          r"fully-actuated assumption violated$"):
         allocate(bank, np.array([1.0, 0.0, 0.0, 0.0]), np.ones(3))
 
 

@@ -172,7 +172,7 @@ def test_not_contractive(gains):
 def test_overflowing_coefficients_raise_instead_of_looping():
     # every input is finite, but a1*gamma overflows and rho_s = 0 makes
     # phi = 0 * inf = nan, which no tolerance test ever accepts
-    budget = replace(zero_budget(J_hat_norm=1.0), rho_J=4.0)
+    budget = replace(zero_budget(J_hat_norm=1.0, lambda_l=1.0, lambda_r=1.0), rho_J=4.0)
     gains = ControllerGains(k=1.0, K=10.0 * np.eye(3), epsilon=0.01, gamma=1e308)
     with pytest.raises(NotContractive, match="q_bar_1 = nan"):
         predict(budget, gains)

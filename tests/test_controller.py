@@ -39,7 +39,7 @@ def test_robust_coefficients_frozen(budget_faulty):
 
 
 def test_robust_coefficients_zero_budget():
-    c = robust_coefficients(zero_budget(J_hat_norm=8.0), 0.2)
+    c = robust_coefficients(zero_budget(J_hat_norm=8.0, lambda_l=1.0, lambda_r=1.0), 0.2)
     assert c.a0 == 0.0 and c.a1 == 0.0 and c.a3 == 0.0
     assert c.a2 == 0.0
 

@@ -14,11 +14,12 @@ import pytest
 import yaml
 
 from ftacs import ControllerGains, cli, harness
-from ftacs.actuation import HealthProfile, ProfileSpec, allocation_matrix
+from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
 from ftacs.config import UncertaintyBudget, zero_budget
-from ftacs.errors import BoundViolated, EmptyTail, NonFiniteState, RankDeficient
+from ftacs.errors import (BoundViolated, FtacsError, GainConditionViolated, NonFiniteState,
+                          NotContractive)
 from ftacs.harness import (
     CampaignSummary,
     RunTrace,
@@ -35,6 +36,7 @@ from ftacs.harness import (
     verify,
 )
 from ftacs.scenario import (
+    PAPER_D,
     PAPER_J,
     ObserverSpec,
     nominal_exact,
@@ -182,7 +184,7 @@ def test_json_record_writes_non_finite_floats_as_null():
 
 def test_steady_state_stats_empty():
     trace = _fake_trace(np.empty(0), np.empty((0, 3)))
-    with pytest.raises(EmptyTail):
+    with pytest.raises(ValueError, match="^tail window has no samples$"):
         steady_state_stats(trace, 0.2)
 
 
@@ -293,7 +295,7 @@ def fading_estimate():
 def test_rank_deficient_estimate_fails_before_any_instance(monkeypatch):
     # Scenario validation checks every step of the grid, not only t = 0
     monkeypatch.setattr(harness, "run_scenario", never_called)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 1\.58 s$"):
         sc = short_scenario(duration=5.0, health_estimate=fading_estimate())
         run_campaign(sc, 3)
 
@@ -668,6 +670,7 @@ def test_cli_montecarlo(tmp_path, capsys):
     code = cli_main(["montecarlo", "--scenario", str(sc_path), "-n", "2", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "paper-fault-free-campaign-n2.jsonl").exists()
+    assert "campaign maxima over 2 of 2 finished instances: " in capsys.readouterr().out
 
 
 def test_cli_check_gains_pass_and_fail(tmp_path, capsys):
@@ -745,6 +748,34 @@ def test_cli_verify_violation_exits_2_and_writes_no_report(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("FAIL: ")
     assert not list(tmp_path.glob("*-verify-n1.json"))
+
+
+def test_ftacs_errors_are_the_failed_promises():
+    # invalid input raises a ValueError (exit 1); an FtacsError (exit 2)
+    # means valid input broke one of the paper's promises
+    assert set(FtacsError.__subclasses__()) == {NonFiniteState, GainConditionViolated,
+                                                NotContractive, BoundViolated}
+
+
+@pytest.mark.parametrize("command, err", [
+    (["simulate"], r"FAIL: non-finite state at step 7 \(t=140\.000 s\)\n"),
+    (["montecarlo", "-n", "2"], r"(FAILED: instance \d \(seed \d+\): non-finite state at step \d+ "
+                                r"\(t=\S+ s\)\n){2}"),
+    (["verify", "-n", "2"], r"FAIL: failed instances: instance 0 \(seed \d+\): non-finite .*; "
+                            r"instance 1 \(seed \d+\): non-finite .*\n"),
+], ids=["simulate", "montecarlo", "verify"])
+def test_cli_non_finite_state_exits_2_from_every_command(tmp_path, capsys, command, err):
+    # the gain conditions hold, but 20 s steps with unlimited torque diverge
+    sc_path = tmp_path / "diverging.yaml"
+    save_scenario(paper_fault_free(dt=20.0, duration=400.0,
+                                   bank=ActuatorBank(D=PAPER_D, tau_max=math.inf)), sc_path)
+    assert cli_main(["check-gains", "--scenario", str(sc_path)]) == 0
+    capsys.readouterr()
+    assert cli_main([*command, "--scenario", str(sc_path), "--out", str(tmp_path)]) == 2
+    out, got = capsys.readouterr()
+    assert re.fullmatch(err, got)
+    if command[0] == "montecarlo":
+        assert "campaign maxima over 0 of 2 finished instances: theta_e nan deg" in out
 
 
 @pytest.mark.parametrize("command", ["predict-bounds", "check-gains", "simulate", "montecarlo",

@@ -11,7 +11,6 @@ from ftacs import cli, harness, scenario
 from ftacs.actuation import HealthProfile, ProfileSpec
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, check_observer_bounds
-from ftacs.errors import RankDeficient
 from ftacs.scenario import (
     PRESETS,
     InitialConditionSpec,
@@ -133,6 +132,8 @@ def test_preset_overrides():
     assert sc.duration == 60.0
     assert sc.seed == 7
     assert sc.n_steps == 6000
+    for factory in PRESETS.values():
+        assert factory(name="renamed", duration=1.0).name == "renamed"
 
 
 def test_validation_rejects_bad_dt():
@@ -220,7 +221,7 @@ def test_observer_bounds_follow_assumption1():
 
 def test_validation_rejects_rank_deficient_allocation():
     dead = HealthProfile([ProfileSpec(kind="const", offset=0.0) for _ in range(4)])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 0 s$"):
         paper_fault_free(health_estimate=dead)
 
 
@@ -229,7 +230,7 @@ def test_validation_names_the_first_time_the_estimate_loses_rank():
     fading = HealthProfile([ProfileSpec(), ProfileSpec(),
                             ProfileSpec(kind="cos", offset=0.0, scale=1.0),
                             ProfileSpec(kind="const", offset=0.0)])
-    with pytest.raises(RankDeficient, match=r"at t = 1\.58 s"):
+    with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 1\.58 s$"):
         paper_fault_free(duration=5.0, health_estimate=fading)
     paper_fault_free(duration=1.5, health_estimate=fading)
 
