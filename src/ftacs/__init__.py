@@ -4,11 +4,14 @@ Library layout:
     so3         quaternion normalization, axis-angle, spectral norm
     config      gain, model-estimate, and uncertainty-budget dataclasses,
                 observer-bound and inertia checks
-    actuation   redundant thruster bank, health-weighted allocation
+    actuation   SignalSpec, the one closed-form time profile (reference
+                rates, disturbances, health indicators); health profiles
+                clamped to [0, 1]; redundant thruster bank, health-weighted
+                allocation
     estimation  sensor noise, synthetic observer error profile
     controller  stability gain conditions of the control law
     bounds      sequential fixed-point prediction of ultimate error bounds
-    scenario    scenario configs, YAML I/O, built-in presets
+    scenario    vector signals, scenario configs, YAML I/O, built-in presets
     kernel      the closed-loop step on Python floats: observers, control
                 law, plant
     harness     closed-loop runner, Monte Carlo campaigns, verification, export

@@ -1,4 +1,7 @@
-"""Thruster-pair bank: health profiles and torque allocation."""
+"""Closed-form signals, thruster-pair health profiles, the thruster bank and
+torque allocation. SignalSpec is the one closed-form time profile: the
+scenario's reference rates and disturbances and each pair's health indicator
+are made of it."""
 
 from __future__ import annotations
 
@@ -13,55 +16,66 @@ RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ProfileSpec:
-    """Closed-form scalar time profile, clamped to [0, 1].
+class SignalSpec:
+    """Closed-form scalar signal with an analytic derivative.
 
     kinds: "const" -> offset; "sin"/"cos" -> offset + scale*trig(freq*t + phase);
     "abs_sin" -> offset + scale*|sin(freq*t + phase)|.
     """
 
-    kind: str = "const"
-    offset: float = 1.0
+    kind: str
+    offset: float
     scale: float = 0.0
     freq: float = 1.0
     phase: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("const", "sin", "cos", "abs_sin"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise ValueError(f"unknown signal kind {self.kind!r}")
         check_finite(self, "offset", "scale", "freq", "phase")
 
     def __call__(self, t):
-        """Value at a time (a float) or on an array of times (an array)."""
+        """Value at a time, or on an array of times."""
         t = np.asarray(t, dtype=float)
         if self.kind == "const":
-            v = np.full(t.shape, self.offset, dtype=float)
-        elif self.kind == "sin":
-            v = self.offset + self.scale * np.sin(self.freq * t + self.phase)
-        elif self.kind == "cos":
-            v = self.offset + self.scale * np.cos(self.freq * t + self.phase)
-        else:  # abs_sin
-            v = self.offset + self.scale * np.abs(np.sin(self.freq * t + self.phase))
-        v = np.clip(v, 0.0, 1.0)
-        return float(v) if v.ndim == 0 else v
+            return self.offset + np.zeros_like(t)
+        x = self.freq * t + self.phase
+        if self.kind == "sin":
+            return self.offset + self.scale * np.sin(x)
+        if self.kind == "cos":
+            return self.offset + self.scale * np.cos(x)
+        return self.offset + self.scale * np.abs(np.sin(x))
+
+    def derivative(self, t):
+        """Time derivative; abs_sin's is scale*freq*sign(sin x)*cos x, which
+        is 0 at its kinks, where sin x = 0."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "const":
+            return np.zeros_like(t)
+        x = self.freq * t + self.phase
+        if self.kind == "sin":
+            return self.scale * self.freq * np.cos(x)
+        if self.kind == "cos":
+            return -self.scale * self.freq * np.sin(x)
+        return self.scale * self.freq * np.sign(np.sin(x)) * np.cos(x)
 
 
 @dataclass(frozen=True)
 class HealthProfile:
-    """Per-pair health indicators e_i(t) in [0, 1]."""
+    """Per-pair health indicators e_i(t), each a SignalSpec clamped to [0, 1]."""
 
-    profiles: tuple[ProfileSpec, ...]
+    profiles: tuple[SignalSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "profiles", tuple(self.profiles))
 
     def __call__(self, t) -> np.ndarray:
         """(m,) values at a time, or (n, m) on an array of n times."""
-        return np.stack([np.asarray(p(t)) for p in self.profiles], axis=-1)
+        return np.clip(np.stack([p(t) for p in self.profiles], axis=-1), 0.0, 1.0)
 
     @classmethod
     def healthy(cls, m: int) -> "HealthProfile":
-        return cls([ProfileSpec() for _ in range(m)])
+        return cls([SignalSpec("const", 1.0)] * m)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ be overridden by --out or the FTACS_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -46,7 +47,9 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = run_scenario(scenario, seed=args.seed)
+    if args.seed is not None:  # checked by Scenario, before any precompute
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    trace = run_scenario(scenario)
     stats = steady_state_stats(trace, scenario.tail_fraction)
     out = _out_dir(args) / f"{scenario.name}-seed{trace.seed}.csv"
     export_trace_csv(trace, out)

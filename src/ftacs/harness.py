@@ -47,7 +47,6 @@ class RunTrace:
     qtilde_norm: np.ndarray
     wtilde_norm: np.ndarray
     seed: int
-    scenario_name: str = ""
     dt: float = 0.0
 
 
@@ -308,7 +307,6 @@ def run_scenario(
     return RunTrace(
         **rec,
         seed=int(seed),
-        scenario_name=scenario.name,
         dt=dt * dec,
     )
 

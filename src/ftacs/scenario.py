@@ -1,6 +1,7 @@
-"""Scenario configuration: closed-form time profiles, validation, YAML I/O,
-and the built-in presets (paper fault-free / faulty cases and a
-zero-uncertainty nominal case). Scenarios are frozen and checked when built."""
+"""Scenario configuration: vector signals made of actuation.SignalSpec (which
+this module re-exports), validation, YAML I/O, and the built-in presets
+(paper fault-free / faulty cases and a zero-uncertainty nominal case).
+Scenarios are frozen and checked when built."""
 
 from __future__ import annotations
 
@@ -8,58 +9,29 @@ import functools
 import math
 import numbers
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .actuation import ActuatorBank, HealthProfile, ProfileSpec, rank_deficient
-from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_finite,
-                     check_inertia, freeze_arrays, zero_budget)
+from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
+from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
+                     freeze_arrays, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Closed-form scalar signal with an analytic derivative.
-
-    kinds: "const" -> offset; "sin"/"cos" -> offset + scale*trig(freq*t + phase).
-    """
-
-    kind: str = "const"
-    offset: float = 0.0
-    scale: float = 0.0
-    freq: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("const", "sin", "cos"):
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        check_finite(self, "offset", "scale", "freq", "phase")
-
-    def __call__(self, t):
-        if self.kind == "const":
-            return self.offset + np.zeros_like(np.asarray(t, dtype=float))
-        if self.kind == "sin":
-            return self.offset + self.scale * np.sin(self.freq * np.asarray(t) + self.phase)
-        return self.offset + self.scale * np.cos(self.freq * np.asarray(t) + self.phase)
-
-    def derivative(self, t):
-        if self.kind == "const":
-            return np.zeros_like(np.asarray(t, dtype=float))
-        if self.kind == "sin":
-            return self.scale * self.freq * np.cos(self.freq * np.asarray(t) + self.phase)
-        return -self.scale * self.freq * np.sin(self.freq * np.asarray(t) + self.phase)
+_ZERO = SignalSpec("const", 0.0)
 
 
 @dataclass(frozen=True)
 class VectorSignal:
-    """Three per-axis SignalSpecs evaluated as a 3-vector (or n x 3 array)."""
+    """Three per-axis SignalSpecs, zero when left out, evaluated as a
+    3-vector (or n x 3 array)."""
 
-    x: SignalSpec = field(default_factory=SignalSpec)
-    y: SignalSpec = field(default_factory=SignalSpec)
-    z: SignalSpec = field(default_factory=SignalSpec)
+    x: SignalSpec = _ZERO
+    y: SignalSpec = _ZERO
+    z: SignalSpec = _ZERO
 
     def __call__(self, t):
         return np.stack([self.x(t), self.y(t), self.z(t)], axis=-1)
@@ -391,17 +363,17 @@ def paper_budget(rho_E: float) -> UncertaintyBudget:
 
 def _paper_omega_d() -> VectorSignal:
     return VectorSignal(
-        x=SignalSpec(kind="cos", scale=2e-3, freq=PAPER_W0),
-        y=SignalSpec(kind="sin", scale=2e-3, freq=PAPER_W0),
-        z=SignalSpec(kind="sin", scale=1e-3, freq=PAPER_W0),
+        x=SignalSpec("cos", 0.0, scale=2e-3, freq=PAPER_W0),
+        y=SignalSpec("sin", 0.0, scale=2e-3, freq=PAPER_W0),
+        z=SignalSpec("sin", 0.0, scale=1e-3, freq=PAPER_W0),
     )
 
 
 def _paper_disturbance() -> VectorSignal:
     return VectorSignal(
-        x=SignalSpec(kind="sin", scale=2.5e-6, freq=PAPER_W0),
-        y=SignalSpec(kind="cos", scale=-2.5e-6, freq=PAPER_W0),
-        z=SignalSpec(kind="cos", scale=2.5e-6, freq=PAPER_W0),
+        x=SignalSpec("sin", 0.0, scale=2.5e-6, freq=PAPER_W0),
+        y=SignalSpec("cos", 0.0, scale=-2.5e-6, freq=PAPER_W0),
+        z=SignalSpec("cos", 0.0, scale=2.5e-6, freq=PAPER_W0),
     )
 
 
@@ -442,10 +414,10 @@ def paper_faulty(**overrides) -> Scenario:
         "health",
         HealthProfile(
             [
-                ProfileSpec(kind="abs_sin", offset=1.0, scale=-0.1, freq=1.0),
-                ProfileSpec(kind="cos", offset=0.7, scale=-0.1, freq=1.0),
-                ProfileSpec(kind="const", offset=0.0),
-                ProfileSpec(kind="sin", offset=0.5, scale=-0.1, freq=1.0),
+                SignalSpec("abs_sin", 1.0, scale=-0.1, freq=1.0),
+                SignalSpec("cos", 0.7, scale=-0.1, freq=1.0),
+                SignalSpec("const", 0.0),
+                SignalSpec("sin", 0.5, scale=-0.1, freq=1.0),
             ]
         ),
     )
@@ -453,10 +425,10 @@ def paper_faulty(**overrides) -> Scenario:
         "health_estimate",
         HealthProfile(
             [
-                ProfileSpec(kind="const", offset=1.0),
-                ProfileSpec(kind="const", offset=1.0),
-                ProfileSpec(kind="const", offset=0.0),
-                ProfileSpec(kind="const", offset=0.7),
+                SignalSpec("const", 1.0),
+                SignalSpec("const", 1.0),
+                SignalSpec("const", 0.0),
+                SignalSpec("const", 0.7),
             ]
         ),
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec
+from ftacs.actuation import ActuatorBank, HealthProfile, SignalSpec
 from ftacs.scenario import PAPER_D
 from reference import allocate, effective_torque, saturate
 
@@ -13,18 +13,23 @@ def paper_bank():
 
 
 def test_profile_clamping():
-    p = ProfileSpec(kind="sin", offset=0.9, scale=0.5, freq=1.0)
+    # HealthProfile clamps what it stacks; a SignalSpec on its own does not
+    p = SignalSpec("sin", 0.9, scale=0.5, freq=1.0)
     ts = np.linspace(0, 10, 200)
-    vals = [p(t) for t in ts]
-    assert all(0.0 <= v <= 1.0 for v in vals)
-    assert ProfileSpec(kind="const", offset=2.0)(0.0) == 1.0
-    assert ProfileSpec(kind="const", offset=-0.5)(0.0) == 0.0
+    vals = HealthProfile([p])(ts)[:, 0]
+    assert np.array_equal(vals, np.clip(p(ts), 0.0, 1.0))
+    assert vals.max() == 1.0 < p(ts).max()
+    hp = HealthProfile([SignalSpec("const", 2.0), SignalSpec("const", -0.5), SignalSpec("const", 0.3)])
+    assert hp(0.0).tolist() == [1.0, 0.0, 0.3]
+    assert hp(np.zeros(2)).tolist() == [[1.0, 0.0, 0.3]] * 2
 
 
 def test_abs_sin_profile():
-    p = ProfileSpec(kind="abs_sin", offset=1.0, scale=-0.1, freq=1.0)
-    assert abs(p(0.0) - 1.0) < 1e-15
-    assert abs(p(math.pi / 2) - 0.9) < 1e-12
+    p = SignalSpec("abs_sin", 1.0, scale=-0.1, freq=1.0)
+    hp = HealthProfile([p])
+    assert abs(hp(0.0)[0] - 1.0) < 1e-15
+    assert abs(hp(math.pi / 2)[0] - 0.9) < 1e-12
+    assert hp(-math.pi / 2)[0] == hp(math.pi / 2)[0] == p(math.pi / 2)
 
 
 def test_healthy_profile():

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from ftacs import ControllerGains, cli, harness
-from ftacs.actuation import ActuatorBank, HealthProfile, ProfileSpec, allocation_matrix
+from ftacs.actuation import ActuatorBank, HealthProfile, SignalSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
 from ftacs.config import UncertaintyBudget, zero_budget
@@ -255,8 +255,8 @@ def toggled_pair_scenario():
     # pair 1 is on, off, on, off: 0.5 + 1e9 sin(t + 0.5) clips to exactly 1 or 0
     # on every grid point, so the steps use two allocation matrices, the first
     # of them again after the second
-    toggle = HealthProfile([ProfileSpec(kind="sin", offset=0.5, scale=1e9, phase=0.5),
-                            ProfileSpec(), ProfileSpec(), ProfileSpec()])
+    toggle = HealthProfile([SignalSpec("sin", 0.5, scale=1e9, phase=0.5),
+                            *HealthProfile.healthy(3).profiles])
     return short_scenario(duration=10.0, health=toggle, health_estimate=toggle)
 
 
@@ -287,9 +287,9 @@ def test_run_scenario_rejects_signals_of_another_scenario():
 
 def fading_estimate():
     # pair 3 fades out after t = pi/2 and pair 4 is dead: full rank until then
-    return HealthProfile([ProfileSpec(), ProfileSpec(),
-                          ProfileSpec(kind="cos", offset=0.0, scale=1.0),
-                          ProfileSpec(kind="const", offset=0.0)])
+    return HealthProfile([SignalSpec("const", 1.0), SignalSpec("const", 1.0),
+                          SignalSpec("cos", 0.0, scale=1.0),
+                          SignalSpec("const", 0.0)])
 
 
 def test_rank_deficient_estimate_fails_before_any_instance(monkeypatch):
@@ -662,6 +662,15 @@ def test_cli_simulate_and_env_out(tmp_path, monkeypatch, capsys):
     assert code == 0
     produced = list((tmp_path / "outputs").glob("*.csv"))
     assert len(produced) == 1
+
+
+def test_cli_simulate_negative_seed_exits_1_before_the_precompute(tmp_path, monkeypatch, capsys):
+    # --seed goes through Scenario's own check, before the 60,000-step precompute
+    monkeypatch.setattr(harness, "scenario_signals", never_called)
+    argv = ["simulate", "--scenario", "paper-faulty", "--seed", "-1", "--out", str(tmp_path)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_montecarlo(tmp_path, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from ftacs import cli, harness, scenario
-from ftacs.actuation import HealthProfile, ProfileSpec
+from ftacs import actuation, cli, harness, scenario
+from ftacs.actuation import HealthProfile
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, check_observer_bounds
 from ftacs.scenario import (
@@ -39,12 +39,27 @@ def test_signal_spec_values_and_derivatives():
     assert c.derivative(3.0) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["const", "sin", "cos", "abs_sin"])
+def test_signal_spec_derivative_is_the_central_difference(kind):
+    s = SignalSpec(kind, 0.3, scale=-1.7, freq=0.8, phase=0.4)
+    t = np.linspace(-20.0, 20.0, 401)
+    x = s.freq * t + s.phase
+    if kind == "abs_sin":  # away from the kinks, where sin x = 0
+        t = t[np.abs(np.sin(x)) > 1e-3]
+        assert len(t) > 350
+    h = 1e-6
+    assert np.allclose(s.derivative(t), (s(t + h) - s(t - h)) / (2 * h), rtol=1e-6, atol=1e-8)
+    assert s.derivative(1.5) == pytest.approx(s.derivative(np.array([1.5]))[0])
+    assert scenario.SignalSpec is actuation.SignalSpec  # one class, re-exported
+
+
 def test_vector_signal_vectorized():
-    v = VectorSignal(x=SignalSpec(kind="sin", scale=1.0), y=SignalSpec(), z=SignalSpec(kind="cos", scale=2.0))
+    v = VectorSignal(x=SignalSpec("sin", 0.0, scale=1.0), z=SignalSpec("cos", 0.0, scale=2.0))
     t = np.linspace(0, 5, 11)
     out = v(t)
     assert out.shape == (11, 3)
     assert np.allclose(out[:, 0], np.sin(t))
+    assert np.array_equal(out[:, 1], np.zeros(11))  # an axis left out is zero
     assert np.allclose(out[:, 2], 2 * np.cos(t))
     assert v.derivative(t).shape == (11, 3)
 
@@ -61,7 +76,7 @@ def test_configuration_objects_are_frozen():
     objects = [sc, sc.estimates, sc.gains, sc.budget, sc.noise, sc.observer.synthetic_profile(),
                sc.health.profiles[0], sc.health, sc.bank, sc.omega_d.x, sc.omega_d, sc.observer,
                sc.init]
-    assert len({type(obj) for obj in objects}) == 13
+    assert len({type(obj) for obj in objects}) == 12
     arrays = []
     for obj in objects:
         for f in fields(obj):
@@ -220,16 +235,16 @@ def test_observer_bounds_follow_assumption1():
 
 
 def test_validation_rejects_rank_deficient_allocation():
-    dead = HealthProfile([ProfileSpec(kind="const", offset=0.0) for _ in range(4)])
+    dead = HealthProfile([SignalSpec("const", 0.0) for _ in range(4)])
     with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 0 s$"):
         paper_fault_free(health_estimate=dead)
 
 
 def test_validation_names_the_first_time_the_estimate_loses_rank():
     # full rank at t = 0; pair 3 fades out after t = pi/2 with pair 4 dead
-    fading = HealthProfile([ProfileSpec(), ProfileSpec(),
-                            ProfileSpec(kind="cos", offset=0.0, scale=1.0),
-                            ProfileSpec(kind="const", offset=0.0)])
+    fading = HealthProfile([SignalSpec("const", 1.0), SignalSpec("const", 1.0),
+                            SignalSpec("cos", 0.0, scale=1.0),
+                            SignalSpec("const", 0.0)])
     with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 1\.58 s$"):
         paper_fault_free(duration=5.0, health_estimate=fading)
     paper_fault_free(duration=1.5, health_estimate=fading)
@@ -239,9 +254,9 @@ def test_health_estimate_runs():
     # pair 1 switches between 0 and 1; pair 4 is clipped at 1 for stretches
     # and varies between them, so rows repeat in runs, come back after other
     # rows, and change at every step
-    estimate = HealthProfile([ProfileSpec(kind="sin", offset=0.5, scale=1e9, phase=0.5),
-                              ProfileSpec(), ProfileSpec(),
-                              ProfileSpec(kind="sin", offset=0.9, scale=0.2, freq=0.3)])
+    estimate = HealthProfile([SignalSpec("sin", 0.5, scale=1e9, phase=0.5),
+                              SignalSpec("const", 1.0), SignalSpec("const", 1.0),
+                              SignalSpec("sin", 0.9, scale=0.2, freq=0.3)])
     sc = paper_fault_free(duration=60.0, health_estimate=estimate)
     grid = np.round(estimate(sc.dt * np.arange(sc.n_steps)), 15)
     rows, runs, starts = sc.health_estimate_runs
@@ -297,7 +312,7 @@ def test_scenario_file_keys_with_defaults_may_be_left_out():
     sc = scenario_from_dict(d)
     assert (sc.tail_fraction, sc.record_decimation, sc.duration) == (0.2, 1, 600.0)
     assert np.array_equal(sc.noise.b0, np.zeros(3))
-    assert sc.omega_d.z == SignalSpec()
+    assert sc.omega_d.z == SignalSpec("const", 0.0)
 
 
 def test_shapes_checked_at_construction():
@@ -433,7 +448,13 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "disturbance-unknown-kind": (_set("disturbance", "x", "kind", value="tan"),
                                  "unknown signal kind 'tan'"),
     "health-unknown-kind": (_set("health", "profiles", 0, "kind", value="tan"),
-                            "unknown profile kind 'tan'"),
+                            "unknown signal kind 'tan'"),
+    # kind and offset have no default: a healthy pair left without its
+    # offset would otherwise read as a dead one
+    "health-no-offset": (_delete("health", "profiles", 0, "offset"),
+                         "missing key 'health.profiles[0].offset'"),
+    "omega_d-no-offset": (_delete("omega_d", "x", "offset"), "missing key 'omega_d.x.offset'"),
+    "disturbance-no-kind": (_delete("disturbance", "y", "kind"), "missing key 'disturbance.y.kind'"),
     "omega_d-freq-nan": (_set("omega_d", "x", "freq", value=math.nan), "freq must be finite, got nan"),
     "health-scale-infinite": (_set("health", "profiles", 1, "scale", value=math.inf),
                               "scale must be finite, got inf"),
