@@ -12,8 +12,9 @@ Library layout:
     controller  stability gain conditions of the control law
     bounds      sequential fixed-point prediction of ultimate error bounds
     scenario    vector signals, scenario configs, YAML I/O, built-in presets
-    kernel      the closed-loop step on Python floats: observers, control
-                law, plant
+    kernel      the closed loop on Python floats: observers, and one
+                function that runs every step of an instance (control law,
+                allocation and saturation, faulty actuators, rigid body)
     harness     closed-loop runner, Monte Carlo campaigns, verification, export
 """
 

@@ -1,6 +1,6 @@
 """Stability gain conditions of the continuous sliding-mode control law.
 
-The law itself runs in kernel.control_law.
+The law itself runs in each step of kernel.closed_loop.
 """
 
 from __future__ import annotations

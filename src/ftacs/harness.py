@@ -11,7 +11,6 @@ import signal
 import threading
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -167,20 +166,23 @@ class ScenarioSignals:
 
     def steps(self):
         """Per step: t, qd, omega_d, omega_d_dot, tau_d, health, allocation
-        rows, qtilde^-1 and omega_tilde (None unless synthetic), as floats.
+        rows, qtilde^-1 and omega_tilde (empty unless synthetic), as floats.
 
-        The allocation rows are converted once per call for each distinct
-        matrix, as a tuple of row tuples, and every step that uses that
-        matrix gets the same object: they are shared, not copied."""
+        Each block of ROW_BLOCK steps becomes one list of rows through a
+        single tolist() of the signals side by side, and a step's fields are
+        slices of its row. The allocation rows are converted once per call
+        for each distinct matrix, as a tuple of row tuples, and every step
+        that uses that matrix gets the same object: they are shared, not
+        copied."""
         alloc = [tuple(map(tuple, a)) for a in self.alloc.tolist()]
+        signals = [self.t[:, None], self.qd, self.omega_d, self.omega_d_dot, self.tau_d,
+                   self.health, *(a for a in (self.qtilde_inv, self.omega_tilde) if a is not None)]
+        e = 14 + self.health.shape[1]  # end of the health columns
         for rows in _row_blocks(len(self.t)):
-            obs = [repeat(None) if a is None else a[rows].tolist()
-                   for a in (self.qtilde_inv, self.omega_tilde)]
-            yield from zip(
-                self.t[rows].tolist(), self.qd[rows].tolist(), self.omega_d[rows].tolist(),
-                self.omega_d_dot[rows].tolist(), self.tau_d[rows].tolist(),
-                self.health[rows].tolist(),
-                map(alloc.__getitem__, self.alloc_index[rows].tolist()), *obs)
+            block = np.hstack([a[rows] for a in signals]).tolist()
+            for r, j in zip(block, self.alloc_index[rows].tolist()):
+                yield (r[0], r[1:5], r[5:8], r[8:11], r[11:14], r[14:e], alloc[j], r[e:e + 4],
+                       r[e + 4:])
 
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
@@ -248,12 +250,7 @@ def run_scenario(
     dt = scenario.dt
     n = scenario.n_steps
     dec = scenario.record_decimation
-    m = scenario.bank.m
-    k = scenario.gains.k
 
-    control = kernel.control_law(scenario.gains, scenario.estimates, signals.coeffs,
-                                 scenario.bank.tau_max)
-    plant = kernel.plant_step(scenario.J, dt)
     q, w = _initial_state(scenario, rng)
     spec = scenario.observer
     if spec.kind == "perfect":
@@ -262,11 +259,12 @@ def run_scenario(
         observe = kernel.synthetic_observe
     else:  # bias observer fed by noisy sensors, drawing after the initial state
         observe = kernel.bias_observer(scenario.noise, spec.k_o, spec.k_b, dt, rng)
-    D = scenario.bank.D.T.tolist()  # thruster-pair torque directions
+    advance = kernel.closed_loop(scenario.gains, scenario.estimates, signals.coeffs,
+                                 scenario.bank, scenario.J, dt, observe)
 
     # recorded fields and their widths, in the column order of a recorded row
     widths = {"t": 1, "qe": 4, "omega_e": 3, "s": 3, "s_hat": 3, "theta_e_deg": 1,
-              "tau_u": m, "qtilde_norm": 1, "wtilde_norm": 1}
+              "tau_u": scenario.bank.m, "qtilde_norm": 1, "wtilde_norm": 1}
     n_rec = (n + dec - 1) // dec
     rec = {name: np.empty((n_rec, wn) if wn > 1 else n_rec) for name, wn in widths.items()}
     rows: list[tuple] = []
@@ -282,25 +280,7 @@ def run_scenario(
         r += len(rows)
         rows.clear()
 
-    for i, (t, qd, wd, wdd, taud, e, alloc, qti, wt) in enumerate(signals.steps()):
-        qh, wh = observe(q, w, qti, wt)
-        tau_u, s_hat = control(qh, wh, qd, wd, wdd, alloc)
-        if i % dec == 0:
-            *errors, theta, qtn, wtn = kernel.tracking_record(q, w, qd, wd, qh, wh, k)
-            rows.append((t, *errors, *s_hat, theta, *tau_u, qtn, wtn))
-            if len(rows) == ROW_BLOCK:
-                flush()
-        # realized torque D * E * tau_u, plus the disturbance
-        cx = cy = cz = 0.0
-        for (dx, dy, dz), ej, tj in zip(D, e, tau_u):
-            p = ej * tj
-            cx += dx * p
-            cy += dy * p
-            cz += dz * p
-        try:
-            q, w = plant(q, w, (cx + taud[0], cy + taud[1], cz + taud[2]))
-        except NonFiniteState:
-            raise NonFiniteState(f"non-finite state at step {i} (t={t:.3f} s)") from None
+    advance(q, w, signals.steps(), rows, flush, dec)
     if rows:
         flush()
 

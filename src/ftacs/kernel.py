@@ -1,18 +1,16 @@
-"""The closed-loop step on Python floats.
+"""The closed loop on Python floats.
 
-harness.run_scenario advances an instance with the functions built here:
-the observer, the control law (estimated error coordinates, feedforward,
-robust term, virtual control, allocation, saturation), the plant RK4 step and
-the recorded tracking errors. The factories control_law, plant_step and
-bias_observer bind their parameters once and return the function that runs
-every step.
+closed_loop binds an instance's parameters once and returns advance, which
+harness.run_scenario calls once per instance to run every step: observer,
+control law, saturated allocation, faulty actuators, recorded errors, RK4.
 
 Vectors are tuples or lists of floats. Quaternions are scalar-first with the
 Hamilton product, and every product is renormalized. The rotation matrix is
 R(q) = I - 2*q0*qv^x + 2*qv^x*qv^x, so R(q_e) maps desired-frame vectors into
 the body frame. tests/reference.py defines the same math on numpy arrays,
-one function per equation, and tests/test_kernel.py holds these functions to
-it within 1e-12.
+one function per equation, and tests/test_kernel.py holds one step of
+advance to its chain control_step -> effective_torque + tau_d -> rk4_step and
+to its tracking_errors and estimation_error within 1e-12.
 
 The functions write out the quaternion product, the rotation and the
 quaternion rate in place of calling helpers, since a Python call costs more
@@ -35,6 +33,7 @@ from itertools import chain
 
 import numpy as np
 
+from .actuation import ActuatorBank
 from .bounds import RobustCoefficients
 from .config import ControllerGains, ModelEstimates
 from .errors import NonFiniteState
@@ -83,102 +82,10 @@ def kinematics_rk4(q, w1, w2, w4, dt):
     return (p0 / n, p1 / n, p2 / n, p3 / n)
 
 
-def control_law(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoefficients,
-                tau_max: float):
-    """control(q_hat, omega_hat, qd, omega_d, omega_d_dot, alloc) -> (tau_u, s_hat).
-
-    The law of the reference's control_step (tests/reference.py), with the
-    m x 3 allocation matrix given as m rows."""
-    k = gains.k
-    (K00, K01, K02), (K10, K11, K12), (K20, K21, K22) = gains.K.tolist()
-    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = est.J_hat.tolist()
-    tdx, tdy, tdz = est.tau_d_hat.tolist()
-    a0, a1 = coeffs.a0, coeffs.a1
-    gamma, eps = gains.gamma, gains.epsilon
-    c_qq = -0.5 * k * k
-    c_g = 0.5 * k
-
-    def control(qh, wh, qd, wd, wdd, alloc):
-        d0, d1, d2, d3 = qd
-        h0, h1, h2, h3 = qh
-        # estimated error coordinates: qe = _qmul(qd^-1, q_hat)
-        e0 = d0 * h0 + d1 * h1 + d2 * h2 + d3 * h3
-        e1 = d0 * h1 - h0 * d1 - d2 * h3 + d3 * h2
-        e2 = d0 * h2 - h0 * d2 - d3 * h1 + d1 * h3
-        e3 = d0 * h3 - h0 * d3 - d1 * h2 + d2 * h1
-        n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
-        e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
-        # omega_bar_hat_d = _rotate(qe, omega_d)
-        vx, vy, vz = wd
-        e0x2 = 2.0 * e0
-        cx = e2 * vz - e3 * vy
-        cy = e3 * vx - e1 * vz
-        cz = e1 * vy - e2 * vx
-        bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
-        by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
-        bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
-        ox, oy, oz = wh[0] - bx, wh[1] - by, wh[2] - bz  # omega_hat_e
-        sx, sy, sz = ox + k * e1, oy + k * e2, oz + k * e3  # s_hat
-
-        # feedforward psi_hat = -k^2/2 qv x J qv + k/2 G(q) J omega_hat_e - k xi_d qv,
-        # with G(q) x = q0 x + qv x x and xi_d qv = (J wb) x qv - wb x J qv - J (wb x qv)
-        jqx = J00 * e1 + J01 * e2 + J02 * e3
-        jqy = J10 * e1 + J11 * e2 + J12 * e3
-        jqz = J20 * e1 + J21 * e2 + J22 * e3
-        jbx = J00 * bx + J01 * by + J02 * bz
-        jby = J10 * bx + J11 * by + J12 * bz
-        jbz = J20 * bx + J21 * by + J22 * bz
-        jox = J00 * ox + J01 * oy + J02 * oz
-        joy = J10 * ox + J11 * oy + J12 * oz
-        joz = J20 * ox + J21 * oy + J22 * oz
-        cx, cy, cz = by * e3 - bz * e2, bz * e1 - bx * e3, bx * e2 - by * e1  # wb x qv
-        xi_x = (jby * e3 - jbz * e2) - (by * jqz - bz * jqy) - (J00 * cx + J01 * cy + J02 * cz)
-        xi_y = (jbz * e1 - jbx * e3) - (bz * jqx - bx * jqz) - (J10 * cx + J11 * cy + J12 * cz)
-        xi_z = (jbx * e2 - jby * e1) - (bx * jqy - by * jqx) - (J20 * cx + J21 * cy + J22 * cz)
-        px = (c_qq * (e2 * jqz - e3 * jqy) + c_g * (e0 * jox + (e2 * joz - e3 * joy))
-              - k * xi_x)
-        py = (c_qq * (e3 * jqx - e1 * jqz) + c_g * (e0 * joy + (e3 * jox - e1 * joz))
-              - k * xi_y)
-        pz = (c_qq * (e1 * jqy - e2 * jqx) + c_g * (e0 * joz + (e1 * joy - e2 * jox))
-              - k * xi_z)
-        # psi_hat_d = wb x J wb + J R(q) omega_d_dot, with R(q) omega_d_dot = _rotate(qe, wdd)
-        vx, vy, vz = wdd
-        cx = e2 * vz - e3 * vy
-        cy = e3 * vx - e1 * vz
-        cz = e1 * vy - e2 * vx
-        ax = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
-        ay = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
-        az = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
-        pdx = (by * jbz - bz * jby) + (J00 * ax + J01 * ay + J02 * az)
-        pdy = (bz * jbx - bx * jbz) + (J10 * ax + J11 * ay + J12 * az)
-        pdz = (bx * jby - by * jbx) + (J20 * ax + J21 * ay + J22 * az)
-
-        # boundary-layer robust term
-        mag = a1 * (math.sqrt(e1 * e1 + e2 * e2 + e3 * e3) + gamma) + a0
-        s_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-        g = -(mag / s_norm) if s_norm >= eps else -(mag / eps)
-
-        # u = -K s_hat + u_s + psi_hat_d - psi_hat - tau_d_hat
-        ux = -(K00 * sx + K01 * sy + K02 * sz) + g * sx + pdx - px - tdx
-        uy = -(K10 * sx + K11 * sy + K12 * sz) + g * sy + pdy - py - tdy
-        uz = -(K20 * sx + K21 * sy + K22 * sz) + g * sz + pdz - pz - tdz
-        tau_u = []
-        for r0, r1, r2 in alloc:
-            r = r0 * ux + r1 * uy + r2 * uz
-            tau_u.append(tau_max if r > tau_max else -tau_max if r < -tau_max else r)
-        return tau_u, (sx, sy, sz)
-
-    return control
-
-
-def plant_step(J: np.ndarray, dt: float):
-    """step(q, omega, tau) -> (q, omega): RK4 of the rigid body under a torque
-    held constant over the step, q renormalized once; raises NonFiniteState.
-    J is a Scenario's inertia, checked positive definite when it was built."""
+def _body_rates(J: np.ndarray):
+    """rates(q0..q3, omega, tau) -> (qdot, omega_dot) of a Scenario's rigid body."""
     (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = J.tolist()
     (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(J).tolist()
-    h = 0.5 * dt
-    c = dt / 6.0
 
     def rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz):
         # omega_dot = J^-1 (tau - omega x J omega)
@@ -197,73 +104,173 @@ def plant_step(J: np.ndarray, dt: float):
                 I10 * fx + I11 * fy + I12 * fz,
                 I20 * fx + I21 * fy + I22 * fz)
 
-    def step(q, w, tau):
-        q0, q1, q2, q3 = q
-        wx, wy, wz = w
-        tx, ty, tz = tau
-        a0, a1, a2, a3, a4, a5, a6 = rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz)
-        b0, b1, b2, b3, b4, b5, b6 = rates(
-            q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3,
-            wx + h * a4, wy + h * a5, wz + h * a6, tx, ty, tz)
-        m0, m1, m2, m3, m4, m5, m6 = rates(
-            q0 + h * b0, q1 + h * b1, q2 + h * b2, q3 + h * b3,
-            wx + h * b4, wy + h * b5, wz + h * b6, tx, ty, tz)
-        d0, d1, d2, d3, d4, d5, d6 = rates(
-            q0 + dt * m0, q1 + dt * m1, q2 + dt * m2, q3 + dt * m3,
-            wx + dt * m4, wy + dt * m5, wz + dt * m6, tx, ty, tz)
-        p0 = q0 + c * (a0 + 2 * b0 + 2 * m0 + d0)
-        p1 = q1 + c * (a1 + 2 * b1 + 2 * m1 + d1)
-        p2 = q2 + c * (a2 + 2 * b2 + 2 * m2 + d2)
-        p3 = q3 + c * (a3 + 2 * b3 + 2 * m3 + d3)
-        wx = wx + c * (a4 + 2 * b4 + 2 * m4 + d4)
-        wy = wy + c * (a5 + 2 * b5 + 2 * m5 + d5)
-        wz = wz + c * (a6 + 2 * b6 + 2 * m6 + d6)
-        n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-        # x - x is 0.0 for every finite x and NaN otherwise
-        if (n - n) + (wx - wx) + (wy - wy) + (wz - wz) != 0.0:
-            raise NonFiniteState("non-finite state")
-        return (p0 / n, p1 / n, p2 / n, p3 / n), (wx, wy, wz)
-
-    return step
+    return rates
 
 
-def tracking_record(q, w, qd, wd, qh, wh, k):
-    """(qe0..3, omega_e, s, theta_e_deg, |qtilde_v|, |omega_tilde|): the true
-    errors of the reference's tracking_errors (tests/reference.py) and the
-    observer errors."""
-    q0, q1, q2, q3 = q
-    d0, d1, d2, d3 = qd
-    # qe = _qmul(qd^-1, q)
-    e0 = d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3
-    e1 = d0 * q1 - q0 * d1 - d2 * q3 + d3 * q2
-    e2 = d0 * q2 - q0 * d2 - d3 * q1 + d1 * q3
-    e3 = d0 * q3 - q0 * d3 - d1 * q2 + d2 * q1
-    n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
-    e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
-    # omega_bar_d = _rotate(qe, omega_d)
-    vx, vy, vz = wd
-    e0x2 = 2.0 * e0
-    cx = e2 * vz - e3 * vy
-    cy = e3 * vx - e1 * vz
-    cz = e1 * vy - e2 * vx
-    bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
-    by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
-    bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
-    wx, wy, wz = w
-    ox, oy, oz = wx - bx, wy - by, wz - bz
-    # qtilde = _qmul(q_hat^-1, q), of which the vector part is recorded
-    h0, h1, h2, h3 = qh
-    t0 = h0 * q0 + h1 * q1 + h2 * q2 + h3 * q3
-    t1 = h0 * q1 - q0 * h1 - h2 * q3 + h3 * q2
-    t2 = h0 * q2 - q0 * h2 - h3 * q1 + h1 * q3
-    t3 = h0 * q3 - q0 * h3 - h1 * q2 + h2 * q1
-    n = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3)
-    t1, t2, t3 = t1 / n, t2 / n, t3 / n
-    fx, fy, fz = wh[0] - wx, wh[1] - wy, wh[2] - wz
-    return (e0, e1, e2, e3, ox, oy, oz, ox + k * e1, oy + k * e2, oz + k * e3,
-            math.degrees(2.0 * math.acos(min(abs(e0), 1.0))),
-            math.sqrt(t1 * t1 + t2 * t2 + t3 * t3),
-            math.sqrt(fx * fx + fy * fy + fz * fz))
+def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoefficients,
+                bank: ActuatorBank, J: np.ndarray, dt: float, observe):
+    """advance(q, w, steps, rows, flush, record_every) -> (q, w) runs the
+    tuples of ScenarioSignals.steps from the state (q, w). A step observes,
+    applies the reference's control_step (tests/reference.py) to the
+    estimates, realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
+    renormalized once. Every record_every-th step appends (t, qe, omega_e,
+    s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) to rows and
+    calls flush() at ROW_BLOCK rows. A non-finite state raises
+    NonFiniteState naming the step."""
+    k = gains.k
+    (K00, K01, K02), (K10, K11, K12), (K20, K21, K22) = gains.K.tolist()
+    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = est.J_hat.tolist()
+    tdx, tdy, tdz = est.tau_d_hat.tolist()
+    rob0, rob1 = coeffs.a0, coeffs.a1
+    gamma, eps = gains.gamma, gains.epsilon
+    c_qq = -0.5 * k * k
+    c_g = 0.5 * k
+    tau_max = bank.tau_max
+    pairs = bank.D.T.tolist()  # torque direction of each thruster pair
+    rates = _body_rates(J)
+    h = 0.5 * dt
+    c = dt / 6.0
+
+    def advance(q, w, steps, rows, flush, record_every):
+        for i, (t, qd, wd, wdd, taud, e, alloc, qti, wt) in enumerate(steps):
+            qh, wh = observe(q, w, qti, wt)
+            d0, d1, d2, d3 = qd
+            h0, h1, h2, h3 = qh
+            # estimated error coordinates: qe = _qmul(qd^-1, q_hat)
+            e0 = d0 * h0 + d1 * h1 + d2 * h2 + d3 * h3
+            e1 = d0 * h1 - h0 * d1 - d2 * h3 + d3 * h2
+            e2 = d0 * h2 - h0 * d2 - d3 * h1 + d1 * h3
+            e3 = d0 * h3 - h0 * d3 - d1 * h2 + d2 * h1
+            n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
+            e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
+            # omega_bar_hat_d = _rotate(qe, omega_d)
+            vx, vy, vz = wd
+            e0x2 = 2.0 * e0
+            cx = e2 * vz - e3 * vy
+            cy = e3 * vx - e1 * vz
+            cz = e1 * vy - e2 * vx
+            bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+            by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+            bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
+            ox, oy, oz = wh[0] - bx, wh[1] - by, wh[2] - bz  # omega_hat_e
+            sx, sy, sz = ox + k * e1, oy + k * e2, oz + k * e3  # s_hat
+
+            # feedforward psi_hat = -k^2/2 qv x J qv + k/2 G(q) J omega_hat_e - k xi_d qv,
+            # with G(q) x = q0 x + qv x x and xi_d qv = (J wb) x qv - wb x J qv - J (wb x qv)
+            jqx = J00 * e1 + J01 * e2 + J02 * e3
+            jqy = J10 * e1 + J11 * e2 + J12 * e3
+            jqz = J20 * e1 + J21 * e2 + J22 * e3
+            jbx = J00 * bx + J01 * by + J02 * bz
+            jby = J10 * bx + J11 * by + J12 * bz
+            jbz = J20 * bx + J21 * by + J22 * bz
+            jox = J00 * ox + J01 * oy + J02 * oz
+            joy = J10 * ox + J11 * oy + J12 * oz
+            joz = J20 * ox + J21 * oy + J22 * oz
+            cx, cy, cz = by * e3 - bz * e2, bz * e1 - bx * e3, bx * e2 - by * e1  # wb x qv
+            xi_x = (jby * e3 - jbz * e2) - (by * jqz - bz * jqy) - (J00 * cx + J01 * cy + J02 * cz)
+            xi_y = (jbz * e1 - jbx * e3) - (bz * jqx - bx * jqz) - (J10 * cx + J11 * cy + J12 * cz)
+            xi_z = (jbx * e2 - jby * e1) - (bx * jqy - by * jqx) - (J20 * cx + J21 * cy + J22 * cz)
+            px = (c_qq * (e2 * jqz - e3 * jqy) + c_g * (e0 * jox + (e2 * joz - e3 * joy))
+                  - k * xi_x)
+            py = (c_qq * (e3 * jqx - e1 * jqz) + c_g * (e0 * joy + (e3 * jox - e1 * joz))
+                  - k * xi_y)
+            pz = (c_qq * (e1 * jqy - e2 * jqx) + c_g * (e0 * joz + (e1 * joy - e2 * jox))
+                  - k * xi_z)
+            # psi_hat_d = wb x J wb + J R(q) omega_d_dot, with R(q) omega_d_dot = _rotate(qe, wdd)
+            vx, vy, vz = wdd
+            cx = e2 * vz - e3 * vy
+            cy = e3 * vx - e1 * vz
+            cz = e1 * vy - e2 * vx
+            ax = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+            ay = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+            az = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
+            pdx = (by * jbz - bz * jby) + (J00 * ax + J01 * ay + J02 * az)
+            pdy = (bz * jbx - bx * jbz) + (J10 * ax + J11 * ay + J12 * az)
+            pdz = (bx * jby - by * jbx) + (J20 * ax + J21 * ay + J22 * az)
+
+            # boundary-layer robust term
+            mag = rob1 * (math.sqrt(e1 * e1 + e2 * e2 + e3 * e3) + gamma) + rob0
+            s_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+            g = -(mag / s_norm) if s_norm >= eps else -(mag / eps)
+
+            # u = -K s_hat + u_s + psi_hat_d - psi_hat - tau_d_hat
+            ux = -(K00 * sx + K01 * sy + K02 * sz) + g * sx + pdx - px - tdx
+            uy = -(K10 * sx + K11 * sy + K12 * sz) + g * sy + pdy - py - tdy
+            uz = -(K20 * sx + K21 * sy + K22 * sz) + g * sz + pdz - pz - tdz
+            # each pair's saturated command and its realized torque D * E * tau_u
+            tau_u = []
+            tx = ty = tz = 0.0
+            for (r0, r1, r2), (dx, dy, dz), ej in zip(alloc, pairs, e):
+                r = r0 * ux + r1 * uy + r2 * uz
+                tj = tau_max if r > tau_max else -tau_max if r < -tau_max else r
+                tau_u.append(tj)
+                p = ej * tj
+                tx += dx * p
+                ty += dy * p
+                tz += dz * p
+
+            q0, q1, q2, q3 = q
+            wx, wy, wz = w
+            if i % record_every == 0:
+                # true errors: qe = _qmul(qd^-1, q), omega_bar_d = _rotate(qe, omega_d)
+                e0 = d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3
+                e1 = d0 * q1 - q0 * d1 - d2 * q3 + d3 * q2
+                e2 = d0 * q2 - q0 * d2 - d3 * q1 + d1 * q3
+                e3 = d0 * q3 - q0 * d3 - d1 * q2 + d2 * q1
+                n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
+                e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
+                vx, vy, vz = wd
+                e0x2 = 2.0 * e0
+                cx = e2 * vz - e3 * vy
+                cy = e3 * vx - e1 * vz
+                cz = e1 * vy - e2 * vx
+                bx = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+                by = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+                bz = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
+                ox, oy, oz = wx - bx, wy - by, wz - bz
+                # observer errors: qtilde = _qmul(q_hat^-1, q), of which the
+                # vector part is recorded, and omega_hat - omega
+                t0 = h0 * q0 + h1 * q1 + h2 * q2 + h3 * q3
+                t1 = h0 * q1 - q0 * h1 - h2 * q3 + h3 * q2
+                t2 = h0 * q2 - q0 * h2 - h3 * q1 + h1 * q3
+                t3 = h0 * q3 - q0 * h3 - h1 * q2 + h2 * q1
+                n = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3)
+                t1, t2, t3 = t1 / n, t2 / n, t3 / n
+                fx, fy, fz = wh[0] - wx, wh[1] - wy, wh[2] - wz
+                rows.append((t, e0, e1, e2, e3, ox, oy, oz, ox + k * e1, oy + k * e2, oz + k * e3,
+                             sx, sy, sz, math.degrees(2.0 * math.acos(min(abs(e0), 1.0))),
+                             *tau_u, math.sqrt(t1 * t1 + t2 * t2 + t3 * t3),
+                             math.sqrt(fx * fx + fy * fy + fz * fz)))
+                if len(rows) == ROW_BLOCK:
+                    flush()
+
+            # RK4 of the rigid body under tau_c + tau_d held over the step
+            tx, ty, tz = tx + taud[0], ty + taud[1], tz + taud[2]
+            a0, a1, a2, a3, a4, a5, a6 = rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz)
+            b0, b1, b2, b3, b4, b5, b6 = rates(
+                q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3,
+                wx + h * a4, wy + h * a5, wz + h * a6, tx, ty, tz)
+            m0, m1, m2, m3, m4, m5, m6 = rates(
+                q0 + h * b0, q1 + h * b1, q2 + h * b2, q3 + h * b3,
+                wx + h * b4, wy + h * b5, wz + h * b6, tx, ty, tz)
+            d0, d1, d2, d3, d4, d5, d6 = rates(
+                q0 + dt * m0, q1 + dt * m1, q2 + dt * m2, q3 + dt * m3,
+                wx + dt * m4, wy + dt * m5, wz + dt * m6, tx, ty, tz)
+            p0 = q0 + c * (a0 + 2 * b0 + 2 * m0 + d0)
+            p1 = q1 + c * (a1 + 2 * b1 + 2 * m1 + d1)
+            p2 = q2 + c * (a2 + 2 * b2 + 2 * m2 + d2)
+            p3 = q3 + c * (a3 + 2 * b3 + 2 * m3 + d3)
+            wx = wx + c * (a4 + 2 * b4 + 2 * m4 + d4)
+            wy = wy + c * (a5 + 2 * b5 + 2 * m5 + d5)
+            wz = wz + c * (a6 + 2 * b6 + 2 * m6 + d6)
+            n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+            # x - x is 0.0 for every finite x and NaN otherwise
+            if (n - n) + (wx - wx) + (wy - wy) + (wz - wz) != 0.0:
+                raise NonFiniteState(f"non-finite state at step {i} (t={t:.3f} s)")
+            q, w = (p0 / n, p1 / n, p2 / n, p3 / n), (wx, wy, wz)
+        return q, w
+
+    return advance
 
 
 def perfect_observe(q, w, qti, wt):

@@ -17,7 +17,7 @@ import yaml
 
 from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
-                     freeze_arrays, zero_budget)
+                     freeze_arrays, freeze_floats, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
@@ -137,6 +137,12 @@ class Scenario:
     record_decimation: int = 1
 
     def __post_init__(self):
+        freeze_floats(self, "duration", "dt", "tail_fraction")
+        for name in ("seed", "record_decimation"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         freeze_arrays(self, "J", "qd0")
         check_inertia(self, "J")
         if self.qd0.shape != (4,):

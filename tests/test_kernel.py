@@ -1,5 +1,7 @@
 """The float closed-loop kernel against the numpy reference (reference.py)
-and against traces recorded before it replaced the numpy step loop."""
+and against traces recorded before it replaced the numpy step loop. The
+closed loop is checked one step at a time through the function the
+simulator runs, closed_loop's advance."""
 
 import math
 from pathlib import Path
@@ -10,17 +12,10 @@ import pytest
 from ftacs.actuation import ActuatorBank, allocation_matrix
 from ftacs.bounds import robust_coefficients
 from ftacs.config import ModelEstimates
+from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams, SyntheticErrorProfile
 from ftacs.harness import run_scenario
-from ftacs.kernel import (
-    ROW_BLOCK,
-    bias_observer,
-    control_law,
-    kinematics_rk4,
-    plant_step,
-    synthetic_observe,
-    tracking_record,
-)
+from ftacs.kernel import ROW_BLOCK, bias_observer, closed_loop, kinematics_rk4, synthetic_observe
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -41,6 +36,7 @@ from reference import (
     _rotate,
     bias_observer_step,
     control_step,
+    effective_torque,
     estimation_error,
     rk4_step,
     sensor_sample,
@@ -48,8 +44,10 @@ from reference import (
     tracking_errors,
 )
 
-# Every RunTrace field of three 5 s runs, recorded with run_scenario at commit
-# bf60fc0, whose step loop was written with numpy arrays.
+# Every RunTrace field of 5 s runs. The three full-rate runs were recorded
+# with run_scenario at commit bf60fc0, whose step loop was written with numpy
+# arrays; the decimated run at commit 9b0f93f, whose harness recorded every
+# record_decimation-th step of the kernel's step functions.
 GOLDEN = Path(__file__).parent / "data" / "golden_traces.npz"
 GOLDEN_CASES = {
     "paper_faulty": lambda: paper_faulty(duration=5.0),
@@ -57,6 +55,7 @@ GOLDEN_CASES = {
         duration=5.0, observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1)
     ),
     "nominal_exact": lambda: nominal_exact(duration=5.0),
+    "paper_faulty_decimated": lambda: paper_faulty(duration=5.0, record_decimation=10, seed=7),
 }
 TRACE_FIELDS = ("t", "qe", "omega_e", "s", "s_hat", "theta_e_deg", "tau_u", "qtilde_norm",
                 "wtilde_norm")
@@ -79,79 +78,89 @@ def test_golden_traces(case):
                                    rtol=0.0, atol=TOL, err_msg=f"{case}.{name}")
 
 
-def test_control_stage_matches_control_step():
-    rng = np.random.default_rng(7)
-    gains = paper_gains()
-    coeffs = robust_coefficients(paper_budget(0.08), gains.k)
-    bank = ActuatorBank(D=PAPER_D.copy(), tau_max=0.02)
-    est = ModelEstimates(J_hat=PAPER_J_HAT, tau_d_hat=rng.standard_normal(3) * 1e-6)
-    control = control_law(gains, est, coeffs, bank.tau_max)
-    inside_seen, saturated_seen, free_seen = set(), False, False
-    for i in range(200):
-        qd = random_quat(rng)
-        desired = DesiredState(qd=qd, omega_d=rng.standard_normal(3) * 2e-3,
-                               omega_d_dot=rng.standard_normal(3) * 2e-6)
-        obs = ObserverOutput(q_hat=random_quat(rng), omega_hat=rng.standard_normal(3) * 0.02)
-        e_hat = rng.uniform(0.3, 1.0, 4)
-        if i % 2:  # small rate error: s_hat inside the boundary layer
-            _, _, ref = control_step(obs, desired, gains, est, coeffs, bank, e_hat)
-            obs.omega_hat = obs.omega_hat - ref.s_hat + rng.standard_normal(3) * 1e-3
-        tau_ref, _, diag = control_step(obs, desired, gains, est, coeffs, bank, e_hat)
-        tau, s_hat = control(tuple(obs.q_hat), tuple(obs.omega_hat), tuple(desired.qd),
-                             tuple(desired.omega_d), tuple(desired.omega_d_dot),
-                             allocation_matrix(bank, e_hat).tolist())
-        np.testing.assert_allclose(s_hat, diag.s_hat, rtol=0.0, atol=TOL)
-        np.testing.assert_allclose(tau, tau_ref, rtol=0.0, atol=TOL)
-        inside_seen.add(diag.inside_boundary_layer)
-        saturated_seen |= bool(np.any(np.abs(diag.tau_u_raw) > bank.tau_max))
-        free_seen |= bool(np.all(np.abs(diag.tau_u_raw) < bank.tau_max))
-    assert inside_seen == {True, False} and saturated_seen and free_seen
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_diverging_run_names_its_step_and_time(decimation):
+    # the gain conditions hold, but 20 s steps with unlimited torque diverge
+    sc = paper_fault_free(dt=20.0, duration=400.0, record_decimation=decimation,
+                          bank=ActuatorBank(D=PAPER_D, tau_max=math.inf))
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at step 7 \(t=140\.000 s\)$"):
+        run_scenario(sc)
+
+
+BANK = ActuatorBank(D=PAPER_D.copy(), tau_max=0.02)
+
+
+def one_step(q, w, observed, signals, dt, est, coeffs):
+    """One step of closed_loop's advance from (q, w) with the paper gains,
+    bank and inertia, signals being the step's tuple and observed what the
+    observer returns: the new state and the recorded row."""
+    rows = []
+    advance = closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt, lambda *_: observed)
+    q, w = advance(q, w, [signals], rows, None, 1)
+    return q, w, rows[0]
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.5])
-def test_plant_step_matches_rk4_step(dt):
-    rng = np.random.default_rng(11)
-    step = plant_step(PAPER_J, dt)
-    for _ in range(100):
-        state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.05)
-        tau_c, tau_d = rng.standard_normal(3) * 0.02, rng.standard_normal(3) * 3e-6
-        ref = rk4_step(state, PAPER_J, lambda t, s: tau_c, lambda t: tau_d, 0.0, dt)
-        q, w = step(tuple(state.q), tuple(state.omega), tuple(tau_c + tau_d))
-        np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
-        np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
-
-
-def test_kinematics_rk4_at_constant_rate_matches_plant_kinematics():
-    # a rigid body spinning about a principal axis keeps its rate, so the
-    # plant's attitude step and the kinematics step at that rate coincide
-    rng = np.random.default_rng(3)
-    J = np.diag([8.0, 7.0, 6.0])
-    step = plant_step(J, 0.01)
-    for axis in np.eye(3):
-        w = tuple(axis * 0.03)
-        q = tuple(random_quat(rng))
-        q_plant, w_plant = step(q, w, (0.0, 0.0, 0.0))
-        np.testing.assert_allclose(w_plant, w, rtol=0.0, atol=TOL)
-        np.testing.assert_allclose(kinematics_rk4(q, w, w, w, 0.01), q_plant, rtol=0.0, atol=TOL)
-
-
-def test_tracking_record_matches_library():
-    rng = np.random.default_rng(5)
-    k = 0.2
-    for _ in range(100):
+def test_closed_loop_step_matches_the_reference_chain(dt):
+    # control_step -> effective_torque + tau_d -> rk4_step, and the recorded
+    # tracking_errors, s_hat, tau_u and estimation errors
+    rng = np.random.default_rng(7)
+    gains = paper_gains()
+    coeffs = robust_coefficients(paper_budget(0.08), gains.k)
+    est = ModelEstimates(J_hat=PAPER_J_HAT, tau_d_hat=rng.standard_normal(3) * 1e-6)
+    seen = set()
+    for i in range(200):
         state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
         desired = DesiredState(qd=random_quat(rng), omega_d=rng.standard_normal(3) * 2e-3,
-                               omega_d_dot=np.zeros(3))
-        q_hat, w_hat = random_quat(rng), state.omega + rng.standard_normal(3) * 1e-4
-        err = tracking_errors(state, desired, k)
-        expected = [*err.qe, *err.omega_e, *err.s,
-                    np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))),
-                    np.linalg.norm(estimation_error(q_hat, state.q)[1:]),
-                    np.linalg.norm(w_hat - state.omega)]
-        got = tracking_record(tuple(state.q), tuple(state.omega), tuple(desired.qd),
-                              tuple(desired.omega_d), tuple(q_hat), tuple(w_hat), k)
+                               omega_d_dot=rng.standard_normal(3) * 2e-6)
+        obs = ObserverOutput(q_hat=random_quat(rng), omega_hat=rng.standard_normal(3) * 0.02)
+        # true health: a dead pair, a fading pair among healthy ones, or all fading
+        e = np.ones(4) if i % 3 == 1 else rng.uniform(0.3, 1.0, 4)
+        e[i % 4] = (0.0, 0.5, e[i % 4])[i % 3]
+        # the estimate sees a dead pair in every other case
+        e_hat = e.copy() if i % 2 else np.clip(e + rng.uniform(-0.1, 0.1, 4), 0.2, 1.0)
+        if i % 4 < 2:  # small rate error: s_hat inside the boundary layer
+            _, _, ref = control_step(obs, desired, gains, est, coeffs, BANK, e_hat)
+            obs.omega_hat = obs.omega_hat - ref.s_hat + rng.standard_normal(3) * 1e-3
+        tau_u, _, diag = control_step(obs, desired, gains, est, coeffs, BANK, e_hat)
+        tau_c, tau_d = effective_torque(BANK, e, tau_u), rng.standard_normal(3) * 3e-6
+        ref = rk4_step(state, PAPER_J, lambda t, s: tau_c, lambda t: tau_d, 0.0, dt)
+        err = tracking_errors(state, desired, gains.k)
+        expected = [5.0, *err.qe, *err.omega_e, *err.s, *diag.s_hat,
+                    np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))), *tau_u,
+                    np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
+                    np.linalg.norm(obs.omega_hat - state.omega)]
+        signals = (5.0, *(tuple(v.tolist()) for v in (desired.qd, desired.omega_d,
+                                                      desired.omega_d_dot, tau_d, e)),
+                   allocation_matrix(BANK, e_hat).tolist(), None, None)
+        q, w, row = one_step(tuple(state.q.tolist()), tuple(state.omega.tolist()),
+                             (tuple(obs.q_hat.tolist()), tuple(obs.omega_hat.tolist())),
+                             signals, dt, est, coeffs)
         # theta_e_deg is in degrees, up to 180
-        np.testing.assert_allclose(got, expected, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
+        raw = np.abs(diag.tau_u_raw)
+        seen.add("inside" if diag.inside_boundary_layer else "outside")
+        seen.add("saturated" if raw.max() > BANK.tau_max else "unsaturated")
+        seen.update({"dead"} if (e == 0.0).any() else ())
+        seen.update({"fading"} if ((0.0 < e) & (e < 1.0)).any() else ())
+    assert seen == {"inside", "outside", "saturated", "unsaturated", "dead", "fading"}
+
+
+def test_kinematics_rk4_at_constant_rate_matches_rk4_step():
+    # a rigid body spinning about a principal axis keeps its rate, so the
+    # rigid-body attitude step and the kinematics step at that rate coincide
+    rng = np.random.default_rng(3)
+    J = np.diag([8.0, 7.0, 6.0])
+    zero = np.zeros(3)
+    for axis in np.eye(3):
+        state = SpacecraftState(q=random_quat(rng), omega=axis * 0.03)
+        ref = rk4_step(state, J, lambda t, s: zero, lambda t: zero, 0.0, 0.01)
+        np.testing.assert_allclose(ref.omega, state.omega, rtol=0.0, atol=TOL)
+        w = tuple(state.omega.tolist())
+        np.testing.assert_allclose(kinematics_rk4(tuple(state.q.tolist()), w, w, w, 0.01), ref.q,
+                                   rtol=0.0, atol=TOL)
 
 
 def test_synthetic_observer_matches_library():
@@ -169,23 +178,23 @@ def test_synthetic_observer_matches_library():
 
 def test_written_out_products_equal_the_helpers_bit_for_bit():
     rng = np.random.default_rng(13)
-    gains = paper_gains()
-    k = gains.k
-    control = control_law(gains, ModelEstimates(J_hat=PAPER_J_HAT),
-                          robust_coefficients(paper_budget(0.08), k), 0.02)
-    alloc = allocation_matrix(ActuatorBank(D=PAPER_D.copy()), np.ones(4)).tolist()
+    k = paper_gains().k
+    est = ModelEstimates(J_hat=PAPER_J_HAT)
+    coeffs = robust_coefficients(paper_budget(0.08), k)
+    alloc = allocation_matrix(BANK, np.ones(4)).tolist()
     for _ in range(200):
-        q, qd, qti = (tuple(random_quat(rng).tolist()) for _ in range(3))
-        w, wd, wt = (tuple((rng.standard_normal(3) * 0.02).tolist()) for _ in range(3))
+        q, qd, qh, qti = (tuple(random_quat(rng).tolist()) for _ in range(4))
+        w, wd, wh, wt = (tuple((rng.standard_normal(3) * 0.02).tolist()) for _ in range(4))
         assert synthetic_observe(q, w, qti, wt)[0] == _qmul(q, qti)
-        qe = _qmul((qd[0], -qd[1], -qd[2], -qd[3]), q)
-        b = _rotate(qe, wd)
-        _, s_hat = control(q, w, qd, wd, wd, alloc)
-        assert s_hat == tuple(w[i] - b[i] + k * qe[i + 1] for i in range(3))
-        record = tracking_record(q, w, qd, wd, qti, wt, k)
-        _, t1, t2, t3 = _qmul((qti[0], -qti[1], -qti[2], -qti[3]), q)
-        assert record[:7] == (*qe, *(w[i] - b[i] for i in range(3)))
-        assert record[11] == math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
+        signals = (0.0, qd, wd, wd, (0.0, 0.0, 0.0), (1.0,) * 4, alloc, None, None)
+        _, _, row = one_step(q, w, (qh, wh), signals, 0.01, est, coeffs)
+        qd_inv = (qd[0], -qd[1], -qd[2], -qd[3])
+        qe, qhe = _qmul(qd_inv, q), _qmul(qd_inv, qh)
+        b, bh = _rotate(qe, wd), _rotate(qhe, wd)
+        assert row[1:8] == (*qe, *(w[i] - b[i] for i in range(3)))
+        assert row[11:14] == tuple(wh[i] - bh[i] + k * qhe[i + 1] for i in range(3))
+        _, t1, t2, t3 = _qmul((qh[0], -qh[1], -qh[2], -qh[3]), q)
+        assert row[-2] == math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
 
 
 def assert_bias_observer_matches_library(noise, n_steps, rng_ref, rng_kernel):

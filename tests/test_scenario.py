@@ -191,13 +191,14 @@ def _float_fields(sc):
             + [(sc.budget, f.name) for f in fields(UncertaintyBudget)]
             + [(sc.observer.synthetic_profile(), name) for name in ("amp_q", "amp_w")]
             + [(sc.noise, name) for name in ("sigma_theta", "sigma_u", "sigma_v")]
-            + [(sc.bank, "tau_max")])
+            + [(sc.bank, "tau_max")]
+            + [(sc, name) for name in ("duration", "dt", "tail_fraction")])
 
 
 def test_configuration_scalars_are_stored_as_floats():
     sc = paper_faulty(duration=10.0)
     cases = _float_fields(sc)
-    assert len(cases) == 20
+    assert len(cases) == 23
     for obj, name in cases:
         value = getattr(obj, name)
         assert type(value) is float
@@ -206,15 +207,27 @@ def test_configuration_scalars_are_stored_as_floats():
     gains = ControllerGains(k=1, K=np.eye(3), epsilon=np.int64(2), gamma=0.01)
     assert (gains.k, gains.epsilon) == (1.0, 2.0)
     assert type(gains.k) is type(gains.epsilon) is float
+    for name in ("seed", "record_decimation"):
+        assert type(getattr(replace(sc, **{name: np.int64(3)}), name)) is int
 
 
 @pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j, np.array([0.5]), np.array(0.5)],
                          ids=["bool", "numpy-bool", "str", "None", "complex", "array", "0-d-array"])
-def test_configuration_scalars_must_be_real_numbers(value):
-    # the scenario file reader rejects these by key; the constructors name the field
-    for obj, name in _float_fields(paper_faulty(duration=10.0)):
+def test_configuration_scalars_must_be_real_numbers(value, monkeypatch):
+    # the scenario file reader rejects these by key; the constructors name the
+    # field, and a scenario does so before it evaluates its health estimate
+    sc = paper_faulty(duration=10.0)
+    cases = _float_fields(sc)
+    monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
+    for obj, name in cases:
         with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "):
             replace(obj, **{name: value})
+    # the seed and the decimation must be integers: 1.5 failed in numpy once
+    # the run began, and True ran as 1
+    for name in ("seed", "record_decimation"):
+        for given in (value, 1.5, 2.0):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+                replace(sc, **{name: given})
 
 
 def test_observer_bounds_follow_assumption1():
