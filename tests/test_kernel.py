@@ -114,10 +114,13 @@ def test_closed_loop_step_matches_the_reference_chain(dt):
         desired = DesiredState(qd=random_quat(rng), omega_d=rng.standard_normal(3) * 2e-3,
                                omega_d_dot=rng.standard_normal(3) * 2e-6)
         obs = ObserverOutput(q_hat=random_quat(rng), omega_hat=rng.standard_normal(3) * 0.02)
-        # true health: a dead pair, a fading pair among healthy ones, or all fading
-        e = np.ones(4) if i % 3 == 1 else rng.uniform(0.3, 1.0, 4)
-        e[i % 4] = (0.0, 0.5, e[i % 4])[i % 3]
-        # the estimate sees a dead pair in every other case
+        # true health: a dead pair, one fading pair among healthy ones, or all fading
+        e = rng.uniform(0.3, 1.0, 4)
+        if i % 3 == 0:
+            e[i % 4] = 0.0
+        elif i % 3 == 1:
+            e = np.where(np.arange(4) == i % 4, 0.5, 1.0)
+        # odd cases estimate the health exactly, a dead pair included
         e_hat = e.copy() if i % 2 else np.clip(e + rng.uniform(-0.1, 0.1, 4), 0.2, 1.0)
         if i % 4 < 2:  # small rate error: s_hat inside the boundary layer
             _, _, ref = control_step(obs, desired, gains, est, coeffs, BANK, e_hat)
