@@ -40,6 +40,16 @@ def freeze_floats(obj, *names: str):
         object.__setattr__(obj, name, float(value))
 
 
+def check_integer(name: str, value, minimum: int) -> int:
+    """value as an int. A bool, a value that is not an integer or one below
+    minimum raises a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def freeze_arrays(obj, *names: str):
     """Store each named field of a frozen dataclass as a read-only float copy."""
     for name in names:

@@ -18,6 +18,7 @@ import numpy as np
 from . import kernel
 from .actuation import allocation_matrix
 from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
+from .config import check_integer
 from .errors import BoundViolated, NonFiniteState
 from .estimation import random_unit_vector
 from .kernel import ROW_BLOCK
@@ -149,87 +150,77 @@ def _row_blocks(n: int):
 class ScenarioSignals:
     """What the closed loop needs that does not depend on the instance, on the
     step grid of one scenario. Built once by scenario_signals and shared by
-    every instance of a campaign; run_scenario reads it in row blocks."""
+    every instance of a campaign; run_scenario reads it in row blocks.
+
+    table has one row per step, of 14 + m columns: t at the step start, qd
+    (4), omega_d (3), omega_d_dot (3), tau_d (3) at the step midpoint and the
+    true health (m). A synthetic observer adds qtilde(t)^-1 (4) and
+    omega_tilde(t) (3). alloc holds the (m, 3) allocation matrix of each
+    distinct health-estimate row, and alloc_index the one each step uses."""
 
     scenario: Scenario
     coeffs: RobustCoefficients
-    t: np.ndarray  # (n,) step start times
-    qd: np.ndarray  # (n, 4) reference attitude at each step start
-    omega_d: np.ndarray  # (n, 3)
-    omega_d_dot: np.ndarray  # (n, 3)
-    tau_d: np.ndarray  # (n, 3) disturbance at each step midpoint
-    health: np.ndarray  # (n, m) true health indicators
-    alloc: np.ndarray  # (k, m, 3) allocation matrix of each distinct health-estimate row
-    alloc_index: np.ndarray  # (n,) row of alloc used at each step
-    qtilde_inv: np.ndarray | None = None  # (n, 4) synthetic observer qtilde(t)^-1
-    omega_tilde: np.ndarray | None = None  # (n, 3) synthetic observer omega_tilde(t)
+    table: np.ndarray  # (n, 14 + m), or (n, 21 + m) for a synthetic observer
+    alloc: np.ndarray  # (k, m, 3)
+    alloc_index: np.ndarray  # (n,)
 
     def steps(self):
         """Per step: t, qd, omega_d, omega_d_dot, tau_d, health, allocation
         rows, qtilde^-1 and omega_tilde (empty unless synthetic), as floats.
 
         Each block of ROW_BLOCK steps becomes one list of rows through a
-        single tolist() of the signals side by side, and a step's fields are
-        slices of its row. The allocation rows are converted once per call
-        for each distinct matrix, as a tuple of row tuples, and every step
-        that uses that matrix gets the same object: they are shared, not
-        copied."""
+        single tolist() of the table, and a step's fields are slices of its
+        row. The allocation rows are converted once per call for each
+        distinct matrix, as a tuple of row tuples, and every step that uses
+        that matrix gets the same object: they are shared, not copied."""
         alloc = [tuple(map(tuple, a)) for a in self.alloc.tolist()]
-        signals = [self.t[:, None], self.qd, self.omega_d, self.omega_d_dot, self.tau_d,
-                   self.health, *(a for a in (self.qtilde_inv, self.omega_tilde) if a is not None)]
-        e = 14 + self.health.shape[1]  # end of the health columns
-        for rows in _row_blocks(len(self.t)):
-            block = np.hstack([a[rows] for a in signals]).tolist()
-            for r, j in zip(block, self.alloc_index[rows].tolist()):
+        e = 14 + self.scenario.bank.m  # end of the health columns
+        for rows in _row_blocks(len(self.table)):
+            for r, j in zip(self.table[rows].tolist(), self.alloc_index[rows].tolist()):
                 yield (r[0], r[1:5], r[5:8], r[8:11], r[11:14], r[14:e], alloc[j], r[e:e + 4],
                        r[e + 4:])
 
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     """Evaluate the scenario's reference, disturbance, health and synthetic
-    observer signals on the step grid, integrate the reference attitude and
-    build the allocation matrices."""
+    observer signals on the step grid into one table, integrate the
+    reference attitude into it and build the allocation matrices."""
     dt = scenario.dt
     n = scenario.n_steps
+    e = 14 + scenario.bank.m  # end of the health columns
+    synthetic = scenario.observer.kind == "synthetic"
+    table = np.empty((n, e + 7 if synthetic else e))
     t = dt * np.arange(n)
-    wd0 = scenario.omega_d(t)
-    wdh = scenario.omega_d(t + 0.5 * dt)
-    wdf = scenario.omega_d(t + dt)
+    table[:, 0] = t
+    table[:, 5:8] = scenario.omega_d(t)
+    table[:, 8:11] = scenario.omega_d.derivative(t)
+    table[:, 11:14] = scenario.disturbance(t + 0.5 * dt)
+    table[:, 14:e] = scenario.health(t)
+    if synthetic:
+        synth = scenario.observer.synthetic_profile()
+        table[:, e:e + 4] = synth.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
+        table[:, e + 4:] = synth.omega_tilde(t)
 
     # reference attitude: RK4 of the kinematics through the reference rates
-    qd = np.empty((n, 4))
+    wdh = scenario.omega_d(t + 0.5 * dt)
+    wdf = scenario.omega_d(t + dt)
     q = tuple(scenario.qd0.tolist())
     for rows in _row_blocks(n):
         block = []
-        for w1, w2, w4 in zip(wd0[rows].tolist(), wdh[rows].tolist(), wdf[rows].tolist()):
+        for w1, w2, w4 in zip(table[rows, 5:8].tolist(), wdh[rows].tolist(), wdf[rows].tolist()):
             block.append(q)
             q = kernel.kinematics_rk4(q, w1, w2, w4, dt)
-        qd[rows] = block
+        table[rows, 1:5] = block
     del wdh, wdf
 
     # allocation matrices, computed once per distinct health-estimate row
     rows, runs, starts = scenario.health_estimate_runs
-    alloc = np.array([allocation_matrix(scenario.bank, e) for e in rows])
-
-    qtilde_inv = omega_tilde = None
-    if scenario.observer.kind == "synthetic":
-        synth = scenario.observer.synthetic_profile()
-        qtilde_inv = synth.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
-        omega_tilde = synth.omega_tilde(t)
-
     return ScenarioSignals(
         scenario=scenario,
         coeffs=robust_coefficients(scenario.budget, scenario.gains.k),
-        t=t,
-        qd=qd,
-        omega_d=wd0,
-        omega_d_dot=scenario.omega_d.derivative(t),
-        tau_d=scenario.disturbance(t + 0.5 * dt),
-        health=scenario.health(t),
-        alloc=alloc,
+        table=table,
+        alloc=np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
         alloc_index=np.repeat(runs, np.diff(starts, append=n)),
-        qtilde_inv=qtilde_inv,
-        omega_tilde=omega_tilde,
     )
 
 
@@ -241,15 +232,15 @@ def run_scenario(
 
     signals, from scenario_signals(scenario), lets the instances of a
     campaign share one precompute; it is built here when not given."""
-    seed = scenario.seed if seed is None else seed
+    seed = scenario.seed if seed is None else check_integer("seed", seed, 0)
     if signals is None:
         signals = scenario_signals(scenario)
     elif signals.scenario is not scenario:
         raise ValueError("signals were built for a different scenario")
     rng = np.random.default_rng(seed)
     dt = scenario.dt
-    n = scenario.n_steps
     dec = scenario.record_decimation
+    m = scenario.bank.m
 
     q, w = _initial_state(scenario, rng)
     spec = scenario.observer
@@ -262,33 +253,13 @@ def run_scenario(
     advance = kernel.closed_loop(scenario.gains, scenario.estimates, signals.coeffs,
                                  scenario.bank, scenario.J, dt, observe)
 
-    # recorded fields and their widths, in the column order of a recorded row
-    widths = {"t": 1, "qe": 4, "omega_e": 3, "s": 3, "s_hat": 3, "theta_e_deg": 1,
-              "tau_u": scenario.bank.m, "qtilde_norm": 1, "wtilde_norm": 1}
-    n_rec = (n + dec - 1) // dec
-    rec = {name: np.empty((n_rec, wn) if wn > 1 else n_rec) for name, wn in widths.items()}
-    rows: list[tuple] = []
-    r = 0
-
-    def flush():
-        nonlocal r
-        block = np.array(rows)
-        c = 0
-        for name, wn in widths.items():
-            rec[name][r:r + len(rows)] = block[:, c:c + wn] if wn > 1 else block[:, c]
-            c += wn
-        r += len(rows)
-        rows.clear()
-
-    advance(q, w, signals.steps(), rows, flush, dec)
-    if rows:
-        flush()
-
-    return RunTrace(
-        **rec,
-        seed=int(seed),
-        dt=dt * dec,
-    )
+    # one recorded row per dec steps, in the column order of the RunTrace fields
+    rec = np.empty((-(-scenario.n_steps // dec), 17 + m))
+    advance(q, w, signals.steps(), rec, dec)
+    return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
+                    s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
+                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], seed=seed,
+                    dt=dt * dec)
 
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float) -> TailStats:
@@ -393,8 +364,7 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     sharing the precompute; the results are joined in seed order, so the
     summary is the one a serial loop gives.
     """
-    if n_instances < 1:
-        raise ValueError("n_instances must be >= 1")
+    n_instances = check_integer("n_instances", n_instances, 1)
     # a failed gain condition or rank-deficient allocation fails before any instance runs
     predicted = predict(scenario.budget, scenario.gains)
     signals = scenario_signals(scenario)
@@ -425,7 +395,7 @@ def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:
     env = summary.envelope()
     report = {
         "scenario": scenario.name,
-        "n_instances": n_instances,
+        "n_instances": len(summary.outcomes),
         "theta_bound_deg": env["theta_bound_deg"],
         "omega_bound_rad_s": env["omega_bound_rad_s"],
         "theta_tail_max_deg": summary.theta_e_max_deg,

@@ -3,6 +3,10 @@
 closed_loop binds an instance's parameters once and returns advance, which
 harness.run_scenario calls once per instance to run every step: observer,
 control law, saturated allocation, faulty actuators, recorded errors, RK4.
+One table goes in and one comes out: advance reads each step's signals from
+the rows of the precomputed harness.ScenarioSignals.table, and writes each
+recorded sample as a row of one preallocated float table, whose columns
+harness.RunTrace views.
 
 Vectors are tuples or lists of floats. Quaternions are scalar-first with the
 Hamilton product, and every product is renormalized. The rotation matrix is
@@ -40,8 +44,8 @@ from .errors import NonFiniteState
 from .estimation import NoiseParams
 
 # Steps handled at a time as Python floats: the bias observer's sensor noise,
-# and in harness the rows of precomputed signals and of recorded samples. Long
-# runs keep their arrays in numpy.
+# the rows of precomputed signals and of recorded samples. Long runs keep
+# their arrays in numpy.
 ROW_BLOCK = 256
 
 
@@ -109,13 +113,14 @@ def _body_rates(J: np.ndarray):
 
 def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoefficients,
                 bank: ActuatorBank, J: np.ndarray, dt: float, observe):
-    """advance(q, w, steps, rows, flush, record_every) -> (q, w) runs the
-    tuples of ScenarioSignals.steps from the state (q, w). A step observes,
-    applies the reference's control_step (tests/reference.py) to the
-    estimates, realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
-    renormalized once. Every record_every-th step appends (t, qe, omega_e,
-    s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) to rows and
-    calls flush() at ROW_BLOCK rows. A non-finite state raises
+    """advance(q, w, steps, table, record_every) -> (q, w) runs the tuples
+    of ScenarioSignals.steps from the state (q, w). A step observes, applies
+    the reference's control_step (tests/reference.py) to the estimates,
+    realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
+    renormalized once. Every record_every-th step records the row (t, qe,
+    omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of
+    17 + m floats; the recorded rows fill table, of at least that many rows,
+    from its top, ROW_BLOCK rows at a time. A non-finite state raises
     NonFiniteState naming the step."""
     k = gains.k
     (K00, K01, K02), (K10, K11, K12), (K20, K21, K22) = gains.K.tolist()
@@ -131,7 +136,9 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
     h = 0.5 * dt
     c = dt / 6.0
 
-    def advance(q, w, steps, rows, flush, record_every):
+    def advance(q, w, steps, table, record_every):
+        rows = []
+        filled = 0  # rows of table written
         for i, (t, qd, wd, wdd, taud, e, alloc, qti, wt) in enumerate(steps):
             qh, wh = observe(q, w, qti, wt)
             d0, d1, d2, d3 = qd
@@ -242,7 +249,9 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
                              *tau_u, math.sqrt(t1 * t1 + t2 * t2 + t3 * t3),
                              math.sqrt(fx * fx + fy * fy + fz * fz)))
                 if len(rows) == ROW_BLOCK:
-                    flush()
+                    table[filled:filled + ROW_BLOCK] = rows
+                    filled += ROW_BLOCK
+                    rows = []
 
             # RK4 of the rigid body under tau_c + tau_d held over the step
             tx, ty, tz = tx + taud[0], ty + taud[1], tz + taud[2]
@@ -268,6 +277,8 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
             if (n - n) + (wx - wx) + (wy - wy) + (wz - wz) != 0.0:
                 raise NonFiniteState(f"non-finite state at step {i} (t={t:.3f} s)")
             q, w = (p0 / n, p1 / n, p2 / n, p3 / n), (wx, wy, wz)
+        if rows:
+            table[filled:filled + len(rows)] = rows
         return q, w
 
     return advance

@@ -17,7 +17,7 @@ import yaml
 
 from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
-                     freeze_arrays, freeze_floats, zero_budget)
+                     check_integer, freeze_arrays, freeze_floats, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
@@ -138,11 +138,8 @@ class Scenario:
 
     def __post_init__(self):
         freeze_floats(self, "duration", "dt", "tail_fraction")
-        for name in ("seed", "record_decimation"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, minimum in (("seed", 0), ("record_decimation", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         freeze_arrays(self, "J", "qd0")
         check_inertia(self, "J")
         if self.qd0.shape != (4,):
@@ -153,10 +150,6 @@ class Scenario:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 10 * self.dt <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and at least 10*dt, got {self.duration!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.record_decimation < 1:
-            raise ValueError("record_decimation must be >= 1")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
         n_health = len(self.health.profiles)

@@ -35,6 +35,7 @@ from ftacs.harness import (
     trace_columns,
     verify,
 )
+from ftacs.kernel import kinematics_rk4
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -60,17 +61,59 @@ def short_scenario(**overrides):
     return paper_fault_free(**kw)
 
 
-def test_run_trace_shape_and_grid():
-    sc = short_scenario(record_decimation=5)
+def nan_filled(shape, dtype=float, **kwargs):
+    """np.empty whose float arrays read NaN until written."""
+    return np.full(shape, np.nan, dtype=dtype, **kwargs)
+
+
+# the two 256-row cases record exactly one ROW_BLOCK
+@pytest.mark.parametrize("make, dec", [
+    (lambda: short_scenario(record_decimation=5), 5),
+    (lambda: paper_faulty(duration=2.56), 1),
+    (lambda: paper_faulty(duration=25.6, record_decimation=10), 10),
+], ids=["dec5", "256-rows-dec1", "256-rows-dec10"])
+def test_run_trace_shape_and_grid(monkeypatch, make, dec):
+    sc = make()
+    monkeypatch.setattr(np, "empty", nan_filled)  # an unfilled row reads NaN
     trace = run_scenario(sc)
-    n = sc.n_steps // 5
+    n = -(-sc.n_steps // dec)
     assert trace.t.shape == (n,)
     assert trace.qe.shape == (n, 4)
     assert trace.tau_u.shape == (n, 4)
-    diffs = np.diff(trace.t)
-    assert np.allclose(diffs, diffs[0], atol=1e-12)  # uniform grid
+    assert np.array_equal(trace.t, (sc.dt * np.arange(sc.n_steps))[::dec])
+    for f in fields(RunTrace):
+        value = getattr(trace, f.name)
+        assert np.isfinite(value).all(), f.name
+    assert trace.dt == sc.dt * dec
     assert np.all(trace.theta_e_deg >= 0.0)
     assert np.all(trace.theta_e_deg <= 180.0)
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "bias"])
+def test_step_table_columns_are_the_scenario_signals(kind):
+    sc = short_scenario(observer=ObserverSpec(kind=kind))
+    dt, n, m = sc.dt, sc.n_steps, sc.bank.m
+    table = scenario_signals(sc).table
+    t = dt * np.arange(n)
+    assert np.all(table[:, 0] == t)
+    assert np.all(table[:, 5:8] == sc.omega_d(t))
+    assert np.all(table[:, 8:11] == sc.omega_d.derivative(t))
+    assert np.all(table[:, 11:14] == sc.disturbance(t + 0.5 * dt))
+    assert np.all(table[:, 14:14 + m] == sc.health(t))
+    if kind == "synthetic":
+        synth = sc.observer.synthetic_profile()
+        assert table.shape == (n, 21 + m)
+        assert np.all(table[:, 14 + m:18 + m] == synth.qtilde(t) * [1.0, -1.0, -1.0, -1.0])
+        assert np.all(table[:, 18 + m:] == synth.omega_tilde(t))
+    else:
+        assert table.shape == (n, 14 + m)
+    # the reference attitude: a chain of kinematics RK4 steps from qd0
+    rates = zip(sc.omega_d(t).tolist(), sc.omega_d(t + 0.5 * dt).tolist(),
+                sc.omega_d(t + dt).tolist())
+    q = tuple(sc.qd0.tolist())
+    for i, (w1, w2, w4) in zip(range(300), rates):
+        assert tuple(table[i, 1:5].tolist()) == q, i
+        q = kinematics_rk4(q, w1, w2, w4, dt)
 
 
 def assert_traces_equal(a, b):
@@ -418,6 +461,25 @@ def test_interrupted_campaign_kills_its_children(monkeypatch):
 def test_campaign_rejects_bad_n():
     with pytest.raises(ValueError):
         run_campaign(short_scenario(), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda sc: run_scenario(sc, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda sc: run_scenario(sc, seed=True), "seed must be an integer, got True"),
+    (lambda sc: run_scenario(sc, seed=-1), "seed must be >= 0, got -1"),
+    (lambda sc: run_campaign(sc, 2.0), "n_instances must be an integer, got 2.0"),
+    (lambda sc: verify(sc, True), "n_instances must be an integer, got True"),
+    (lambda sc: verify(sc, 2.0), "n_instances must be an integer, got 2.0"),
+], ids=["seed-float", "seed-bool", "seed-negative", "campaign-float", "verify-bool",
+        "verify-float"])
+def test_instance_loop_takes_the_scenario_integer_rule(monkeypatch, call, message):
+    # the seed of run_scenario and the instance count of a campaign follow the
+    # rule that Scenario applies to its own seed, before any step runs
+    sc = paper_faulty(duration=1.0)
+    monkeypatch.setattr(harness, "scenario_signals", never_called)
+    monkeypatch.setattr(harness, "predict", never_called)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(sc)
 
 
 def test_verify_passes_when_bounds_comfortable():

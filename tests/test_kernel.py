@@ -94,10 +94,10 @@ def one_step(q, w, observed, signals, dt, est, coeffs):
     """One step of closed_loop's advance from (q, w) with the paper gains,
     bank and inertia, signals being the step's tuple and observed what the
     observer returns: the new state and the recorded row."""
-    rows = []
+    rec = np.empty((1, 17 + BANK.m))
     advance = closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt, lambda *_: observed)
-    q, w = advance(q, w, [signals], rows, None, 1)
-    return q, w, rows[0]
+    q, w = advance(q, w, [signals], rec, 1)
+    return q, w, tuple(rec[0].tolist())
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.5])
