@@ -152,11 +152,12 @@ class ScenarioSignals:
     step grid of one scenario. Built once by scenario_signals and shared by
     every instance of a campaign; run_scenario reads it in row blocks.
 
-    table has one row per step, of 14 + m columns: t at the step start, qd
-    (4), omega_d (3), omega_d_dot (3), tau_d (3) at the step midpoint and the
-    true health (m). A synthetic observer adds qtilde(t)^-1 (4) and
-    omega_tilde(t) (3). alloc holds the (m, 3) allocation matrix of each
-    distinct health-estimate row, and alloc_index the one each step uses."""
+    table has one row per step, of 14 + m columns: t at the step start (0),
+    qd (1:5), omega_d (5:8), omega_d_dot (8:11), tau_d at the step midpoint
+    (11:14) and the true health (14:14 + m). A synthetic observer adds its
+    errors: qtilde(t)^-1 (4) and omega_tilde(t) (3). alloc holds the (m, 3)
+    allocation matrix of each distinct health-estimate row, and alloc_index
+    the one each step uses."""
 
     scenario: Scenario
     coeffs: RobustCoefficients
@@ -165,20 +166,18 @@ class ScenarioSignals:
     alloc_index: np.ndarray  # (n,)
 
     def steps(self):
-        """Per step: t, qd, omega_d, omega_d_dot, tau_d, health, allocation
-        rows, qtilde^-1 and omega_tilde (empty unless synthetic), as floats.
+        """Per step, (row, alloc): the step's table row as a list of floats,
+        in the column order above, and its allocation rows.
 
         Each block of ROW_BLOCK steps becomes one list of rows through a
-        single tolist() of the table, and a step's fields are slices of its
-        row. The allocation rows are converted once per call for each
-        distinct matrix, as a tuple of row tuples, and every step that uses
-        that matrix gets the same object: they are shared, not copied."""
+        single tolist() of the table. The allocation rows are converted once
+        per call for each distinct matrix, as a tuple of row tuples, and
+        every step that uses that matrix gets the same object: they are
+        shared, not copied."""
         alloc = [tuple(map(tuple, a)) for a in self.alloc.tolist()]
-        e = 14 + self.scenario.bank.m  # end of the health columns
         for rows in _row_blocks(len(self.table)):
-            for r, j in zip(self.table[rows].tolist(), self.alloc_index[rows].tolist()):
-                yield (r[0], r[1:5], r[5:8], r[8:11], r[11:14], r[14:e], alloc[j], r[e:e + 4],
-                       r[e + 4:])
+            yield from zip(self.table[rows].tolist(),
+                           map(alloc.__getitem__, self.alloc_index[rows].tolist()))
 
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:

@@ -3,10 +3,11 @@
 closed_loop binds an instance's parameters once and returns advance, which
 harness.run_scenario calls once per instance to run every step: observer,
 control law, saturated allocation, faulty actuators, recorded errors, RK4.
-One table goes in and one comes out: advance reads each step's signals from
-the rows of the precomputed harness.ScenarioSignals.table, and writes each
-recorded sample as a row of one preallocated float table, whose columns
-harness.RunTrace views.
+One table goes in and one comes out: advance unpacks each step's row of the
+precomputed harness.ScenarioSignals.table, which its steps() yields beside
+the allocation rows, and writes each recorded sample as a row of one
+preallocated float table, whose columns harness.RunTrace views. Observers
+take (q, w, errors), errors being the row's observer-error columns.
 
 Vectors are tuples or lists of floats. Quaternions are scalar-first with the
 Hamilton product, and every product is renormalized. The rotation matrix is
@@ -86,35 +87,11 @@ def kinematics_rk4(q, w1, w2, w4, dt):
     return (p0 / n, p1 / n, p2 / n, p3 / n)
 
 
-def _body_rates(J: np.ndarray):
-    """rates(q0..q3, omega, tau) -> (qdot, omega_dot) of a Scenario's rigid body."""
-    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = J.tolist()
-    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(J).tolist()
-
-    def rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz):
-        # omega_dot = J^-1 (tau - omega x J omega)
-        jx = J00 * wx + J01 * wy + J02 * wz
-        jy = J10 * wx + J11 * wy + J12 * wz
-        jz = J20 * wx + J21 * wy + J22 * wz
-        fx = tx - (wy * jz - wz * jy)
-        fy = ty - (wz * jx - wx * jz)
-        fz = tz - (wx * jy - wy * jx)
-        # qdot = 0.5*[-qv.w; q0*w + qv x w]
-        return (-0.5 * (q1 * wx + q2 * wy + q3 * wz),
-                0.5 * (q0 * wx + q2 * wz - q3 * wy),
-                0.5 * (q0 * wy + q3 * wx - q1 * wz),
-                0.5 * (q0 * wz + q1 * wy - q2 * wx),
-                I00 * fx + I01 * fy + I02 * fz,
-                I10 * fx + I11 * fy + I12 * fz,
-                I20 * fx + I21 * fy + I22 * fz)
-
-    return rates
-
-
 def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoefficients,
                 bank: ActuatorBank, J: np.ndarray, dt: float, observe):
-    """advance(q, w, steps, table, record_every) -> (q, w) runs the tuples
-    of ScenarioSignals.steps from the state (q, w). A step observes, applies
+    """advance(q, w, steps, table, record_every) -> (q, w) runs the
+    (row, alloc) pairs of ScenarioSignals.steps from the state (q, w). A step
+    calls observe(q, w, errors) on the row's observer-error columns, applies
     the reference's control_step (tests/reference.py) to the estimates,
     realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
     renormalized once. Every record_every-th step records the row (t, qe,
@@ -130,18 +107,39 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
     gamma, eps = gains.gamma, gains.epsilon
     c_qq = -0.5 * k * k
     c_g = 0.5 * k
+    m = bank.m
     tau_max = bank.tau_max
     pairs = bank.D.T.tolist()  # torque direction of each thruster pair
-    rates = _body_rates(J)
+    # the true inertia J as M and its inverse as I; J00..J22 are J_hat's
+    (M00, M01, M02), (M10, M11, M12), (M20, M21, M22) = J.tolist()
+    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(J).tolist()
     h = 0.5 * dt
     c = dt / 6.0
+
+    def rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz):
+        # omega_dot = J^-1 (tau - omega x J omega)
+        jx = M00 * wx + M01 * wy + M02 * wz
+        jy = M10 * wx + M11 * wy + M12 * wz
+        jz = M20 * wx + M21 * wy + M22 * wz
+        fx = tx - (wy * jz - wz * jy)
+        fy = ty - (wz * jx - wx * jz)
+        fz = tz - (wx * jy - wy * jx)
+        # qdot = 0.5*[-qv.w; q0*w + qv x w]
+        return (-0.5 * (q1 * wx + q2 * wy + q3 * wz),
+                0.5 * (q0 * wx + q2 * wz - q3 * wy),
+                0.5 * (q0 * wy + q3 * wx - q1 * wz),
+                0.5 * (q0 * wz + q1 * wy - q2 * wx),
+                I00 * fx + I01 * fy + I02 * fz,
+                I10 * fx + I11 * fy + I12 * fz,
+                I20 * fx + I21 * fy + I22 * fz)
 
     def advance(q, w, steps, table, record_every):
         rows = []
         filled = 0  # rows of table written
-        for i, (t, qd, wd, wdd, taud, e, alloc, qti, wt) in enumerate(steps):
-            qh, wh = observe(q, w, qti, wt)
-            d0, d1, d2, d3 = qd
+        for i, (row, alloc) in enumerate(steps):
+            # t, qd, omega_d, omega_d_dot, tau_d, then the health and the observer errors
+            t, d0, d1, d2, d3, vx, vy, vz, vdx, vdy, vdz, taux, tauy, tauz, *rest = row
+            qh, wh = observe(q, w, rest[m:])
             h0, h1, h2, h3 = qh
             # estimated error coordinates: qe = _qmul(qd^-1, q_hat)
             e0 = d0 * h0 + d1 * h1 + d2 * h2 + d3 * h3
@@ -151,7 +149,6 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
             n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
             e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
             # omega_bar_hat_d = _rotate(qe, omega_d)
-            vx, vy, vz = wd
             e0x2 = 2.0 * e0
             cx = e2 * vz - e3 * vy
             cy = e3 * vx - e1 * vz
@@ -184,13 +181,12 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
             pz = (c_qq * (e1 * jqy - e2 * jqx) + c_g * (e0 * joz + (e1 * joy - e2 * jox))
                   - k * xi_z)
             # psi_hat_d = wb x J wb + J R(q) omega_d_dot, with R(q) omega_d_dot = _rotate(qe, wdd)
-            vx, vy, vz = wdd
-            cx = e2 * vz - e3 * vy
-            cy = e3 * vx - e1 * vz
-            cz = e1 * vy - e2 * vx
-            ax = vx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
-            ay = vy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
-            az = vz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
+            cx = e2 * vdz - e3 * vdy
+            cy = e3 * vdx - e1 * vdz
+            cz = e1 * vdy - e2 * vdx
+            ax = vdx - e0x2 * cx + 2.0 * (e2 * cz - e3 * cy)
+            ay = vdy - e0x2 * cy + 2.0 * (e3 * cx - e1 * cz)
+            az = vdz - e0x2 * cz + 2.0 * (e1 * cy - e2 * cx)
             pdx = (by * jbz - bz * jby) + (J00 * ax + J01 * ay + J02 * az)
             pdy = (bz * jbx - bx * jbz) + (J10 * ax + J11 * ay + J12 * az)
             pdz = (bx * jby - by * jbx) + (J20 * ax + J21 * ay + J22 * az)
@@ -205,9 +201,10 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
             uy = -(K10 * sx + K11 * sy + K12 * sz) + g * sy + pdy - py - tdy
             uz = -(K20 * sx + K21 * sy + K22 * sz) + g * sz + pdz - pz - tdz
             # each pair's saturated command and its realized torque D * E * tau_u
+            # (the zip stops at the m allocation rows, so ej runs over the health)
             tau_u = []
             tx = ty = tz = 0.0
-            for (r0, r1, r2), (dx, dy, dz), ej in zip(alloc, pairs, e):
+            for (r0, r1, r2), (dx, dy, dz), ej in zip(alloc, pairs, rest):
                 r = r0 * ux + r1 * uy + r2 * uz
                 tj = tau_max if r > tau_max else -tau_max if r < -tau_max else r
                 tau_u.append(tj)
@@ -226,7 +223,6 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
                 e3 = d0 * q3 - q0 * d3 - d1 * q2 + d2 * q1
                 n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
                 e0, e1, e2, e3 = e0 / n, e1 / n, e2 / n, e3 / n
-                vx, vy, vz = wd
                 e0x2 = 2.0 * e0
                 cx = e2 * vz - e3 * vy
                 cy = e3 * vx - e1 * vz
@@ -254,7 +250,7 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
                     rows = []
 
             # RK4 of the rigid body under tau_c + tau_d held over the step
-            tx, ty, tz = tx + taud[0], ty + taud[1], tz + taud[2]
+            tx, ty, tz = tx + taux, ty + tauy, tz + tauz
             a0, a1, a2, a3, a4, a5, a6 = rates(q0, q1, q2, q3, wx, wy, wz, tx, ty, tz)
             b0, b1, b2, b3, b4, b5, b6 = rates(
                 q0 + h * a0, q1 + h * a1, q2 + h * a2, q3 + h * a3,
@@ -284,29 +280,30 @@ def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoeff
     return advance
 
 
-def perfect_observe(q, w, qti, wt):
+def perfect_observe(q, w, errors):
     """The true state."""
     return q, w
 
 
-def synthetic_observe(q, w, qti, wt):
-    """q (x) qtilde^-1 and omega + omega_tilde."""
+def synthetic_observe(q, w, errors):
+    """q (x) qtilde^-1 and omega + omega_tilde, errors holding qtilde^-1 (4)
+    and omega_tilde (3)."""
     a0, a1, a2, a3 = q
-    b0, b1, b2, b3 = qti
+    b0, b1, b2, b3, ux, uy, uz = errors
     p0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
     p1 = a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2
     p2 = a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3
     p3 = a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1
     n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-    return (p0 / n, p1 / n, p2 / n, p3 / n), (w[0] + wt[0], w[1] + wt[1], w[2] + wt[2])
+    return (p0 / n, p1 / n, p2 / n, p3 / n), (w[0] + ux, w[1] + uy, w[2] + uz)
 
 
 def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
                   rng: np.random.Generator):
-    """observe(q, omega, _, _) -> (q_hat, omega_hat), with the signature of
-    perfect_observe and synthetic_observe: the reference's sensor_sample
-    followed by its bias_observer_step (tests/reference.py), the first
-    estimate being the first measurement.
+    """observe(q, omega, errors) -> (q_hat, omega_hat), with the signature of
+    perfect_observe and synthetic_observe, errors unused: the reference's
+    sensor_sample followed by its bias_observer_step (tests/reference.py),
+    the first estimate being the first measurement.
 
     The sensor noise does not depend on the state, so it is shaped in numpy,
     ROW_BLOCK steps at a time. Each block takes 10 normal draws per step from
@@ -349,7 +346,7 @@ def bias_observer(noise: NoiseParams, k_o: float, k_b: float, dt: float,
     # the 10 floats of the next step, from one block after another
     sample = chain.from_iterable(iter(noise_block, None)).__next__
 
-    def observe(q, w, qti, wt):
+    def observe(q, w, errors):
         nonlocal q_hat, b_hat
         c0, c1, c2, c3, bx, by, bz, ux, uy, uz = sample()
         # sensor sample: q_m = _qmul(q, qtilde_m^-1), omega_m = (omega + b) + sigma_u * eta_u

@@ -137,6 +137,10 @@ class Scenario:
     record_decimation: int = 1
 
     def __post_init__(self):
+        # every command names its output files after the scenario
+        if not (isinstance(self.name, str) and self.name) or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"name must be a non-empty string without '/', '\\' or NUL, "
+                             f"got {self.name!r}")
         freeze_floats(self, "duration", "dt", "tail_fraction")
         for name, minimum in (("seed", 0), ("record_decimation", 1)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))

@@ -310,7 +310,7 @@ def test_steps_share_allocation_rows_of_each_distinct_matrix():
     switches = np.flatnonzero(np.diff(signals.alloc_index))
     assert len(switches) == 3
     shared = {}
-    for (t, *_, alloc, _, _), j in zip(signals.steps(), signals.alloc_index, strict=True):
+    for ((t, *_), alloc), j in zip(signals.steps(), signals.alloc_index, strict=True):
         expected = allocation_matrix(sc.bank, sc.health_estimate(t))
         assert np.array_equal(np.array(alloc), expected), t
         assert shared.setdefault(j, alloc) is alloc, t

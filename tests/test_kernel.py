@@ -14,7 +14,7 @@ from ftacs.bounds import robust_coefficients
 from ftacs.config import ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams, SyntheticErrorProfile
-from ftacs.harness import run_scenario
+from ftacs.harness import run_scenario, scenario_signals
 from ftacs.kernel import ROW_BLOCK, bias_observer, closed_loop, kinematics_rk4, synthetic_observe
 from ftacs.scenario import (
     PAPER_D,
@@ -90,13 +90,13 @@ def test_diverging_run_names_its_step_and_time(decimation):
 BANK = ActuatorBank(D=PAPER_D.copy(), tau_max=0.02)
 
 
-def one_step(q, w, observed, signals, dt, est, coeffs):
+def one_step(q, w, observed, step, dt, est, coeffs):
     """One step of closed_loop's advance from (q, w) with the paper gains,
-    bank and inertia, signals being the step's tuple and observed what the
-    observer returns: the new state and the recorded row."""
+    bank and inertia, step being the step's (row, alloc) and observed what
+    the observer returns: the new state and the recorded row."""
     rec = np.empty((1, 17 + BANK.m))
     advance = closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt, lambda *_: observed)
-    q, w = advance(q, w, [signals], rec, 1)
+    q, w = advance(q, w, [step], rec, 1)
     return q, w, tuple(rec[0].tolist())
 
 
@@ -133,12 +133,11 @@ def test_closed_loop_step_matches_the_reference_chain(dt):
                     np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))), *tau_u,
                     np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
                     np.linalg.norm(obs.omega_hat - state.omega)]
-        signals = (5.0, *(tuple(v.tolist()) for v in (desired.qd, desired.omega_d,
-                                                      desired.omega_d_dot, tau_d, e)),
-                   allocation_matrix(BANK, e_hat).tolist(), None, None)
+        step = ([5.0, *np.concatenate((desired.qd, desired.omega_d, desired.omega_d_dot, tau_d,
+                                       e)).tolist()], allocation_matrix(BANK, e_hat).tolist())
         q, w, row = one_step(tuple(state.q.tolist()), tuple(state.omega.tolist()),
                              (tuple(obs.q_hat.tolist()), tuple(obs.omega_hat.tolist())),
-                             signals, dt, est, coeffs)
+                             step, dt, est, coeffs)
         # theta_e_deg is in degrees, up to 180
         np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
@@ -149,6 +148,56 @@ def test_closed_loop_step_matches_the_reference_chain(dt):
         seen.update({"dead"} if (e == 0.0).any() else ())
         seen.update({"fading"} if ((0.0 < e) & (e < 1.0)).any() else ())
     assert seen == {"inside", "outside", "saturated", "unsaturated", "dead", "fading"}
+
+
+COLUMN_CASES = {
+    "paper_faulty_synthetic": lambda: paper_faulty(duration=1.0),
+    "paper_fault_free_bias": lambda: paper_fault_free(
+        duration=1.0, observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_advance_reads_the_columns_scenario_signals_writes(case):
+    # scenario_signals writes the row layout and advance's unpack reads it:
+    # the first step of the table against the reference chain fed from the
+    # scenario's named signals
+    sc = COLUMN_CASES[case]()
+    signals = scenario_signals(sc)
+    row, alloc = next(signals.steps())
+    assert row == signals.table[0].tolist()
+    rng = np.random.default_rng(11)
+    state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
+    q, w = tuple(state.q.tolist()), tuple(state.omega.tolist())
+    spec = sc.observer
+    if spec.kind == "synthetic":
+        observe = synthetic_observe
+        obs = synthetic_observer(state, spec.synthetic_profile(), 0.0)
+    else:  # two bias observers on the same draws give the same estimate
+        def observer():
+            return bias_observer(sc.noise, spec.k_o, spec.k_b, sc.dt, np.random.default_rng(5))
+        observe = observer()
+        q_hat, w_hat = observer()(q, w, [])
+        obs = ObserverOutput(q_hat=np.array(q_hat), omega_hat=np.array(w_hat))
+    desired = DesiredState(qd=sc.qd0, omega_d=sc.omega_d(0.0),
+                           omega_d_dot=sc.omega_d.derivative(0.0))
+    tau_u, _, diag = control_step(obs, desired, sc.gains, sc.estimates, signals.coeffs, sc.bank,
+                                  sc.health_estimate(0.0))
+    tau_c, tau_d = effective_torque(sc.bank, sc.health(0.0), tau_u), sc.disturbance(0.5 * sc.dt)
+    ref = rk4_step(state, sc.J, lambda t, s: tau_c, lambda t: tau_d, 0.0, sc.dt)
+    err = tracking_errors(state, desired, sc.gains.k)
+    expected = [0.0, *err.qe, *err.omega_e, *err.s, *diag.s_hat,
+                np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))), *tau_u,
+                np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
+                np.linalg.norm(obs.omega_hat - state.omega)]
+
+    rec = np.empty((1, 17 + sc.bank.m))
+    advance = closed_loop(sc.gains, sc.estimates, signals.coeffs, sc.bank, sc.J, sc.dt, observe)
+    q, w = advance(q, w, [(row, alloc)], rec, 1)
+    np.testing.assert_allclose(rec[0], expected, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
 
 
 def test_kinematics_rk4_at_constant_rate_matches_rk4_step():
@@ -173,8 +222,8 @@ def test_synthetic_observer_matches_library():
         state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
         ref = synthetic_observer(state, profile, t)
         qti = profile.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
-        q_hat, w_hat = synthetic_observe(tuple(state.q), tuple(state.omega), tuple(qti),
-                                         tuple(profile.omega_tilde(t)))
+        q_hat, w_hat = synthetic_observe(tuple(state.q), tuple(state.omega),
+                                         (*qti, *profile.omega_tilde(t)))
         np.testing.assert_allclose(q_hat, ref.q_hat, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(w_hat, ref.omega_hat, rtol=0.0, atol=TOL)
 
@@ -188,9 +237,9 @@ def test_written_out_products_equal_the_helpers_bit_for_bit():
     for _ in range(200):
         q, qd, qh, qti = (tuple(random_quat(rng).tolist()) for _ in range(4))
         w, wd, wh, wt = (tuple((rng.standard_normal(3) * 0.02).tolist()) for _ in range(4))
-        assert synthetic_observe(q, w, qti, wt)[0] == _qmul(q, qti)
-        signals = (0.0, qd, wd, wd, (0.0, 0.0, 0.0), (1.0,) * 4, alloc, None, None)
-        _, _, row = one_step(q, w, (qh, wh), signals, 0.01, est, coeffs)
+        assert synthetic_observe(q, w, (*qti, *wt))[0] == _qmul(q, qti)
+        step = ([0.0, *qd, *wd, *wd, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0], alloc)
+        _, _, row = one_step(q, w, (qh, wh), step, 0.01, est, coeffs)
         qd_inv = (qd[0], -qd[1], -qd[2], -qd[3])
         qe, qhe = _qmul(qd_inv, q), _qmul(qd_inv, qh)
         b, bh = _rotate(qe, wd), _rotate(qhe, wd)
@@ -213,7 +262,7 @@ def assert_bias_observer_matches_library(noise, n_steps, rng_ref, rng_kernel):
         if q_hat is None:
             q_hat = sample.qm.copy()
         q_hat, b_hat, ref = bias_observer_step(q_hat, b_hat, sample, k_o, k_b, dt)
-        got_q, got_w = observe(tuple(state.q), tuple(state.omega), None, None)
+        got_q, got_w = observe(tuple(state.q), tuple(state.omega), [])
         np.testing.assert_allclose(got_q, ref.q_hat, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(got_w, ref.omega_hat, rtol=0.0, atol=TOL)
 
@@ -279,7 +328,7 @@ def test_bias_observer_equals_the_scalar_path_bit_for_bit():
     for _ in range(3 * ROW_BLOCK):
         q = tuple(random_quat(state_rng).tolist())
         w = tuple((state_rng.standard_normal(3) * 0.02).tolist())
-        assert observe(q, w, None, None) == reference(q, w)
+        assert observe(q, w, []) == reference(q, w)
 
 
 class StreamGenerator:

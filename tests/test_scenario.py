@@ -230,6 +230,28 @@ def test_configuration_scalars_must_be_real_numbers(value, monkeypatch):
                 replace(sc, **{name: given})
 
 
+@pytest.mark.parametrize("name", ["", "../x", "a/b", "a\\b", "x\0y", None],
+                         ids=["empty", "parent", "slash", "backslash", "nul", "None"])
+def test_scenario_name_must_be_a_plain_file_name_part(name, monkeypatch):
+    # every command writes {name}-... into its --out directory, so a name
+    # with a path separator wrote outside it; the name fails before any precompute
+    sc = paper_faulty(duration=10.0)
+    monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
+    with pytest.raises(ValueError, match=r"^name must be a non-empty string without "):
+        replace(sc, name=name)
+
+
+def test_cli_rejects_a_scenario_name_that_escapes_out(tmp_path, capsys):
+    path = tmp_path / "escape.yaml"
+    save_scenario(paper_faulty(duration=1.0), path)
+    path.write_text(path.read_text().replace("name: paper-faulty", "name: ../escaped"))
+    (tmp_path / "out").mkdir()
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "name must be a non-empty string" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "escaped-seed20190430.csv").exists()
+
+
 def test_observer_bounds_follow_assumption1():
     # rho_q bounds ||qtilde_v|| of a unit quaternion, so it is below 1
     for rho_q, rho_w in ((0.0, 0.0), (0.999, 1e3), (2.15e-5, 1.56e-5)):
