@@ -32,6 +32,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("const", "sin", "cos", "abs_sin"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
+        freeze_floats(self, "offset", "scale", "freq", "phase")
         check_finite(self, "offset", "scale", "freq", "phase")
 
     def __call__(self, t):

@@ -49,9 +49,9 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:  # checked by Scenario, before any precompute
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    out = _out_dir(args) / f"{scenario.name}-seed{scenario.seed}.csv"
     trace = run_scenario(scenario)
     stats = steady_state_stats(trace, scenario.tail_fraction)
-    out = _out_dir(args) / f"{scenario.name}-seed{trace.seed}.csv"
     export_trace_csv(trace, out)
     print(f"wrote {out}")
     print(
@@ -64,8 +64,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     scenario = load_scenario(args.scenario)
-    summary = run_campaign(scenario, args.n)
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
+    summary = run_campaign(scenario, args.n)
     export_summary_jsonl(summary, out)
     print(f"wrote {out}")
     print(
@@ -82,8 +82,8 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_predict_bounds(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = predict(scenario.budget, scenario.gains)
     out = _out_dir(args) / f"{scenario.name}-bounds.jsonl"
+    trace = predict(scenario.budget, scenario.gains)
     export_bound_trace_jsonl(trace, out)
     print(f"wrote {out}")
     print(
@@ -98,8 +98,8 @@ def cmd_predict_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = verify(scenario, args.n, strict=True)
     out = _out_dir(args) / f"{scenario.name}-verify-n{args.n}.json"
+    report = verify(scenario, args.n, strict=True)
     out.write_text(json_record(report, indent=2) + "\n")
     print(f"wrote {out}")
     print(

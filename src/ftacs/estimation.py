@@ -1,6 +1,7 @@
-"""Sensor noise and the synthetic observer's error profile. kernel runs the
-observers: synthetic error injection and a multiplicative complementary
-filter with gyro-bias estimation."""
+"""Sensor noise and the synthetic observer's error profile, which
+scenario.ObserverSpec extends with the observer kind and the bias
+observer's gains. kernel runs the observers: synthetic error injection and
+a multiplicative complementary filter with gyro-bias estimation."""
 
 from __future__ import annotations
 
@@ -70,8 +71,8 @@ class SyntheticErrorProfile:
     phase_w: float = 0.7
 
     def __post_init__(self):
+        freeze_floats(self, "amp_q", "amp_w", "freq_q", "freq_w", "phase_q", "phase_w")
         check_finite(self, "freq_q", "freq_w", "phase_q", "phase_w")
-        freeze_floats(self, "amp_q", "amp_w")
         try:  # the amplitudes bound the errors, so Assumption 1's rule holds them
             check_observer_bounds(self.amp_q, self.amp_w)
         except ValueError as exc:

@@ -196,9 +196,8 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     table[:, 11:14] = scenario.disturbance(t + 0.5 * dt)
     table[:, 14:e] = scenario.health(t)
     if synthetic:
-        synth = scenario.observer.synthetic_profile()
-        table[:, e:e + 4] = synth.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
-        table[:, e + 4:] = synth.omega_tilde(t)
+        table[:, e:e + 4] = scenario.observer.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
+        table[:, e + 4:] = scenario.observer.omega_tilde(t)
 
     # reference attitude: RK4 of the kinematics through the reference rates
     wdh = scenario.omega_d(t + 0.5 * dt)

@@ -1,7 +1,9 @@
 """Scenario configuration: vector signals made of actuation.SignalSpec (which
-this module re-exports), validation, YAML I/O, and the built-in presets
-(paper fault-free / faulty cases and a zero-uncertainty nominal case).
-Scenarios are frozen and checked when built."""
+this module re-exports), the observer selection, an
+estimation.SyntheticErrorProfile with a kind and the bias observer's gains,
+validation, YAML I/O, and the built-in presets (paper fault-free / faulty
+cases and a zero-uncertainty nominal case). Scenarios are frozen and checked
+when built, and each scalar field of each part is stored as a Python float."""
 
 from __future__ import annotations
 
@@ -41,41 +43,34 @@ class VectorSignal:
 
 
 @dataclass(frozen=True)
-class ObserverSpec:
-    """Observer selection: "perfect", "synthetic" (deterministic bounded error
-    injection), or "bias" (complementary filter fed by noisy sensors)."""
+class ObserverSpec(SyntheticErrorProfile):
+    """Observer selection: "perfect", "synthetic" (the inherited error profile,
+    injected), or "bias" (complementary filter fed by noisy sensors)."""
 
     kind: str = "perfect"
-    # synthetic: the fields of estimation.SyntheticErrorProfile
-    amp_q: float = SyntheticErrorProfile.amp_q
-    amp_w: float = SyntheticErrorProfile.amp_w
-    freq_q: float = SyntheticErrorProfile.freq_q
-    freq_w: float = SyntheticErrorProfile.freq_w
-    phase_q: float = SyntheticErrorProfile.phase_q
-    phase_w: float = SyntheticErrorProfile.phase_w
-    # bias observer
     k_o: float = 1.0
     k_b: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("perfect", "synthetic", "bias"):
             raise ValueError(f"unknown observer kind {self.kind!r}")
-        if self.kind == "synthetic":
-            self.synthetic_profile()  # rejects amplitudes outside Assumption 1's bounds
-        elif self.kind == "bias":
+        super().__post_init__()
+        freeze_floats(self, "k_o", "k_b")
+        if self.kind == "bias":
             for name in ("k_o", "k_b"):
                 if not 0.0 < getattr(self, name) < math.inf:
                     raise ValueError(f"bias observer gain {name} must be positive and "
                                      f"finite, got {getattr(self, name)!r}")
 
-    def synthetic_profile(self) -> SyntheticErrorProfile:
-        """The synthetic observer's error profile, from the fields it shares
-        with SyntheticErrorProfile."""
-        return SyntheticErrorProfile(**{f.name: getattr(self, f.name) for f in fields(SyntheticErrorProfile)})
-
 
 def _is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _square_norm(q) -> float:
+    """The sum of squares of a quaternion, in the order of every renormalization."""
+    q0, q1, q2, q3 = q
+    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
 
 
 @dataclass(frozen=True)
@@ -101,8 +96,11 @@ class InitialConditionSpec:
         for name in ("q0", "omega0"):
             if not all(_is_finite_number(v) for v in getattr(self, name)):
                 raise ValueError(f"init.{name} must be finite numbers, got {list(getattr(self, name))!r}")
-        if not any(self.q0):
-            raise ValueError("init.q0 must be nonzero")
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if not 0.0 < _square_norm(self.q0) < math.inf:
+            raise ValueError(f"init.q0 must be nonzero, with a sum of squares in (0, inf), "
+                             f"got {list(self.q0)!r}")
+        freeze_floats(self, "omega_abs_max", "theta_max")
         for name in ("omega_abs_max", "theta_max"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"init.{name} must be nonnegative and finite, got {getattr(self, name)!r}")
@@ -141,6 +139,10 @@ class Scenario:
         if not (isinstance(self.name, str) and self.name) or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a non-empty string without '/', '\\' or NUL, "
                              f"got {self.name!r}")
+        # Linux file systems allow 255 bytes in a file name, and the longest
+        # suffix a command writes is 29: "-seed", a 20-digit seed and ".csv"
+        if len(self.name.encode()) > 200:
+            raise ValueError(f"name must be at most 200 bytes in UTF-8, got {len(self.name.encode())}")
         freeze_floats(self, "duration", "dt", "tail_fraction")
         for name, minimum in (("seed", 0), ("record_decimation", 1)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
@@ -148,8 +150,9 @@ class Scenario:
         check_inertia(self, "J")
         if self.qd0.shape != (4,):
             raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
-        if not np.isfinite(self.qd0).all() or not self.qd0.any():
-            raise ValueError(f"qd0 must be finite and nonzero, got {self.qd0.tolist()!r}")
+        if not 0.0 < _square_norm(self.qd0.tolist()) < math.inf:  # false for NaN too
+            raise ValueError(f"qd0 must be finite and nonzero, with a sum of squares in (0, inf), "
+                             f"got {self.qd0.tolist()!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 10 * self.dt <= self.duration < math.inf:
@@ -215,8 +218,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             return [_clean(v) for v in obj]
         if isinstance(obj, np.ndarray):
             return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
         return obj
 
     return _clean(asdict(sc))
@@ -393,10 +394,7 @@ def _paper_common(name: str, /, rho_E: float, **overrides) -> dict:
         observer=ObserverSpec(kind="synthetic", amp_q=PAPER_RHO_Q, amp_w=PAPER_RHO_W),
         gains=paper_gains(),
         budget=paper_budget(rho_E),
-        init=InitialConditionSpec(kind="random", omega_abs_max=0.02, theta_max=math.pi),
-        duration=600.0,
-        dt=0.01,
-        seed=20190430,
+        init=InitialConditionSpec(kind="random"),
     )
     base.update(overrides)
     return base

@@ -105,7 +105,7 @@ def test_sensor_sample_rejects_bad_dt(rng):
         sensor_sample(truth, np.zeros(3), NoiseParams(), rng, 0.0)
 
 
-def test_synthetic_profile_unit_quaternion():
+def test_synthetic_error_profile_unit_quaternion():
     prof = SyntheticErrorProfile(amp_q=0.3, amp_w=0.1)
     for t in np.linspace(0, 100, 57):
         qt = prof.qtilde(t)
@@ -115,7 +115,7 @@ def test_synthetic_profile_unit_quaternion():
         assert np.linalg.norm(prof.omega_tilde(t)) <= prof.amp_w + 1e-15
 
 
-def test_synthetic_profile_amplitudes_obey_assumption1():
+def test_synthetic_error_profile_amplitudes_obey_assumption1():
     # the amplitudes bound the errors, so they are held to rho_q, rho_w's rule
     prof = SyntheticErrorProfile(amp_q=0, amp_w=np.float32(0.5))
     assert (prof.amp_q, prof.amp_w) == (0.0, 0.5) and type(prof.amp_w) is float

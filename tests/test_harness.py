@@ -101,7 +101,7 @@ def test_step_table_columns_are_the_scenario_signals(kind):
     assert np.all(table[:, 11:14] == sc.disturbance(t + 0.5 * dt))
     assert np.all(table[:, 14:14 + m] == sc.health(t))
     if kind == "synthetic":
-        synth = sc.observer.synthetic_profile()
+        synth = sc.observer
         assert table.shape == (n, 21 + m)
         assert np.all(table[:, 14 + m:18 + m] == synth.qtilde(t) * [1.0, -1.0, -1.0, -1.0])
         assert np.all(table[:, 18 + m:] == synth.omega_tilde(t))
@@ -733,6 +733,19 @@ def test_cli_simulate_negative_seed_exits_1_before_the_precompute(tmp_path, monk
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, work", [("simulate", "run_scenario"), ("montecarlo", "run_campaign"),
+                                           ("predict-bounds", "predict"), ("verify", "verify")])
+def test_cli_unusable_out_exits_1_before_the_work(tmp_path, monkeypatch, capsys, command, work):
+    # --out names a regular file: the directory is made before the work, not after it
+    out = tmp_path / "out"
+    out.write_text("")
+    monkeypatch.setattr(cli, work, never_called)
+    assert cli_main([command, "--scenario", "paper-faulty", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == ""
 
 
 def test_cli_montecarlo(tmp_path, capsys):

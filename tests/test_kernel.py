@@ -173,7 +173,7 @@ def test_advance_reads_the_columns_scenario_signals_writes(case):
     spec = sc.observer
     if spec.kind == "synthetic":
         observe = synthetic_observe
-        obs = synthetic_observer(state, spec.synthetic_profile(), 0.0)
+        obs = synthetic_observer(state, spec, 0.0)
     else:  # two bias observers on the same draws give the same estimate
         def observer():
             return bias_observer(sc.noise, spec.k_o, spec.k_b, sc.dt, np.random.default_rng(5))

@@ -11,6 +11,7 @@ from ftacs import actuation, cli, harness, scenario
 from ftacs.actuation import HealthProfile
 from ftacs.cli import main as cli_main
 from ftacs.config import ControllerGains, ModelEstimates, UncertaintyBudget, check_observer_bounds
+from ftacs.estimation import SyntheticErrorProfile
 from ftacs.scenario import (
     PRESETS,
     InitialConditionSpec,
@@ -73,7 +74,7 @@ def test_presets_valid():
 
 def test_configuration_objects_are_frozen():
     sc = paper_faulty(duration=10.0)
-    objects = [sc, sc.estimates, sc.gains, sc.budget, sc.noise, sc.observer.synthetic_profile(),
+    objects = [sc, sc.estimates, sc.gains, sc.budget, sc.noise, SyntheticErrorProfile(),
                sc.health.profiles[0], sc.health, sc.bank, sc.omega_d.x, sc.omega_d, sc.observer,
                sc.init]
     assert len({type(obj) for obj in objects}) == 12
@@ -189,7 +190,9 @@ def _float_fields(sc):
     """(object, field name) of every configuration scalar stored as a float."""
     return ([(sc.gains, name) for name in ("k", "epsilon", "gamma")]
             + [(sc.budget, f.name) for f in fields(UncertaintyBudget)]
-            + [(sc.observer.synthetic_profile(), name) for name in ("amp_q", "amp_w")]
+            + [(sc.observer, f.name) for f in fields(ObserverSpec) if f.name != "kind"]
+            + [(sc.omega_d.x, name) for name in ("offset", "scale", "freq", "phase")]
+            + [(sc.init, name) for name in ("omega_abs_max", "theta_max")]
             + [(sc.noise, name) for name in ("sigma_theta", "sigma_u", "sigma_v")]
             + [(sc.bank, "tau_max")]
             + [(sc, name) for name in ("duration", "dt", "tail_fraction")])
@@ -198,7 +201,7 @@ def _float_fields(sc):
 def test_configuration_scalars_are_stored_as_floats():
     sc = paper_faulty(duration=10.0)
     cases = _float_fields(sc)
-    assert len(cases) == 23
+    assert len(cases) == 35
     for obj, name in cases:
         value = getattr(obj, name)
         assert type(value) is float
@@ -207,6 +210,9 @@ def test_configuration_scalars_are_stored_as_floats():
     gains = ControllerGains(k=1, K=np.eye(3), epsilon=np.int64(2), gamma=0.01)
     assert (gains.k, gains.epsilon) == (1.0, 2.0)
     assert type(gains.k) is type(gains.epsilon) is float
+    init = InitialConditionSpec(q0=np.array([1, 0, 0, 0]), omega0=[np.float32(0.5), 0, np.int64(1)])
+    assert init.q0 == (1.0, 0.0, 0.0, 0.0) and init.omega0 == (0.5, 0.0, 1.0)
+    assert all(type(v) is float for v in init.q0 + init.omega0)
     for name in ("seed", "record_decimation"):
         assert type(getattr(replace(sc, **{name: np.int64(3)}), name)) is int
 
@@ -239,6 +245,84 @@ def test_scenario_name_must_be_a_plain_file_name_part(name, monkeypatch):
     monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
     with pytest.raises(ValueError, match=r"^name must be a non-empty string without "):
         replace(sc, name=name)
+
+
+def test_scenario_name_is_at_most_200_bytes(monkeypatch):
+    # a longer name with the longest suffix a command writes is no file name
+    sc = paper_faulty(duration=10.0)
+    assert replace(sc, name="x" * 200).name == "x" * 200
+    monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
+    for name, size in (("x" * 201, 201), ("\u00e9" * 101, 202)):
+        with pytest.raises(ValueError, match=rf"^name must be at most 200 bytes in UTF-8, got {size}$"):
+            replace(sc, name=name)
+
+
+def test_cli_rejects_a_name_too_long_for_a_file_name_before_the_run(tmp_path, monkeypatch, capsys):
+    # save_scenario cannot write this name, so the file is written from its dict
+    d = scenario_to_dict(paper_faulty(duration=1.0))
+    d["name"] = "x" * 300
+    path = tmp_path / "long.yaml"
+    path.write_text(yaml.safe_dump(d, sort_keys=False))
+    monkeypatch.setattr(harness, "scenario_signals", _never_called)
+    (tmp_path / "out").mkdir()
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: name must be at most 200 bytes in UTF-8, got 300" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("value", [1e-200, 1e200, math.nan])
+def test_quaternion_sum_of_squares_must_be_positive_and_finite(value, monkeypatch):
+    # every renormalization divides by the root of this sum: 1e-200 passed
+    # as nonzero and then divided by zero in the reference attitude RK4
+    sc = paper_faulty(duration=10.0)
+    for scale in (1e-150, 1e150):  # tiny and huge, but their squares are floats
+        assert InitialConditionSpec(q0=[scale, 0.0, 0.0, 0.0]).q0[0] == scale
+        replace(sc, qd0=np.array([scale, 0.0, 0.0, 0.0]))
+    monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
+    q = [value, 0.0, 0.0, 0.0]
+    rule = f"with a sum of squares in (0, inf), got {q!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(f"qd0 must be finite and nonzero, {rule}") + "$"):
+        replace(sc, qd0=np.array(q))
+    if math.isfinite(value):
+        with pytest.raises(ValueError, match="^" + re.escape(f"init.q0 must be nonzero, {rule}") + "$"):
+            InitialConditionSpec(q0=q)
+
+
+def test_every_observer_kind_holds_its_amplitudes_to_assumption1():
+    # the profile is declared once, in SyntheticErrorProfile, and checked for every kind
+    assert [f.name for f in fields(ObserverSpec)] == [f.name for f in fields(SyntheticErrorProfile)] + [
+        "kind", "k_o", "k_b"]
+    for kind in ("perfect", "synthetic", "bias"):
+        with pytest.raises(ValueError, match=re.escape("(amp_q, amp_w) = (1.5, 0.0): rho_q must be in")):
+            ObserverSpec(kind=kind, amp_q=1.5)
+        with pytest.raises(ValueError, match="^phase_w must be finite, got inf$"):
+            ObserverSpec(kind=kind, phase_w=math.inf)
+
+
+def _float32_fields(sc):
+    """sc with np.float32 values in the fields that SignalSpec, ObserverSpec
+    and InitialConditionSpec store as floats beyond the amplitudes."""
+    def f32(obj, *names):
+        return replace(obj, **{name: np.float32(getattr(obj, name)) for name in names})
+    return replace(sc, observer=f32(sc.observer, "freq_q", "freq_w", "phase_q", "phase_w", "k_o", "k_b"),
+                   omega_d=replace(sc.omega_d, x=f32(sc.omega_d.x, "offset", "scale", "freq", "phase")),
+                   init=f32(sc.init, "omega_abs_max", "theta_max"))
+
+
+def _simulate_bias():
+    return paper_fault_free(observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1), duration=10.0, seed=1)
+
+
+@pytest.mark.parametrize("build", [*PRESETS.values(), _simulate_bias,
+                                   lambda: _float32_fields(paper_faulty(duration=10.0))],
+                         ids=[*PRESETS, "simulate-bias", "float32-fields"])
+def test_saved_scenario_loads_back_equal(tmp_path, build):
+    sc = build()
+    path = tmp_path / "scenario.yaml"
+    save_scenario(sc, path)
+    assert scenario_to_dict(load_scenario_file(path)) == scenario_to_dict(sc)
 
 
 def test_cli_rejects_a_scenario_name_that_escapes_out(tmp_path, capsys):
@@ -480,6 +564,12 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                            "init.theta_max must be nonnegative and finite, got -1.0"),
     "qd0-zero": (_set("qd0", value=[0.0, 0.0, 0.0, 0.0]), "qd0 must be finite and nonzero"),
     "qd0-nan": (_set("qd0", value=[math.nan, 0.0, 0.0, 1.0]), "qd0 must be finite and nonzero"),
+    # passed as nonzero, then divided by a zero norm (qd0) or ran to a
+    # non-finite state (init.q0)
+    "qd0-underflow": (_set("qd0", value=[1e-200, 0.0, 0.0, 0.0]),
+                      "qd0 must be finite and nonzero, with a sum of squares in (0, inf)"),
+    "q0-underflow": (_set("init", value={"kind": "fixed", "q0": [1e-200, 0.0, 0.0, 0.0]}),
+                     "init.q0 must be nonzero, with a sum of squares in (0, inf)"),
     "disturbance-unknown-kind": (_set("disturbance", "x", "kind", value="tan"),
                                  "unknown signal kind 'tan'"),
     "health-unknown-kind": (_set("health", "profiles", 0, "kind", value="tan"),
