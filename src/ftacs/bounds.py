@@ -3,7 +3,9 @@
 Implements the uncertainty-to-coefficient mapping (rho_0, rho_s, a0..a3,
 b0..b3, kappa, kappa'), the quadratic comparison functions phi1/phi2, and the
 two-stage fixed-point iteration that produces a strictly decreasing sequence
-of ultimate bounds on ||s||, ||q_e,vec|| and ||omega_e||.
+of ultimate bounds on ||s||, ||q_e,vec|| and ||omega_e||. The comparison
+functions are built once per prediction at the slack y = 0, so that each
+iteration evaluates one quadratic in x; a call at another slack rebuilds them.
 """
 
 from __future__ import annotations
@@ -113,64 +115,56 @@ PhiFn = Callable[[float, float], float]
 
 
 def phi_functions(
-    coeffs: BoundCoefficients, gains: ControllerGains, budget: UncertaintyBudget
+    coeffs: BoundCoefficients, gains: ControllerGains, budget: UncertaintyBudget,
+    y: float = 0.0,
 ) -> tuple[PhiFn, PhiFn, PhiFn]:
     """The comparison quadratics phi1 (outside the boundary layer), phi2
     (inside), and their pointwise max phi_bar.
 
-    The second argument is the vanishing slack of the ultimate-bound limits;
-    predictions evaluate at y = 0.
+    y is the vanishing slack of the ultimate-bound limits, 0 in predictions.
+    Every term that does not depend on x is computed here, at y, in the order
+    the full expression computes it: a call evaluates one quadratic in x and
+    gives the full expression's value bit for bit. A call whose second
+    argument is another slack builds the functions again at that slack; the
+    identity test first lets the rebuilt functions take a NaN slack as theirs.
     """
     c = coeffs
     rE = budget.rho_E
     eps = gains.epsilon
-    gam = gains.gamma
     lmax = c.lambda_max_K
-    a0, a1 = c.a0, c.a1
-    r0, rs = c.rho_0, c.rho_s
-    # the terms that depend on neither x nor y, each computed in the order the
-    # full expressions compute it, so that hoisting them changes no bit
+    a0, a1, rs = c.a0, c.a1, c.rho_s
+    rs_y = rs + y
+    m = a1 * (gains.gamma + c.rho_0 + y) + a0
     quad = c.a2 + rE * c.b2
     rE_b1, rE_b0 = rE * c.b1, rE * c.b0
     two_eps = 2.0 / eps
-    two_eps_a1 = two_eps * a1
-    gam_r0 = gam + r0
-    slope1_y = 2.0 + lmax + a1
-    offset1 = a1 * gam - a1 * r0 - lmax * rs
+    slope1 = two_eps * a1 * rs_y + rE_b1
+    const1 = two_eps * rs_y * m
+    tail1 = (2.0 + lmax + a1) * y
+    offset1 = a1 * gains.gamma - a1 * c.rho_0 - lmax * rs
+    slope2 = a1 * rs_y / eps + a1 + rE_b1
+    const2 = rs_y / eps * m
+    lmax_rs = lmax * rs_y
+    tail2 = 2.0 * y
 
-    def phi1(x: float, y: float = 0.0) -> float:
-        rs_y = rs + y
-        return (
-            quad * x * x
-            + (two_eps_a1 * rs_y + rE_b1) * x
-            + two_eps * rs_y * (a1 * (gam_r0 + y) + a0)
-            + rE_b0
-            + slope1_y * y
-            - offset1
-        )
+    def phi1(x: float, slack: float = y) -> float:
+        if slack is not y and slack != y:
+            return phi_functions(coeffs, gains, budget, slack)[0](x)
+        return quad * x * x + slope1 * x + const1 + rE_b0 + tail1 - offset1
 
-    def phi2(x: float, y: float = 0.0) -> float:
-        rs_y = rs + y
-        return (
-            quad * x * x
-            + (a1 * rs_y / eps + a1 + rE_b1) * x
-            + rs_y / eps * (a1 * (gam_r0 + y) + a0)
-            + a0
-            + rE_b0
-            + lmax * rs_y
-            + 2.0 * y
-        )
+    def phi2(x: float, slack: float = y) -> float:
+        if slack is not y and slack != y:
+            return phi_functions(coeffs, gains, budget, slack)[1](x)
+        return quad * x * x + slope2 * x + const2 + a0 + rE_b0 + lmax_rs + tail2
 
-    def phi_bar(x: float, y: float = 0.0) -> float:
-        # phi1 and phi2 inlined, sharing their common terms; the comparison
-        # is the one max(phi1, phi2) makes
-        rs_y = rs + y
+    def phi_bar(x: float, slack: float = y) -> float:
+        # phi1 and phi2 inlined, sharing x*x; the comparison is the one
+        # max(phi1, phi2) makes
+        if slack is not y and slack != y:
+            return phi_functions(coeffs, gains, budget, slack)[2](x)
         quad_xx = quad * x * x
-        m = a1 * (gam_r0 + y) + a0
-        p1 = (quad_xx + (two_eps_a1 * rs_y + rE_b1) * x + two_eps * rs_y * m
-              + rE_b0 + slope1_y * y - offset1)
-        p2 = (quad_xx + (a1 * rs_y / eps + a1 + rE_b1) * x + rs_y / eps * m
-              + a0 + rE_b0 + lmax * rs_y + 2.0 * y)
+        p1 = quad_xx + slope1 * x + const1 + rE_b0 + tail1 - offset1
+        p2 = quad_xx + slope2 * x + const2 + a0 + rE_b0 + lmax_rs + tail2
         return p2 if p2 > p1 else p1
 
     return phi1, phi2, phi_bar
@@ -218,18 +212,21 @@ def _fixed_point(phi: PhiFn, kappa: float, q0: float, ratio: float, k: float,
     limit. With contract, a first iterate q_1 >= 1 raises NotContractive, and
     so does any iterate that is not finite: finite inputs whose coefficients
     overflow (inf * 0 = nan) would otherwise never meet the tolerance."""
+    append, eta, isfinite = history.append, ETA, math.isfinite
+    s_i = ratio * phi(q0) / kappa
+    q_i = s_i / k
+    append((s_i, q_i))
+    if contract and q_i >= 1.0:
+        raise NotContractive(f"q_bar_1 = {q_i} >= 1; sequence does not contract")
     q_prev = q0
-    while True:
-        s_i = ratio * phi(q_prev, 0.0) / kappa
-        q_i = s_i / k
-        history.append((s_i, q_i))
-        if contract and len(history) == 1 and q_i >= 1.0:
-            raise NotContractive(f"q_bar_1 = {q_i} >= 1; sequence does not contract")
-        if not math.isfinite(q_i):
-            raise NotContractive(f"q_bar_{len(history)} = {q_i}; sequence does not contract")
-        if abs(q_i - q_prev) <= ETA:
+    while isfinite(q_i):
+        if abs(q_i - q_prev) <= eta:
             return s_i, q_i
         q_prev = q_i
+        s_i = ratio * phi(q_i) / kappa
+        q_i = s_i / k
+        append((s_i, q_i))
+    raise NotContractive(f"q_bar_{len(history)} = {q_i}; sequence does not contract")
 
 
 def predict(budget: UncertaintyBudget, gains: ControllerGains) -> BoundTrace:

@@ -146,6 +146,8 @@ class Scenario:
         freeze_floats(self, "duration", "dt", "tail_fraction")
         for name, minimum in (("seed", 0), ("record_decimation", 1)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        if self.seed >= 2**64:  # 2**64 - 1 is the largest 20-digit seed
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         freeze_arrays(self, "J", "qd0")
         check_inertia(self, "J")
         if self.qd0.shape != (4,):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftacs import bounds
 from ftacs.bounds import (
     ETA,
     compute_coefficients,
@@ -68,6 +69,27 @@ def test_phi_monotone_in_slack(budget_faulty, gains):
     for x in (0.0, 0.3, 1.0):
         assert phi1(x, 0.1) > phi1(x, 0.0)
         assert phi2(x, 0.1) > phi2(x, 0.0)
+
+
+def test_phi_rebuilds_only_at_another_slack(budget_faulty, gains, monkeypatch):
+    # the functions are built at y = 0: an equal slack, as the benchmark's
+    # tracer passes it, evaluates there, and another slack builds them again
+    coeffs = compute_coefficients(budget_faulty, gains)
+    _, _, phi_bar = phi_functions(coeffs, gains, budget_faulty)
+    reference_phi_bar = reference.phi_functions(coeffs, gains, budget_faulty)[2]
+    slacks = []
+
+    def counted(coeffs, gains, budget, y=0.0):
+        slacks.append(y)
+        return phi_functions(coeffs, gains, budget, y)
+
+    monkeypatch.setattr(bounds, "phi_functions", counted)
+    assert phi_bar(0.3, float("0")) == reference_phi_bar(0.3, 0.0)
+    assert slacks == []
+    assert phi_bar(0.3, 1e-3) == reference_phi_bar(0.3, 1e-3)
+    assert slacks == [1e-3]
+    assert math.isnan(phi_bar(0.3, math.nan))
+    assert len(slacks) == 2 and math.isnan(slacks[1])
 
 
 def test_predict_fault_free(budget_free, gains):

@@ -272,6 +272,26 @@ def test_cli_rejects_a_name_too_long_for_a_file_name_before_the_run(tmp_path, mo
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_scenario_seed_is_below_2_to_the_64(monkeypatch):
+    # 2**64 - 1 is the largest 20-digit seed the 200-byte name rule leaves room for
+    sc = paper_faulty(duration=10.0)
+    assert replace(sc, name="x" * 200, seed=2**64 - 1).seed == 2**64 - 1
+    monkeypatch.setattr(scenario, "_equal_row_runs", _never_called)
+    with pytest.raises(ValueError, match=rf"^seed must be < 2\*\*64, got {2**64}$"):
+        replace(sc, seed=2**64)
+
+
+def test_cli_rejects_a_seed_of_2_to_the_64_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "scenario_signals", _never_called)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--scenario", "paper-faulty", "--seed", str(2**64),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"seed must be < 2**64, got {2**64}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [1e-200, 1e200, math.nan])
 def test_quaternion_sum_of_squares_must_be_positive_and_finite(value, monkeypatch):
     # every renormalization divides by the root of this sum: 1e-200 passed
