@@ -19,27 +19,27 @@ OUT = Path(os.environ.get("FTACS_OUT_DIR", "."))
 
 def campaign(scenario, n):
     summary = run_campaign(scenario, n)
-    env = summary.envelope()
+    record = summary.record()
     print(f"\n=== {scenario.name} ({n} instances, {scenario.duration:.0f} s each) ===")
     print(
-        f"  predicted: theta_e <= {env['theta_bound_deg']:.4g} deg, "
-        f"|omega_e| <= {math.degrees(env['omega_bound_rad_s']):.4g} deg/s"
+        f"  predicted: theta_e <= {record['theta_bound_deg']:.4g} deg, "
+        f"|omega_e| <= {math.degrees(record['omega_bound_rad_s']):.4g} deg/s"
     )
     print(
-        f"  simulated: theta_e tail max {summary.theta_e_max_deg:.4g} deg, "
-        f"|omega_e| tail max {math.degrees(summary.omega_e_max):.4g} deg/s"
+        f"  simulated: theta_e tail max {record['theta_tail_max_deg']:.4g} deg, "
+        f"|omega_e| tail max {math.degrees(record['omega_tail_max_rad_s']):.4g} deg/s"
     )
     print(
-        f"  margins  : theta x{env['theta_margin_ratio']:.2f}, "
-        f"omega x{env['omega_margin_ratio']:.2f}"
+        f"  margins  : theta x{record['theta_margin_ratio']:.2f}, "
+        f"omega x{record['omega_margin_ratio']:.2f}"
     )
-    for line in summary.failures:
+    for line in record["failures"]:
         print(f"  FAILED   : {line}")
-    print(f"  envelope : {'holds' if summary.passed else 'VIOLATED'}")
+    print(f"  envelope : {'holds' if record['passed'] else 'VIOLATED'}")
     out = OUT / f"campaign-{scenario.name}-n{n}.jsonl"
     export_summary_jsonl(summary, out)
     print(f"  wrote {out}")
-    return summary.passed
+    return record["passed"]
 
 
 def main():

@@ -67,17 +67,16 @@ def cmd_montecarlo(args) -> int:
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
     summary = run_campaign(scenario, args.n)
     export_summary_jsonl(summary, out)
+    record = summary.record()
     print(f"wrote {out}")
     print(
-        f"campaign maxima over {len(summary.instances)} of {args.n} finished instances: "
-        f"theta_e {summary.theta_e_max_deg:.6g} deg, "
-        f"|omega_e| {math.degrees(summary.omega_e_max):.6g} deg/s"
+        f"campaign maxima over {args.n - len(record['failures'])} of {args.n} finished instances: "
+        f"theta_e {record['theta_tail_max_deg']:.6g} deg, "
+        f"|omega_e| {math.degrees(record['omega_tail_max_rad_s']):.6g} deg/s"
     )
-    if summary.failures:
-        for line in summary.failures:
-            print(f"FAILED: {line}", file=sys.stderr)
-        return EXIT_VIOLATED
-    return EXIT_OK
+    for line in record["failures"]:
+        print(f"FAILED: {line}", file=sys.stderr)
+    return EXIT_VIOLATED if record["failures"] else EXIT_OK
 
 
 def cmd_predict_bounds(args) -> int:

@@ -9,7 +9,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -64,28 +64,23 @@ class TailStats:
     tau_u_peak: list[float]
 
 
+# The record's name of each campaign-wide tail maximum, and the TailStats
+# field it is the maximum of.
+_TAIL_MAXIMA = {"theta_tail_max_deg": "theta_e_max_deg", "omega_tail_max_rad_s": "omega_e_max",
+                "qe_tail_max": "qe_vec_max", "qtilde_tail_max": "qtilde_max",
+                "wtilde_tail_max": "wtilde_max"}
+
+
 @dataclass(frozen=True)
 class CampaignSummary:
     """The outcome of each instance in seed order, the tail statistics of an
     instance that finished or the failure line of one whose state went
-    non-finite, beside its seed, and the predicted bounds. The lists of
-    finished instances and of failures and the campaign-wide maxima are read
-    from the outcomes."""
+    non-finite, beside its seed, and the predicted bounds. Everything else is
+    read from the outcomes; record() gathers it."""
 
     outcomes: list[TailStats | str]
     seeds: list[int]
     predicted: BoundTrace
-    # maxima over the finished instances, NaN when none finished
-    theta_e_max_deg: float = field(init=False)
-    omega_e_max: float = field(init=False)
-    qe_vec_max: float = field(init=False)
-    qtilde_max: float = field(init=False)
-    wtilde_max: float = field(init=False)
-
-    def __post_init__(self):
-        for name in [f.name for f in fields(self) if not f.init]:
-            object.__setattr__(self, name, max((getattr(st, name) for st in self.instances),
-                                               default=math.nan))
 
     @property
     def instances(self) -> list[TailStats]:
@@ -99,9 +94,8 @@ class CampaignSummary:
     def instance_pass(self) -> list[bool]:
         """Per instance in seed order: it finished inside both predicted
         bounds, up to ROUNDOFF_FLOOR. A failed instance does not pass."""
-        env = self.envelope()
-        theta_limit = env["theta_bound_deg"] + ROUNDOFF_FLOOR
-        omega_limit = env["omega_bound_rad_s"] + ROUNDOFF_FLOOR
+        theta_limit = math.degrees(self.predicted.theta_bound) + ROUNDOFF_FLOOR
+        omega_limit = self.predicted.omega_bound + ROUNDOFF_FLOOR
         return [isinstance(r, TailStats) and r.theta_e_max_deg <= theta_limit
                 and r.omega_e_max <= omega_limit for r in self.outcomes]
 
@@ -110,22 +104,31 @@ class CampaignSummary:
         """Every instance finished inside both predicted bounds."""
         return all(self.instance_pass)
 
-    def envelope(self) -> dict:
-        """The predicted bounds (theta in degrees, omega in rad/s, |qe|) and
-        the margin ratios bound/max of theta and omega: inf when the maximum
-        is 0, NaN when no instance finished."""
+    def record(self) -> dict:
+        """The campaign record that verify reports and the campaign line of
+        the JSONL holds: the instance count; the predicted bounds (theta in
+        degrees, omega in rad/s, |qe|); the tail maxima over the finished
+        instances, NaN when none finished; the margin ratios bound/max of
+        theta and omega, inf when the maximum is 0 and NaN when no instance
+        finished; the round-off floor, the failure lines and the verdict."""
         p = self.predicted
-        theta_bound_deg = math.degrees(p.theta_bound)
+        bounds = {"theta_bound_deg": math.degrees(p.theta_bound),
+                  "omega_bound_rad_s": p.omega_bound, "qe_bound": p.q_final}
+        maxima = {key: max((getattr(st, name) for st in self.instances), default=math.nan)
+                  for key, name in _TAIL_MAXIMA.items()}
 
         def margin(bound, peak):
             return bound / peak if peak > 0 else math.inf if peak == 0 else math.nan
 
         return {
-            "theta_bound_deg": theta_bound_deg,
-            "omega_bound_rad_s": p.omega_bound,
-            "qe_bound": p.q_final,
-            "theta_margin_ratio": margin(theta_bound_deg, self.theta_e_max_deg),
-            "omega_margin_ratio": margin(p.omega_bound, self.omega_e_max),
+            "n_instances": len(self.outcomes),
+            **bounds,
+            **maxima,
+            "theta_margin_ratio": margin(bounds["theta_bound_deg"], maxima["theta_tail_max_deg"]),
+            "omega_margin_ratio": margin(p.omega_bound, maxima["omega_tail_max_rad_s"]),
+            "roundoff_floor": ROUNDOFF_FLOOR,
+            "failures": self.failures,
+            "passed": self.passed,
         }
 
 
@@ -388,33 +391,19 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
 
 
 def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:
-    """Predict bounds, run a campaign, and check the envelope property."""
+    """Predict bounds, run a campaign, and check the envelope property. The
+    report is the campaign record, labelled with the scenario name."""
     summary = run_campaign(scenario, n_instances)
-    env = summary.envelope()
-    report = {
-        "scenario": scenario.name,
-        "n_instances": len(summary.outcomes),
-        "theta_bound_deg": env["theta_bound_deg"],
-        "omega_bound_rad_s": env["omega_bound_rad_s"],
-        "theta_tail_max_deg": summary.theta_e_max_deg,
-        "omega_tail_max_rad_s": summary.omega_e_max,
-        "qe_bound": env["qe_bound"],
-        "qe_tail_max": summary.qe_vec_max,
-        "theta_margin_ratio": env["theta_margin_ratio"],
-        "omega_margin_ratio": env["omega_margin_ratio"],
-        "roundoff_floor": ROUNDOFF_FLOOR,
-        "failures": summary.failures,
-        "passed": summary.passed,
-    }
-    if strict and not summary.passed:
-        if summary.failures:
-            raise BoundViolated(f"failed instances: {'; '.join(summary.failures)}")
+    report = {"scenario": scenario.name, **summary.record()}
+    if strict and not report["passed"]:
+        if report["failures"]:
+            raise BoundViolated(f"failed instances: {'; '.join(report['failures'])}")
         offenders = [f"instance {i} (seed {seed})" for i, (seed, ok)
                      in enumerate(zip(summary.seeds, summary.instance_pass, strict=True)) if not ok]
         raise BoundViolated(
             f"tail maxima exceed predicted bounds in {', '.join(offenders)}: "
-            f"theta {summary.theta_e_max_deg:.4g} deg vs {env['theta_bound_deg']:.4g} deg, "
-            f"omega {summary.omega_e_max:.4g} vs {env['omega_bound_rad_s']:.4g} rad/s"
+            f"theta {report['theta_tail_max_deg']:.4g} deg vs {report['theta_bound_deg']:.4g} deg, "
+            f"omega {report['omega_tail_max_rad_s']:.4g} vs {report['omega_bound_rad_s']:.4g} rad/s"
         )
     return report
 
@@ -468,25 +457,14 @@ def json_record(record: dict, **kwargs) -> str:
 
 def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
     """One JSONL record per finished instance, labelled with its index and
-    seed, plus a campaign-level record."""
+    seed, then the campaign record, labelled "campaign": true."""
     with open(path, "w") as fh:
         for idx, (outcome, seed, ok) in enumerate(
                 zip(summary.outcomes, summary.seeds, summary.instance_pass, strict=True)):
             if isinstance(outcome, TailStats):
                 fh.write(json_record({"instance": idx, "seed": seed, **outcome.__dict__,
                                       "passed": ok}) + "\n")
-        env = summary.envelope()
-        camp = {
-            "campaign": True,
-            "theta_e_max_deg": summary.theta_e_max_deg,
-            "omega_e_max": summary.omega_e_max,
-            "qe_vec_max": summary.qe_vec_max,
-            "qtilde_max": summary.qtilde_max,
-            "wtilde_max": summary.wtilde_max,
-            "failures": summary.failures,
-            **{key: env[key] for key in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound")},
-        }
-        fh.write(json_record(camp) + "\n")
+        fh.write(json_record({"campaign": True, **summary.record()}) + "\n")
 
 
 def export_bound_trace_jsonl(trace: BoundTrace, path: str | Path):

@@ -205,10 +205,23 @@ def _equal_row_runs(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # serialization
 
+class _UniqueKeys(yaml.constructor.SafeConstructor):
+    def construct_mapping(self, node, deep=False):
+        """The safe mapping, except that a key given twice raises instead of
+        the last one winning."""
+        seen = []  # a list, so that an unhashable key reaches the safe mapping's error
+        for key_node, _ in node.value:
+            if (key := self.construct_object(key_node, deep=deep)) in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 # libyaml's classes when PyYAML was built with it, else the pure-Python ones.
 # Both pairs share the safe constructor and representer, so a file reads and
 # writes the same either way.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Loader = type("_Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
@@ -277,10 +290,17 @@ def _build(cls, d, where: str):
 
 
 def _array(value, key: str) -> np.ndarray:
-    if isinstance(value, list):
+    """A (nested) list of ints and floats as a float array; a string or a bool
+    entry raises, where numpy would read '8.0' as 8.0 and true as 1.0."""
+    def numbers(v):
+        return isinstance(v, list) and all(
+            numbers(x) if isinstance(x, list)
+            else isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+
+    if numbers(value):
         try:
             return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):  # ragged, or an int beyond float range
             pass
     raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
 

@@ -125,19 +125,20 @@ def test_criterion_5_envelope_fault_free():
     start = time.perf_counter()
     summary = run_campaign(sc, N_INSTANCES)
     elapsed = time.perf_counter() - start
+    record = summary.record()
     per_instance = all(
         st.theta_e_max_deg <= theta_bound and math.degrees(st.omega_e_max) <= omega_bound_deg
         for st in summary.instances
     )
-    corridor = 0.005 <= summary.theta_e_max_deg <= theta_bound
+    corridor = 0.005 <= record["theta_tail_max_deg"] <= theta_bound
     ok = not summary.failures and per_instance and corridor
     report(
         5,
         "fault-free envelope",
         ok,
-        f"{N_INSTANCES} instances: max tail theta {summary.theta_e_max_deg:.4g} deg "
+        f"{N_INSTANCES} instances: max tail theta {record['theta_tail_max_deg']:.4g} deg "
         f"(bound {theta_bound:.4g}, corridor [0.005, {theta_bound:.4g}]), "
-        f"max tail omega {math.degrees(summary.omega_e_max):.4g} deg/s "
+        f"max tail omega {math.degrees(record['omega_tail_max_rad_s']):.4g} deg/s "
         f"(bound {omega_bound_deg:.4g}), runtime {elapsed:.0f} s",
     )
 
@@ -156,7 +157,8 @@ def test_criterion_6_faulty_tolerance():
         6,
         "faulty-case tolerance",
         ok,
-        f"{N_INSTANCES} instances stable: max tail theta {summary.theta_e_max_deg:.4g} deg "
+        f"{N_INSTANCES} instances stable: max tail theta "
+        f"{summary.record()['theta_tail_max_deg']:.4g} deg "
         f"(bound {theta_bound:.4g}), dead-pair command max {dead_pair_max:.3g}, "
         f"runtime {elapsed:.0f} s",
     )

@@ -51,6 +51,19 @@ from ftacs.scenario import (
 from ftacs.so3 import spectral_norm
 from reference import with_numpy_scalars
 
+# the keys of the campaign record, in order; the five tail maxima among them
+TAIL_MAXIMA_KEYS = ["theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max",
+                    "qtilde_tail_max", "wtilde_tail_max"]
+RECORD_KEYS = ["n_instances", "theta_bound_deg", "omega_bound_rad_s", "qe_bound",
+               *TAIL_MAXIMA_KEYS, "theta_margin_ratio", "omega_margin_ratio", "roundoff_floor",
+               "failures", "passed"]
+
+
+def reject_constant(name):
+    """parse_constant for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 # the published fault-free budget, declared for nominal-exact's inertia estimate
 NOMINAL_PAPER_BUDGET = replace(paper_budget(rho_E=0.0), J_hat_norm=spectral_norm(PAPER_J))
 
@@ -282,7 +295,7 @@ def test_campaign_n1_matches_run_scenario(monkeypatch):
         assert_traces_equal(campaign_trace, trace)
         st = steady_state_stats(trace, sc.tail_fraction)
         assert summary.instances[0] == st
-        assert summary.theta_e_max_deg == st.theta_e_max_deg
+        assert summary.record()["theta_tail_max_deg"] == st.theta_e_max_deg
 
 
 def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
@@ -379,8 +392,9 @@ def test_campaign_determinism_and_aggregation():
     s1 = run_campaign(sc, 3)
     s2 = run_campaign(sc, 3)
     assert [i.theta_e_max_deg for i in s1.instances] == [i.theta_e_max_deg for i in s2.instances]
-    assert s1.theta_e_max_deg == max(i.theta_e_max_deg for i in s1.instances)
-    assert s1.omega_e_max >= max(i.omega_e_max for i in s1.instances) - 1e-18
+    record = s1.record()
+    assert record["theta_tail_max_deg"] == max(i.theta_e_max_deg for i in s1.instances)
+    assert record["omega_tail_max_rad_s"] >= max(i.omega_e_max for i in s1.instances) - 1e-18
     assert not s1.failures
 
 
@@ -581,18 +595,20 @@ def test_all_failed_campaign_has_nan_margins(tmp_path, monkeypatch, capsys):
     sc, lines = planted_failure(monkeypatch, failing=(0, 1))
     summary = run_campaign(sc, 2)
     assert summary.failures == lines and not summary.instances
-    env = summary.envelope()
-    assert math.isnan(env["theta_margin_ratio"]) and math.isnan(env["omega_margin_ratio"])
-    assert env["theta_bound_deg"] == math.degrees(summary.predicted.theta_bound)
+    record = summary.record()
+    assert math.isnan(record["theta_margin_ratio"]) and math.isnan(record["omega_margin_ratio"])
+    assert all(math.isnan(record[k]) for k in TAIL_MAXIMA_KEYS)
+    assert record["theta_bound_deg"] == math.degrees(summary.predicted.theta_bound)
+    assert record["failures"] == lines and not record["passed"]
     report = verify(sc, 2, strict=False)
     assert not report["passed"]
     assert math.isnan(report["theta_margin_ratio"]) and math.isnan(report["omega_margin_ratio"])
-    assert all(report[k] == env[k] for k in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound"))
+    assert all(report[k] == record[k] for k in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound"))
     path = tmp_path / "campaign.jsonl"
     export_summary_jsonl(summary, path)
     camp = json.loads(path.read_text().splitlines()[-1])
     assert [camp[k] for k in ("theta_bound_deg", "omega_bound_rad_s", "qe_bound")] == [
-        env["theta_bound_deg"], env["omega_bound_rad_s"], env["qe_bound"]]
+        record["theta_bound_deg"], record["omega_bound_rad_s"], record["qe_bound"]]
     assert not run_campaigns_script(monkeypatch, tmp_path).campaign(sc, 2)
     out = capsys.readouterr().out
     assert "margins  : theta xnan, omega xnan" in out
@@ -603,20 +619,40 @@ def test_envelope_margins():
     predicted = predict(paper_budget(rho_E=0.0), paper_gains())
     theta_bound_deg = math.degrees(predicted.theta_bound)
 
-    def envelope(theta_max_deg, omega_max):
-        st = TailStats(theta_max_deg, omega_max, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
-        return CampaignSummary([st], [1], predicted).envelope()
+    def record(theta_max_deg, omega_max):
+        st = TailStats(theta_max_deg, omega_max, 1e-4, 2e-4, 3e-4, 4e-4, [0.0] * 4)
+        return CampaignSummary([st], [1], predicted).record()
 
-    env = envelope(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)
-    assert env == {
+    rec = record(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)
+    assert rec == {
+        "n_instances": 1,
         "theta_bound_deg": theta_bound_deg,
         "omega_bound_rad_s": predicted.omega_bound,
         "qe_bound": predicted.q_final,
+        "theta_tail_max_deg": 0.5 * theta_bound_deg,
+        "omega_tail_max_rad_s": 0.25 * predicted.omega_bound,
+        "qe_tail_max": 1e-4,
+        "qtilde_tail_max": 3e-4,
+        "wtilde_tail_max": 4e-4,
         "theta_margin_ratio": 2.0,
         "omega_margin_ratio": 4.0,
+        "roundoff_floor": harness.ROUNDOFF_FLOOR,
+        "failures": [],
+        "passed": True,
     }
-    env = envelope(0.0, 0.0)
-    assert env["theta_margin_ratio"] == env["omega_margin_ratio"] == math.inf
+    rec = record(0.0, 0.0)
+    assert rec["theta_margin_ratio"] == rec["omega_margin_ratio"] == math.inf
+
+
+def test_verify_report_is_the_jsonl_campaign_line(tmp_path):
+    sc = short_scenario()
+    report = verify(sc, 2, strict=False)
+    path = tmp_path / "summary.jsonl"
+    export_summary_jsonl(run_campaign(sc, 2), path)
+    camp = json.loads(path.read_text().splitlines()[-1], parse_constant=reject_constant)
+    assert report.pop("scenario") == sc.name and camp.pop("campaign") is True
+    assert list(report) == RECORD_KEYS
+    assert camp == report
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -674,8 +710,8 @@ def test_summary_jsonl_record_count(tmp_path):
     export_summary_jsonl(summary, path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == 4  # 3 instances + campaign record
-    assert records[-1]["campaign"] is True
-    assert records[-1]["theta_e_max_deg"] == summary.theta_e_max_deg
+    assert records[-1] == {"campaign": True, **summary.record()}
+    assert records[-1]["theta_tail_max_deg"] == max(r["theta_e_max_deg"] for r in records[:-1])
 
 
 def test_summary_jsonl_labels_each_record_with_its_own_index_and_seed(tmp_path, monkeypatch):
@@ -798,19 +834,24 @@ def test_cli_verify_nominal_exact_passes_and_reports_the_floor(tmp_path, capsys)
 
 def test_cli_writes_non_finite_values_as_null(tmp_path, monkeypatch, capsys):
     # NaN and Infinity are not JSON: strict parsers reject the file
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-
-    assert cli_main(["verify", "--scenario", "nominal-exact", "-n", "1", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "nominal-exact-verify-n1.json").read_text(), parse_constant=reject)
+    for command in ("verify", "montecarlo"):
+        argv = [command, "--scenario", "nominal-exact", "-n", "1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+    report = json.loads((tmp_path / "nominal-exact-verify-n1.json").read_text(),
+                        parse_constant=reject_constant)
     assert report["theta_tail_max_deg"] == 0.0 and report["theta_margin_ratio"] is None
+    text = (tmp_path / "nominal-exact-campaign-n1.jsonl").read_text()
+    camp = json.loads(text.splitlines()[-1], parse_constant=reject_constant)
+    assert camp.pop("campaign") is True and report.pop("scenario") == "nominal-exact"
+    assert camp == report
     sc, lines = planted_failure(monkeypatch, failing=(0, 1))
     sc_path = tmp_path / "nominal.yaml"
     save_scenario(sc, sc_path)
     assert cli_main(["montecarlo", "--scenario", str(sc_path), "-n", "2", "--out", str(tmp_path)]) == 2
     text = (tmp_path / "nominal-exact-campaign-n2.jsonl").read_text()
-    (camp,) = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
-    assert camp["theta_e_max_deg"] is None and camp["failures"] == lines
+    (camp,) = [json.loads(line, parse_constant=reject_constant) for line in text.splitlines()]
+    assert all(camp[k] is None for k in TAIL_MAXIMA_KEYS) and camp["failures"] == lines
+    assert camp["theta_margin_ratio"] is None and camp["omega_margin_ratio"] is None
     with pytest.raises(ValueError, match="Out of range float"):
         harness.json_record({"nested": {"x": math.nan}})
 

@@ -428,10 +428,11 @@ def test_validation_rejects_health_profile_count():
 @pytest.mark.parametrize("pure_python", [False, True], ids=["libyaml", "pure-python"])
 def test_yaml_io_matches_safe_dump_and_safe_load(tmp_path, monkeypatch, pure_python):
     if pure_python:
-        monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+        monkeypatch.setattr(scenario, "_Loader",
+                            type("_Loader", (scenario._UniqueKeys, yaml.SafeLoader), {}))
         monkeypatch.setattr(scenario, "_Dumper", yaml.SafeDumper)
     elif yaml.__with_libyaml__:
-        assert scenario._Loader is yaml.CSafeLoader and scenario._Dumper is yaml.CSafeDumper
+        assert issubclass(scenario._Loader, yaml.CSafeLoader) and scenario._Dumper is yaml.CSafeDumper
     path = tmp_path / "scenario.yaml"
     for factory in PRESETS.values():
         for kind in ("perfect", "synthetic", "bias"):
@@ -522,6 +523,25 @@ MALFORMED_FILES = {
     "unknown-noise-key": (_set("noise", "sigma", value=1), "noise.sigma"),
     "unknown-gains-key": (_set("gains", "kk", value=1), "gains.kk"),
     "ragged-array": (_set("J", value=[[1.0, 2.0], [3.0]]), "J: expected a list of numbers"),
+    # YAML lets the last of two equal keys win, and numpy reads '8.0' as 8.0
+    # and true as 1.0: each of these files once loaded
+    "duplicated-key": (lambda: "name: x\ndt: 0.01\ndt: 0.02\n",
+                       "not valid YAML at line 3 ('dt: 0.02'): found duplicate key 'dt'"),
+    "duplicated-nested-key": (lambda: "budget:\n  rho_a: 1.0\n  rho_a: 2.0\n",
+                              "not valid YAML at line 3 ('rho_a: 2.0'): found duplicate key 'rho_a'"),
+    "J-string-entry": (_set("J", value=[["8.0", 0.15, -0.27], [0.15, 6.75, -0.1], [-0.27, -0.1, 6.25]]),
+                       "J: expected a list of numbers, got [['8.0', 0.15, -0.27]"),
+    "J-bool-entry": (_set("J", value=[[True, 0.15, -0.27], [0.15, 6.75, -0.1], [-0.27, -0.1, 6.25]]),
+                     "J: expected a list of numbers, got [[True, 0.15, -0.27]"),
+    "K-string-entry": (_set("gains", "K", value=[["0.7", 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.7]]),
+                       "gains.K: expected a list of numbers, got [['0.7', 0.0, 0.0]"),
+    "D-bool-entries": (_set("bank", "D", value=[[True, False, False, 1.0], [False, True, False, 1.0],
+                                                [False, False, True, 1.0]]),
+                       "bank.D: expected a list of numbers, got [[True, False, False, 1.0]"),
+    "qd0-string-entry": (_set("qd0", value=["1.0", 0.0, 0.0, 0.0]),
+                         "qd0: expected a list of numbers, got ['1.0', 0.0, 0.0, 0.0]"),
+    "qd0-bool-entry": (_set("qd0", value=[True, 0, 0, 0]),
+                       "qd0: expected a list of numbers, got [True, 0, 0, 0]"),
     "K-not-3x3": (_set("gains", "K", value=[[1.0, 0.0], [0.0, 1.0]]), "K must be 3x3"),
 }
 
