@@ -29,15 +29,23 @@ def check_nonnegative(obj, *names: str):
             raise ValueError(f"{name} must be nonnegative and finite, got {getattr(obj, name)!r}")
 
 
+def to_float(name: str, value) -> float:
+    """value as a Python float. A bool, a value that is not a real number or
+    one beyond the float range raises a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer of hundreds of digits, not echoed back
+        raise ValueError(f"{name} must be a real number within the float range, "
+                         "got one too large for a float") from None
+
+
 def freeze_floats(obj, *names: str):
-    """Store each named field of a frozen dataclass as a Python float, so
-    that the arithmetic on it runs on floats, not numpy scalars. A bool or a
-    value that is not a real number raises a ValueError naming the field."""
+    """Store each named field of a frozen dataclass as a Python float
+    (to_float), so that the arithmetic on it runs on floats, not numpy scalars."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        object.__setattr__(obj, name, float(value))
+        object.__setattr__(obj, name, to_float(name, getattr(obj, name)))
 
 
 def check_integer(name: str, value, minimum: int) -> int:

@@ -3,13 +3,14 @@ predicted-vs-simulated verification, and trace persistence."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -46,7 +47,6 @@ class RunTrace:
     tau_u: np.ndarray
     qtilde_norm: np.ndarray
     wtilde_norm: np.ndarray
-    seed: int
     dt: float = 0.0
 
 
@@ -225,20 +225,18 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     )
 
 
-def run_scenario(
-    scenario: Scenario, seed: int | None = None, signals: ScenarioSignals | None = None
-) -> RunTrace:
+def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> RunTrace:
     """Propagate the full closed loop truth -> observer -> controller ->
-    actuators -> dynamics at fixed dt.
+    actuators -> dynamics at fixed dt, from the scenario's own seed.
 
-    signals, from scenario_signals(scenario), lets the instances of a
-    campaign share one precompute; it is built here when not given."""
-    seed = scenario.seed if seed is None else check_integer("seed", seed, 0)
+    signals, from scenario_signals, is built here when not given; a campaign's
+    instances share one, whose scenario differs from theirs in the seed alone."""
     if signals is None:
         signals = scenario_signals(scenario)
-    elif signals.scenario is not scenario:
-        raise ValueError("signals were built for a different scenario")
-    rng = np.random.default_rng(seed)
+    elif any(getattr(scenario, f.name) is not getattr(signals.scenario, f.name)
+             for f in fields(Scenario) if f.name != "seed"):
+        raise ValueError("signals were built for a scenario that differs in more than its seed")
+    rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     dec = scenario.record_decimation
     m = scenario.bank.m
@@ -259,8 +257,7 @@ def run_scenario(
     advance(q, w, signals.steps(), rec, dec)
     return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
                     s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
-                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], seed=seed,
-                    dt=dt * dec)
+                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=dt * dec)
 
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float) -> TailStats:
@@ -306,8 +303,10 @@ def _run_instances(scenario: Scenario, signals: ScenarioSignals, seeds: list[int
     whose state went non-finite the failure line naming its index and seed."""
     results: list[TailStats | str] = []
     for idx in range(start, stop):
+        instance = copy.copy(scenario)  # not replace, which reruns Scenario.__post_init__
+        object.__setattr__(instance, "seed", seeds[idx])  # 32-bit ints meet the seed rule
         try:
-            trace = run_scenario(scenario, seed=seeds[idx], signals=signals)
+            trace = run_scenario(instance, signals)
             results.append(steady_state_stats(trace, scenario.tail_fraction))
         except NonFiniteState as exc:
             results.append(f"instance {idx} (seed {seeds[idx]}): {exc}")

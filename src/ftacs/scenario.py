@@ -19,7 +19,7 @@ import yaml
 
 from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
-                     check_integer, freeze_arrays, freeze_floats, zero_budget)
+                     check_integer, freeze_arrays, freeze_floats, to_float, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
 
 
@@ -63,8 +63,9 @@ class ObserverSpec(SyntheticErrorProfile):
                                      f"finite, got {getattr(self, name)!r}")
 
 
-def _is_finite_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+def _is_finite_number(v, name: str) -> bool:
+    """v is a finite real number; an integer beyond the float range raises."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(to_float(name, v))
 
 
 def _square_norm(q) -> float:
@@ -94,7 +95,7 @@ class InitialConditionSpec:
             raise ValueError(f"init needs a 4-element q0 and a 3-element omega0, "
                              f"got {len(self.q0)} and {len(self.omega0)}")
         for name in ("q0", "omega0"):
-            if not all(_is_finite_number(v) for v in getattr(self, name)):
+            if not all(_is_finite_number(v, f"init.{name}") for v in getattr(self, name)):
                 raise ValueError(f"init.{name} must be finite numbers, got {list(getattr(self, name))!r}")
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 0.0 < _square_norm(self.q0) < math.inf:

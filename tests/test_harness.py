@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib.util
 import json
@@ -40,6 +41,7 @@ from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
     ObserverSpec,
+    VectorSignal,
     nominal_exact,
     paper_budget,
     paper_fault_free,
@@ -158,8 +160,8 @@ def test_numpy_scalar_configuration_gives_the_same_trace():
 
 def test_seed_changes_random_initial_condition():
     sc = short_scenario()
-    a = run_scenario(sc, seed=1)
-    b = run_scenario(sc, seed=2)
+    a = run_scenario(replace(sc, seed=1))
+    b = run_scenario(replace(sc, seed=2))
     assert not np.array_equal(a.qe[0], b.qe[0])
 
 
@@ -259,7 +261,6 @@ def _fake_trace(theta, omega_e, t=None):
         tau_u=np.zeros((n, 4)),
         qtilde_norm=np.zeros(n),
         wtilde_norm=np.zeros(n),
-        seed=0,
     )
 
 
@@ -291,7 +292,7 @@ def test_campaign_n1_matches_run_scenario(monkeypatch):
         sc = short_scenario(observer=ObserverSpec(kind=kind))
         summary, (campaign_trace,) = campaign_traces(monkeypatch, sc, 1)
         seed = instance_seeds(sc.seed, 1)[0]
-        trace = run_scenario(sc, seed=seed)
+        trace = run_scenario(replace(sc, seed=seed))
         assert_traces_equal(campaign_trace, trace)
         st = steady_state_stats(trace, sc.tail_fraction)
         assert summary.instances[0] == st
@@ -304,7 +305,7 @@ def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
     sc = short_scenario(duration=10.0, observer=ObserverSpec(kind="bias"))
     summary, traces = campaign_traces(monkeypatch, sc, 3)
     assert len(traces) == 3
-    assert_traces_equal(traces[2], run_scenario(sc, seed=instance_seeds(sc.seed, 3)[2]))
+    assert_traces_equal(traces[2], run_scenario(replace(sc, seed=instance_seeds(sc.seed, 3)[2])))
 
 
 def toggled_pair_scenario():
@@ -333,12 +334,42 @@ def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
     sc = toggled_pair_scenario()
     _, traces = campaign_traces(monkeypatch, sc, 2)
     for trace, seed in zip(traces, instance_seeds(sc.seed, 2), strict=True):
-        assert_traces_equal(trace, run_scenario(sc, seed=seed))
+        assert_traces_equal(trace, run_scenario(replace(sc, seed=seed)))
 
 
-def test_run_scenario_rejects_signals_of_another_scenario():
-    with pytest.raises(ValueError):
-        run_scenario(short_scenario(), signals=scenario_signals(short_scenario()))
+def campaign_copy(sc, **changes):
+    """A copy of sc with the given fields set, as a campaign makes each
+    instance: no field is checked or copied again."""
+    instance = copy.copy(sc)
+    for name, value in changes.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+OTHER_DISTURBANCE = VectorSignal(x=SignalSpec("const", 1e-4))
+
+
+@pytest.mark.parametrize("other", [
+    lambda sc: short_scenario(),
+    lambda sc: replace(sc, dt=sc.dt / 2),
+    lambda sc: replace(sc, disturbance=OTHER_DISTURBANCE),
+    lambda sc: campaign_copy(sc, dt=sc.dt / 2),
+    lambda sc: campaign_copy(sc, disturbance=OTHER_DISTURBANCE, seed=7),
+], ids=["equal-preset", "replaced-dt", "replaced-disturbance", "copy-dt", "copy-disturbance"])
+def test_run_scenario_rejects_signals_of_another_scenario(other):
+    # a scenario equal to the signals' one, or built from it by replace, has
+    # fields that are not the same objects, so its signals might differ too
+    sc = short_scenario()
+    with pytest.raises(ValueError, match="^signals were built for a scenario that differs "
+                                         "in more than its seed$"):
+        run_scenario(other(sc), signals=scenario_signals(sc))
+
+
+def test_run_scenario_takes_signals_of_a_copy_that_differs_in_its_seed():
+    for kind in ("synthetic", "bias"):
+        sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
+        trace = run_scenario(campaign_copy(sc, seed=12345), signals=scenario_signals(sc))
+        assert_traces_equal(trace, run_scenario(replace(sc, seed=12345)))
 
 
 def fading_estimate():
@@ -411,10 +442,10 @@ def assert_no_child_left():
 
 def plant(monkeypatch, bad_seeds, exc):
     """Make the campaign's instances of `bad_seeds` raise exc; the others run."""
-    def run(scenario, seed=None, signals=None):
-        if seed in bad_seeds:
+    def run(scenario, signals=None):
+        if scenario.seed in bad_seeds:
             raise exc
-        return run_scenario(scenario, seed=seed, signals=signals)
+        return run_scenario(scenario, signals)
 
     monkeypatch.setattr(harness, "run_scenario", run)
 
@@ -459,8 +490,8 @@ def test_interrupted_campaign_kills_its_children(monkeypatch):
     sc = short_scenario(duration=10.0)
     seeds = instance_seeds(sc.seed, 3)
 
-    def run(scenario, seed=None, signals=None):
-        if seed == seeds[0]:
+    def run(scenario, signals=None):
+        if scenario.seed == seeds[0]:
             raise KeyboardInterrupt
         time.sleep(60.0)
 
@@ -478,16 +509,16 @@ def test_campaign_rejects_bad_n():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda sc: run_scenario(sc, seed=1.5), "seed must be an integer, got 1.5"),
-    (lambda sc: run_scenario(sc, seed=True), "seed must be an integer, got True"),
-    (lambda sc: run_scenario(sc, seed=-1), "seed must be >= 0, got -1"),
+    (lambda sc: run_scenario(replace(sc, seed=1.5)), "seed must be an integer, got 1.5"),
+    (lambda sc: run_scenario(replace(sc, seed=True)), "seed must be an integer, got True"),
+    (lambda sc: run_scenario(replace(sc, seed=-1)), "seed must be >= 0, got -1"),
     (lambda sc: run_campaign(sc, 2.0), "n_instances must be an integer, got 2.0"),
     (lambda sc: verify(sc, True), "n_instances must be an integer, got True"),
     (lambda sc: verify(sc, 2.0), "n_instances must be an integer, got 2.0"),
 ], ids=["seed-float", "seed-bool", "seed-negative", "campaign-float", "verify-bool",
         "verify-float"])
 def test_instance_loop_takes_the_scenario_integer_rule(monkeypatch, call, message):
-    # the seed of run_scenario and the instance count of a campaign follow the
+    # a seed given to replace and the instance count of a campaign follow the
     # rule that Scenario applies to its own seed, before any step runs
     sc = paper_faulty(duration=1.0)
     monkeypatch.setattr(harness, "scenario_signals", never_called)
@@ -682,7 +713,7 @@ def random_trace(n, m=4):
         omega_e=rng.standard_normal((n, 3)) * 1e-3, s=rng.standard_normal((n, 3)),
         s_hat=rng.standard_normal((n, 3)), theta_e_deg=rng.uniform(0.0, 180.0, n),
         tau_u=rng.standard_normal((n, m)) * 0.02, qtilde_norm=rng.uniform(0.0, 1e-4, n),
-        wtilde_norm=rng.uniform(0.0, 1e-4, n), seed=1)
+        wtilde_norm=rng.uniform(0.0, 1e-4, n))
     trace.qe[0, 1:] = [-0.0, 1e-300, 1.0 / 3.0]  # signed zero, tiny, repeating digits
     return trace
 
@@ -724,7 +755,7 @@ def test_summary_jsonl_labels_each_record_with_its_own_index_and_seed(tmp_path, 
     *records, camp = [json.loads(text) for text in path.read_text().splitlines()]
     seeds = instance_seeds(sc.seed, 3)
     assert [(r["instance"], r["seed"]) for r in records] == [(0, seeds[0]), (2, seeds[2])]
-    st = steady_state_stats(run_scenario(sc, seed=seeds[2]), sc.tail_fraction)
+    st = steady_state_stats(run_scenario(replace(sc, seed=seeds[2])), sc.tail_fraction)
     assert records[1] == {"instance": 2, "seed": seeds[2], **st.__dict__, "passed": True}
     assert camp["failures"] == [line]
 

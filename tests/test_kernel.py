@@ -70,8 +70,9 @@ def random_quat(rng):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_traces(case):
     golden = np.load(GOLDEN)
-    trace = run_scenario(GOLDEN_CASES[case]())
-    assert trace.seed == golden[f"{case}.seed"]
+    sc = GOLDEN_CASES[case]()
+    trace = run_scenario(sc)
+    assert sc.seed == golden[f"{case}.seed"]
     assert trace.dt == golden[f"{case}.dt"]
     for name in TRACE_FIELDS:
         np.testing.assert_allclose(getattr(trace, name), golden[f"{case}.{name}"],

@@ -624,6 +624,11 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "health-scale-infinite": (_set("health", "profiles", 1, "scale", value=math.inf),
                               "scale must be finite, got inf"),
     "dt-nan": (_set("dt", value=math.nan), "dt must be positive and finite, got nan"),
+    # an integer too large for a float once ended in an OverflowError traceback
+    "dt-beyond-float-range": (_set("dt", value=10**400 - 1),
+                              "dt must be a real number within the float range"),
+    "q0-beyond-float-range": (_set("init", "q0", value=[10**400 - 1, 0, 0, 0]),
+                              "init.q0 must be a real number within the float range"),
     "duration-infinite": (_set("duration", value=math.inf),
                           "duration must be finite and at least 10*dt, got inf"),
     "seed-negative": (_set("seed", value=-5), "seed must be >= 0, got -5"),
@@ -636,6 +641,17 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "tau_d_hat-nan": (_set("estimates", "tau_d_hat", value=[math.nan, 0.0, 0.0]),
                       "tau_d_hat must be finite, got [nan, 0.0, 0.0]"),
 }
+
+
+@pytest.mark.parametrize("path", [("dt",), ("budget", "rho_d"), ("gains", "k"), ("bank", "tau_max"),
+                                  ("init", "q0")])
+def test_integer_beyond_the_float_range_is_named_not_echoed(path):
+    big = 10**400 - 1
+    d = yaml.safe_load(_set(*path, value=[0, 0, big, 0] if path[-1] == "q0" else big)())
+    name = "init.q0" if path[-1] == "q0" else path[-1]
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number within the float range, "
+                                         r"got one too large for a float$"):
+        scenario_from_dict(d)
 
 
 # each of these fields, when NaN, once made the bound iteration run forever
