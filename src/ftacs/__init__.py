@@ -1,7 +1,6 @@
 """Fault-tolerant attitude control simulation and steady-state bound prediction.
 
 Library layout:
-    so3         quaternion normalization, axis-angle, spectral norm
     config      gain, model-estimate, and uncertainty-budget dataclasses,
                 observer-bound and inertia checks
     actuation   SignalSpec, the one closed-form time profile (reference

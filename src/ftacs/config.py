@@ -9,8 +9,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .so3 import spectral_norm
-
 
 def check_finite(obj, *names: str):
     """Raise a ValueError naming the first named field of obj that is not a
@@ -48,14 +46,21 @@ def freeze_floats(obj, *names: str):
         object.__setattr__(obj, name, to_float(name, getattr(obj, name)))
 
 
-def check_integer(name: str, value, minimum: int) -> int:
-    """value as an int. A bool, a value that is not an integer or one below
-    minimum raises a ValueError naming it."""
+def check_integer(name: str, value, minimum: int, bits: int | None = None) -> int:
+    """value as an int. A bool, a value that is not an integer, one below
+    minimum or, given bits, one not below 2**bits raises a ValueError naming
+    it; a value of more than 20 digits is given by its digit count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = shown = int(value)
+    if abs(value) >= 10**20:
+        sign = "a negative" if value < 0 else "an"
+        shown = f"{sign} integer of {len(str(abs(value)))} digits"
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
+        raise ValueError(f"{name} must be >= {minimum}, got {shown}")
+    if bits is not None and value >= 2**bits:
+        raise ValueError(f"{name} must be < 2**{bits}, got {shown}")
+    return value
 
 
 def freeze_arrays(obj, *names: str):
@@ -117,7 +122,7 @@ def check_symmetric(obj, name: str) -> np.ndarray:
     if a.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {a.shape}")
     check_finite(obj, name)
-    if spectral_norm(a - a.T) > 1e-12:
+    if np.linalg.norm(a - a.T, 2) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     return np.linalg.eigvalsh(a)
 

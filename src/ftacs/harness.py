@@ -24,7 +24,6 @@ from .errors import BoundViolated, NonFiniteState
 from .estimation import random_unit_vector
 from .kernel import ROW_BLOCK
 from .scenario import Scenario
-from .so3 import normalize, quat_from_axis_angle
 
 
 # Absolute tolerance of the envelope comparison, in the units of each bound
@@ -136,12 +135,14 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple,
     """(q, omega) as float tuples, q normalized."""
     init = scenario.init
     if init.kind == "fixed":
-        q0, omega0 = np.asarray(init.q0, dtype=float), np.asarray(init.omega0, dtype=float)
-    else:
-        omega0 = rng.uniform(-init.omega_abs_max, init.omega_abs_max, size=3)
-        theta0 = rng.uniform(0.0, init.theta_max)
-        q0 = quat_from_axis_angle(random_unit_vector(rng), theta0)
-    return tuple(normalize(q0).tolist()), tuple(omega0.tolist())
+        return kernel.unit_quaternion(init.q0), init.omega0
+    omega0 = tuple(rng.uniform(-init.omega_abs_max, init.omega_abs_max, size=3).tolist())
+    h = 0.5 * rng.uniform(0.0, init.theta_max)
+    s = math.sin(h)
+    x, y, z = random_unit_vector(rng).tolist()
+    q = kernel.unit_quaternion((math.cos(h), s * x, s * y, s * z))
+    # the axis-angle quaternion normalized twice: once gives other bits on about 2 % of draws
+    return kernel.unit_quaternion(q), omega0
 
 
 def _row_blocks(n: int):

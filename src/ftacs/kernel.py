@@ -50,6 +50,18 @@ from .estimation import NoiseParams
 ROW_BLOCK = 256
 
 
+def square_norm(q) -> float:
+    """The sum of squares of a quaternion, in the order of every renormalization."""
+    q0, q1, q2, q3 = q
+    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+
+
+def unit_quaternion(q) -> tuple:
+    """q rescaled to unit norm, as a tuple of floats."""
+    n = math.sqrt(square_norm(q))
+    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+
+
 def kinematics_rk4(q, w1, w2, w4, dt):
     """RK4 step of the quaternion kinematics qdot = 0.5*[-qv.w; q0*w + qv x w]
     with the rate w1 at the start, w2 at the midpoint (stages 2 and 3) and w4

@@ -21,6 +21,7 @@ from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
                      check_integer, freeze_arrays, freeze_floats, to_float, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
+from .kernel import square_norm
 
 
 _ZERO = SignalSpec("const", 0.0)
@@ -68,12 +69,6 @@ def _is_finite_number(v, name: str) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(to_float(name, v))
 
 
-def _square_norm(q) -> float:
-    """The sum of squares of a quaternion, in the order of every renormalization."""
-    q0, q1, q2, q3 = q
-    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-
-
 @dataclass(frozen=True)
 class InitialConditionSpec:
     """Fixed (q0, omega0) or the random tumble distribution: per-axis rate
@@ -98,7 +93,7 @@ class InitialConditionSpec:
             if not all(_is_finite_number(v, f"init.{name}") for v in getattr(self, name)):
                 raise ValueError(f"init.{name} must be finite numbers, got {list(getattr(self, name))!r}")
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not 0.0 < _square_norm(self.q0) < math.inf:
+        if not 0.0 < square_norm(self.q0) < math.inf:
             raise ValueError(f"init.q0 must be nonzero, with a sum of squares in (0, inf), "
                              f"got {list(self.q0)!r}")
         freeze_floats(self, "omega_abs_max", "theta_max")
@@ -145,21 +140,23 @@ class Scenario:
         if len(self.name.encode()) > 200:
             raise ValueError(f"name must be at most 200 bytes in UTF-8, got {len(self.name.encode())}")
         freeze_floats(self, "duration", "dt", "tail_fraction")
-        for name, minimum in (("seed", 0), ("record_decimation", 1)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
-        if self.seed >= 2**64:  # 2**64 - 1 is the largest 20-digit seed
-            raise ValueError(f"seed must be < 2**64, got {self.seed}")
+        # a seed is below 2**64, so that it has at most 20 digits
+        for name, minimum, bits in (("seed", 0, 64), ("record_decimation", 1, None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum, bits))
         freeze_arrays(self, "J", "qd0")
         check_inertia(self, "J")
         if self.qd0.shape != (4,):
             raise ValueError(f"qd0 must be a 4-vector, got shape {self.qd0.shape}")
-        if not 0.0 < _square_norm(self.qd0.tolist()) < math.inf:  # false for NaN too
+        if not 0.0 < square_norm(self.qd0.tolist()) < math.inf:  # false for NaN too
             raise ValueError(f"qd0 must be finite and nonzero, with a sum of squares in (0, inf), "
                              f"got {self.qd0.tolist()!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 10 * self.dt <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and at least 10*dt, got {self.duration!r}")
+        if not self.duration / self.dt < 2**53:  # where round() still gives an exact count
+            raise ValueError(f"duration / dt must be below 2**53 steps, got dt = {self.dt!r} "
+                             f"and duration = {self.duration!r}")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
         n_health = len(self.health.profiles)

@@ -36,12 +36,29 @@ from ftacs.estimation import (
     SyntheticErrorProfile,
     random_unit_vector,
 )
-from ftacs.so3 import normalize, quat_from_axis_angle
 
 # ---------------------------------------------------------------------------
 # quaternion and 3x3 matrix algebra (scalar-first, Hamilton product)
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def normalize(q: np.ndarray) -> np.ndarray:
+    """Rescale a 4-vector to unit norm."""
+    q = np.asarray(q, dtype=float)
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return q / n
+
+
+def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Unit quaternion [cos(angle/2), axis*sin(angle/2)] for a unit axis."""
+    h = 0.5 * angle
+    return normalize(np.concatenate([[math.cos(h)], math.sin(h) * np.asarray(axis, dtype=float)]))
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Matrix 2-norm (largest singular value)."""
+    return float(np.linalg.norm(a, 2))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

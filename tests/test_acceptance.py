@@ -20,8 +20,8 @@ from ftacs.scenario import (
     paper_fault_free,
     paper_faulty,
 )
-from ftacs.so3 import normalize, spectral_norm
-from reference import allocate, error_matrices, quat_mul, rotation_matrix
+from reference import (allocate, error_matrices, normalize, quat_mul, rotation_matrix,
+                       spectral_norm)
 
 N_INSTANCES = 10
 

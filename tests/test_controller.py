@@ -10,7 +10,6 @@ from ftacs.controller import check_gain_conditions
 from ftacs.errors import GainConditionViolated, NotContractive
 from ftacs.estimation import SyntheticErrorProfile
 from ftacs.scenario import PAPER_D, PAPER_J, PAPER_J_HAT, paper_budget
-from ftacs.so3 import normalize, quat_from_axis_angle
 from reference import (
     DesiredState,
     ObserverOutput,
@@ -19,7 +18,9 @@ from reference import (
     error_matrices,
     estimated_errors,
     feedforward_terms,
+    normalize,
     psi_terms,
+    quat_from_axis_angle,
     robust_term,
     rotation_matrix,
     synthetic_observer,

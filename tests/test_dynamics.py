@@ -7,12 +7,12 @@ import pytest
 
 from ftacs.config import check_inertia
 from ftacs.scenario import PAPER_J
-from ftacs.so3 import normalize
 from reference import (
     DesiredState,
     SpacecraftState,
     attitude_kinematics,
     euler_dynamics,
+    normalize,
     psi_terms,
     quat_mul,
     rk4_step,

@@ -9,13 +9,13 @@ from ftacs.estimation import (
     SyntheticErrorProfile,
     random_unit_vector,
 )
-from ftacs.so3 import normalize
 from reference import (
     IDENTITY_QUAT,
     SensorSample,
     SpacecraftState,
     bias_observer_step,
     estimation_error,
+    normalize,
     principal_angle,
     quat_inv,
     quat_mul,

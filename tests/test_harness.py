@@ -19,6 +19,7 @@ from ftacs.actuation import ActuatorBank, HealthProfile, SignalSpec, allocation_
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
 from ftacs.config import UncertaintyBudget, zero_budget
+from ftacs.estimation import random_unit_vector
 from ftacs.errors import (BoundViolated, FtacsError, GainConditionViolated, NonFiniteState,
                           NotContractive)
 from ftacs.harness import (
@@ -40,6 +41,7 @@ from ftacs.kernel import kinematics_rk4
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
+    InitialConditionSpec,
     ObserverSpec,
     VectorSignal,
     nominal_exact,
@@ -50,8 +52,7 @@ from ftacs.scenario import (
     save_scenario,
     scenario_to_dict,
 )
-from ftacs.so3 import spectral_norm
-from reference import with_numpy_scalars
+from reference import normalize, quat_from_axis_angle, spectral_norm, with_numpy_scalars
 
 # the keys of the campaign record, in order; the five tail maxima among them
 TAIL_MAXIMA_KEYS = ["theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max",
@@ -163,6 +164,26 @@ def test_seed_changes_random_initial_condition():
     a = run_scenario(replace(sc, seed=1))
     b = run_scenario(replace(sc, seed=2))
     assert not np.array_equal(a.qe[0], b.qe[0])
+
+
+def test_initial_state_is_the_numpy_construction_bit_for_bit():
+    # a random attitude is the axis-angle quaternion normalized twice: leaving
+    # out either normalization changes the bits of about 2 % of the draws
+    init = InitialConditionSpec(kind="random", omega_abs_max=0.05, theta_max=math.pi)
+    sc = replace(short_scenario(), init=init)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2000):
+        omega0 = ref.uniform(-0.05, 0.05, size=3)
+        theta0 = ref.uniform(0.0, math.pi)
+        q0 = normalize(quat_from_axis_angle(random_unit_vector(ref), theta0))
+        assert harness._initial_state(sc, rng) == (tuple(q0.tolist()), tuple(omega0.tolist()))
+    # a fixed q0 is normalized once: non-unit, tiny and huge, whose squares
+    # are near the ends of the float range
+    for q0 in ([0.3, -2.0, 0.5, 1.0], [1e-150, 2e-150, -3e-150, 5e-151],
+               [5e150, -1e150, 2e150, 3e150]):
+        sc = replace(sc, init=InitialConditionSpec(q0=q0, omega0=(0.01, -0.02, 0.03)))
+        assert harness._initial_state(sc, rng) == (tuple(normalize(q0).tolist()),
+                                                   (0.01, -0.02, 0.03))
 
 
 def test_synthetic_observer_error_injected():

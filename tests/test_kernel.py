@@ -27,7 +27,6 @@ from ftacs.scenario import (
     paper_faulty,
     paper_gains,
 )
-from ftacs.so3 import quat_from_axis_angle
 from reference import (
     DesiredState,
     ObserverOutput,
@@ -38,6 +37,7 @@ from reference import (
     control_step,
     effective_torque,
     estimation_error,
+    quat_from_axis_angle,
     rk4_step,
     sensor_sample,
     synthetic_observer,

@@ -632,6 +632,12 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
     "duration-infinite": (_set("duration", value=math.inf),
                           "duration must be finite and at least 10*dt, got inf"),
     "seed-negative": (_set("seed", value=-5), "seed must be >= 0, got -5"),
+    # past 2**53 steps the count is not exact: int() overflowed at 1e-320, and
+    # the health estimate's grid exceeded numpy's maximum array size at 1e-300
+    "dt-subnormal": (_set("dt", value=1e-320), "duration / dt must be below 2**53 steps, "
+                                               "got dt = 1e-320 and duration = 10.0"),
+    "dt-1e-300": (_set("dt", value=1e-300), "duration / dt must be below 2**53 steps, "
+                                            "got dt = 1e-300 and duration = 10.0"),
     "sigma_theta-negative": (_set("noise", "sigma_theta", value=-1.0),
                              "sigma_theta must be nonnegative and finite, got -1.0"),
     "sigma_u-nan": (_set("noise", "sigma_u", value=math.nan),
@@ -652,6 +658,21 @@ def test_integer_beyond_the_float_range_is_named_not_echoed(path):
     with pytest.raises(ValueError, match=rf"^{name} must be a real number within the float range, "
                                          r"got one too large for a float$"):
         scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: scenario_from_dict(yaml.safe_load(_set("seed", value=10**400)())),
+     "seed must be < 2**64, got an integer of 401 digits"),
+    (lambda: scenario_from_dict(yaml.safe_load(_set("record_decimation", value=-10**400)())),
+     "record_decimation must be >= 1, got a negative integer of 401 digits"),
+    (lambda: harness.run_campaign(paper_faulty(duration=10.0), -10**400),
+     "n_instances must be >= 1, got a negative integer of 401 digits"),
+], ids=["seed", "record_decimation", "n_instances"])
+def test_integer_of_more_than_20_digits_is_named_by_its_digit_count(monkeypatch, build, message):
+    monkeypatch.setattr(harness, "predict", _never_called)
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # each of these fields, when NaN, once made the bound iteration run forever

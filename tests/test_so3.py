@@ -4,16 +4,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftacs.so3 import normalize, quat_from_axis_angle, spectral_norm
 from reference import (
     IDENTITY_QUAT,
     error_matrices,
     g_matrix,
+    normalize,
     principal_angle,
+    quat_from_axis_angle,
     quat_inv,
     quat_mul,
     rotation_matrix,
     skew,
+    spectral_norm,
 )
 
 finite = st.floats(
