@@ -14,7 +14,8 @@ Library layout:
     kernel      the closed loop on Python floats: observers, and one
                 function that runs every step of an instance (control law,
                 allocation and saturation, faulty actuators, rigid body)
-    harness     closed-loop runner, Monte Carlo campaigns, verification, export
+    harness     closed-loop runner, instance and campaign records (one set of
+                keys), Monte Carlo campaigns, verification, export
 """
 
 from .bounds import (
@@ -38,7 +39,6 @@ from .errors import (
 from .harness import (
     CampaignSummary,
     RunTrace,
-    TailStats,
     export_bound_trace_jsonl,
     export_summary_jsonl,
     export_trace_csv,
@@ -74,7 +74,6 @@ __all__ = [
     "PRESETS",
     "RunTrace",
     "Scenario",
-    "TailStats",
     "UncertaintyBudget",
     "check_gain_conditions",
     "compute_coefficients",

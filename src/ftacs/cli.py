@@ -55,9 +55,9 @@ def cmd_simulate(args) -> int:
     export_trace_csv(trace, out)
     print(f"wrote {out}")
     print(
-        f"tail maxima: theta_e {stats.theta_e_max_deg:.6g} deg, "
-        f"|omega_e| {math.degrees(stats.omega_e_max):.6g} deg/s, "
-        f"|qe_vec| {stats.qe_vec_max:.6g}"
+        f"tail maxima: theta_e {stats['theta_tail_max_deg']:.6g} deg, "
+        f"|omega_e| {math.degrees(stats['omega_tail_max_rad_s']):.6g} deg/s, "
+        f"|qe_vec| {stats['qe_tail_max']:.6g}"
     )
     return EXIT_OK
 

@@ -55,7 +55,10 @@ def check_integer(name: str, value, minimum: int, bits: int | None = None) -> in
     value = shown = int(value)
     if abs(value) >= 10**20:
         sign = "a negative" if value < 0 else "an"
-        shown = f"{sign} integer of {len(str(abs(value)))} digits"
+        # str() refuses more than 4300 digits; log10's count is off by at most one
+        digits = int(math.log10(abs(value))) + 1
+        digits += (abs(value) >= 10**digits) - (abs(value) < 10**(digits - 1))
+        shown = f"{sign} integer of {digits} digits"
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {shown}")
     if bits is not None and value >= 2**bits:

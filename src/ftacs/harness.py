@@ -49,41 +49,20 @@ class RunTrace:
     dt: float = 0.0
 
 
-@dataclass
-class TailStats:
-    """Maxima over the final tail window of a run, and tau_u_peak: per thruster
-    pair, the max |tau_u,i| over the whole recorded run, not only the tail."""
-
-    theta_e_max_deg: float
-    omega_e_max: float
-    qe_vec_max: float
-    s_max: float
-    qtilde_max: float
-    wtilde_max: float
-    tau_u_peak: list[float]
-
-
-# The record's name of each campaign-wide tail maximum, and the TailStats
-# field it is the maximum of.
-_TAIL_MAXIMA = {"theta_tail_max_deg": "theta_e_max_deg", "omega_tail_max_rad_s": "omega_e_max",
-                "qe_tail_max": "qe_vec_max", "qtilde_tail_max": "qtilde_max",
-                "wtilde_tail_max": "wtilde_max"}
-
-
 @dataclass(frozen=True)
 class CampaignSummary:
-    """The outcome of each instance in seed order, the tail statistics of an
-    instance that finished or the failure line of one whose state went
-    non-finite, beside its seed, and the predicted bounds. Everything else is
-    read from the outcomes; record() gathers it."""
+    """The outcome of each instance in seed order, the instance record of an
+    instance that finished (see steady_state_stats) or the failure line of one
+    whose state went non-finite, beside its seed, and the predicted bounds.
+    Everything else is read from the outcomes; record() gathers it."""
 
-    outcomes: list[TailStats | str]
+    outcomes: list[dict | str]
     seeds: list[int]
     predicted: BoundTrace
 
     @property
-    def instances(self) -> list[TailStats]:
-        return [r for r in self.outcomes if isinstance(r, TailStats)]
+    def instances(self) -> list[dict]:
+        return [r for r in self.outcomes if isinstance(r, dict)]
 
     @property
     def failures(self) -> list[str]:
@@ -95,8 +74,8 @@ class CampaignSummary:
         bounds, up to ROUNDOFF_FLOOR. A failed instance does not pass."""
         theta_limit = math.degrees(self.predicted.theta_bound) + ROUNDOFF_FLOOR
         omega_limit = self.predicted.omega_bound + ROUNDOFF_FLOOR
-        return [isinstance(r, TailStats) and r.theta_e_max_deg <= theta_limit
-                and r.omega_e_max <= omega_limit for r in self.outcomes]
+        return [isinstance(r, dict) and r["theta_tail_max_deg"] <= theta_limit
+                and r["omega_tail_max_rad_s"] <= omega_limit for r in self.outcomes]
 
     @property
     def passed(self) -> bool:
@@ -113,8 +92,9 @@ class CampaignSummary:
         p = self.predicted
         bounds = {"theta_bound_deg": math.degrees(p.theta_bound),
                   "omega_bound_rad_s": p.omega_bound, "qe_bound": p.q_final}
-        maxima = {key: max((getattr(st, name) for st in self.instances), default=math.nan)
-                  for key, name in _TAIL_MAXIMA.items()}
+        maxima = {key: max((st[key] for st in self.instances), default=math.nan)
+                  for key in ("theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max",
+                              "qtilde_tail_max", "wtilde_tail_max")}
 
         def margin(bound, peak):
             return bound / peak if peak > 0 else math.inf if peak == 0 else math.nan
@@ -261,24 +241,26 @@ def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> 
                     qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=dt * dec)
 
 
-def steady_state_stats(trace: RunTrace, tail_fraction: float) -> TailStats:
-    """Maxima over the final max(1, round(tail_fraction*n)) of the n recorded
-    samples, and tau_u_peak."""
+def steady_state_stats(trace: RunTrace, tail_fraction: float) -> dict:
+    """The instance record: maxima over the final max(1, round(tail_fraction*n))
+    of the n recorded samples, under the campaign record's keys, and
+    tau_u_peak: per thruster pair, the max |tau_u,i| over the whole recorded
+    run, not only the tail."""
     n = len(trace.t)
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must be in (0, 1]")
     if n == 0:
         raise ValueError("tail window has no samples")
     sl = slice(n - max(1, round(tail_fraction * n)), n)
-    return TailStats(
-        theta_e_max_deg=float(np.max(trace.theta_e_deg[sl])),
-        omega_e_max=float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
-        qe_vec_max=float(np.max(np.linalg.norm(trace.qe[sl, 1:], axis=1))),
-        s_max=float(np.max(np.linalg.norm(trace.s[sl], axis=1))),
-        qtilde_max=float(np.max(trace.qtilde_norm[sl])),
-        wtilde_max=float(np.max(trace.wtilde_norm[sl])),
-        tau_u_peak=np.abs(trace.tau_u).max(axis=0).tolist(),
-    )
+    return {
+        "theta_tail_max_deg": float(np.max(trace.theta_e_deg[sl])),
+        "omega_tail_max_rad_s": float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
+        "qe_tail_max": float(np.max(np.linalg.norm(trace.qe[sl, 1:], axis=1))),
+        "s_tail_max": float(np.max(np.linalg.norm(trace.s[sl], axis=1))),
+        "qtilde_tail_max": float(np.max(trace.qtilde_norm[sl])),
+        "wtilde_tail_max": float(np.max(trace.wtilde_norm[sl])),
+        "tau_u_peak": np.abs(trace.tau_u).max(axis=0).tolist(),
+    }
 
 
 def instance_seeds(campaign_seed: int, n: int) -> list[int]:
@@ -299,10 +281,10 @@ def _available_cpus() -> int:
 
 
 def _run_instances(scenario: Scenario, signals: ScenarioSignals, seeds: list[int],
-                   start: int, stop: int) -> list[TailStats | str]:
-    """The tail statistics of instances start..stop-1, or for an instance
+                   start: int, stop: int) -> list[dict | str]:
+    """The instance records of instances start..stop-1, or for an instance
     whose state went non-finite the failure line naming its index and seed."""
-    results: list[TailStats | str] = []
+    results: list[dict | str] = []
     for idx in range(start, stop):
         instance = copy.copy(scenario)  # not replace, which reruns Scenario.__post_init__
         object.__setattr__(instance, "seed", seeds[idx])  # 32-bit ints meet the seed rule
@@ -461,8 +443,8 @@ def export_summary_jsonl(summary: CampaignSummary, path: str | Path):
     with open(path, "w") as fh:
         for idx, (outcome, seed, ok) in enumerate(
                 zip(summary.outcomes, summary.seeds, summary.instance_pass, strict=True)):
-            if isinstance(outcome, TailStats):
-                fh.write(json_record({"instance": idx, "seed": seed, **outcome.__dict__,
+            if isinstance(outcome, dict):
+                fh.write(json_record({"instance": idx, "seed": seed, **outcome,
                                       "passed": ok}) + "\n")
         fh.write(json_record({"campaign": True, **summary.record()}) + "\n")
 

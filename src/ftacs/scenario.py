@@ -173,8 +173,13 @@ class Scenario:
             raise ValueError(f"observer (amp_q, amp_w) = ({obs.amp_q!r}, {obs.amp_w!r}) exceed "
                              f"budget (rho_q, rho_w) = ({b.rho_q!r}, {b.rho_w!r})")
         # fully-actuated check on the health estimate at every step of the grid
-        object.__setattr__(self, "health_estimate_runs", _equal_row_runs(
-            self.health_estimate(self.dt * np.arange(self.n_steps))))
+        try:
+            object.__setattr__(self, "health_estimate_runs", _equal_row_runs(
+                self.health_estimate(self.dt * np.arange(self.n_steps))))
+        except MemoryError:
+            raise ValueError(
+                f"duration / dt gives {self.n_steps} steps, a grid too large to allocate, "
+                f"got dt = {self.dt!r} and duration = {self.duration!r}") from None
         rows, runs, starts = self.health_estimate_runs
         lost = rank_deficient(self.bank, rows)[runs]
         if lost.any():

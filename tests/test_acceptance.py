@@ -127,7 +127,8 @@ def test_criterion_5_envelope_fault_free():
     elapsed = time.perf_counter() - start
     record = summary.record()
     per_instance = all(
-        st.theta_e_max_deg <= theta_bound and math.degrees(st.omega_e_max) <= omega_bound_deg
+        st["theta_tail_max_deg"] <= theta_bound
+        and math.degrees(st["omega_tail_max_rad_s"]) <= omega_bound_deg
         for st in summary.instances
     )
     corridor = 0.005 <= record["theta_tail_max_deg"] <= theta_bound
@@ -150,8 +151,8 @@ def test_criterion_6_faulty_tolerance():
     start = time.perf_counter()
     summary = run_campaign(sc, N_INSTANCES)
     elapsed = time.perf_counter() - start
-    per_instance = all(st.theta_e_max_deg <= theta_bound for st in summary.instances)
-    dead_pair_max = max((st.tau_u_peak[2] for st in summary.instances), default=math.nan)
+    per_instance = all(st["theta_tail_max_deg"] <= theta_bound for st in summary.instances)
+    dead_pair_max = max((st["tau_u_peak"][2] for st in summary.instances), default=math.nan)
     ok = not summary.failures and per_instance and dead_pair_max == 0.0
     report(
         6,

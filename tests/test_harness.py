@@ -25,7 +25,6 @@ from ftacs.errors import (BoundViolated, FtacsError, GainConditionViolated, NonF
 from ftacs.harness import (
     CampaignSummary,
     RunTrace,
-    TailStats,
     export_bound_trace_jsonl,
     export_summary_jsonl,
     export_trace_csv,
@@ -205,8 +204,8 @@ def test_steady_state_stats_constant_trace():
     n = 100
     trace = _fake_trace(np.full(n, 2.5), np.tile([3e-4, 0, 0], (n, 1)))
     st = steady_state_stats(trace, 0.2)
-    assert st.theta_e_max_deg == 2.5
-    assert st.omega_e_max == pytest.approx(3e-4)
+    assert st["theta_tail_max_deg"] == 2.5
+    assert st["omega_tail_max_rad_s"] == pytest.approx(3e-4)
 
 
 def test_steady_state_stats_decay_to_floor():
@@ -216,13 +215,13 @@ def test_steady_state_stats_decay_to_floor():
     theta = floor + np.exp(-t / 2.0)  # 5 time constants by t = 10
     trace = _fake_trace(theta, np.zeros((t.size, 3)), t=t)
     st = steady_state_stats(trace, 0.2)
-    assert abs(st.theta_e_max_deg - floor) / floor < 0.01
+    assert abs(st["theta_tail_max_deg"] - floor) / floor < 0.01
 
 
 def test_steady_state_stats_full_window_is_global_max():
     theta = np.array([5.0, 1.0, 0.5, 0.2])
     trace = _fake_trace(theta, np.zeros((4, 3)))
-    assert steady_state_stats(trace, 1.0).theta_e_max_deg == 5.0
+    assert steady_state_stats(trace, 1.0)["theta_tail_max_deg"] == 5.0
 
 
 def test_steady_state_stats_command_peak_covers_the_whole_run():
@@ -230,8 +229,8 @@ def test_steady_state_stats_command_peak_covers_the_whole_run():
     trace.tau_u[0] = [0.02, -0.015, 0.0, 0.001]  # before the tail window
     trace.tau_u[9, 3] = -0.005
     st = steady_state_stats(trace, 0.2)
-    assert st.tau_u_peak == [0.02, 0.015, 0.0, 0.005]
-    assert all(type(peak) is float for peak in st.tau_u_peak)
+    assert st["tau_u_peak"] == [0.02, 0.015, 0.0, 0.005]
+    assert all(type(peak) is float for peak in st["tau_u_peak"])
 
 
 def test_steady_state_stats_bad_fraction():
@@ -247,7 +246,7 @@ def test_steady_state_stats_window_length():
     n = 10
     trace = _fake_trace(np.arange(n, 0, -1, dtype=float), np.zeros((n, 3)))
     for fraction, length in ((1.0, 10), (0.2, 2), (0.25, 2), (0.35, 4), (0.04, 1), (1e-9, 1)):
-        assert steady_state_stats(trace, fraction).theta_e_max_deg == length
+        assert steady_state_stats(trace, fraction)["theta_tail_max_deg"] == length
 
 
 def test_json_record_writes_non_finite_floats_as_null():
@@ -285,6 +284,13 @@ def _fake_trace(theta, omega_e, t=None):
     )
 
 
+def instance_record(theta, omega, qe=0.0, s=0.0, qtilde=0.0, wtilde=0.0):
+    """An instance record, as steady_state_stats returns it, of four thruster pairs."""
+    return {"theta_tail_max_deg": theta, "omega_tail_max_rad_s": omega, "qe_tail_max": qe,
+            "s_tail_max": s, "qtilde_tail_max": qtilde, "wtilde_tail_max": wtilde,
+            "tau_u_peak": [0.0] * 4}
+
+
 def test_instance_seeds_deterministic():
     assert instance_seeds(42, 5) == instance_seeds(42, 5)
     assert instance_seeds(42, 5)[:3] == instance_seeds(42, 3)
@@ -317,7 +323,7 @@ def test_campaign_n1_matches_run_scenario(monkeypatch):
         assert_traces_equal(campaign_trace, trace)
         st = steady_state_stats(trace, sc.tail_fraction)
         assert summary.instances[0] == st
-        assert summary.record()["theta_tail_max_deg"] == st.theta_e_max_deg
+        assert summary.record()["theta_tail_max_deg"] == st["theta_tail_max_deg"]
 
 
 def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
@@ -443,10 +449,12 @@ def test_campaign_determinism_and_aggregation():
     sc = short_scenario()
     s1 = run_campaign(sc, 3)
     s2 = run_campaign(sc, 3)
-    assert [i.theta_e_max_deg for i in s1.instances] == [i.theta_e_max_deg for i in s2.instances]
+    assert [i["theta_tail_max_deg"] for i in s1.instances] == [
+        i["theta_tail_max_deg"] for i in s2.instances]
     record = s1.record()
-    assert record["theta_tail_max_deg"] == max(i.theta_e_max_deg for i in s1.instances)
-    assert record["omega_tail_max_rad_s"] >= max(i.omega_e_max for i in s1.instances) - 1e-18
+    assert record["theta_tail_max_deg"] == max(i["theta_tail_max_deg"] for i in s1.instances)
+    omega_max = max(i["omega_tail_max_rad_s"] for i in s1.instances)
+    assert record["omega_tail_max_rad_s"] >= omega_max - 1e-18
     assert not s1.failures
 
 
@@ -567,17 +575,17 @@ def test_verify_passes_on_a_zero_budget_within_the_roundoff_floor(monkeypatch):
     assert report["passed"] and report["roundoff_floor"] == harness.ROUNDOFF_FLOOR <= 1e-12
     assert report["omega_bound_rad_s"] == 0.0 < report["omega_tail_max_rad_s"] <= 1e-12
     stats = harness.steady_state_stats
-    for field_name in ("theta_e_max_deg", "omega_e_max"):
-        def planted(trace, tail_fraction, name=field_name):
+    for key in ("theta_tail_max_deg", "omega_tail_max_rad_s"):
+        def planted(trace, tail_fraction, key=key):
             st = stats(trace, tail_fraction)
-            return replace(st, **{name: getattr(st, name) + 1e-9})
+            return {**st, key: st[key] + 1e-9}
 
         monkeypatch.setattr(harness, "steady_state_stats", planted)
         with pytest.raises(BoundViolated, match=re.escape("bounds in instance 0")):
             verify(sc, 1)
     predicted = predict(sc.budget, sc.gains)
-    at_floor = TailStats(1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
-    above_floor = TailStats(0.0, 1.1e-12, 0.0, 0.0, 0.0, 0.0, [0.0] * 4)
+    at_floor = instance_record(1e-12, 1e-12)
+    above_floor = instance_record(0.0, 1.1e-12)
     assert CampaignSummary([at_floor], [1], predicted).passed
     assert not CampaignSummary([above_floor], [1], predicted).passed
 
@@ -672,7 +680,7 @@ def test_envelope_margins():
     theta_bound_deg = math.degrees(predicted.theta_bound)
 
     def record(theta_max_deg, omega_max):
-        st = TailStats(theta_max_deg, omega_max, 1e-4, 2e-4, 3e-4, 4e-4, [0.0] * 4)
+        st = instance_record(theta_max_deg, omega_max, 1e-4, 2e-4, 3e-4, 4e-4)
         return CampaignSummary([st], [1], predicted).record()
 
     rec = record(0.5 * theta_bound_deg, 0.25 * predicted.omega_bound)
@@ -763,7 +771,16 @@ def test_summary_jsonl_record_count(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == 4  # 3 instances + campaign record
     assert records[-1] == {"campaign": True, **summary.record()}
-    assert records[-1]["theta_tail_max_deg"] == max(r["theta_e_max_deg"] for r in records[:-1])
+    # one record: each instance line holds the campaign line's tail-maximum
+    # keys, and each campaign maximum is the largest of the instance values
+    *instances, camp = records
+    maxima = ["theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max", "qtilde_tail_max",
+              "wtilde_tail_max"]
+    assert [key for key in camp if "_tail_max" in key] == maxima
+    for r in instances:
+        assert list(r) == ["instance", "seed", *maxima[:3], "s_tail_max", *maxima[3:],
+                           "tau_u_peak", "passed"]
+    assert all(camp[key] == max(r[key] for r in instances) for key in maxima)
 
 
 def test_summary_jsonl_labels_each_record_with_its_own_index_and_seed(tmp_path, monkeypatch):
@@ -777,7 +794,7 @@ def test_summary_jsonl_labels_each_record_with_its_own_index_and_seed(tmp_path, 
     seeds = instance_seeds(sc.seed, 3)
     assert [(r["instance"], r["seed"]) for r in records] == [(0, seeds[0]), (2, seeds[2])]
     st = steady_state_stats(run_scenario(replace(sc, seed=seeds[2])), sc.tail_fraction)
-    assert records[1] == {"instance": 2, "seed": seeds[2], **st.__dict__, "passed": True}
+    assert records[1] == {"instance": 2, "seed": seeds[2], **st, "passed": True}
     assert camp["failures"] == [line]
 
 

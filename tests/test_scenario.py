@@ -638,6 +638,10 @@ INVALID_INERTIA_OR_OBSERVER_FILES = {
                                                "got dt = 1e-320 and duration = 10.0"),
     "dt-1e-300": (_set("dt", value=1e-300), "duration / dt must be below 2**53 steps, "
                                             "got dt = 1e-300 and duration = 10.0"),
+    # below 2**53 steps, but the health estimate's grid of 1e13 steps is
+    # beyond memory: numpy's allocation error once ended in a traceback
+    "dt-1e-12": (_set("dt", value=1e-12), "duration / dt gives 10000000000000 steps, a grid too "
+                                          "large to allocate, got dt = 1e-12 and duration = 10.0"),
     "sigma_theta-negative": (_set("noise", "sigma_theta", value=-1.0),
                              "sigma_theta must be nonnegative and finite, got -1.0"),
     "sigma_u-nan": (_set("noise", "sigma_u", value=math.nan),
@@ -667,7 +671,12 @@ def test_integer_beyond_the_float_range_is_named_not_echoed(path):
      "record_decimation must be >= 1, got a negative integer of 401 digits"),
     (lambda: harness.run_campaign(paper_faulty(duration=10.0), -10**400),
      "n_instances must be >= 1, got a negative integer of 401 digits"),
-], ids=["seed", "record_decimation", "n_instances"])
+    # beyond the 4300 digits that str() converts
+    (lambda: harness.run_campaign(paper_faulty(duration=10.0), -10**5000),
+     "n_instances must be >= 1, got a negative integer of 5001 digits"),
+    (lambda: scenario_from_dict(yaml.safe_load(_set("seed", value=10**4300 - 1)())),
+     "seed must be < 2**64, got an integer of 4300 digits"),
+], ids=["seed", "record_decimation", "n_instances", "n_instances-5001-digits", "seed-4300-digits"])
 def test_integer_of_more_than_20_digits_is_named_by_its_digit_count(monkeypatch, build, message):
     monkeypatch.setattr(harness, "predict", _never_called)
     with pytest.raises(ValueError) as err:
