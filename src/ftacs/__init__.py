@@ -11,9 +11,11 @@ Library layout:
     controller  stability gain conditions of the control law
     bounds      sequential fixed-point prediction of ultimate error bounds
     scenario    vector signals, scenario configs, YAML I/O, built-in presets
-    kernel      the closed loop on Python floats: observers, and one
-                function that runs every step of an instance (control law,
-                allocation and saturation, faulty actuators, rigid body)
+    kernel      the compiled closed loop (kernel.c, built on first use and
+                loaded through ctypes): one call runs every step of an
+                instance (observer, control law, allocation and saturation,
+                faulty actuators, rigid body), another the reference
+                attitude's RK4
     harness     closed-loop runner, instance and campaign records (one set of
                 keys), Monte Carlo campaigns, verification, export
 """

@@ -22,7 +22,6 @@ from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coeffic
 from .config import check_integer
 from .errors import BoundViolated, NonFiniteState
 from .estimation import random_unit_vector
-from .kernel import ROW_BLOCK
 from .scenario import Scenario
 
 
@@ -125,16 +124,12 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple,
     return kernel.unit_quaternion(q), omega0
 
 
-def _row_blocks(n: int):
-    """Slices of ROW_BLOCK rows that cover range(n)."""
-    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
-
-
 @dataclass
 class ScenarioSignals:
     """What the closed loop needs that does not depend on the instance, on the
     step grid of one scenario. Built once by scenario_signals and shared by
-    every instance of a campaign; run_scenario reads it in row blocks.
+    every instance of a campaign; the compiled kernel (kernel.closed_loop)
+    reads its arrays in place.
 
     table has one row per step, of 14 + m columns: t at the step start (0),
     qd (1:5), omega_d (5:8), omega_d_dot (8:11), tau_d at the step midpoint
@@ -147,21 +142,7 @@ class ScenarioSignals:
     coeffs: RobustCoefficients
     table: np.ndarray  # (n, 14 + m), or (n, 21 + m) for a synthetic observer
     alloc: np.ndarray  # (k, m, 3)
-    alloc_index: np.ndarray  # (n,)
-
-    def steps(self):
-        """Per step, (row, alloc): the step's table row as a list of floats,
-        in the column order above, and its allocation rows.
-
-        Each block of ROW_BLOCK steps becomes one list of rows through a
-        single tolist() of the table. The allocation rows are converted once
-        per call for each distinct matrix, as a tuple of row tuples, and
-        every step that uses that matrix gets the same object: they are
-        shared, not copied."""
-        alloc = [tuple(map(tuple, a)) for a in self.alloc.tolist()]
-        for rows in _row_blocks(len(self.table)):
-            yield from zip(self.table[rows].tolist(),
-                           map(alloc.__getitem__, self.alloc_index[rows].tolist()))
+    alloc_index: np.ndarray  # (n,) int64
 
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
@@ -184,16 +165,8 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
         table[:, e + 4:] = scenario.observer.omega_tilde(t)
 
     # reference attitude: RK4 of the kinematics through the reference rates
-    wdh = scenario.omega_d(t + 0.5 * dt)
-    wdf = scenario.omega_d(t + dt)
-    q = tuple(scenario.qd0.tolist())
-    for rows in _row_blocks(n):
-        block = []
-        for w1, w2, w4 in zip(table[rows, 5:8].tolist(), wdh[rows].tolist(), wdf[rows].tolist()):
-            block.append(q)
-            q = kernel.kinematics_rk4(q, w1, w2, w4, dt)
-        table[rows, 1:5] = block
-    del wdh, wdf
+    kernel.reference_attitude(scenario.qd0, table, scenario.omega_d(t + 0.5 * dt),
+                              scenario.omega_d(t + dt), dt)
 
     # allocation matrices, computed once per distinct health-estimate row
     rows, runs, starts = scenario.health_estimate_runs
@@ -202,7 +175,7 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
         coeffs=robust_coefficients(scenario.budget, scenario.gains.k),
         table=table,
         alloc=np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
-        alloc_index=np.repeat(runs, np.diff(starts, append=n)),
+        alloc_index=np.repeat(runs, np.diff(starts, append=n)).astype(np.int64, copy=False),
     )
 
 
@@ -218,27 +191,17 @@ def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> 
              for f in fields(Scenario) if f.name != "seed"):
         raise ValueError("signals were built for a scenario that differs in more than its seed")
     rng = np.random.default_rng(scenario.seed)
-    dt = scenario.dt
-    dec = scenario.record_decimation
-    m = scenario.bank.m
+    n, m = scenario.n_steps, scenario.bank.m
+    # a decimation beyond the grid records the one row that n_steps records
+    dec = min(scenario.record_decimation, n)
 
-    q, w = _initial_state(scenario, rng)
-    spec = scenario.observer
-    if spec.kind == "perfect":
-        observe = kernel.perfect_observe
-    elif spec.kind == "synthetic":
-        observe = kernel.synthetic_observe
-    else:  # bias observer fed by noisy sensors, drawing after the initial state
-        observe = kernel.bias_observer(scenario.noise, spec.k_o, spec.k_b, dt, rng)
-    advance = kernel.closed_loop(scenario.gains, scenario.estimates, signals.coeffs,
-                                 scenario.bank, scenario.J, dt, observe)
-
+    q, w = _initial_state(scenario, rng)  # a bias observer draws its noise after it
     # one recorded row per dec steps, in the column order of the RunTrace fields
-    rec = np.empty((-(-scenario.n_steps // dec), 17 + m))
-    advance(q, w, signals.steps(), rec, dec)
+    rec = np.empty((-(-n // dec), 17 + m))
+    kernel.closed_loop(scenario, signals, q, w, rng, rec, dec)
     return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
                     s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
-                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=dt * dec)
+                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=scenario.dt * dec)
 
 
 def steady_state_stats(trace: RunTrace, tail_fraction: float) -> dict:
@@ -423,8 +386,8 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(trace_columns(m)) + "\n")
-        for rows in _row_blocks(len(data)):
-            fh.writelines(map(row.__mod__, map(tuple, data[rows].tolist())))
+        for i in range(0, len(data), kernel.ROW_BLOCK):
+            fh.writelines(map(row.__mod__, map(tuple, data[i:i + kernel.ROW_BLOCK].tolist())))
 
 
 def json_record(record: dict, **kwargs) -> str:

@@ -36,7 +36,6 @@ from ftacs.harness import (
     trace_columns,
     verify,
 )
-from ftacs.kernel import kinematics_rk4
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -51,6 +50,7 @@ from ftacs.scenario import (
     save_scenario,
     scenario_to_dict,
 )
+from float_kernel import kinematics_rk4
 from reference import normalize, quat_from_axis_angle, spectral_norm, with_numpy_scalars
 
 # the keys of the campaign record, in order; the five tail maxima among them
@@ -122,7 +122,8 @@ def test_step_table_columns_are_the_scenario_signals(kind):
         assert np.all(table[:, 18 + m:] == synth.omega_tilde(t))
     else:
         assert table.shape == (n, 14 + m)
-    # the reference attitude: a chain of kinematics RK4 steps from qd0
+    # the reference attitude: a chain of the float kernel's kinematics RK4
+    # steps from qd0
     rates = zip(sc.omega_d(t).tolist(), sc.omega_d(t + 0.5 * dt).tolist(),
                 sc.omega_d(t + dt).tolist())
     q = tuple(sc.qd0.tolist())
@@ -344,17 +345,16 @@ def toggled_pair_scenario():
     return short_scenario(duration=10.0, health=toggle, health_estimate=toggle)
 
 
-def test_steps_share_allocation_rows_of_each_distinct_matrix():
+def test_alloc_index_names_each_step_s_allocation_matrix():
     sc = toggled_pair_scenario()
     signals = scenario_signals(sc)
     assert len(signals.alloc) == 2
+    assert signals.alloc_index.dtype == np.int64
     switches = np.flatnonzero(np.diff(signals.alloc_index))
     assert len(switches) == 3
-    shared = {}
-    for ((t, *_), alloc), j in zip(signals.steps(), signals.alloc_index, strict=True):
+    for t, j in zip(signals.table[:, 0], signals.alloc_index, strict=True):
         expected = allocation_matrix(sc.bank, sc.health_estimate(t))
-        assert np.array_equal(np.array(alloc), expected), t
-        assert shared.setdefault(j, alloc) is alloc, t
+        assert np.array_equal(signals.alloc[j], expected), t
 
 
 def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
@@ -397,6 +397,22 @@ def test_run_scenario_takes_signals_of_a_copy_that_differs_in_its_seed():
         sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
         trace = run_scenario(campaign_copy(sc, seed=12345), signals=scenario_signals(sc))
         assert_traces_equal(trace, run_scenario(replace(sc, seed=12345)))
+
+
+def test_decimation_beyond_the_grid_records_what_n_steps_records(tmp_path, monkeypatch):
+    # the kernel counts steps in 64-bit integers; a decimation of any size
+    # records the first row alone, as record_decimation=n_steps does
+    huge, grid = (paper_faulty(duration=1.0, record_decimation=d) for d in (10**30, 100))
+    assert grid.n_steps == 100
+    assert_traces_equal(run_scenario(huge), run_scenario(grid))
+    kept = []
+    monkeypatch.setattr(cli, "run_scenario", lambda sc: kept.append(run_scenario(sc)) or kept[-1])
+    for sc in (huge, grid):
+        path = tmp_path / f"dec{sc.record_decimation}.yaml"
+        save_scenario(sc, path)
+        assert cli_main(["simulate", "--scenario", str(path), "--out", str(path.with_suffix(""))]) == 0
+    assert len(kept[0].t) == 1
+    assert_traces_equal(*kept)
 
 
 def fading_estimate():

@@ -1,9 +1,13 @@
-"""The float closed-loop kernel against the numpy reference (reference.py)
-and against traces recorded before it replaced the numpy step loop. The
-closed loop is checked one step at a time through the function the
-simulator runs, closed_loop's advance."""
+"""The compiled closed-loop kernel against the float kernel it replaced
+(float_kernel.py), with == on every recorded field; against the numpy
+reference (reference.py), one step at a time through the function the
+simulator runs, kernel.closed_loop; and against traces recorded before the
+float kernel replaced the numpy step loop. The float kernel's written-out
+products and its bias observer's draw order are checked against the
+reference helpers."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,8 @@ from ftacs.bounds import robust_coefficients
 from ftacs.config import ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams, SyntheticErrorProfile
-from ftacs.harness import run_scenario, scenario_signals
-from ftacs.kernel import ROW_BLOCK, bias_observer, closed_loop, kinematics_rk4, synthetic_observe
+from ftacs import kernel
+from ftacs.harness import RunTrace, ScenarioSignals, run_scenario, scenario_signals
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -27,6 +31,16 @@ from ftacs.scenario import (
     paper_faulty,
     paper_gains,
 )
+from float_kernel import (
+    ROW_BLOCK,
+    bias_observer,
+    closed_loop,
+    float_signals,
+    kinematics_rk4,
+    steps,
+    synthetic_observe,
+)
+from float_kernel import run_scenario as float_run_scenario
 from reference import (
     DesiredState,
     ObserverOutput,
@@ -37,6 +51,7 @@ from reference import (
     control_step,
     effective_torque,
     estimation_error,
+    normalize,
     quat_from_axis_angle,
     rk4_step,
     sensor_sample,
@@ -79,6 +94,39 @@ def test_golden_traces(case):
                                    rtol=0.0, atol=TOL, err_msg=f"{case}.{name}")
 
 
+OBSERVER_SPECS = {
+    "perfect": ObserverSpec(kind="perfect"),
+    "synthetic": ObserverSpec(kind="synthetic"),
+    "bias": ObserverSpec(kind="bias", k_o=1.0, k_b=0.1),
+}
+
+
+def preset_case(make, kind):
+    """A 20 s run of a preset with the given observer. The paper presets run
+    their own synthetic observer; nominal-exact's zero budget admits one of
+    zero amplitude only."""
+    if kind == "synthetic" and make is not nominal_exact:
+        return lambda: make(duration=20.0)
+    return lambda: make(duration=20.0, observer=OBSERVER_SPECS[kind])
+
+
+PRESET_CASES = {f"{make.__name__}_{kind}": preset_case(make, kind)
+                for make in (paper_faulty, paper_fault_free, nominal_exact)
+                for kind in OBSERVER_SPECS}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + sorted(PRESET_CASES))
+def test_compiled_kernel_equals_the_float_kernel(case):
+    sc = {**GOLDEN_CASES, **PRESET_CASES}[case]()
+    signals = scenario_signals(sc)
+    # the compiled reference attitude equals the float kernel's
+    assert np.array_equal(signals.table, float_signals(sc).table)
+    compiled, oracle = run_scenario(sc, signals), float_run_scenario(sc, signals)
+    for f in fields(RunTrace):
+        a, b = getattr(compiled, f.name), getattr(oracle, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f"{case}.{f.name}"
+
+
 @pytest.mark.parametrize("decimation", [1, 3])
 def test_diverging_run_names_its_step_and_time(decimation):
     # the gain conditions hold, but 20 s steps with unlimited torque diverge
@@ -92,29 +140,45 @@ BANK = ActuatorBank(D=PAPER_D.copy(), tau_max=0.02)
 
 
 def one_step(q, w, observed, step, dt, est, coeffs):
-    """One step of closed_loop's advance from (q, w) with the paper gains,
-    bank and inertia, step being the step's (row, alloc) and observed what
-    the observer returns: the new state and the recorded row."""
+    """One step of the float kernel's advance from (q, w) with the paper
+    gains, bank and inertia, step being the step's (row, alloc) and observed
+    what the observer returns: the new state and the recorded row."""
     rec = np.empty((1, 17 + BANK.m))
     advance = closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt, lambda *_: observed)
     q, w = advance(q, w, [step], rec, 1)
     return q, w, tuple(rec[0].tolist())
 
 
+def compiled_step(sc, coeffs, q, w, row, alloc):
+    """One step of kernel.closed_loop from (q, w) with the scenario's gains,
+    estimates, bank, inertia, dt and observer on one table row and its
+    allocation matrix: the new state and the recorded row."""
+    signals = ScenarioSignals(scenario=sc, coeffs=coeffs, table=np.array([row]),
+                              alloc=np.array([alloc]), alloc_index=np.zeros(1, dtype=np.int64))
+    rec = np.empty((1, 17 + sc.bank.m))
+    q, w = kernel.closed_loop(sc, signals, q, w, np.random.default_rng(5), rec, 1)
+    return q, w, rec[0]
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.5])
 def test_closed_loop_step_matches_the_reference_chain(dt):
     # control_step -> effective_torque + tau_d -> rk4_step, and the recorded
-    # tracking_errors, s_hat, tau_u and estimation errors
+    # tracking_errors, s_hat, tau_u and estimation errors; the synthetic
+    # observer's error columns carry the estimate
     rng = np.random.default_rng(7)
     gains = paper_gains()
     coeffs = robust_coefficients(paper_budget(0.08), gains.k)
     est = ModelEstimates(J_hat=PAPER_J_HAT, tau_d_hat=rng.standard_normal(3) * 1e-6)
+    sc = paper_faulty(estimates=est, bank=BANK, dt=dt, duration=10 * dt)
+    assert sc.observer.kind == "synthetic" and np.array_equal(sc.J, PAPER_J)
     seen = set()
     for i in range(200):
         state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
         desired = DesiredState(qd=random_quat(rng), omega_d=rng.standard_normal(3) * 2e-3,
                                omega_d_dot=rng.standard_normal(3) * 2e-6)
-        obs = ObserverOutput(q_hat=random_quat(rng), omega_hat=rng.standard_normal(3) * 0.02)
+        qti = random_quat(rng)  # qtilde^-1
+        obs = ObserverOutput(q_hat=normalize(np.array(_qmul(tuple(state.q), tuple(qti)))),
+                             omega_hat=rng.standard_normal(3) * 0.02)
         # true health: a dead pair, one fading pair among healthy ones, or all fading
         e = rng.uniform(0.3, 1.0, 4)
         if i % 3 == 0:
@@ -134,11 +198,10 @@ def test_closed_loop_step_matches_the_reference_chain(dt):
                     np.degrees(2.0 * np.arccos(min(abs(err.qe[0]), 1.0))), *tau_u,
                     np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
                     np.linalg.norm(obs.omega_hat - state.omega)]
-        step = ([5.0, *np.concatenate((desired.qd, desired.omega_d, desired.omega_d_dot, tau_d,
-                                       e)).tolist()], allocation_matrix(BANK, e_hat).tolist())
-        q, w, row = one_step(tuple(state.q.tolist()), tuple(state.omega.tolist()),
-                             (tuple(obs.q_hat.tolist()), tuple(obs.omega_hat.tolist())),
-                             step, dt, est, coeffs)
+        row = [5.0, *np.concatenate((desired.qd, desired.omega_d, desired.omega_d_dot, tau_d,
+                                     e, qti, obs.omega_hat - state.omega))]
+        q, w, row = compiled_step(sc, coeffs, tuple(state.q.tolist()),
+                                  tuple(state.omega.tolist()), row, allocation_matrix(BANK, e_hat))
         # theta_e_deg is in degrees, up to 180
         np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
@@ -160,26 +223,21 @@ COLUMN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
-def test_advance_reads_the_columns_scenario_signals_writes(case):
-    # scenario_signals writes the row layout and advance's unpack reads it:
-    # the first step of the table against the reference chain fed from the
-    # scenario's named signals
+def test_kernel_reads_the_columns_scenario_signals_writes(case):
+    # scenario_signals writes the row layout and the compiled kernel reads
+    # it: the first step of the table against the reference chain fed from
+    # the scenario's named signals
     sc = COLUMN_CASES[case]()
     signals = scenario_signals(sc)
-    row, alloc = next(signals.steps())
-    assert row == signals.table[0].tolist()
     rng = np.random.default_rng(11)
     state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
     q, w = tuple(state.q.tolist()), tuple(state.omega.tolist())
     spec = sc.observer
     if spec.kind == "synthetic":
-        observe = synthetic_observe
         obs = synthetic_observer(state, spec, 0.0)
-    else:  # two bias observers on the same draws give the same estimate
-        def observer():
-            return bias_observer(sc.noise, spec.k_o, spec.k_b, sc.dt, np.random.default_rng(5))
-        observe = observer()
-        q_hat, w_hat = observer()(q, w, [])
+    else:  # the float kernel's bias observer on the draws the compiled step gets
+        observe = bias_observer(sc.noise, spec.k_o, spec.k_b, sc.dt, np.random.default_rng(5))
+        q_hat, w_hat = observe(q, w, [])
         obs = ObserverOutput(q_hat=np.array(q_hat), omega_hat=np.array(w_hat))
     desired = DesiredState(qd=sc.qd0, omega_d=sc.omega_d(0.0),
                            omega_d_dot=sc.omega_d.derivative(0.0))
@@ -193,17 +251,17 @@ def test_advance_reads_the_columns_scenario_signals_writes(case):
                 np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
                 np.linalg.norm(obs.omega_hat - state.omega)]
 
-    rec = np.empty((1, 17 + sc.bank.m))
-    advance = closed_loop(sc.gains, sc.estimates, signals.coeffs, sc.bank, sc.J, sc.dt, observe)
-    q, w = advance(q, w, [(row, alloc)], rec, 1)
-    np.testing.assert_allclose(rec[0], expected, rtol=0.0, atol=TOL)
+    q, w, row = compiled_step(sc, signals.coeffs, q, w, signals.table[0],
+                              signals.alloc[signals.alloc_index[0]])
+    np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
 
 
-def test_kinematics_rk4_at_constant_rate_matches_rk4_step():
+def test_reference_attitude_at_constant_rate_matches_rk4_step():
     # a rigid body spinning about a principal axis keeps its rate, so the
-    # rigid-body attitude step and the kinematics step at that rate coincide
+    # rigid-body attitude step and the compiled kinematics step at that rate
+    # coincide
     rng = np.random.default_rng(3)
     J = np.diag([8.0, 7.0, 6.0])
     zero = np.zeros(3)
@@ -211,9 +269,12 @@ def test_kinematics_rk4_at_constant_rate_matches_rk4_step():
         state = SpacecraftState(q=random_quat(rng), omega=axis * 0.03)
         ref = rk4_step(state, J, lambda t, s: zero, lambda t: zero, 0.0, 0.01)
         np.testing.assert_allclose(ref.omega, state.omega, rtol=0.0, atol=TOL)
-        w = tuple(state.omega.tolist())
-        np.testing.assert_allclose(kinematics_rk4(tuple(state.q.tolist()), w, w, w, 0.01), ref.q,
-                                   rtol=0.0, atol=TOL)
+        table = np.zeros((2, 14))
+        table[:, 5:8] = state.omega
+        w = np.tile(state.omega, (2, 1))
+        kernel.reference_attitude(state.q, table, w, w, 0.01)
+        assert np.array_equal(table[0, 1:5], state.q)
+        np.testing.assert_allclose(table[1, 1:5], ref.q, rtol=0.0, atol=TOL)
 
 
 def test_synthetic_observer_matches_library():
@@ -349,12 +410,11 @@ class StreamGenerator:
         return out[0] if size is None else out
 
 
-def test_bias_observer_redraws_short_axes_as_the_library_does():
-    # Each step draws 10 normals (angle, axis, gyro noise, bias walk). Short
-    # axes (norm below 1e-12) go in front of the axis of step 3 (two in a
-    # row), of step 255 (the last of the first noise block) and of step 256
-    # (the first of the second), so both observers must skip them. The
-    # stream is long enough for the kernel, which draws 4 whole blocks.
+def short_axis_stream():
+    """A stream of normals with short axes (norm below 1e-12) in front of the
+    axis of step 3 (two in a row), of step 255 (the last of the first noise
+    block) and of step 256 (the first of the second), and the number of
+    draws inserted. It is long enough for 4 whole noise blocks."""
     stream = list(np.random.default_rng(23).standard_normal(10 * 4 * ROW_BLOCK + 100))
     zero, tiny = [0.0, 0.0, 0.0], [1e-13, -2e-13, 3e-13]
     inserted = 0
@@ -362,8 +422,33 @@ def test_bias_observer_redraws_short_axes_as_the_library_does():
         at = 10 * step + 1 + inserted
         stream[at:at] = short
         inserted += len(short)
-    stream = np.array(stream)
+    return np.array(stream), inserted
+
+
+def test_bias_observer_redraws_short_axes_as_the_library_does():
+    # Each step draws 10 normals (angle, axis, gyro noise, bias walk); both
+    # observers must skip the short axes. The float kernel draws 4 whole
+    # blocks.
+    stream, inserted = short_axis_stream()
     noise = NoiseParams(b0=np.radians(np.array([-5.0, 15.0, -10.0]) / 3600.0))
     rng_ref, rng_kernel = StreamGenerator(stream), StreamGenerator(stream)
     assert_bias_observer_matches_library(noise, 900, rng_ref, rng_kernel)
     assert rng_ref.pos == 10 * 900 + inserted
+
+
+def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
+    # 900 steps of a bias-observer scenario from the same state on the same
+    # stream: kernel.bias_noise takes the draws in the float kernel's order
+    sc = paper_fault_free(duration=9.0, observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1))
+    signals = scenario_signals(sc)
+    assert len(signals.table) == 900
+    stream, inserted = short_axis_stream()
+    q, w = (0.5, 0.5, -0.5, 0.5), (0.01, -0.02, 0.005)
+    rng_float, rng_compiled = StreamGenerator(stream), StreamGenerator(stream)
+    observe = bias_observer(sc.noise, sc.observer.k_o, sc.observer.k_b, sc.dt, rng_float)
+    advance = closed_loop(sc.gains, sc.estimates, signals.coeffs, sc.bank, sc.J, sc.dt, observe)
+    expected, rec = np.empty((900, 21)), np.empty((900, 21))
+    state = advance(q, w, steps(signals), expected, 1)
+    assert kernel.closed_loop(sc, signals, q, w, rng_compiled, rec, 1) == state
+    assert np.array_equal(rec, expected)
+    assert rng_compiled.pos == rng_float.pos == 10 * 4 * ROW_BLOCK + inserted

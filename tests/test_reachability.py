@@ -2,6 +2,7 @@
 scripts run: code that only tests call is not shipped."""
 
 import argparse
+import functools
 import inspect
 import runpy
 import sys
@@ -9,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import ftacs
-from ftacs import cli, harness, scenario
+from ftacs import cli, harness, kernel, scenario
 from ftacs.scenario import PRESETS, ObserverSpec, paper_fault_free, save_scenario
 
 SRC = Path(ftacs.__file__).resolve().parent
@@ -64,6 +65,8 @@ def test_every_function_runs_under_a_command_or_a_script(tmp_path, monkeypatch):
         return 2
 
     monkeypatch.setattr(harness, "_available_cpus", two_cpus)
+    # the compiled kernel loads again, as in a new process
+    monkeypatch.setattr(kernel, "library", functools.cache(kernel.library.__wrapped__))
     monkeypatch.setenv("FTACS_OUT_DIR", str(tmp_path))
     scenario._schema.cache_clear()  # cached by any earlier test that read a file
     called = set()
