@@ -6,19 +6,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import kernel
 from .actuation import allocation_matrix
-from .bounds import ETA, BoundTrace, RobustCoefficients, predict, robust_coefficients
+from .bounds import ETA, BoundTrace, predict, robust_coefficients
 from .config import check_integer
 from .errors import BoundViolated, NonFiniteState
 from .estimation import random_unit_vector
@@ -131,6 +126,9 @@ class ScenarioSignals:
     every instance of a campaign; the compiled kernel (kernel.closed_loop)
     reads its arrays in place.
 
+    constants and pairs are the kernel's packed scenario constants and the
+    bank's rows of D.T (kernel.constants).
+
     table has one row per step, of 14 + m columns: t at the step start (0),
     qd (1:5), omega_d (5:8), omega_d_dot (8:11), tau_d at the step midpoint
     (11:14) and the true health (14:14 + m). A synthetic observer adds its
@@ -139,7 +137,8 @@ class ScenarioSignals:
     the one each step uses."""
 
     scenario: Scenario
-    coeffs: RobustCoefficients
+    constants: np.ndarray  # (kernel.N_CONSTANTS,)
+    pairs: np.ndarray  # (m, 3)
     table: np.ndarray  # (n, 14 + m), or (n, 21 + m) for a synthetic observer
     alloc: np.ndarray  # (k, m, 3)
     alloc_index: np.ndarray  # (n,) int64
@@ -148,7 +147,8 @@ class ScenarioSignals:
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     """Evaluate the scenario's reference, disturbance, health and synthetic
     observer signals on the step grid into one table, integrate the
-    reference attitude into it and build the allocation matrices."""
+    reference attitude into it, build the allocation matrices and pack the
+    kernel's constants."""
     dt = scenario.dt
     n = scenario.n_steps
     e = 14 + scenario.bank.m  # end of the health columns
@@ -170,9 +170,12 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
 
     # allocation matrices, computed once per distinct health-estimate row
     rows, runs, starts = scenario.health_estimate_runs
+    constants, pairs = kernel.constants(scenario, robust_coefficients(scenario.budget,
+                                                                      scenario.gains.k))
     return ScenarioSignals(
         scenario=scenario,
-        coeffs=robust_coefficients(scenario.budget, scenario.gains.k),
+        constants=constants,
+        pairs=pairs,
         table=table,
         alloc=np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
         alloc_index=np.repeat(runs, np.diff(starts, append=n)).astype(np.int64, copy=False),
@@ -232,107 +235,28 @@ def instance_seeds(campaign_seed: int, n: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
 
 
-def _available_cpus() -> int:
-    """How many processes a campaign may spread its instances over: the CPUs
-    this process may run on, or 1 where os.fork is missing or another thread
-    runs, since a forked child would inherit the locks that thread holds."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_instances(scenario: Scenario, signals: ScenarioSignals, seeds: list[int],
-                   start: int, stop: int) -> list[dict | str]:
-    """The instance records of instances start..stop-1, or for an instance
-    whose state went non-finite the failure line naming its index and seed."""
-    results: list[dict | str] = []
-    for idx in range(start, stop):
-        instance = copy.copy(scenario)  # not replace, which reruns Scenario.__post_init__
-        object.__setattr__(instance, "seed", seeds[idx])  # 32-bit ints meet the seed rule
-        try:
-            trace = run_scenario(instance, signals)
-            results.append(steady_state_stats(trace, scenario.tail_fraction))
-        except NonFiniteState as exc:
-            results.append(f"instance {idx} (seed {seeds[idx]}): {exc}")
-    return results
-
-
-def _fork(fn):
-    """Run fn() in a forked child, which pickles what it returns, or the
-    exception it raises, into a pipe and leaves through os._exit. Returns the
-    child's pid and the read end of the pipe."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    try:
-        os.close(r)
-        try:
-            result = (True, fn())
-        except BaseException as exc:
-            result = (False, exc)
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
-
-
-def _receive(pipe):
-    """What a forked child's fn() returned; the exception it raised is raised here."""
-    with pipe:
-        data = pipe.read()
-    try:
-        ok, value = pickle.loads(data)
-    except Exception as exc:
-        raise ChildProcessError("a campaign worker exited without sending its result") from exc
-    if not ok:
-        raise value
-    return value
-
-
 def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
-    """Run n independent instances; keep the outcome of each in seed order.
+    """Run n independent instances in seed order, in this process, and keep
+    the outcome of each.
 
     The bound prediction and the shared precompute come first. An instance
-    whose state goes non-finite is recorded as failed and the campaign
-    continues.
-
-    The instances are split into one contiguous chunk per available CPU.
-    This process runs the first chunk and a forked child runs each other one,
-    sharing the precompute; the results are joined in seed order, so the
-    summary is the one a serial loop gives.
-    """
+    whose state goes non-finite is recorded as failed, by a line naming its
+    index and seed, and the campaign continues; any other exception ends it."""
     n_instances = check_integer("n_instances", n_instances, 1)
     # a failed gain condition or rank-deficient allocation fails before any instance runs
     predicted = predict(scenario.budget, scenario.gains)
     signals = scenario_signals(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
-    w = min(n_instances, _available_cpus())
-    bounds = [n_instances * i // w for i in range(w + 1)]
-    children = []  # (pid, read end of its result pipe)
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork(partial(_run_instances, scenario, signals, seeds, start, stop)))
-        results = _run_instances(scenario, signals, seeds, 0, bounds[1])
-        for _, pipe in children:
-            results += _receive(pipe)
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    return CampaignSummary(outcomes=results, seeds=seeds, predicted=predicted)
+    outcomes: list[dict | str] = []
+    for idx, seed in enumerate(seeds):
+        instance = copy.copy(scenario)  # not replace, which reruns Scenario.__post_init__
+        object.__setattr__(instance, "seed", seed)  # 32-bit ints meet the seed rule
+        try:
+            trace = run_scenario(instance, signals)
+            outcomes.append(steady_state_stats(trace, scenario.tail_fraction))
+        except NonFiniteState as exc:
+            outcomes.append(f"instance {idx} (seed {seed}): {exc}")
+    return CampaignSummary(outcomes=outcomes, seeds=seeds, predicted=predicted)
 
 
 def verify(scenario: Scenario, n_instances: int, strict: bool = True) -> dict:

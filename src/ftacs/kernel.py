@@ -3,8 +3,9 @@
 closed_loop runs every step of an instance in one call: observer, control
 law, per-pair allocation and saturation, faulty actuators, plant RK4, the
 recorded row and the non-finite check. It reads the precomputed
-harness.ScenarioSignals table in place and writes each recorded sample as a
-row of one preallocated float table, whose columns harness.RunTrace views.
+harness.ScenarioSignals table and packed constants in place and writes each
+recorded sample as a row of one preallocated float table, whose columns
+harness.RunTrace views.
 reference_attitude runs the reference-attitude RK4 of scenario_signals.
 
 The C source keeps the operation order of the float kernel it replaced, so
@@ -112,8 +113,7 @@ _i64 = ctypes.c_int64
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """kernel.c's library, built on first use and loaded once per process;
-    a campaign's forked workers inherit it."""
+    """kernel.c's library, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(build(C_SOURCE)))
     lib.ftacs_reference_attitude.argtypes = (_double, _out, _i64, _i64, _double, _double,
                                              ctypes.c_double)
@@ -181,15 +181,34 @@ def bias_noise(noise: NoiseParams, dt: float, rng: np.random.Generator, n: int) 
     return np.concatenate(blocks)[:n] if blocks else np.empty((0, 10))
 
 
+# the length of par, whose layout constants() defines beside kernel.c's P_* offsets
+N_CONSTANTS = 48
+
+
+def constants(scenario, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """What closed_loop passes to the kernel that does not depend on the
+    instance: par, the scenario's constants at kernel.c's P_* offsets (k, K,
+    J_hat, tau_d_hat, the robust coefficients a0 and a1 of coeffs, gamma,
+    epsilon, tau_max, J, inv(J), dt, and a bias observer's k_o and k_b, 0
+    for another observer), and pairs, the bank's (m, 3) rows of D.T."""
+    gains, est, spec = scenario.gains, scenario.estimates, scenario.observer
+    ko, kb = (spec.k_o, spec.k_b) if spec.kind == "bias" else (0.0, 0.0)
+    par = np.array([gains.k, *gains.K.ravel(), *est.J_hat.ravel(), *est.tau_d_hat,
+                    coeffs.a0, coeffs.a1, gains.gamma, gains.epsilon, scenario.bank.tau_max,
+                    *scenario.J.ravel(), *np.linalg.inv(scenario.J).ravel(), scenario.dt,
+                    ko, kb], dtype=np.float64)
+    return par, np.ascontiguousarray(scenario.bank.D.T, dtype=np.float64)
+
+
 def closed_loop(scenario, signals, q: tuple, w: tuple, rng: np.random.Generator,
                 rec: np.ndarray, record_every: int) -> tuple[tuple, tuple]:
     """Run the steps of signals (a harness.ScenarioSignals) from the state
-    (q, w) with the scenario's gains, estimates, bank, inertia and observer,
-    and return the final state. A step observes the state, applies the
-    reference's control_step (tests/reference.py) to the estimates, realizes
-    D*E*tau_u + tau_d and takes RK4 of the rigid body, q renormalized once.
-    A bias observer draws its sensor noise from rng (bias_noise) before the
-    first step.
+    (q, w) with its packed constants (constants()) and the scenario's
+    observer, and return the final state. A step observes the state, applies
+    the reference's control_step (tests/reference.py) to the estimates,
+    realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
+    renormalized once. A bias observer draws its sensor noise from rng
+    (bias_noise) before the first step.
 
     Every record_every-th step, from the first, records the row (t, qe,
     omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of
@@ -197,32 +216,26 @@ def closed_loop(scenario, signals, q: tuple, w: tuple, rng: np.random.Generator,
     64-bit integer, so it must be at most the number of steps; a larger
     decimation records the same one row. A non-finite state raises
     NonFiniteState naming the step."""
-    gains, est, coeffs, bank, spec = (scenario.gains, scenario.estimates, signals.coeffs,
-                                      scenario.bank, scenario.observer)
+    spec = scenario.observer
     table, alloc, alloc_index = signals.table, signals.alloc, signals.alloc_index
-    n, m = len(table), bank.m
+    n, m = len(table), scenario.bank.m
     observer = OBSERVERS[spec.kind]
     if not 1 <= record_every <= max(n, 1):
         raise ValueError(f"record_every must be in [1, {n}], got {record_every}")
+    _require("constants", signals.constants, (N_CONSTANTS,))
+    _require("pairs", signals.pairs, (m, 3))
     _require("table", table, (n, 14 + m + (7 if spec.kind == "synthetic" else 0)))
     _require("alloc_index", alloc_index, (n,))
     _require("alloc", alloc, (len(alloc), m, 3))
     _require("rec", rec, (-(-n // record_every), 17 + m))
     if n and not 0 <= alloc_index.min() <= alloc_index.max() < len(alloc):
         raise ValueError(f"alloc_index must index the {len(alloc)} allocation matrices")
-    if spec.kind == "bias":
-        noise = bias_noise(scenario.noise, scenario.dt, rng, n)
-        ko, kb = spec.k_o, spec.k_b
-    else:
-        noise, ko, kb = np.empty((0, 10)), 0.0, 0.0
-    par = np.array([gains.k, *gains.K.ravel(), *est.J_hat.ravel(), *est.tau_d_hat,
-                    coeffs.a0, coeffs.a1, gains.gamma, gains.epsilon, bank.tau_max,
-                    *scenario.J.ravel(), *np.linalg.inv(scenario.J).ravel(), scenario.dt,
-                    ko, kb], dtype=np.float64)
+    noise = (bias_noise(scenario.noise, scenario.dt, rng, n) if spec.kind == "bias"
+             else np.empty((0, 10)))
     state = np.array([*q, *w], dtype=np.float64)
     step = library().ftacs_closed_loop(
-        par, np.ascontiguousarray(bank.D.T, dtype=np.float64), m, table, table.shape[1], n,
-        alloc, alloc_index, observer, noise, state, rec, record_every)
+        signals.constants, signals.pairs, m, table, table.shape[1], n, alloc, alloc_index,
+        observer, noise, state, rec, record_every)
     if step >= 0:
         raise NonFiniteState(f"non-finite state at step {step} (t={table[step, 0]:.3f} s)")
     return tuple(state[:4].tolist()), tuple(state[4:].tolist())

@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from ftacs.actuation import ActuatorBank
-from ftacs.bounds import RobustCoefficients
+from ftacs.bounds import RobustCoefficients, robust_coefficients
 from ftacs.config import ControllerGains, ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams
@@ -110,7 +110,8 @@ def run_scenario(scenario, signals: ScenarioSignals | None = None) -> RunTrace:
         observe = synthetic_observe
     else:  # bias observer fed by noisy sensors, drawing after the initial state
         observe = bias_observer(scenario.noise, spec.k_o, spec.k_b, dt, rng)
-    advance = closed_loop(scenario.gains, scenario.estimates, signals.coeffs,
+    advance = closed_loop(scenario.gains, scenario.estimates,
+                          robust_coefficients(scenario.budget, scenario.gains.k),
                           scenario.bank, scenario.J, dt, observe)
 
     # one recorded row per dec steps, in the column order of the RunTrace fields

@@ -3,9 +3,7 @@ import csv
 import importlib.util
 import json
 import math
-import os
 import re
-import time
 
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ftacs import ControllerGains, cli, harness
+from ftacs import ControllerGains, cli, harness, kernel
 from ftacs.actuation import ActuatorBank, HealthProfile, SignalSpec, allocation_matrix
 from ftacs.bounds import predict
 from ftacs.cli import main as cli_main
@@ -299,11 +297,8 @@ def test_instance_seeds_deterministic():
 
 
 def campaign_traces(monkeypatch, sc, n):
-    """Run a campaign and keep the trace of every instance. The campaign runs
-    in this process, on one worker, since the calls of a forked child would
-    append to the child's copy of the list."""
+    """Run a campaign and keep the trace of every instance."""
     traces = []
-    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
 
     def keep(*args, **kwargs):
         traces.append(run_scenario(*args, **kwargs))
@@ -461,91 +456,76 @@ def test_health_estimate_evaluated_once_per_scenario():
     assert len(calls) == 1
 
 
+def test_campaign_packs_the_kernel_constants_once(monkeypatch):
+    # the shared precompute packs them, inv(J) among them, not each instance
+    calls = []
+    constants = kernel.constants
+
+    def counted(*args):
+        calls.append(args)
+        return constants(*args)
+
+    monkeypatch.setattr(kernel, "constants", counted)
+    assert len(run_campaign(short_scenario(), 3).instances) == 3
+    assert len(calls) == 1
+
+
 def test_campaign_determinism_and_aggregation():
     sc = short_scenario()
     s1 = run_campaign(sc, 3)
     s2 = run_campaign(sc, 3)
-    assert [i["theta_tail_max_deg"] for i in s1.instances] == [
-        i["theta_tail_max_deg"] for i in s2.instances]
+    assert s1 == s2
+    assert s1.seeds == instance_seeds(sc.seed, 3)
+    assert len(s1.instances) == len(s1.instance_pass) == 3
     record = s1.record()
-    assert record["theta_tail_max_deg"] == max(i["theta_tail_max_deg"] for i in s1.instances)
-    omega_max = max(i["omega_tail_max_rad_s"] for i in s1.instances)
-    assert record["omega_tail_max_rad_s"] >= omega_max - 1e-18
+    for key in TAIL_MAXIMA_KEYS:
+        assert record[key] == max(i[key] for i in s1.instances)
     assert not s1.failures
 
 
-def campaign_on(monkeypatch, workers, sc, n):
-    """run_campaign with the CPU count read as `workers`."""
-    monkeypatch.setattr(harness, "_available_cpus", lambda: workers)
-    return run_campaign(sc, n)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def plant(monkeypatch, bad_seeds, exc):
-    """Make the campaign's instances of `bad_seeds` raise exc; the others run."""
+    """Make the campaign's instances of `bad_seeds` raise exc; the others run.
+    Returns the list of the seeds of the instances run, in order."""
+    ran = []
+
     def run(scenario, signals=None):
+        ran.append(scenario.seed)
         if scenario.seed in bad_seeds:
             raise exc
         return run_scenario(scenario, signals)
 
     monkeypatch.setattr(harness, "run_scenario", run)
+    return ran
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_forked_campaign_summary_equals_serial(monkeypatch, workers):
-    for kind in ("synthetic", "bias"):
-        sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
-        serial = campaign_on(monkeypatch, 1, sc, 5)
-        forked = campaign_on(monkeypatch, workers, sc, 5)
-        assert forked == serial
-        assert forked.seeds == instance_seeds(sc.seed, 5)
-        assert len(forked.instances) == len(forked.instance_pass) == 5
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_forked_campaign_records_non_finite_state_of_a_child(monkeypatch, workers):
+def test_campaign_records_a_non_finite_instance_and_runs_the_rest(monkeypatch):
     sc = short_scenario(duration=10.0)
     seeds = instance_seeds(sc.seed, 5)
-    plant(monkeypatch, [seeds[3]], NonFiniteState("planted"))
-    serial = campaign_on(monkeypatch, 1, sc, 5)
-    forked = campaign_on(monkeypatch, workers, sc, 5)
-    assert forked.failures == [f"instance 3 (seed {seeds[3]}): planted"]
-    assert len(forked.instances) == 4
-    assert forked == serial
-    assert_no_child_left()
+    ran = plant(monkeypatch, [seeds[3]], NonFiniteState("planted"))
+    summary = run_campaign(sc, 5)
+    assert ran == seeds
+    assert summary.failures == [f"instance 3 (seed {seeds[3]}): planted"]
+    assert summary.outcomes[3] == summary.failures[0]
+    assert len(summary.instances) == 4
+    assert summary.instance_pass[3] is False
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_forked_campaign_reraises_a_child_exception(monkeypatch, workers):
+def test_campaign_propagates_another_exception(monkeypatch):
     sc = short_scenario(duration=10.0)
-    plant(monkeypatch, instance_seeds(sc.seed, 5)[4:], ValueError("planted in a child"))
-    with pytest.raises(ValueError, match="planted in a child"):
-        campaign_on(monkeypatch, workers, sc, 5)
-    assert_no_child_left()
+    seeds = instance_seeds(sc.seed, 5)
+    ran = plant(monkeypatch, seeds[4:], ValueError("planted in the last instance"))
+    with pytest.raises(ValueError, match="planted in the last instance"):
+        run_campaign(sc, 5)
+    assert ran == seeds
 
 
-def test_interrupted_campaign_kills_its_children(monkeypatch):
-    # the first instance runs in this process; the children's would sleep
-    # for a minute unless killed
+def test_interrupted_campaign_runs_no_later_instance(monkeypatch):
     sc = short_scenario(duration=10.0)
     seeds = instance_seeds(sc.seed, 3)
-
-    def run(scenario, signals=None):
-        if scenario.seed == seeds[0]:
-            raise KeyboardInterrupt
-        time.sleep(60.0)
-
-    monkeypatch.setattr(harness, "run_scenario", run)
-    t0 = time.perf_counter()
+    ran = plant(monkeypatch, seeds[:1], KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        campaign_on(monkeypatch, 3, sc, 3)
-    assert time.perf_counter() - t0 < 30.0
-    assert_no_child_left()
+        run_campaign(sc, 3)
+    assert ran == seeds[:1]
 
 
 def test_campaign_rejects_bad_n():

@@ -7,7 +7,7 @@ products and its bias observer's draw order are checked against the
 reference helpers."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +153,10 @@ def compiled_step(sc, coeffs, q, w, row, alloc):
     """One step of kernel.closed_loop from (q, w) with the scenario's gains,
     estimates, bank, inertia, dt and observer on one table row and its
     allocation matrix: the new state and the recorded row."""
-    signals = ScenarioSignals(scenario=sc, coeffs=coeffs, table=np.array([row]),
-                              alloc=np.array([alloc]), alloc_index=np.zeros(1, dtype=np.int64))
+    constants, pairs = kernel.constants(sc, coeffs)
+    signals = ScenarioSignals(scenario=sc, constants=constants, pairs=pairs,
+                              table=np.array([row]), alloc=np.array([alloc]),
+                              alloc_index=np.zeros(1, dtype=np.int64))
     rec = np.empty((1, 17 + sc.bank.m))
     q, w = kernel.closed_loop(sc, signals, q, w, np.random.default_rng(5), rec, 1)
     return q, w, rec[0]
@@ -229,6 +231,7 @@ def test_kernel_reads_the_columns_scenario_signals_writes(case):
     # the scenario's named signals
     sc = COLUMN_CASES[case]()
     signals = scenario_signals(sc)
+    coeffs = robust_coefficients(sc.budget, sc.gains.k)
     rng = np.random.default_rng(11)
     state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
     q, w = tuple(state.q.tolist()), tuple(state.omega.tolist())
@@ -241,7 +244,7 @@ def test_kernel_reads_the_columns_scenario_signals_writes(case):
         obs = ObserverOutput(q_hat=np.array(q_hat), omega_hat=np.array(w_hat))
     desired = DesiredState(qd=sc.qd0, omega_d=sc.omega_d(0.0),
                            omega_d_dot=sc.omega_d.derivative(0.0))
-    tau_u, _, diag = control_step(obs, desired, sc.gains, sc.estimates, signals.coeffs, sc.bank,
+    tau_u, _, diag = control_step(obs, desired, sc.gains, sc.estimates, coeffs, sc.bank,
                                   sc.health_estimate(0.0))
     tau_c, tau_d = effective_torque(sc.bank, sc.health(0.0), tau_u), sc.disturbance(0.5 * sc.dt)
     ref = rk4_step(state, sc.J, lambda t, s: tau_c, lambda t: tau_d, 0.0, sc.dt)
@@ -251,11 +254,22 @@ def test_kernel_reads_the_columns_scenario_signals_writes(case):
                 np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
                 np.linalg.norm(obs.omega_hat - state.omega)]
 
-    q, w, row = compiled_step(sc, signals.coeffs, q, w, signals.table[0],
+    q, w, row = compiled_step(sc, coeffs, q, w, signals.table[0],
                               signals.alloc[signals.alloc_index[0]])
     np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("name, value", [("constants", np.zeros(47)), ("pairs", np.zeros((3, 3)))])
+def test_closed_loop_rejects_packed_constants_of_another_shape(name, value):
+    # C reads 48 constants and m rows of D.T, past the end of a shorter array
+    sc = paper_faulty(duration=1.0)
+    signals = replace(scenario_signals(sc), **{name: value})
+    rec = np.empty((sc.n_steps, 17 + sc.bank.m))
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        kernel.closed_loop(sc, signals, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                           np.random.default_rng(1), rec, 1)
 
 
 def test_reference_attitude_at_constant_rate_matches_rk4_step():
@@ -446,7 +460,8 @@ def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
     q, w = (0.5, 0.5, -0.5, 0.5), (0.01, -0.02, 0.005)
     rng_float, rng_compiled = StreamGenerator(stream), StreamGenerator(stream)
     observe = bias_observer(sc.noise, sc.observer.k_o, sc.observer.k_b, sc.dt, rng_float)
-    advance = closed_loop(sc.gains, sc.estimates, signals.coeffs, sc.bank, sc.J, sc.dt, observe)
+    advance = closed_loop(sc.gains, sc.estimates, robust_coefficients(sc.budget, sc.gains.k),
+                          sc.bank, sc.J, sc.dt, observe)
     expected, rec = np.empty((900, 21)), np.empty((900, 21))
     state = advance(q, w, steps(signals), expected, 1)
     assert kernel.closed_loop(sc, signals, q, w, rng_compiled, rec, 1) == state

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import ftacs
-from ftacs import cli, harness, kernel, scenario
+from ftacs import cli, kernel, scenario
 from ftacs.scenario import PRESETS, ObserverSpec, paper_fault_free, save_scenario
 
 SRC = Path(ftacs.__file__).resolve().parent
@@ -58,13 +58,6 @@ def test_command_table_covers_every_subcommand():
 
 
 def test_every_function_runs_under_a_command_or_a_script(tmp_path, monkeypatch):
-    available_cpus = harness._available_cpus
-
-    def two_cpus():  # counts the CPUs, then forks one worker beside this process
-        available_cpus()
-        return 2
-
-    monkeypatch.setattr(harness, "_available_cpus", two_cpus)
     # the compiled kernel loads again, as in a new process
     monkeypatch.setattr(kernel, "library", functools.cache(kernel.library.__wrapped__))
     monkeypatch.setenv("FTACS_OUT_DIR", str(tmp_path))
