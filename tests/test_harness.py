@@ -331,6 +331,18 @@ def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
     assert_traces_equal(traces[2], run_scenario(replace(sc, seed=instance_seeds(sc.seed, 3)[2])))
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "bias"])
+def test_campaign_instances_equal_their_standalone_runs(kind):
+    # every instance, run on the campaign's shared signals and packed
+    # constants, keeps the statistics of its own standalone run
+    sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
+    summary = run_campaign(sc, 5)
+    assert summary.seeds == instance_seeds(sc.seed, 5)
+    assert summary.instances == [
+        steady_state_stats(run_scenario(replace(sc, seed=seed)), sc.tail_fraction)
+        for seed in summary.seeds]
+
+
 def toggled_pair_scenario():
     # pair 1 is on, off, on, off: 0.5 + 1e9 sin(t + 0.5) clips to exactly 1 or 0
     # on every grid point, so the steps use two allocation matrices, the first
