@@ -263,6 +263,19 @@ def _key(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
+ECHO_LIMIT = 200
+
+
+def _echo(value) -> str:
+    """repr(value), cut to its first ECHO_LIMIT characters when longer: a
+    message echoes a rejected value from a file whole only when it is short."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than repr() reaches
+        return f"a {type(value).__name__} nested too deeply to show"
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def _build(cls, d, where: str):
     """Build dataclass `cls` from a mapping, checking every key against its
     fields: a missing, unknown or mistyped key raises a ValueError naming it."""
@@ -271,7 +284,7 @@ def _build(cls, d, where: str):
     schema = _schema(cls)
     for key in d:
         if key not in schema:
-            raise ValueError(f"unknown key {_key(where, key)!r} (known: {', '.join(schema)})")
+            raise ValueError(f"unknown key {_echo(_key(where, key))} (known: {', '.join(schema)})")
     kwargs = {}
     for name, (hint, item, required) in schema.items():
         key, value = _key(where, name), d.get(name)
@@ -282,7 +295,7 @@ def _build(cls, d, where: str):
         if hint in _SCALARS:
             types, expected = _SCALARS[hint]
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{key}: expected {expected}, got {value!r}")
+                raise ValueError(f"{key}: expected {expected}, got {_echo(value)}")
             kwargs[name] = value if item is None else [
                 _build(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
         elif hint is np.ndarray:
@@ -293,19 +306,20 @@ def _build(cls, d, where: str):
 
 
 def _array(value, key: str) -> np.ndarray:
-    """A (nested) list of ints and floats as a float array; a string or a bool
-    entry raises, where numpy would read '8.0' as 8.0 and true as 1.0."""
+    """A list of ints and floats, or a list of such lists, as a float array;
+    a string or a bool entry raises, where numpy would read '8.0' as 8.0 and
+    true as 1.0. No array field has more than 2 dimensions, so deeper nesting
+    raises too, without a walk as deep as the nesting."""
     def numbers(v):
         return isinstance(v, list) and all(
-            numbers(x) if isinstance(x, list)
-            else isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
 
-    if numbers(value):
+    if numbers(value) or isinstance(value, list) and all(map(numbers, value)):
         try:
             return np.asarray(value, dtype=float)
         except (ValueError, OverflowError):  # ragged, or an int beyond float range
             pass
-    raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
+    raise ValueError(f"{key}: expected a list of numbers, got {_echo(value)}")
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -334,13 +348,11 @@ def load_scenario_file(path: str | Path) -> Scenario:
     """Read a scenario YAML file. Invalid YAML, or a document that does not
     make a valid scenario, raises a ValueError naming the file and the key."""
     path = Path(path)
-    text = path.read_text()
     try:
-        d = yaml.load(text, Loader=_Loader)
+        text = path.read_text()  # bytes that do not decode raise a ValueError
+        return scenario_from_dict(yaml.load(text, Loader=_Loader))
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: {_yaml_error(exc, text)}") from exc
-    try:
-        return scenario_from_dict(d)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -79,12 +79,15 @@ def test_every_function_runs_under_a_command_or_a_script(tmp_path, monkeypatch):
         for sc in scenarios:
             files.append(tmp_path / f"{sc.name}.yaml")
             save_scenario(sc, files[-1])
-        invalid = tmp_path / "invalid.yaml"
-        invalid.write_text("budget: [1.0, 2.0\n")
+        # a file that is not YAML, and one with a key that no field has
+        invalid = [tmp_path / "invalid.yaml", tmp_path / "unknown-key.yaml"]
+        for path, text in zip(invalid, ("budget: [1.0, 2.0\n", "budgets: 1.0\n")):
+            path.write_text(text)
         for argv in COMMANDS.values():
             for path in files:
                 assert cli.main(argv(str(path), str(tmp_path))) in (0, 2)
-            assert cli.main(argv(str(invalid), str(tmp_path))) == 1
+            for path in invalid:
+                assert cli.main(argv(str(path), str(tmp_path))) == 1
         for script in ("reproduce_bounds.py", "gain_sweep_table.py"):
             runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     finally:
