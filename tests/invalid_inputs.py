@@ -7,9 +7,9 @@ promise) and what stderr must hold. Every run must also print no traceback
 and fewer than STDERR_BOUND bytes to stderr; a run that must not get past
 the load writes nothing, and leaves its scenario file as written.
 
-test_scenario.py runs every row through cli.main, in process. Run as a
-script, from outside the checkout, this module runs every row through the
-installed `ftacs` command instead:
+test_scenario.py runs each command line of every row through cli.main, in
+process, as a test of its own. Run as a script, from outside the checkout,
+this module runs every row through the installed `ftacs` command instead:
 
     python tests/invalid_inputs.py
 """
@@ -274,8 +274,23 @@ ROWS = [
 ]
 
 
-def check_row(row: Row, tmp: Path, run) -> None:
-    """Run each of the row's command lines through run(argv, cwd), which
+def command_lines(row: Row) -> list:
+    """The row's command lines."""
+    return [row.argv] if isinstance(row.argv, str) else list(row.argv)
+
+
+# every (row, command line) pair of the table, each checked on its own
+RUNS = [(row, line) for row in ROWS for line in command_lines(row)]
+
+
+def run_id(row: Row, line: str) -> str:
+    """The row's name, and which of its command lines this is when it has more than one."""
+    lines = command_lines(row)
+    return row.name if len(lines) == 1 else f"{row.name}-{lines.index(line)}-{line.split()[0]}"
+
+
+def check_run(row: Row, line: str, tmp: Path, run) -> None:
+    """Run one of the row's command lines through run(argv, cwd), which
     returns the exit status, stdout and stderr (bytes), and assert what the
     row expects. The scenario file and the working directory are made in the
     empty directory tmp."""
@@ -284,21 +299,20 @@ def check_row(row: Row, tmp: Path, run) -> None:
     written = None if row.edit is None else scenario_bytes(row.edit, row.preset, row.duration)
     if written is not None:
         file.write_bytes(written)
-    for line in [row.argv] if isinstance(row.argv, str) else row.argv:
-        code, out, err = run([w.replace("{file}", str(file)).replace("{out}", str(cwd))
-                              for w in line.split()], cwd)
-        where = f"{row.name}: ftacs {line[:200]}"
-        assert len(err) < STDERR_BOUND, f"{where}: {len(err)} bytes of stderr: {err[:300]!r}"
-        out, err = (s.decode(errors="replace").replace(str(file), "{file}").replace(str(cwd), "{out}")
-                    for s in (out, err))
-        assert code == row.code, f"{where}: exit {code}, not {row.code}; stderr {err!r}"
-        assert "Traceback" not in err, f"{where}: {err}"
-        for stream, got, expected in (("stderr", err, row.err), ("stdout", out, row.out)):
-            held = expected in got if isinstance(expected, str) else expected.search(got)
-            assert held, f"{where}: {stream} {got!r} does not hold {expected!r}"
-        if row.reaches == "load":
-            assert [p for p in tmp.rglob("*") if p not in (file, cwd)] == [], f"{where}: wrote a file"
-            assert written is None or file.read_bytes() == written, f"{where}: wrote into {file}"
+    code, out, err = run([w.replace("{file}", str(file)).replace("{out}", str(cwd))
+                          for w in line.split()], cwd)
+    where = f"{row.name}: ftacs {line[:200]}"
+    assert len(err) < STDERR_BOUND, f"{where}: {len(err)} bytes of stderr: {err[:300]!r}"
+    out, err = (s.decode(errors="replace").replace(str(file), "{file}").replace(str(cwd), "{out}")
+                for s in (out, err))
+    assert code == row.code, f"{where}: exit {code}, not {row.code}; stderr {err!r}"
+    assert "Traceback" not in err, f"{where}: {err}"
+    for stream, got, expected in (("stderr", err, row.err), ("stdout", out, row.out)):
+        held = expected in got if isinstance(expected, str) else expected.search(got)
+        assert held, f"{where}: {stream} {got!r} does not hold {expected!r}"
+    if row.reaches == "load":
+        assert [p for p in tmp.rglob("*") if p not in (file, cwd)] == [], f"{where}: wrote a file"
+        assert written is None or file.read_bytes() == written, f"{where}: wrote into {file}"
 
 
 def main() -> int:
@@ -311,13 +325,13 @@ def main() -> int:
         done = subprocess.run([ftacs, *argv], cwd=cwd, capture_output=True, timeout=60)
         return done.returncode, done.stdout, done.stderr
 
-    failed = []
-    for row in ROWS:
+    failed = set()
+    for row, line in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                check_row(row, Path(tmp), run)
+                check_run(row, line, Path(tmp), run)
             except AssertionError as exc:
-                failed.append(row.name)
+                failed.add(row.name)
                 print(f"FAIL {exc}", file=sys.stderr)
     print(f"{len(ROWS) - len(failed)} of {len(ROWS)} invalid-input rows pass through {ftacs}")
     return 1 if failed else 0

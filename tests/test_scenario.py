@@ -27,7 +27,7 @@ from ftacs.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from invalid_inputs import ROWS, check_row, scenario_bytes
+from invalid_inputs import RUNS, check_run, run_id, scenario_bytes
 
 
 def test_signal_spec_values_and_derivatives():
@@ -455,9 +455,9 @@ UNREACHED = {"load": [(harness, "predict"), (cli, "predict"), (harness, "scenari
              "predict": [(harness, "scenario_signals")], "run": []}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
-def test_invalid_input_exits_with_its_code(row, tmp_path, monkeypatch, capsys):
-    # the table's rows through cli.main; CI runs them through the ftacs command
+@pytest.mark.parametrize("row, line", RUNS, ids=[run_id(*run) for run in RUNS])
+def test_invalid_input_exits_with_its_code(row, line, tmp_path, monkeypatch, capsys):
+    # each command line of the table's rows through cli.main; CI runs them through the ftacs command
     for module, name in UNREACHED[row.reaches]:
         monkeypatch.setattr(module, name, _never_called)
 
@@ -466,7 +466,7 @@ def test_invalid_input_exits_with_its_code(row, tmp_path, monkeypatch, capsys):
         code = cli_main(argv)
         return code, *(text.encode() for text in capsys.readouterr())
 
-    check_row(row, tmp_path, run)
+    check_run(row, line, tmp_path, run)
 
 
 @pytest.mark.parametrize("path", [("dt",), ("budget", "rho_d"), ("gains", "k"), ("bank", "tau_max"),
