@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_finite, freeze_arrays, freeze_floats
+from .config import check_finite, echo, freeze_arrays, freeze_floats
 
 RANK_TOL = 1e-10
 
@@ -31,7 +31,7 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.kind not in ("const", "sin", "cos", "abs_sin"):
-            raise ValueError(f"unknown signal kind {self.kind!r}")
+            raise ValueError(f"unknown signal kind {echo(self.kind)}")
         freeze_floats(self, "offset", "scale", "freq", "phase")
         check_finite(self, "offset", "scale", "freq", "phase")
 

@@ -10,6 +10,19 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 
+ECHO_LIMIT = 200
+
+
+def echo(value) -> str:
+    """repr(value), cut to its first ECHO_LIMIT characters when longer: a
+    message echoes a rejected value from a file whole only when it is short."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than repr() reaches
+        return f"a {type(value).__name__} nested too deeply to show"
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def check_finite(obj, *names: str):
     """Raise a ValueError naming the first named field of obj that is not a
     finite number or an array of finite numbers."""

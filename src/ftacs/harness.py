@@ -292,7 +292,8 @@ def trace_columns(m: int) -> list[str]:
 def export_trace_csv(trace: RunTrace, path: str | Path):
     """Fixed-column CSV export of a run trace (13 + m columns). Every value is
     written as %.17g, which reads back as the same float; the bytes are those
-    of np.savetxt with that format, written row block by row block."""
+    of np.savetxt with that format, written by kernel.format_rows one
+    ROW_BLOCK of rows at a time through one buffer."""
     m = trace.tau_u.shape[1]
     data = np.column_stack(
         [
@@ -307,11 +308,11 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
             trace.wtilde_norm,
         ]
     )
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(trace_columns(m)) + "\n")
+    buf = np.empty(kernel.VALUE_BYTES * kernel.ROW_BLOCK * data.shape[1], dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(trace_columns(m)) + "\n").encode())
         for i in range(0, len(data), kernel.ROW_BLOCK):
-            fh.writelines(map(row.__mod__, map(tuple, data[i:i + kernel.ROW_BLOCK].tolist())))
+            fh.write(buf[:kernel.format_rows(data[i:i + kernel.ROW_BLOCK], buf)])
 
 
 def json_record(record: dict, **kwargs) -> str:

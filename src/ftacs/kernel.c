@@ -1,9 +1,10 @@
-/* The closed loop of one instance, compiled.
+/* The closed loop of one instance, compiled, and the writer of its CSV.
 
    kernel.py builds this file into a shared library the first time a
-   simulation needs it and calls its two functions through ctypes:
-   ftacs_reference_attitude fills the reference attitude of a step table, and
-   ftacs_closed_loop runs every step of an instance over that table.
+   simulation needs it and calls its three functions through ctypes:
+   ftacs_reference_attitude fills the reference attitude of a step table,
+   ftacs_closed_loop runs every step of an instance over that table, and
+   ftacs_format_rows writes rows of doubles as the text of a trace CSV.
 
    Every expression keeps the operation order of the float kernel it
    replaced, on IEEE doubles, so the results are bit for bit those of the
@@ -15,10 +16,15 @@
    Quaternions are scalar-first with the Hamilton product, and every product
    is renormalized. The rotation matrix is R(q) = I - 2*q0*qv^x + 2*qv^x*qv^x,
    so R(q_e) maps desired-frame vectors into the body frame. tests/reference.py
-   defines the same math on numpy arrays, one function per equation. */
+   defines the same math on numpy arrays, one function per equation.
+
+   ftacs_format_rows forms the 17 digits of most values exactly in integer
+   arithmetic on unsigned __int128, an extension of GCC and Clang. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* CPython's math.degrees(x) is x * (180.0 / Py_MATH_PI) */
 static const double RAD_TO_DEG = 180.0 / 3.14159265358979323846;
@@ -364,4 +370,168 @@ int64_t ftacs_closed_loop(const double *par, const double *pairs, int64_t m,
     state[0] = q0, state[1] = q1, state[2] = q2, state[3] = q3;
     state[4] = wx, state[5] = wy, state[6] = wz;
     return -1;
+}
+
+/* The most bytes one value takes as %.17g, "-1.2345678901234567e-308", and
+   its separator; kernel.VALUE_BYTES is the same number. */
+enum { VALUE_BYTES = 25 };
+
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u, 10000000000u, 100000000000u, 1000000000000u, 10000000000000u,
+    100000000000000u, 1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, 10000000000000000000u,
+};
+
+/* 10^k for k in [0, 38], all below 2^128 */
+static u128 pow10_128(int k)
+{
+    return k < 20 ? (u128)POW10[k] : (u128)POW10[19] * POW10[k - 19];
+}
+
+/* floor(m * 2^e * 10^k) for m < 2^53, 2^e * 10^k small enough that it is
+   below 2^64, and k in [0, 38]; *round_up tells whether that integer rounds
+   up to nearest, ties to even, on the exact remainder. The product m * 10^k
+   is formed in three 64-bit limbs r, least significant first, below 2^180. */
+static uint64_t scaled(uint64_t m, int e, int k, int *round_up)
+{
+    const u128 p = pow10_128(k);
+    if (e >= 0) {  /* an integer already: m * 10^k * 2^e */
+        *round_up = 0;
+        return (uint64_t)((m * p) << e);
+    }
+    const u128 lo = (u128)m * (uint64_t)p, hi = (u128)m * (uint64_t)(p >> 64);
+    const u128 mid = (lo >> 64) + (uint64_t)hi;
+    const uint64_t r[3] = {(uint64_t)lo, (uint64_t)mid, (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64)};
+    /* the quotient r >> s, the half bit s - 1 and whether any bit below it is set */
+    const int s = -e, w = s / 64, b = s % 64;
+    uint64_t q = r[w] >> b;
+    if (b && w < 2)
+        q |= r[w + 1] << (64 - b);
+    const int hw = (s - 1) / 64, hb = (s - 1) % 64;
+    const int half = (int)((r[hw] >> hb) & 1);
+    int below = (r[hw] & (((uint64_t)1 << hb) - 1)) != 0;
+    for (int i = 0; i < hw; i++)
+        below |= r[i] != 0;
+    *round_up = half && (below || (q & 1));
+    return q;
+}
+
+/* Write x as "%.17g" formats it into out, which holds VALUE_BYTES bytes, and
+   return the number of bytes: the digits are those of Python's "%.17g" % x,
+   which rounds the exact value to nearest, ties to even, and NaN is "nan"
+   whatever its sign bit, as Python writes it. */
+static int format_g17(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int neg = (int)(bits >> 63), biased = (int)((bits >> 52) & 0x7ff);
+    const uint64_t frac = bits & (((uint64_t)1 << 52) - 1);
+    char *p = out;
+    if (biased == 0x7ff) {
+        if (frac) {
+            memcpy(out, "nan", 3);
+            return 3;
+        }
+        if (neg)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return (int)(p - out) + 3;
+    }
+    if (biased == 0 && frac == 0) {
+        if (neg)
+            *p++ = '-';
+        *p++ = '0';
+        return (int)(p - out);
+    }
+    /* x = m * 2^e and 10^E0 <= |x| < 10^(E0 + 2), so the power of 10 of its
+       first digit, E, is E0 or E0 + 1 */
+    const int E0 = (int)floor((biased - 1023) * 0.30102999566398120);
+    if (biased == 0 || E0 < -22 || E0 > 15)  /* subnormal, or 10^(16 - E0) not below 2^128 */
+        return snprintf(out, VALUE_BYTES, "%.17g", x);
+    const uint64_t m = frac | (uint64_t)1 << 52;
+    const int e = biased - 1075;
+    int E = E0, round_up;
+    uint64_t N = scaled(m, e, 16 - E, &round_up);
+    if (N >= POW10[17]) {  /* |x| >= 10^(E0 + 1) */
+        E = E0 + 1;
+        N = scaled(m, e, 16 - E, &round_up);
+    }
+    N += round_up;
+    if (N == POW10[17]) {  /* rounded up to the next power of 10 */
+        N = POW10[16];
+        E++;
+    }
+
+    /* the 17 digits of N, then %g's layout without trailing zeros */
+    char d[17];
+    uint32_t hi = (uint32_t)(N / 100000000u), lo = (uint32_t)(N % 100000000u);
+    for (int i = 16; i >= 9; i--, lo /= 10)
+        d[i] = (char)('0' + lo % 10);
+    for (int i = 8; i >= 0; i--, hi /= 10)
+        d[i] = (char)('0' + hi % 10);
+    int nd = 17;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (neg)
+        *p++ = '-';
+    if (E < -4 || E >= 17) {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = E < 0 ? '-' : '+';
+        const int a = E < 0 ? -E : E;  /* below 100 here */
+        *p++ = (char)('0' + a / 10);
+        *p++ = (char)('0' + a % 10);
+    } else if (E >= 0) {
+        memcpy(p, d, E + 1);
+        p += E + 1;
+        if (nd > E + 1) {
+            *p++ = '.';
+            memcpy(p, d + E + 1, nd - E - 1);
+            p += nd - E - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = 0; i < -E - 1; i++)
+            *p++ = '0';
+        memcpy(p, d, nd);
+        p += nd;
+    }
+    return (int)(p - out);
+}
+
+/* Write the n rows of cols doubles of data, row after row, into buf as
+   np.savetxt(fmt="%.17g", delimiter=",") writes them: each value as
+   format_g17 writes it, a comma between values and a newline after each
+   row. Returns the number of bytes written, or -1 when they do not fit in
+   the cap bytes of buf; nothing is written past buf + cap. */
+int64_t ftacs_format_rows(const double *data, int64_t n, int64_t cols, char *buf, int64_t cap)
+{
+    int64_t pos = 0;
+    char tmp[VALUE_BYTES];
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < cols; j++) {
+            const double x = data[i * cols + j];
+            int len;
+            if (cap - pos >= VALUE_BYTES) {
+                len = format_g17(x, buf + pos);
+            } else {
+                len = format_g17(x, tmp);
+                if (cap - pos < len + 1)
+                    return -1;
+                memcpy(buf + pos, tmp, len);
+            }
+            pos += len;
+            buf[pos++] = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    return pos;
 }

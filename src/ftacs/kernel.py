@@ -7,6 +7,7 @@ harness.ScenarioSignals table and packed constants in place and writes each
 recorded sample as a row of one preallocated float table, whose columns
 harness.RunTrace views.
 reference_attitude runs the reference-attitude RK4 of scenario_signals.
+format_rows writes rows of floats as the text of harness.export_trace_csv.
 
 The C source keeps the operation order of the float kernel it replaced, so
 its results are bit for bit those of the same arithmetic on Python floats;
@@ -46,6 +47,9 @@ from .estimation import NoiseParams
 # Steps handled at a time as one numpy block: the bias observer's sensor
 # noise, and the rows of an exported CSV.
 ROW_BLOCK = 256
+# the most bytes format_rows writes per value: "-1.2345678901234567e-308"
+# and its separator, kernel.c's VALUE_BYTES
+VALUE_BYTES = 25
 
 C_SOURCE = Path(__file__).with_name("kernel.c")
 # -ffp-contract=off and no -ffast-math or -march keep every operation a
@@ -108,6 +112,7 @@ def build(source: Path) -> Path:
 _double = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
 _int64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
 _i64 = ctypes.c_int64
 
 
@@ -121,6 +126,8 @@ def library() -> ctypes.CDLL:
     lib.ftacs_closed_loop.argtypes = (_double, _double, _i64, _double, _i64, _i64, _double,
                                       _int64, _i64, _double, _out, _out, _i64)
     lib.ftacs_closed_loop.restype = _i64
+    lib.ftacs_format_rows.argtypes = (_double, _i64, _i64, _bytes, _i64)
+    lib.ftacs_format_rows.restype = _i64
     return lib
 
 
@@ -142,6 +149,19 @@ def reference_attitude(qd0: np.ndarray, table: np.ndarray, w_mid: np.ndarray,
     if table.ndim != 2 or table.shape[1] < 8:
         raise ValueError(f"table has shape {table.shape}, expected (n, 8 or more)")
     library().ftacs_reference_attitude(qd0, table, table.shape[1], n, w_mid, w_end, dt)
+
+
+def format_rows(rows: np.ndarray, buf: np.ndarray) -> int:
+    """Write the (n, cols) float rows into buf, a uint8 array of at least
+    VALUE_BYTES bytes per value, as np.savetxt(fmt="%.17g", delimiter=",")
+    writes them, and return the number of bytes. Each value is written as
+    Python's "%.17g" % value writes it, NaN as nan whatever its sign bit."""
+    if rows.ndim != 2:
+        raise ValueError(f"rows has shape {rows.shape}, expected (n, cols)")
+    if buf.size < VALUE_BYTES * rows.size:
+        raise ValueError(f"buf holds {buf.size} bytes, fewer than the {VALUE_BYTES * rows.size} "
+                         f"that {rows.size} values may take")
+    return library().ftacs_format_rows(rows, *rows.shape, buf, buf.size)
 
 
 def bias_noise(noise: NoiseParams, dt: float, rng: np.random.Generator, n: int) -> np.ndarray:

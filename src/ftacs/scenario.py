@@ -19,7 +19,7 @@ import yaml
 
 from .actuation import ActuatorBank, HealthProfile, SignalSpec, rank_deficient
 from .config import (ControllerGains, ModelEstimates, UncertaintyBudget, check_inertia,
-                     check_integer, freeze_arrays, freeze_floats, to_float, zero_budget)
+                     check_integer, echo, freeze_arrays, freeze_floats, to_float, zero_budget)
 from .estimation import NoiseParams, SyntheticErrorProfile
 from .kernel import square_norm
 
@@ -54,7 +54,7 @@ class ObserverSpec(SyntheticErrorProfile):
 
     def __post_init__(self):
         if self.kind not in ("perfect", "synthetic", "bias"):
-            raise ValueError(f"unknown observer kind {self.kind!r}")
+            raise ValueError(f"unknown observer kind {echo(self.kind)}")
         super().__post_init__()
         freeze_floats(self, "k_o", "k_b")
         if self.kind == "bias":
@@ -85,13 +85,14 @@ class InitialConditionSpec:
         object.__setattr__(self, "q0", tuple(self.q0))
         object.__setattr__(self, "omega0", tuple(self.omega0))
         if self.kind not in ("fixed", "random"):
-            raise ValueError(f"unknown initial-condition kind {self.kind!r}")
+            raise ValueError(f"unknown initial-condition kind {echo(self.kind)}")
         if len(self.q0) != 4 or len(self.omega0) != 3:
             raise ValueError(f"init needs a 4-element q0 and a 3-element omega0, "
                              f"got {len(self.q0)} and {len(self.omega0)}")
         for name in ("q0", "omega0"):
             if not all(_is_finite_number(v, f"init.{name}") for v in getattr(self, name)):
-                raise ValueError(f"init.{name} must be finite numbers, got {list(getattr(self, name))!r}")
+                raise ValueError(f"init.{name} must be finite numbers, "
+                                 f"got {echo(list(getattr(self, name)))}")
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 0.0 < square_norm(self.q0) < math.inf:
             raise ValueError(f"init.q0 must be nonzero, with a sum of squares in (0, inf), "
@@ -134,7 +135,7 @@ class Scenario:
         # every command names its output files after the scenario
         if not (isinstance(self.name, str) and self.name) or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a non-empty string without '/', '\\' or NUL, "
-                             f"got {self.name!r}")
+                             f"got {echo(self.name)}")
         # Linux file systems allow 255 bytes in a file name, and the longest
         # suffix a command writes is 29: "-seed", a 20-digit seed and ".csv"
         if len(self.name.encode()) > 200:
@@ -263,19 +264,6 @@ def _key(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
-ECHO_LIMIT = 200
-
-
-def _echo(value) -> str:
-    """repr(value), cut to its first ECHO_LIMIT characters when longer: a
-    message echoes a rejected value from a file whole only when it is short."""
-    try:
-        text = repr(value)
-    except RecursionError:  # nested deeper than repr() reaches
-        return f"a {type(value).__name__} nested too deeply to show"
-    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
-
-
 def _build(cls, d, where: str):
     """Build dataclass `cls` from a mapping, checking every key against its
     fields: a missing, unknown or mistyped key raises a ValueError naming it."""
@@ -284,7 +272,7 @@ def _build(cls, d, where: str):
     schema = _schema(cls)
     for key in d:
         if key not in schema:
-            raise ValueError(f"unknown key {_echo(_key(where, key))} (known: {', '.join(schema)})")
+            raise ValueError(f"unknown key {echo(_key(where, key))} (known: {', '.join(schema)})")
     kwargs = {}
     for name, (hint, item, required) in schema.items():
         key, value = _key(where, name), d.get(name)
@@ -295,7 +283,7 @@ def _build(cls, d, where: str):
         if hint in _SCALARS:
             types, expected = _SCALARS[hint]
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{key}: expected {expected}, got {_echo(value)}")
+                raise ValueError(f"{key}: expected {expected}, got {echo(value)}")
             kwargs[name] = value if item is None else [
                 _build(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
         elif hint is np.ndarray:
@@ -319,7 +307,7 @@ def _array(value, key: str) -> np.ndarray:
             return np.asarray(value, dtype=float)
         except (ValueError, OverflowError):  # ragged, or an int beyond float range
             pass
-    raise ValueError(f"{key}: expected a list of numbers, got {_echo(value)}")
+    raise ValueError(f"{key}: expected a list of numbers, got {echo(value)}")
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -344,15 +332,44 @@ def _yaml_error(exc: yaml.YAMLError, text: str) -> str:
     return f"not valid YAML at line {mark.line + 1} ({line!r}): {cause}"
 
 
+# PyYAML's libyaml loader composes a collection inside another by a recursive
+# C call: collections nested 20,000 to 30,000 deep overflow an 8 MB stack, and
+# the process dies of SIGSEGV. A scenario nests a few levels.
+NESTING_LIMIT = 5_000
+
+
+def _check_nesting(text: str):
+    """Raise a ValueError when the YAML text nests collections more than
+    NESTING_LIMIT deep. Each collection opens at one of the characters
+    [{-:?, so a text with fewer of them passes unparsed. Another is walked by
+    the parser's events, whose stack is on the heap, up to the first level
+    too deep; quoted scalars and comments do not count."""
+    if sum(map(text.count, "[{-:?")) <= NESTING_LIMIT:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_Loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > NESTING_LIMIT:
+                raise ValueError(f"collections nested more than {NESTING_LIMIT} levels deep")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def load_scenario_file(path: str | Path) -> Scenario:
-    """Read a scenario YAML file. Invalid YAML, or a document that does not
-    make a valid scenario, raises a ValueError naming the file and the key."""
+    """Read a scenario YAML file. Invalid YAML, collections nested more than
+    NESTING_LIMIT deep, or a document that does not make a valid scenario,
+    raise a ValueError naming the file and the key."""
     path = Path(path)
     try:
         text = path.read_text()  # bytes that do not decode raise a ValueError
+        _check_nesting(text)
         return scenario_from_dict(yaml.load(text, Loader=_Loader))
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: {_yaml_error(exc, text)}") from exc
+    except RecursionError:  # the pure-Python loader's, between 400 and 1,000 levels deep
+        raise ValueError(f"{path}: collections nested too deeply for the pure-Python "
+                         "YAML loader") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

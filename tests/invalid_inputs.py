@@ -82,10 +82,11 @@ def scenario_bytes(edit, preset: str = "paper-faulty", duration: float = 10.0) -
     return text.encode() if isinstance(text, str) else text
 
 
-def _nested(depth: int):
-    """A text edit that sets J to `depth` nested empty lists."""
-    return lambda text: re.sub(r"^J:\n([- ] .*\n)+", f"J: {'[' * depth}{']' * depth}\n", text,
-                               flags=re.M)
+def nested(depth: int, block: bool = False):
+    """A text edit that sets J to `depth` nested empty lists, in flow style
+    ([[...]]) or as block entries (- - ... [])."""
+    value = f"\n{'- ' * (depth - 1)}[]" if block else f" {'[' * depth}{']' * depth}"
+    return lambda text: re.sub(r"^J:\n([- ] .*\n)+", f"J:{value}\n", text, flags=re.M)
 
 
 nan, inf = math.nan, math.inf
@@ -167,14 +168,30 @@ ROWS = [
         at("qd0: expected a list of numbers, got [True, 0, 0, 0]")),
     Row("K-not-3x3", {"gains.K": [[1.0, 0.0], [0.0, 1.0]]}, at("K must be 3x3")),
     # arrays have at most 2 dimensions: 400 levels once ended in a RecursionError
-    Row("J-nested-400-deep", _nested(400), at("J: expected a list of numbers, got [[[["), EVERY),
-    Row("J-nested-2000-deep", _nested(2000), at("J: expected a list of numbers, got "), CHECK),
+    Row("J-nested-400-deep", nested(400), at("J: expected a list of numbers, got [[[["), EVERY),
+    Row("J-nested-2000-deep", nested(2000), at("J: expected a list of numbers, got "), CHECK),
+    # libyaml builds nested collections by recursing on the C stack: at 50,000
+    # levels the process died of SIGSEGV, with no message
+    Row("J-nested-50000-deep", nested(50_000), exact(
+        "error: {file}: collections nested more than 5000 levels deep\n"), CHECK),
+    Row("J-block-nested-50000-deep", nested(50_000, block=True), exact(
+        "error: {file}: collections nested more than 5000 levels deep\n"), CHECK),
     # a rejected value is echoed whole only when it is short
     Row("J-100000-strings", {"J": [["8.0"] * 100_000]}, at("J: expected a list of numbers, got [['8.0', "),
         CHECK),
     Row("dt-10000-numbers", {"dt": [0.01] * 10_000}, at("dt: expected a number, got [0.01, 0.01, "), CHECK),
     Row("unknown-key-100000-characters", {"x" * 100_000: 1}, at("unknown key 'xxxx"), CHECK),
-    # the checks of the built scenario
+    # the checks of the built scenario, which echo a long value cut short too
+    Row("name-slash-100000-characters", {"name": "/" + "x" * 100_000},
+        at("name must be a non-empty string without '/', '\\' or NUL, got '/xxxx"), CHECK),
+    Row("q0-entry-of-100000-zeros", {"init.q0": [[0] * 100_000, 0.0, 0.0, 0.0]},
+        at("init.q0 must be finite numbers, got [[0, 0, "), CHECK),
+    Row("omega_d-kind-100000-characters", {"omega_d.x.kind": "y" * 100_000},
+        at("unknown signal kind 'yyyy"), CHECK),
+    Row("observer-kind-100000-characters", {"observer.kind": "z" * 100_000},
+        at("unknown observer kind 'zzzz"), CHECK),
+    Row("init-kind-100000-characters", {"init.kind": "w" * 100_000},
+        at("unknown initial-condition kind 'wwww"), CHECK),
     Row("J-nan", {"J": [[nan, 0.15, -0.27], *J[1:]]}, at("J must be finite, got [[nan, 0.15, -0.27]")),
     Row("J_hat-inf", {"estimates.J_hat": [[8.0, inf, 0.0], [inf, 7.0, 0.0], [0.0, 0.0, 6.0]]},
         at("J_hat must be finite, got [[8.0, inf, 0.0]")),

@@ -751,6 +751,7 @@ def random_trace(n, m=4):
         tau_u=rng.standard_normal((n, m)) * 0.02, qtilde_norm=rng.uniform(0.0, 1e-4, n),
         wtilde_norm=rng.uniform(0.0, 1e-4, n))
     trace.qe[0, 1:] = [-0.0, 1e-300, 1.0 / 3.0]  # signed zero, tiny, repeating digits
+    trace.tau_u[0] = [math.inf, -math.inf, math.nan, -math.nan]  # written inf, -inf, nan, nan
     return trace
 
 
@@ -767,7 +768,7 @@ def test_trace_csv_bytes_equal_savetxt_and_read_back_exactly(tmp_path, n):
     assert path.read_bytes() == reference.read_bytes()
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert table.shape == (n, 17)
-    assert np.array_equal(table, columns)
+    assert np.array_equal(table, columns, equal_nan=True)
 
 
 def test_summary_jsonl_record_count(tmp_path):

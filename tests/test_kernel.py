@@ -4,10 +4,13 @@ reference (reference.py), one step at a time through the function the
 simulator runs, kernel.closed_loop; and against traces recorded before the
 float kernel replaced the numpy step loop. The float kernel's written-out
 products and its bias observer's draw order are checked against the
-reference helpers."""
+reference helpers. The CSV formatter, kernel.format_rows, is held to
+Python's "%.17g" % value with == on over a million doubles."""
 
 import math
+import re
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -467,3 +470,105 @@ def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
     assert kernel.closed_loop(sc, signals, q, w, rng_compiled, rec, 1) == state
     assert np.array_equal(rec, expected)
     assert rng_compiled.pos == rng_float.pos == 10 * 4 * ROW_BLOCK + inserted
+
+
+# ---------------------------------------------------------------------------
+# the CSV formatter, against Python's "%.17g" % value
+
+def python_rows(rows: np.ndarray) -> bytes:
+    """The rows as the Python loop of np.savetxt(fmt="%.17g", delimiter=",")
+    writes them."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(map(line.__mod__, map(tuple, rows.tolist()))).encode()
+
+
+def format_rows(rows: np.ndarray) -> bytes:
+    buf = np.empty(kernel.VALUE_BYTES * rows.size, dtype=np.uint8)
+    return buf[:kernel.format_rows(rows, buf)].tobytes()
+
+
+def powers_of_ten_and_neighbours() -> list[float]:
+    """10^k, the double nearest 1e{k} and the largest double below it, and
+    9.9999999999999999e{k} and 9.99999999999999995e{k}, each with its
+    5 neighbours on either side, for k in [-25, 20]."""
+    values = []
+    for k in range(-25, 21):
+        for x in {10.0**k, float(f"1e{k}"), float(f"9.9999999999999999e{k}"),
+                  float(f"9.99999999999999995e{k}")}:
+            for _ in range(5):
+                x = math.nextafter(x, 0.0)
+            for _ in range(11):
+                values.append(x)
+                x = math.nextafter(x, math.inf)
+    return values
+
+
+def rounding_up_to_powers_of_ten() -> list[float]:
+    """The largest double below 10^k, for k in [-300, 300], where its 17
+    digits round up to 10^k: 13 values, one of them on the exact integer
+    path, below 1e-14."""
+    values = []
+    for k in range(-300, 301):
+        x = float(Decimal(10) ** k)
+        while Decimal(x) >= Decimal(10) ** k:
+            x = math.nextafter(x, 0.0)
+        if re.fullmatch(r"(0\.0*)?10*(e[-+]\d+)?", "%.17g" % x):
+            values.append(x)
+    return values
+
+
+def exact_ties(rng: np.random.Generator) -> list[float]:
+    """Doubles m * 2^-s, m odd, whose exact decimal m * 5^s has 18 digits,
+    the last a 5: each lies halfway between two 17-digit decimals. For each
+    s, the 200 smallest and largest such m and about 3,000 drawn between them."""
+    ties = []
+    for s in range(2, 26):
+        lo, hi = -(-10**17 // 5**s), min((10**18 - 1) // 5**s, 2**53 - 1)
+        ms = {*range(lo, lo + 400), *range(hi - 400, hi + 1),
+              *(rng.integers(lo, hi + 1, 3000) | 1).tolist()}
+        ties += [m * 2.0**-s for m in ms if m % 2 and lo <= m <= hi]
+    return ties
+
+
+def test_format_rows_writes_python_percent_17g_byte_for_byte():
+    rng = np.random.default_rng(34)
+    bits = rng.integers(0, 2**64, 650_000, dtype=np.uint64)  # every binary exponent
+    subnormal = (rng.integers(1, 2**52, 50_000, dtype=np.uint64)
+                 | rng.integers(0, 2, 50_000, dtype=np.uint64) << np.uint64(63))
+    # the exponents of a trace, [1e-24, 1e18]: the exact integer path
+    moderate = (rng.integers(1023 - 80, 1023 + 60, 300_000).astype(np.uint64) << np.uint64(52)
+                | rng.integers(0, 2**52, 300_000, dtype=np.uint64))
+    special = np.array([0x0, 0x8000000000000000,  # +-0
+                        0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+                        0x7FF8000000000000, 0xFFF8000000000000,  # NaN of either sign
+                        0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    ties = exact_ties(rng)
+    near = powers_of_ten_and_neighbours()
+    rounding_up = rounding_up_to_powers_of_ten()
+    values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64),
+                             moderate.view(np.float64), special.view(np.float64),
+                             ties, near, rounding_up, -np.array(near + rounding_up)])
+    assert len(values) >= 10**6 and len(ties) > 50_000
+    assert any(1e-22 < x < 1e17 for x in rounding_up)  # on the exact integer path
+    rows = values[: len(values) // 8 * 8].reshape(-1, 8)
+    got, expected = format_rows(rows), python_rows(rows)
+    if got != expected:
+        wrong = [(v, text) for v, text in zip(rows.ravel().tolist(), got.decode().replace("\n", ",")
+                                              .split(",")) if text != "%.17g" % v]
+        raise AssertionError(f"{len(wrong)} values differ from Python's, first {wrong[:5]}")
+    tail = values[len(rows.ravel()):].reshape(-1, 1)
+    assert format_rows(tail) == python_rows(tail)
+
+
+def test_format_rows_returns_minus_1_when_cap_is_too_small_and_writes_no_further():
+    rows = np.array([[1.5, -2.0], [-1.2345678901234567e-300, math.nan]])
+    text = python_rows(rows)
+    assert len(text) == 7 + 29 and format_rows(rows) == text
+    for cap in (0, 3, 6, 7, 8, len(text) - 1, len(text)):
+        buf = np.full(len(text) + 8, 0xAA, dtype=np.uint8)
+        written = kernel.library().ftacs_format_rows(rows, *rows.shape, buf, cap)
+        assert written == (len(text) if cap == len(text) else -1)
+        assert (buf[cap:] == 0xAA).all()
+    assert buf[:written].tobytes() == text
+    with pytest.raises(ValueError, match="fewer than the 100"):
+        kernel.format_rows(rows, np.empty(99, dtype=np.uint8))

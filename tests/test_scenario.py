@@ -27,7 +27,7 @@ from ftacs.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from invalid_inputs import RUNS, check_run, run_id, scenario_bytes
+from invalid_inputs import RUNS, check_run, nested, run_id, scenario_bytes
 
 
 def test_signal_spec_values_and_derivatives():
@@ -498,3 +498,23 @@ def test_integer_of_more_than_20_digits_is_named_by_its_digit_count(monkeypatch,
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_brackets_in_a_quoted_name_or_a_comment_are_not_nesting(tmp_path):
+    # the nesting check counts collections, not the characters that may open one
+    path = tmp_path / "brackets.yaml"
+    save_scenario(paper_faulty(name="[" * 100, duration=10.0), path)
+    text = path.read_text()
+    assert "name: '[[[" in text
+    assert load_scenario_file(path).name == "[" * 100
+    path.write_text(f"# {'[{' * scenario.NESTING_LIMIT}\n{text}")
+    assert load_scenario_file(path).name == "[" * 100
+
+
+def test_pure_python_loader_rejects_deep_nesting_with_an_error(tmp_path, monkeypatch):
+    # without libyaml, yaml.load raised RecursionError past about 1,000 levels
+    monkeypatch.setattr(scenario, "_Loader", type("_Loader", (scenario._UniqueKeys, yaml.SafeLoader), {}))
+    path = tmp_path / "deep.yaml"
+    path.write_bytes(scenario_bytes(nested(2000)))
+    with pytest.raises(ValueError, match=r"deep\.yaml: collections nested too deeply for the pure-Python"):
+        load_scenario_file(path)
