@@ -201,7 +201,7 @@ def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> 
     q, w = _initial_state(scenario, rng)  # a bias observer draws its noise after it
     # one recorded row per dec steps, in the column order of the RunTrace fields
     rec = np.empty((-(-n // dec), 17 + m))
-    kernel.closed_loop(scenario, signals, q, w, rng, rec, dec)
+    kernel.closed_loop(signals, q, w, rng, rec, dec)
     return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
                     s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
                     qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=scenario.dt * dec)

@@ -9,11 +9,12 @@ harness.RunTrace views.
 reference_attitude runs the reference-attitude RK4 of scenario_signals.
 format_rows writes rows of floats as the text of harness.export_trace_csv.
 
-The C source keeps the operation order of the float kernel it replaced, so
-its results are bit for bit those of the same arithmetic on Python floats;
-tests/float_kernel.py keeps that float kernel as the oracle, and
-tests/test_kernel.py holds the two equal with == and one compiled step to the
-numpy reference chain of tests/reference.py within 1e-12.
+The C source writes each vector and quaternion operation once, as a small
+inlined helper in the operand order and association of the float kernel it
+replaced, so its results are bit for bit those of the same arithmetic on
+Python floats; tests/float_kernel.py keeps that float kernel as the oracle,
+and tests/test_kernel.py holds the two equal with == and one compiled step
+to the numpy reference chain of tests/reference.py within 1e-12.
 
 The library is built with the platform's C compiler (COMPILE) the first time
 a simulation needs it, into __pycache__/ beside kernel.c, under a name keyed
@@ -22,9 +23,10 @@ module builds and loads nothing. A missing compiler or an unwritable
 directory raises OSError naming the command or the directory.
 
 The bias observer's sensor noise does not depend on the state: bias_noise
-shapes it in numpy per block of ROW_BLOCK steps, from normals consumed in the
-order the reference's sensor_sample draws them, an axis redraw included, and
-the kernel reads 10 floats per step.
+shapes the noise of every step in numpy in one pass, from normals consumed in
+the order the reference's sensor_sample draws them, an axis redraw included,
+and the kernel reads 10 floats per step. ROW_BLOCK sizes the buffer through
+which harness.export_trace_csv formats the rows of a CSV.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .estimation import NoiseParams
 
-# Steps handled at a time as one numpy block: the bias observer's sensor
-# noise, and the rows of an exported CSV.
+# Rows of an exported CSV formatted at a time, through one buffer
 ROW_BLOCK = 256
 # the most bytes format_rows writes per value: "-1.2345678901234567e-308"
 # and its separator, kernel.c's VALUE_BYTES
@@ -169,36 +170,29 @@ def bias_noise(noise: NoiseParams, dt: float, rng: np.random.Generator, n: int) 
     the gyro bias (3) and sigma_u * eta_u (3) of each step, as the
     reference's sensor_sample forms them (tests/reference.py).
 
-    The noise is shaped ROW_BLOCK steps at a time. Each block takes 10 normal
-    draws per step from rng, in the order sensor_sample draws them: the
-    angle, the axis, the gyro noise, the bias walk. An axis whose norm is
-    below 1e-12 is dropped from the block and the draws after it move up,
+    Each step takes 10 normal draws from rng, in the order sensor_sample
+    draws them: the angle, the axis, the gyro noise, the bias walk. An axis
+    whose norm is below 1e-12 is dropped and the draws after it move up,
     with 3 new draws at the end, so the next 3 draws are the axis, as
-    random_unit_vector redraws it. The bias walk is summed in sequence and
-    carried across blocks."""
+    random_unit_vector redraws it. The bias walk is summed in sequence."""
     walk = noise.sigma_v * math.sqrt(dt)
-    bias = noise.b0.reshape(1, 3)
-    blocks = []
-    for _ in range(-(-n // ROW_BLOCK)):
-        draws = rng.standard_normal(10 * ROW_BLOCK)
-        while True:
-            x, y, z = draws.reshape(ROW_BLOCK, 10)[:, 1:4].T
-            norm = np.sqrt(x * x + y * y + z * z)
-            short = np.flatnonzero(norm < 1e-12)
-            if not short.size:
-                break
-            i = 10 * short[0] + 1
-            draws = np.concatenate((draws[:i], draws[i + 3:], rng.standard_normal(3)))
-        draws = draws.reshape(ROW_BLOCK, 10)
-        half = 0.5 * (noise.sigma_theta * draws[:, 0])
-        sh = np.sin(half)
-        c0, c1, c2, c3 = np.cos(half), sh * (x / norm), sh * (y / norm), sh * (z / norm)
-        m = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
-        walked = np.cumsum(np.concatenate((bias, walk * draws[:, 7:10])), axis=0)
-        bias = walked[-1:]
-        blocks.append(np.column_stack((c0 / m, -c1 / m, -c2 / m, -c3 / m, walked[:-1],
-                                       noise.sigma_u * draws[:, 4:7])))
-    return np.concatenate(blocks)[:n] if blocks else np.empty((0, 10))
+    draws = rng.standard_normal(10 * n)
+    while True:
+        x, y, z = draws.reshape(n, 10)[:, 1:4].T
+        norm = np.sqrt(x * x + y * y + z * z)
+        short = np.flatnonzero(norm < 1e-12)
+        if not short.size:
+            break
+        i = 10 * short[0] + 1
+        draws = np.concatenate((draws[:i], draws[i + 3:], rng.standard_normal(3)))
+    draws = draws.reshape(n, 10)
+    half = 0.5 * (noise.sigma_theta * draws[:, 0])
+    sh = np.sin(half)
+    c0, c1, c2, c3 = np.cos(half), sh * (x / norm), sh * (y / norm), sh * (z / norm)
+    m = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
+    walked = np.cumsum(np.concatenate((noise.b0.reshape(1, 3), walk * draws[:, 7:10])), axis=0)
+    return np.column_stack((c0 / m, -c1 / m, -c2 / m, -c3 / m, walked[:-1],
+                            noise.sigma_u * draws[:, 4:7]))
 
 
 # the length of par, whose layout constants() defines beside kernel.c's P_* offsets
@@ -220,11 +214,11 @@ def constants(scenario, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return par, np.ascontiguousarray(scenario.bank.D.T, dtype=np.float64)
 
 
-def closed_loop(scenario, signals, q: tuple, w: tuple, rng: np.random.Generator,
+def closed_loop(signals, q: tuple, w: tuple, rng: np.random.Generator,
                 rec: np.ndarray, record_every: int) -> tuple[tuple, tuple]:
     """Run the steps of signals (a harness.ScenarioSignals) from the state
-    (q, w) with its packed constants (constants()) and the scenario's
-    observer, and return the final state. A step observes the state, applies
+    (q, w) with its packed constants (constants()) and the observer of its
+    scenario, and return the final state. A step observes the state, applies
     the reference's control_step (tests/reference.py) to the estimates,
     realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
     renormalized once. A bias observer draws its sensor noise from rng
@@ -236,6 +230,7 @@ def closed_loop(scenario, signals, q: tuple, w: tuple, rng: np.random.Generator,
     64-bit integer, so it must be at most the number of steps; a larger
     decimation records the same one row. A non-finite state raises
     NonFiniteState naming the step."""
+    scenario = signals.scenario
     spec = scenario.observer
     table, alloc, alloc_index = signals.table, signals.alloc, signals.alloc_index
     n, m = len(table), scenario.bank.m

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftacs.actuation import ActuatorBank, allocation_matrix
+from ftacs.actuation import ActuatorBank, HealthProfile, allocation_matrix
 from ftacs.bounds import robust_coefficients
 from ftacs.config import ModelEstimates
 from ftacs.errors import NonFiniteState
@@ -27,7 +27,9 @@ from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
     PAPER_J_HAT,
+    PAPER_TAU_MAX,
     ObserverSpec,
+    SignalSpec,
     nominal_exact,
     paper_budget,
     paper_fault_free,
@@ -117,10 +119,29 @@ PRESET_CASES = {f"{make.__name__}_{kind}": preset_case(make, kind)
                 for make in (paper_faulty, paper_fault_free, nominal_exact)
                 for kind in OBSERVER_SPECS}
 
+# pair 5 of 6 is on, off, on, ...: 0.5 + 1e9 sin(t + 0.5) clips to exactly 1 or 0
+SIX_PAIR_TOGGLE = HealthProfile([*HealthProfile.healthy(4).profiles,
+                                 SignalSpec("sin", 0.5, scale=1e9, phase=0.5),
+                                 SignalSpec("const", 1.0)])
+# banks of other than the paper's 4 pairs, for the offsets that depend on m:
+# the health and observer columns, the recorded row and the allocation matrices
+PAIR_CASES = {
+    "three_pairs_identity_synthetic": lambda: paper_faulty(
+        duration=20.0, bank=ActuatorBank(D=np.eye(3), tau_max=PAPER_TAU_MAX),
+        health=HealthProfile([SignalSpec("abs_sin", 1.0, scale=-0.1, freq=1.0),
+                              SignalSpec("cos", 0.7, scale=-0.1, freq=1.0),
+                              SignalSpec("sin", 0.5, scale=-0.1, freq=1.0)]),
+        health_estimate=HealthProfile.healthy(3)),
+    "six_pairs_toggled_synthetic": lambda: paper_fault_free(
+        duration=20.0, health=SIX_PAIR_TOGGLE, health_estimate=SIX_PAIR_TOGGLE,
+        bank=ActuatorBank(D=np.column_stack((PAPER_D, [0.6, 0.8, 0.0], [0.0, 0.0, -1.0])),
+                          tau_max=PAPER_TAU_MAX)),
+}
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + sorted(PRESET_CASES))
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + sorted(PRESET_CASES) + sorted(PAIR_CASES))
 def test_compiled_kernel_equals_the_float_kernel(case):
-    sc = {**GOLDEN_CASES, **PRESET_CASES}[case]()
+    sc = {**GOLDEN_CASES, **PRESET_CASES, **PAIR_CASES}[case]()
     signals = scenario_signals(sc)
     # the compiled reference attitude equals the float kernel's
     assert np.array_equal(signals.table, float_signals(sc).table)
@@ -128,6 +149,19 @@ def test_compiled_kernel_equals_the_float_kernel(case):
     for f in fields(RunTrace):
         a, b = getattr(compiled, f.name), getattr(oracle, f.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f"{case}.{f.name}"
+
+
+def test_pair_cases_run_the_synthetic_observer_on_3_and_6_pairs():
+    # the 6-pair bank's health estimate switches between two allocation
+    # matrices and back
+    banks = {}
+    for make in PAIR_CASES.values():
+        sc = make()
+        signals = scenario_signals(sc)
+        assert sc.observer.kind == "synthetic"
+        banks[sc.bank.m] = (len(signals.alloc), np.count_nonzero(np.diff(signals.alloc_index)))
+    assert banks[3] == (1, 0)
+    assert banks[6][0] == 2 and banks[6][1] >= 2
 
 
 @pytest.mark.parametrize("decimation", [1, 3])
@@ -161,7 +195,7 @@ def compiled_step(sc, coeffs, q, w, row, alloc):
                               table=np.array([row]), alloc=np.array([alloc]),
                               alloc_index=np.zeros(1, dtype=np.int64))
     rec = np.empty((1, 17 + sc.bank.m))
-    q, w = kernel.closed_loop(sc, signals, q, w, np.random.default_rng(5), rec, 1)
+    q, w = kernel.closed_loop(signals, q, w, np.random.default_rng(5), rec, 1)
     return q, w, rec[0]
 
 
@@ -271,7 +305,7 @@ def test_closed_loop_rejects_packed_constants_of_another_shape(name, value):
     signals = replace(scenario_signals(sc), **{name: value})
     rec = np.empty((sc.n_steps, 17 + sc.bank.m))
     with pytest.raises(ValueError, match=f"^{name} has shape"):
-        kernel.closed_loop(sc, signals, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+        kernel.closed_loop(signals, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                            np.random.default_rng(1), rec, 1)
 
 
@@ -467,9 +501,12 @@ def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
                           sc.bank, sc.J, sc.dt, observe)
     expected, rec = np.empty((900, 21)), np.empty((900, 21))
     state = advance(q, w, steps(signals), expected, 1)
-    assert kernel.closed_loop(sc, signals, q, w, rng_compiled, rec, 1) == state
+    assert kernel.closed_loop(signals, q, w, rng_compiled, rec, 1) == state
     assert np.array_equal(rec, expected)
-    assert rng_compiled.pos == rng_float.pos == 10 * 4 * ROW_BLOCK + inserted
+    # the float kernel draws whole noise blocks; bias_noise draws the 900
+    # steps' normals and the redrawn axes, no more
+    assert rng_float.pos == 10 * 4 * ROW_BLOCK + inserted
+    assert rng_compiled.pos == 10 * 900 + inserted
 
 
 # ---------------------------------------------------------------------------
