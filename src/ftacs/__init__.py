@@ -14,10 +14,11 @@ Library layout:
     kernel      the compiled closed loop (kernel.c, built on first use and
                 loaded through ctypes): one call runs every step of an
                 instance (observer, control law, allocation and saturation,
-                faulty actuators, rigid body), another the reference
-                attitude's RK4
+                faulty actuators, rigid body) and forms its instance record,
+                another the reference attitude's RK4
     harness     closed-loop runner, instance and campaign records (one set of
-                keys), Monte Carlo campaigns, verification, export
+                keys), Monte Carlo campaigns with no record table,
+                verification, export
 """
 
 from .bounds import (
@@ -46,7 +47,6 @@ from .harness import (
     export_trace_csv,
     run_campaign,
     run_scenario,
-    steady_state_stats,
     verify,
 )
 from .scenario import (
@@ -94,7 +94,6 @@ __all__ = [
     "run_campaign",
     "run_scenario",
     "save_scenario",
-    "steady_state_stats",
     "verify",
     "zero_budget",
 ]

@@ -28,7 +28,6 @@ from .harness import (
     json_record,
     run_campaign,
     run_scenario,
-    steady_state_stats,
     verify,
 )
 from .scenario import PRESETS, load_scenario
@@ -51,13 +50,13 @@ def cmd_simulate(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     out = _out_dir(args) / f"{scenario.name}-seed{scenario.seed}.csv"
     trace = run_scenario(scenario)
-    stats = steady_state_stats(trace, scenario.tail_fraction)
+    record = trace.record
     export_trace_csv(trace, out)
     print(f"wrote {out}")
     print(
-        f"tail maxima: theta_e {stats['theta_tail_max_deg']:.6g} deg, "
-        f"|omega_e| {math.degrees(stats['omega_tail_max_rad_s']):.6g} deg/s, "
-        f"|qe_vec| {stats['qe_tail_max']:.6g}"
+        f"tail maxima: theta_e {record['theta_tail_max_deg']:.6g} deg, "
+        f"|omega_e| {math.degrees(record['omega_tail_max_rad_s']):.6g} deg/s, "
+        f"|qe_vec| {record['qe_tail_max']:.6g}"
     )
     return EXIT_OK
 

@@ -1,9 +1,15 @@
-"""Closed-loop simulation, Monte Carlo campaigns, steady-state statistics,
-predicted-vs-simulated verification, and trace persistence."""
+"""Closed-loop simulation, Monte Carlo campaigns, predicted-vs-simulated
+verification, and trace persistence.
+
+An instance is one call of the compiled kernel (kernel.ClosedLoop), bound
+once per ScenarioSignals. The kernel forms the instance record, the tail
+maxima and command peaks, from the rows it records, so a campaign keeps no
+record table: run_instance draws the initial state, makes the call and names
+the record's floats. run_scenario also passes the kernel a table for the
+rows, which its RunTrace views."""
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, fields
@@ -41,12 +47,21 @@ class RunTrace:
     qtilde_norm: np.ndarray
     wtilde_norm: np.ndarray
     dt: float = 0.0
+    record: dict | None = None  # the instance record of the run (run_instance)
+
+    @classmethod
+    def from_rows(cls, rec: np.ndarray, dt: float, record: dict) -> "RunTrace":
+        """The trace whose fields view the kernel's recorded rows, rec."""
+        m = rec.shape[1] - 17
+        return cls(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
+                   s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
+                   qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=dt, record=record)
 
 
 @dataclass(frozen=True)
 class CampaignSummary:
     """The outcome of each instance in seed order, the instance record of an
-    instance that finished (see steady_state_stats) or the failure line of one
+    instance that finished (see run_instance) or the failure line of one
     whose state went non-finite, beside its seed, and the predicted bounds.
     Everything else is read from the outcomes; record() gathers it."""
 
@@ -182,51 +197,47 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     )
 
 
+# the keys of the instance record, in the order of the kernel's stats; each
+# pair's command peak, tau_u_peak, follows them
+INSTANCE_KEYS = ("theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max", "s_tail_max",
+                 "qtilde_tail_max", "wtilde_tail_max")
+
+
+def run_instance(loop: kernel.ClosedLoop, scenario: Scenario, seed: int,
+                 rec: np.ndarray | None = None) -> dict:
+    """Run the instance of scenario from seed through loop, its closed loop,
+    which also fills rec when given, and return the instance record: the
+    maxima over the final max(1, round(tail_fraction*n)) of the n recorded
+    samples, under the campaign record's keys, and tau_u_peak, per thruster
+    pair the max |tau_u,i| over the whole recorded run, not only the tail."""
+    rng = np.random.default_rng(seed)
+    q, w = _initial_state(scenario, rng)  # a bias observer draws its noise after it
+    *_, stats = loop(q, w, rng, rec)
+    return dict(zip(INSTANCE_KEYS, stats), tau_u_peak=stats[len(INSTANCE_KEYS):])
+
+
+def _closed_loop(scenario: Scenario, signals: ScenarioSignals) -> kernel.ClosedLoop:
+    # a decimation beyond the grid records the one row that n_steps records
+    return kernel.ClosedLoop(signals, min(scenario.record_decimation, scenario.n_steps),
+                             scenario.tail_fraction)
+
+
 def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> RunTrace:
     """Propagate the full closed loop truth -> observer -> controller ->
-    actuators -> dynamics at fixed dt, from the scenario's own seed.
+    actuators -> dynamics at fixed dt, from the scenario's own seed, and
+    return its recorded rows and its instance record.
 
-    signals, from scenario_signals, is built here when not given; a campaign's
-    instances share one, whose scenario differs from theirs in the seed alone."""
+    signals, from scenario_signals, is built here when not given; it may be
+    one built for a scenario that differs from this one in the seed alone."""
     if signals is None:
         signals = scenario_signals(scenario)
     elif any(getattr(scenario, f.name) is not getattr(signals.scenario, f.name)
              for f in fields(Scenario) if f.name != "seed"):
         raise ValueError("signals were built for a scenario that differs in more than its seed")
-    rng = np.random.default_rng(scenario.seed)
-    n, m = scenario.n_steps, scenario.bank.m
-    # a decimation beyond the grid records the one row that n_steps records
-    dec = min(scenario.record_decimation, n)
-
-    q, w = _initial_state(scenario, rng)  # a bias observer draws its noise after it
-    # one recorded row per dec steps, in the column order of the RunTrace fields
-    rec = np.empty((-(-n // dec), 17 + m))
-    kernel.closed_loop(signals, q, w, rng, rec, dec)
-    return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
-                    s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
-                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=scenario.dt * dec)
-
-
-def steady_state_stats(trace: RunTrace, tail_fraction: float) -> dict:
-    """The instance record: maxima over the final max(1, round(tail_fraction*n))
-    of the n recorded samples, under the campaign record's keys, and
-    tau_u_peak: per thruster pair, the max |tau_u,i| over the whole recorded
-    run, not only the tail."""
-    n = len(trace.t)
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    if n == 0:
-        raise ValueError("tail window has no samples")
-    sl = slice(n - max(1, round(tail_fraction * n)), n)
-    return {
-        "theta_tail_max_deg": float(np.max(trace.theta_e_deg[sl])),
-        "omega_tail_max_rad_s": float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
-        "qe_tail_max": float(np.max(np.linalg.norm(trace.qe[sl, 1:], axis=1))),
-        "s_tail_max": float(np.max(np.linalg.norm(trace.s[sl], axis=1))),
-        "qtilde_tail_max": float(np.max(trace.qtilde_norm[sl])),
-        "wtilde_tail_max": float(np.max(trace.wtilde_norm[sl])),
-        "tau_u_peak": np.abs(trace.tau_u).max(axis=0).tolist(),
-    }
+    loop = _closed_loop(scenario, signals)
+    rec = np.empty(loop.rec_shape)  # one recorded row per loop.record_every steps
+    record = run_instance(loop, scenario, scenario.seed, rec)
+    return RunTrace.from_rows(rec, scenario.dt * loop.record_every, record)
 
 
 def instance_seeds(campaign_seed: int, n: int) -> list[int]:
@@ -239,21 +250,20 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     """Run n independent instances in seed order, in this process, and keep
     the outcome of each.
 
-    The bound prediction and the shared precompute come first. An instance
-    whose state goes non-finite is recorded as failed, by a line naming its
-    index and seed, and the campaign continues; any other exception ends it."""
+    The bound prediction, the shared precompute and its closed loop come
+    first; each instance is then run_instance on its own seed, with no
+    record table. An instance whose state goes non-finite is recorded as
+    failed, by a line naming its index and seed, and the campaign continues;
+    any other exception ends it."""
     n_instances = check_integer("n_instances", n_instances, 1)
     # a failed gain condition or rank-deficient allocation fails before any instance runs
     predicted = predict(scenario.budget, scenario.gains)
-    signals = scenario_signals(scenario)
+    loop = _closed_loop(scenario, scenario_signals(scenario))
     seeds = instance_seeds(scenario.seed, n_instances)
     outcomes: list[dict | str] = []
     for idx, seed in enumerate(seeds):
-        instance = copy.copy(scenario)  # not replace, which reruns Scenario.__post_init__
-        object.__setattr__(instance, "seed", seed)  # 32-bit ints meet the seed rule
         try:
-            trace = run_scenario(instance, signals)
-            outcomes.append(steady_state_stats(trace, scenario.tail_fraction))
+            outcomes.append(run_instance(loop, scenario, seed))
         except NonFiniteState as exc:
             outcomes.append(f"instance {idx} (seed {seed}): {exc}")
     return CampaignSummary(outcomes=outcomes, seeds=seeds, predicted=predicted)

@@ -3,8 +3,9 @@
    kernel.py builds this file into a shared library the first time a
    simulation needs it and calls its three functions through ctypes:
    ftacs_reference_attitude fills the reference attitude of a step table,
-   ftacs_closed_loop runs every step of an instance over that table, and
-   ftacs_format_rows writes rows of doubles as the text of a trace CSV.
+   ftacs_closed_loop runs every step of an instance over that table and
+   forms its instance record, and ftacs_format_rows writes rows of doubles
+   as the text of a trace CSV.
 
    Each operation on vectors and quaternions is written once, as one of the
    small helpers below, in the operand order and association of the float
@@ -138,6 +139,9 @@ INLINE body rk4(body k1, body k2, body k3, body k4)
                   add(add(add(k1.w, scale(2.0, k2.w)), scale(2.0, k3.w)), k4.w)};
 }
 
+/* the larger of a running maximum m and x, NaN once either is NaN */
+INLINE double running_max(double m, double x) { return x > m || x != x ? x : m; }
+
 /* RK4 step of the kinematics with the rate w1 at the start, w2 at the
    midpoint (stages 2 and 3) and w4 at the end, renormalized. */
 INLINE quat kinematics_rk4(quat q, vec w1, vec w2, vec w4, double dt)
@@ -177,15 +181,20 @@ void ftacs_reference_attitude(const double *qd0, double *table, int64_t ncols, i
    floats per step: qtilde_m^-1 (4), the gyro bias (3) and sigma_u * eta_u
    (3).
 
-   Every dec-th step from the first writes the row (t, qe, omega_e, s,
-   s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of 17 + m floats
-   into rec, one row after another. Returns -1, or the first step whose new
-   state is not finite, where the run stops. */
+   Every dec-th step from the first forms the recorded row (t, qe, omega_e,
+   s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of 17 + m
+   floats, and writes it into rec, one row after another, unless rec is
+   NULL. stats receives the instance record of those rows: the maxima of
+   theta_e_deg, |omega_e|, |qe_v|, |s|, |qtilde_v| and |omega_tilde| over
+   the rows from row tail_start on, then each pair's max |tau_u,j| over
+   every row, 6 + m floats. Each is taken of the doubles the row holds, and
+   a NaN among them makes the maximum NaN, as numpy's max does. Returns -1,
+   or the first step whose new state is not finite, where the run stops. */
 int64_t ftacs_closed_loop(const double *par, const double *pairs, int64_t m,
                           const double *table, int64_t ncols, int64_t n,
                           const double *alloc, const int64_t *alloc_index,
-                          int64_t observer, const double *noise,
-                          double *state, double *rec, int64_t dec)
+                          int64_t observer, int64_t dec, int64_t tail_start,
+                          const double *noise, double *state, double *rec, double *stats)
 {
     const double k = par[P_K];
     const double *K = par + P_KM, *Jh = par + P_JHAT, *M = par + P_J, *I = par + P_JINV;
@@ -197,6 +206,10 @@ int64_t ftacs_closed_loop(const double *par, const double *pairs, int64_t m,
     const double h = 0.5 * dt;
     const double c = dt / 6.0;
     const int64_t width = 17 + m;
+    const int64_t tail_step = tail_start * dec;
+    double *peak = stats + 6;
+    for (int64_t j = 0; j < 6 + m; j++)
+        stats[j] = -INFINITY;
 
     body x = {qload(state), load(state + 4)};
     /* the bias observer's estimates; the first is the first measurement */
@@ -208,7 +221,8 @@ int64_t ftacs_closed_loop(const double *par, const double *pairs, int64_t m,
         const quat qd = qload(row + 1);
         const vec wd = load(row + 5), wdd = load(row + 8), tau_d = load(row + 11);
         const double *health = row + 14, *errors = row + 14 + m;
-        double *out = i % dec == 0 ? rec + i / dec * width : 0;
+        const int recorded = i % dec == 0;
+        double *out = recorded && rec ? rec + i / dec * width : 0;
         quat qh;
         vec wh;
 
@@ -268,26 +282,41 @@ int64_t ftacs_closed_loop(const double *par, const double *pairs, int64_t m,
             const double r = dot(load(A + 3 * j), u);
             const double tj = r > tau_max ? tau_max : r < -tau_max ? -tau_max : r;
             tau = add(tau, scale(health[j] * tj, load(pairs + 3 * j)));
+            if (recorded)
+                peak[j] = running_max(peak[j], fabs(tj));
             if (out)
                 out[15 + j] = tj;
         }
 
-        if (out) {
-            /* true errors qe = qd^-1 (x) q and omega_e = omega - R(qe) omega_d;
-               observer errors qtilde = q_hat^-1 (x) q, of which the vector
-               part is recorded, and omega_hat - omega */
+        if (recorded) {
+            /* true errors qe = qd^-1 (x) q, omega_e = omega - R(qe) omega_d
+               and s; observer errors qtilde = q_hat^-1 (x) q, of which the
+               vector part is recorded, and omega_hat - omega */
             const quat te = conj_mul(qd, x.q);
             const vec to = sub(x.w, rotate(te, wd));
+            const vec ts = add(to, scale(k, vpart(te)));
             /* Python's min(abs(e0), 1.0) is abs(e0) unless 1.0 < abs(e0), NaN included */
             const double a = fabs(te.w);
-            out[0] = row[0];
-            qstore(out + 1, te);
-            store(out + 5, to);
-            store(out + 8, add(to, scale(k, vpart(te))));
-            store(out + 11, s);
-            out[14] = 2.0 * acos(1.0 < a ? 1.0 : a) * RAD_TO_DEG;
-            out[15 + m] = norm(vpart(conj_mul(qh, x.q)));
-            out[16 + m] = norm(sub(wh, x.w));
+            const double theta = 2.0 * acos(1.0 < a ? 1.0 : a) * RAD_TO_DEG;
+            const double qt = norm(vpart(conj_mul(qh, x.q))), wt = norm(sub(wh, x.w));
+            if (out) {
+                out[0] = row[0];
+                qstore(out + 1, te);
+                store(out + 5, to);
+                store(out + 8, ts);
+                store(out + 11, s);
+                out[14] = theta;
+                out[15 + m] = qt;
+                out[16 + m] = wt;
+            }
+            if (i >= tail_step) {
+                stats[0] = running_max(stats[0], theta);
+                stats[1] = running_max(stats[1], norm(to));
+                stats[2] = running_max(stats[2], norm(vpart(te)));
+                stats[3] = running_max(stats[3], norm(ts));
+                stats[4] = running_max(stats[4], qt);
+                stats[5] = running_max(stats[5], wt);
+            }
         }
 
         /* RK4 of the rigid body under tau_c + tau_d held over the step */

@@ -1,11 +1,14 @@
 """The closed loop of an instance, run by the compiled kernel in kernel.c.
 
-closed_loop runs every step of an instance in one call: observer, control
-law, per-pair allocation and saturation, faulty actuators, plant RK4, the
-recorded row and the non-finite check. It reads the precomputed
-harness.ScenarioSignals table and packed constants in place and writes each
-recorded sample as a row of one preallocated float table, whose columns
-harness.RunTrace views.
+ClosedLoop binds the kernel to one precomputed harness.ScenarioSignals: it
+checks the table's and packed constants' shapes once and passes their
+addresses to every call, which runs every step of an instance: observer,
+control law, per-pair allocation and saturation, faulty actuators, plant
+RK4, the recorded row and the non-finite check. The kernel forms the
+instance record, the tail maxima and each pair's command peak, from the
+recorded rows as it goes, and writes the rows into a float table, whose
+columns harness.RunTrace views, only when it is given one; a campaign's
+instances have none.
 reference_attitude runs the reference-attitude RK4 of scenario_signals.
 format_rows writes rows of floats as the text of harness.export_trace_csv.
 
@@ -112,9 +115,9 @@ def build(source: Path) -> Path:
 
 _double = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-_int64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
 _i64 = ctypes.c_int64
+_ptr = ctypes.c_void_p
 
 
 @functools.cache
@@ -124,17 +127,20 @@ def library() -> ctypes.CDLL:
     lib.ftacs_reference_attitude.argtypes = (_double, _out, _i64, _i64, _double, _double,
                                              ctypes.c_double)
     lib.ftacs_reference_attitude.restype = None
-    lib.ftacs_closed_loop.argtypes = (_double, _double, _i64, _double, _i64, _i64, _double,
-                                      _int64, _i64, _double, _out, _out, _i64)
+    # addresses checked and taken once per ClosedLoop
+    lib.ftacs_closed_loop.argtypes = (_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _i64, _i64,
+                                      _i64, _ptr, _ptr, _ptr, _ptr)
     lib.ftacs_closed_loop.restype = _i64
     lib.ftacs_format_rows.argtypes = (_double, _i64, _i64, _bytes, _i64)
     lib.ftacs_format_rows.restype = _i64
     return lib
 
 
-def _require(name: str, array: np.ndarray, shape: tuple):
+def _require(name: str, array: np.ndarray, shape: tuple, dtype=np.float64):
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array")
 
 
 def reference_attitude(qd0: np.ndarray, table: np.ndarray, w_mid: np.ndarray,
@@ -214,43 +220,76 @@ def constants(scenario, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return par, np.ascontiguousarray(scenario.bank.D.T, dtype=np.float64)
 
 
-def closed_loop(signals, q: tuple, w: tuple, rng: np.random.Generator,
-                rec: np.ndarray, record_every: int) -> tuple[tuple, tuple]:
-    """Run the steps of signals (a harness.ScenarioSignals) from the state
-    (q, w) with its packed constants (constants()) and the observer of its
-    scenario, and return the final state. A step observes the state, applies
-    the reference's control_step (tests/reference.py) to the estimates,
-    realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
-    renormalized once. A bias observer draws its sensor noise from rng
-    (bias_noise) before the first step.
+class ClosedLoop:
+    """The closed loop of the instances on signals (a harness.ScenarioSignals)
+    with its packed constants (constants()) and the observer of its scenario.
 
-    Every record_every-th step, from the first, records the row (t, qe,
-    omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of
-    17 + m floats into rec, from its top. record_every crosses into C as a
-    64-bit integer, so it must be at most the number of steps; a larger
-    decimation records the same one row. A non-finite state raises
-    NonFiniteState naming the step."""
-    scenario = signals.scenario
-    spec = scenario.observer
-    table, alloc, alloc_index = signals.table, signals.alloc, signals.alloc_index
-    n, m = len(table), scenario.bank.m
-    observer = OBSERVERS[spec.kind]
-    if not 1 <= record_every <= max(n, 1):
-        raise ValueError(f"record_every must be in [1, {n}], got {record_every}")
-    _require("constants", signals.constants, (N_CONSTANTS,))
-    _require("pairs", signals.pairs, (m, 3))
-    _require("table", table, (n, 14 + m + (7 if spec.kind == "synthetic" else 0)))
-    _require("alloc_index", alloc_index, (n,))
-    _require("alloc", alloc, (len(alloc), m, 3))
-    _require("rec", rec, (-(-n // record_every), 17 + m))
-    if n and not 0 <= alloc_index.min() <= alloc_index.max() < len(alloc):
-        raise ValueError(f"alloc_index must index the {len(alloc)} allocation matrices")
-    noise = (bias_noise(scenario.noise, scenario.dt, rng, n) if spec.kind == "bias"
-             else np.empty((0, 10)))
-    state = np.array([*q, *w], dtype=np.float64)
-    step = library().ftacs_closed_loop(
-        signals.constants, signals.pairs, m, table, table.shape[1], n, alloc, alloc_index,
-        observer, noise, state, rec, record_every)
-    if step >= 0:
-        raise NonFiniteState(f"non-finite state at step {step} (t={table[step, 0]:.3f} s)")
-    return tuple(state[:4].tolist()), tuple(state[4:].tolist())
+    The shapes, dtypes and layout of signals' arrays are checked here, once,
+    and the kernel's arguments are bound to their addresses; the object
+    keeps the arrays alive. Each call is one C call from the state (q, w).
+    A step observes the state, applies the reference's control_step
+    (tests/reference.py) to the estimates, realizes D*E*tau_u + tau_d and
+    takes RK4 of the rigid body, q renormalized once. A bias observer draws
+    its sensor noise from rng (bias_noise) before the first step.
+
+    Every record_every-th step, from the first, forms the recorded row (t,
+    qe, omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of
+    17 + m floats, written into rec, from its top, when rec is given.
+    record_every crosses into C as a 64-bit integer, so it must be at most
+    the number of steps; a larger decimation records the same one row. The
+    instance record is formed from the same rows, rec or not (__call__)."""
+
+    def __init__(self, signals, record_every: int, tail_fraction: float):
+        scenario = signals.scenario
+        spec = scenario.observer
+        table, alloc, alloc_index = signals.table, signals.alloc, signals.alloc_index
+        n, m = len(table), scenario.bank.m
+        if not 1 <= record_every <= n:  # and so n >= 1: the tail has a row
+            raise ValueError(f"record_every must be in [1, {n}], got {record_every}")
+        if not 0.0 < tail_fraction <= 1.0:
+            raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+        _require("constants", signals.constants, (N_CONSTANTS,))
+        _require("pairs", signals.pairs, (m, 3))
+        _require("table", table, (n, 14 + m + (7 if spec.kind == "synthetic" else 0)))
+        _require("alloc_index", alloc_index, (n,), np.int64)
+        _require("alloc", alloc, (len(alloc), m, 3))
+        if not 0 <= alloc_index.min() <= alloc_index.max() < len(alloc):
+            raise ValueError(f"alloc_index must index the {len(alloc)} allocation matrices")
+        self.record_every = record_every
+        self.rec_shape = (-(-n // record_every), 17 + m)
+        # Python's round, half to even, is the one rounding of the tail window
+        tail_start = self.rec_shape[0] - max(1, round(tail_fraction * self.rec_shape[0]))
+        # the arrays whose addresses _bound holds, alive as long as it is
+        self._arrays = (signals.constants, signals.pairs, table, alloc, alloc_index)
+        self._table = table
+        self._bound = (signals.constants.ctypes.data, signals.pairs.ctypes.data, m,
+                       table.ctypes.data, table.shape[1], n, alloc.ctypes.data,
+                       alloc_index.ctypes.data, OBSERVERS[spec.kind], record_every, tail_start)
+        self._noise = scenario.noise if spec.kind == "bias" else None
+        self._dt = scenario.dt
+        self._stats = ctypes.c_double * (6 + m)
+        self._call = library().ftacs_closed_loop
+
+    def __call__(self, q: tuple, w: tuple, rng: np.random.Generator,
+                 rec: np.ndarray | None = None) -> tuple[tuple, tuple, list]:
+        """Run the steps from the state (q, w) and return the final state
+        and stats, the instance record as floats: the maxima of
+        theta_e_deg, |omega_e|, |qe_v|, |s|, |qtilde_v| and |omega_tilde|
+        over the final max(1, round(tail_fraction * rows)) of the recorded
+        rows, then each pair's max |tau_u,j| over all of them. A non-finite
+        state raises NonFiniteState naming the step."""
+        if rec is not None:
+            _require("rec", rec, self.rec_shape)
+            if not rec.flags.writeable:
+                raise ValueError("rec must be writeable")
+        noise = address = None
+        if self._noise is not None:  # noise is held here until the call returns
+            noise = bias_noise(self._noise, self._dt, rng, len(self._table))
+            address = noise.ctypes.data
+        state, stats = (ctypes.c_double * 7)(*q, *w), self._stats()
+        step = self._call(*self._bound, address, state, None if rec is None else rec.ctypes.data,
+                          stats)
+        if step >= 0:
+            raise NonFiniteState(f"non-finite state at step {step} "
+                                 f"(t={self._table[step, 0]:.3f} s)")
+        return tuple(state[:4]), tuple(state[4:]), stats[:]

@@ -11,7 +11,8 @@ preallocated float table, whose columns harness.RunTrace views. Observers
 take (q, w, errors), errors being the row's observer-error columns.
 reference_attitude is the reference-attitude RK4 loop of scenario_signals,
 and run_scenario runs an instance on the float kernel as harness.run_scenario
-does on the compiled one.
+does on the compiled one, its instance record formed by the numpy oracle
+reference.steady_state_stats.
 
 The functions write out the quaternion product, the rotation and the
 quaternion rate in place of calling helpers, since a Python call costs more
@@ -40,6 +41,7 @@ from ftacs.config import ControllerGains, ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams
 from ftacs.harness import RunTrace, ScenarioSignals, _initial_state, scenario_signals
+from reference import steady_state_stats
 
 # Steps handled at a time as Python floats: the bias observer's sensor noise,
 # the rows of precomputed signals and of recorded samples. Long runs keep
@@ -117,9 +119,9 @@ def run_scenario(scenario, signals: ScenarioSignals | None = None) -> RunTrace:
     # one recorded row per dec steps, in the column order of the RunTrace fields
     rec = np.empty((-(-scenario.n_steps // dec), 17 + m))
     advance(q, w, steps(signals), rec, dec)
-    return RunTrace(t=rec[:, 0], qe=rec[:, 1:5], omega_e=rec[:, 5:8], s=rec[:, 8:11],
-                    s_hat=rec[:, 11:14], theta_e_deg=rec[:, 14], tau_u=rec[:, 15:15 + m],
-                    qtilde_norm=rec[:, 15 + m], wtilde_norm=rec[:, 16 + m], dt=dt * dec)
+    trace = RunTrace.from_rows(rec, dt * dec, None)
+    trace.record = steady_state_stats(trace, scenario.tail_fraction)
+    return trace
 
 
 def kinematics_rk4(q, w1, w2, w4, dt):

@@ -1,12 +1,14 @@
 """Numpy reference of the closed loop, one function per equation.
 
-The package runs the closed loop on Python floats (ftacs.kernel). The
+The package runs the closed loop in compiled C (ftacs.kernel). The
 functions here state the same math on numpy arrays: quaternion algebra, the
 rigid-body plant and its RK4 step, the tracking-error coordinates and the
 sliding-variable flow, the sensors and observers, the allocation and the
 control law. The tests check them against the paper's identities and hold
-the kernel to them (test_kernel.py). The bound prediction has its reference
-here too, which test_bounds.py holds ftacs.bounds to.
+the kernel to them (test_kernel.py). steady_state_stats forms the instance
+record of a recorded trace, which the kernel forms as it runs. The bound
+prediction has its reference here too, which test_bounds.py holds
+ftacs.bounds to.
 """
 
 from __future__ import annotations
@@ -724,6 +726,32 @@ def check_gain_conditions(
         epsilon_condition=epsilon_condition(gains, c),
         epsilon_margin=gains.epsilon - c.rho_s,
     )
+
+
+# ---------------------------------------------------------------------------
+# the instance record
+
+
+def steady_state_stats(trace, tail_fraction: float) -> dict:
+    """The instance record of a harness.RunTrace: maxima over the final
+    max(1, round(tail_fraction*n)) of the n recorded samples, under the
+    campaign record's keys, and tau_u_peak: per thruster pair, the max
+    |tau_u,i| over the whole recorded run, not only the tail."""
+    n = len(trace.t)
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    if n == 0:
+        raise ValueError("tail window has no samples")
+    sl = slice(n - max(1, round(tail_fraction * n)), n)
+    return {
+        "theta_tail_max_deg": float(np.max(trace.theta_e_deg[sl])),
+        "omega_tail_max_rad_s": float(np.max(np.linalg.norm(trace.omega_e[sl], axis=1))),
+        "qe_tail_max": float(np.max(np.linalg.norm(trace.qe[sl, 1:], axis=1))),
+        "s_tail_max": float(np.max(np.linalg.norm(trace.s[sl], axis=1))),
+        "qtilde_tail_max": float(np.max(trace.qtilde_norm[sl])),
+        "wtilde_tail_max": float(np.max(trace.wtilde_norm[sl])),
+        "tau_u_peak": np.abs(trace.tau_u).max(axis=0).tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------

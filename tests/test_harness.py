@@ -30,7 +30,6 @@ from ftacs.harness import (
     run_campaign,
     run_scenario,
     scenario_signals,
-    steady_state_stats,
     trace_columns,
     verify,
 )
@@ -48,7 +47,8 @@ from ftacs.scenario import (
     scenario_to_dict,
 )
 from float_kernel import kinematics_rk4
-from reference import normalize, quat_from_axis_angle, spectral_norm, with_numpy_scalars
+from reference import (normalize, quat_from_axis_angle, spectral_norm, steady_state_stats,
+                       with_numpy_scalars)
 
 # the keys of the campaign record, in order; the five tail maxima among them
 TAIL_MAXIMA_KEYS = ["theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max",
@@ -95,6 +95,8 @@ def test_run_trace_shape_and_grid(monkeypatch, make, dec):
     assert np.array_equal(trace.t, (sc.dt * np.arange(sc.n_steps))[::dec])
     for f in fields(RunTrace):
         value = getattr(trace, f.name)
+        if f.name == "record":  # the instance record's floats
+            value = [*list(value.values())[:-1], *value["tau_u_peak"]]
         assert np.isfinite(value).all(), f.name
     assert trace.dt == sc.dt * dec
     assert np.all(trace.theta_e_deg >= 0.0)
@@ -283,7 +285,7 @@ def _fake_trace(theta, omega_e, t=None):
 
 
 def instance_record(theta, omega, qe=0.0, s=0.0, qtilde=0.0, wtilde=0.0):
-    """An instance record, as steady_state_stats returns it, of four thruster pairs."""
+    """An instance record, as run_instance returns it, of four thruster pairs."""
     return {"theta_tail_max_deg": theta, "omega_tail_max_rad_s": omega, "qe_tail_max": qe,
             "s_tail_max": s, "qtilde_tail_max": qtilde, "wtilde_tail_max": wtilde,
             "tau_u_peak": [0.0] * 4}
@@ -296,14 +298,19 @@ def test_instance_seeds_deterministic():
 
 
 def campaign_traces(monkeypatch, sc, n):
-    """Run a campaign and keep the trace of every instance."""
+    """Run a campaign and keep the trace of every instance: each instance
+    runs once more on the campaign's closed loop, writing its rows, before
+    the campaign's own run, which writes none."""
     traces = []
+    run_instance = harness.run_instance
 
-    def keep(*args, **kwargs):
-        traces.append(run_scenario(*args, **kwargs))
-        return traces[-1]
+    def keep(loop, scenario, seed, rec=None):
+        rows = np.empty(loop.rec_shape)
+        record = run_instance(loop, scenario, seed, rows)
+        traces.append(RunTrace.from_rows(rows, scenario.dt * loop.record_every, record))
+        return run_instance(loop, scenario, seed, rec)
 
-    monkeypatch.setattr(harness, "run_scenario", keep)
+    monkeypatch.setattr(harness, "run_instance", keep)
     summary = run_campaign(sc, n)
     monkeypatch.undo()
     return summary, traces
@@ -371,8 +378,8 @@ def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
 
 
 def campaign_copy(sc, **changes):
-    """A copy of sc with the given fields set, as a campaign makes each
-    instance: no field is checked or copied again."""
+    """A copy of sc with the given fields set, its other fields the same
+    objects: no field is checked or copied again."""
     instance = copy.copy(sc)
     for name, value in changes.items():
         object.__setattr__(instance, name, value)
@@ -430,7 +437,7 @@ def fading_estimate():
 
 def test_rank_deficient_estimate_fails_before_any_instance(monkeypatch):
     # Scenario validation checks every step of the grid, not only t = 0
-    monkeypatch.setattr(harness, "run_scenario", never_called)
+    monkeypatch.setattr(harness, "run_instance", never_called)
     with pytest.raises(ValueError, match=r"^rank\(D \* Ehat\(t\)\) < 3 at t = 1\.58 s$"):
         sc = short_scenario(duration=5.0, health_estimate=fading_estimate())
         run_campaign(sc, 3)
@@ -498,14 +505,15 @@ def plant(monkeypatch, bad_seeds, exc):
     """Make the campaign's instances of `bad_seeds` raise exc; the others run.
     Returns the list of the seeds of the instances run, in order."""
     ran = []
+    run_instance = harness.run_instance
 
-    def run(scenario, signals=None):
-        ran.append(scenario.seed)
-        if scenario.seed in bad_seeds:
+    def run(loop, scenario, seed, rec=None):
+        ran.append(seed)
+        if seed in bad_seeds:
             raise exc
-        return run_scenario(scenario, signals)
+        return run_instance(loop, scenario, seed, rec)
 
-    monkeypatch.setattr(harness, "run_scenario", run)
+    monkeypatch.setattr(harness, "run_instance", run)
     return ran
 
 
@@ -581,13 +589,13 @@ def test_verify_passes_on_a_zero_budget_within_the_roundoff_floor(monkeypatch):
     report = verify(sc, 1)
     assert report["passed"] and report["roundoff_floor"] == harness.ROUNDOFF_FLOOR <= 1e-12
     assert report["omega_bound_rad_s"] == 0.0 < report["omega_tail_max_rad_s"] <= 1e-12
-    stats = harness.steady_state_stats
+    run_instance = harness.run_instance
     for key in ("theta_tail_max_deg", "omega_tail_max_rad_s"):
-        def planted(trace, tail_fraction, key=key):
-            st = stats(trace, tail_fraction)
+        def planted(loop, scenario, seed, rec=None, key=key):
+            st = run_instance(loop, scenario, seed, rec)
             return {**st, key: st[key] + 1e-9}
 
-        monkeypatch.setattr(harness, "steady_state_stats", planted)
+        monkeypatch.setattr(harness, "run_instance", planted)
         with pytest.raises(BoundViolated, match=re.escape("bounds in instance 0")):
             verify(sc, 1)
     predicted = predict(sc.budget, sc.gains)

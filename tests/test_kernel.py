@@ -1,7 +1,7 @@
 """The compiled closed-loop kernel against the float kernel it replaced
 (float_kernel.py), with == on every recorded field; against the numpy
-reference (reference.py), one step at a time through the function the
-simulator runs, kernel.closed_loop; and against traces recorded before the
+reference (reference.py), one step at a time through the closed loop the
+simulator runs, kernel.ClosedLoop; and against traces recorded before the
 float kernel replaced the numpy step loop. The float kernel's written-out
 products and its bias observer's draw order are checked against the
 reference helpers. The CSV formatter, kernel.format_rows, is held to
@@ -22,7 +22,7 @@ from ftacs.config import ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams, SyntheticErrorProfile
 from ftacs import kernel
-from ftacs.harness import RunTrace, ScenarioSignals, run_scenario, scenario_signals
+from ftacs.harness import RunTrace, ScenarioSignals, run_instance, run_scenario, scenario_signals
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -60,6 +60,7 @@ from reference import (
     quat_from_axis_angle,
     rk4_step,
     sensor_sample,
+    steady_state_stats,
     synthetic_observer,
     tracking_errors,
 )
@@ -151,6 +152,34 @@ def test_compiled_kernel_equals_the_float_kernel(case):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f"{case}.{f.name}"
 
 
+# (n_steps, decimation, tail_fraction): the tail of rows * fraction rounds
+# half to even, from 2.5 to 2 and from 1.5 to 2, or is the one recorded row
+RECORD_CASES = [(10, 1, 0.25), (25, 1, 0.1), (30, 1, 0.05), (35, 7, 0.5), (173, 7, 0.1),
+                (210, 7, 0.05), (40, 40, 0.2)]
+
+
+@pytest.mark.parametrize("kind", sorted(OBSERVER_SPECS))
+@pytest.mark.parametrize("n_steps, decimation, fraction", RECORD_CASES)
+def test_kernel_instance_record_equals_the_oracle(kind, n_steps, decimation, fraction):
+    # the record the kernel forms as it runs, with the rows written
+    # (run_scenario) and with none (a campaign's run_instance), is the numpy
+    # oracle's record of the written rows
+    sc = paper_faulty(duration=n_steps * 0.01, record_decimation=decimation,
+                      tail_fraction=fraction, observer=OBSERVER_SPECS[kind])
+    assert sc.n_steps == n_steps
+    trace = run_scenario(sc)
+    rows = len(trace.t)
+    tail = max(1, round(fraction * rows))
+    assert rows == -(-n_steps // decimation) and tail == (2 if rows > 1 else 1)
+    oracle = steady_state_stats(trace, fraction)
+    assert trace.record == oracle
+    loop = kernel.ClosedLoop(scenario_signals(sc), decimation, fraction)
+    assert run_instance(loop, sc, sc.seed) == oracle
+    if rows > 1:  # the case tells the window from one a row longer
+        longer = steady_state_stats(trace, (tail + 1) / rows)
+        assert longer["theta_tail_max_deg"] != oracle["theta_tail_max_deg"]
+
+
 def test_pair_cases_run_the_synthetic_observer_on_3_and_6_pairs():
     # the 6-pair bank's health estimate switches between two allocation
     # matrices and back
@@ -187,7 +216,7 @@ def one_step(q, w, observed, step, dt, est, coeffs):
 
 
 def compiled_step(sc, coeffs, q, w, row, alloc):
-    """One step of kernel.closed_loop from (q, w) with the scenario's gains,
+    """One step of kernel.ClosedLoop from (q, w) with the scenario's gains,
     estimates, bank, inertia, dt and observer on one table row and its
     allocation matrix: the new state and the recorded row."""
     constants, pairs = kernel.constants(sc, coeffs)
@@ -195,7 +224,7 @@ def compiled_step(sc, coeffs, q, w, row, alloc):
                               table=np.array([row]), alloc=np.array([alloc]),
                               alloc_index=np.zeros(1, dtype=np.int64))
     rec = np.empty((1, 17 + sc.bank.m))
-    q, w = kernel.closed_loop(signals, q, w, np.random.default_rng(5), rec, 1)
+    q, w, _ = kernel.ClosedLoop(signals, 1, 1.0)(q, w, np.random.default_rng(5), rec)
     return q, w, rec[0]
 
 
@@ -305,8 +334,34 @@ def test_closed_loop_rejects_packed_constants_of_another_shape(name, value):
     signals = replace(scenario_signals(sc), **{name: value})
     rec = np.empty((sc.n_steps, 17 + sc.bank.m))
     with pytest.raises(ValueError, match=f"^{name} has shape"):
-        kernel.closed_loop(signals, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                           np.random.default_rng(1), rec, 1)
+        kernel.ClosedLoop(signals, 1, 1.0)((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                           np.random.default_rng(1), rec)
+
+
+def test_closed_loop_takes_only_arrays_it_can_read_in_place():
+    # the kernel gets the addresses of the arrays, bound once: each must be
+    # C-contiguous with the dtype C reads, and rec writeable
+    sc = paper_faulty(duration=1.0)
+    signals = scenario_signals(sc)
+    for name, value, message in [
+            ("table", np.asfortranarray(signals.table), "table must be a C-contiguous float64"),
+            ("alloc_index", signals.alloc_index.astype(np.int32),
+             "alloc_index must be a C-contiguous int64"),
+            ("constants", signals.constants.astype(np.float32),
+             "constants must be a C-contiguous float64")]:
+        with pytest.raises(ValueError, match=f"^{message} array$"):
+            kernel.ClosedLoop(replace(signals, **{name: value}), 1, 1.0)
+    for fraction in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape("tail_fraction must be in (0, 1]")):
+            kernel.ClosedLoop(signals, 1, fraction)
+    loop = kernel.ClosedLoop(signals, 1, 1.0)
+    state = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"^rec has shape \(100, 20\), expected \(100, 21\)$"):
+        loop(*state, np.empty((sc.n_steps, 20)))
+    rec = np.empty(loop.rec_shape)
+    rec.flags.writeable = False
+    with pytest.raises(ValueError, match="^rec must be writeable$"):
+        loop(*state, rec)
 
 
 def test_reference_attitude_at_constant_rate_matches_rk4_step():
@@ -501,7 +556,7 @@ def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
                           sc.bank, sc.J, sc.dt, observe)
     expected, rec = np.empty((900, 21)), np.empty((900, 21))
     state = advance(q, w, steps(signals), expected, 1)
-    assert kernel.closed_loop(signals, q, w, rng_compiled, rec, 1) == state
+    assert kernel.ClosedLoop(signals, 1, 1.0)(q, w, rng_compiled, rec)[:2] == state
     assert np.array_equal(rec, expected)
     # the float kernel draws whole noise blocks; bias_noise draws the 900
     # steps' normals and the redrawn axes, no more
