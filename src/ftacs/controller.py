@@ -1,7 +1,7 @@
 """Stability gain conditions of the continuous sliding-mode control law.
 
 The law itself runs in each step of the compiled kernel (kernel.c), which
-kernel.closed_loop calls once per instance.
+kernel.ClosedLoop calls once per instance.
 """
 
 from __future__ import annotations

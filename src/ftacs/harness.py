@@ -138,7 +138,7 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple,
 class ScenarioSignals:
     """What the closed loop needs that does not depend on the instance, on the
     step grid of one scenario. Built once by scenario_signals and shared by
-    every instance of a campaign; the compiled kernel (kernel.closed_loop)
+    every instance of a campaign; the compiled kernel (kernel.ClosedLoop)
     reads its arrays in place.
 
     constants and pairs are the kernel's packed scenario constants and the

@@ -34,7 +34,7 @@
 /* CPython's math.degrees(x) is x * (180.0 / Py_MATH_PI) */
 static const double RAD_TO_DEG = 180.0 / 3.14159265358979323846;
 
-/* Offsets into par, the instance's constants, as kernel.closed_loop packs
+/* Offsets into par, the instance's constants, as kernel.constants packs
    them: matrices are row-major. */
 enum {
     P_K = 0,          /* the error gain k */

@@ -206,7 +206,7 @@ N_CONSTANTS = 48
 
 
 def constants(scenario, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """What closed_loop passes to the kernel that does not depend on the
+    """What ClosedLoop passes to the kernel that does not depend on the
     instance: par, the scenario's constants at kernel.c's P_* offsets (k, K,
     J_hat, tau_d_hat, the robust coefficients a0 and a1 of coeffs, gamma,
     epsilon, tau_max, J, inv(J), dt, and a bias observer's k_o and k_b, 0

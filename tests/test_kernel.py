@@ -180,6 +180,18 @@ def test_kernel_instance_record_equals_the_oracle(kind, n_steps, decimation, fra
         assert longer["theta_tail_max_deg"] != oracle["theta_tail_max_deg"]
 
 
+@pytest.mark.parametrize("case", sorted(PRESET_CASES))
+def test_instance_record_of_a_600_s_run_equals_the_oracle(case):
+    # each preset's whole horizon, with each observer, at full rate
+    sc = replace(PRESET_CASES[case](), duration=600.0)
+    trace = run_scenario(sc)
+    assert len(trace.t) == 60_000
+    oracle = steady_state_stats(trace, sc.tail_fraction)
+    assert trace.record == oracle
+    loop = kernel.ClosedLoop(scenario_signals(sc), 1, sc.tail_fraction)
+    assert run_instance(loop, sc, sc.seed) == oracle
+
+
 def test_pair_cases_run_the_synthetic_observer_on_3_and_6_pairs():
     # the 6-pair bank's health estimate switches between two allocation
     # matrices and back
