@@ -15,7 +15,8 @@ Library layout:
                 loaded through ctypes): one call runs every step of an
                 instance (observer, control law, allocation and saturation,
                 faulty actuators, rigid body) and forms its instance record,
-                another the reference attitude's RK4
+                another writes the step table of the scenario's signals and
+                reference attitude
     harness     closed-loop runner, instance and campaign records (one set of
                 keys), Monte Carlo campaigns with no record table,
                 verification, export

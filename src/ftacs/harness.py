@@ -161,28 +161,10 @@ class ScenarioSignals:
 
 def scenario_signals(scenario: Scenario) -> ScenarioSignals:
     """Evaluate the scenario's reference, disturbance, health and synthetic
-    observer signals on the step grid into one table, integrate the
-    reference attitude into it, build the allocation matrices and pack the
-    kernel's constants."""
-    dt = scenario.dt
+    observer signals on the step grid into one table, with the reference
+    attitude integrated through them (kernel.step_table), build the
+    allocation matrices and pack the kernel's constants."""
     n = scenario.n_steps
-    e = 14 + scenario.bank.m  # end of the health columns
-    synthetic = scenario.observer.kind == "synthetic"
-    table = np.empty((n, e + 7 if synthetic else e))
-    t = dt * np.arange(n)
-    table[:, 0] = t
-    table[:, 5:8] = scenario.omega_d(t)
-    table[:, 8:11] = scenario.omega_d.derivative(t)
-    table[:, 11:14] = scenario.disturbance(t + 0.5 * dt)
-    table[:, 14:e] = scenario.health(t)
-    if synthetic:
-        table[:, e:e + 4] = scenario.observer.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
-        table[:, e + 4:] = scenario.observer.omega_tilde(t)
-
-    # reference attitude: RK4 of the kinematics through the reference rates
-    kernel.reference_attitude(scenario.qd0, table, scenario.omega_d(t + 0.5 * dt),
-                              scenario.omega_d(t + dt), dt)
-
     # allocation matrices, computed once per distinct health-estimate row
     rows, runs, starts = scenario.health_estimate_runs
     constants, pairs = kernel.constants(scenario, robust_coefficients(scenario.budget,
@@ -191,7 +173,7 @@ def scenario_signals(scenario: Scenario) -> ScenarioSignals:
         scenario=scenario,
         constants=constants,
         pairs=pairs,
-        table=table,
+        table=kernel.step_table(scenario),
         alloc=np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
         alloc_index=np.repeat(runs, np.diff(starts, append=n)).astype(np.int64, copy=False),
     )

@@ -2,10 +2,10 @@
 
    kernel.py builds this file into a shared library the first time a
    simulation needs it and calls its three functions through ctypes:
-   ftacs_reference_attitude fills the reference attitude of a step table,
-   ftacs_closed_loop runs every step of an instance over that table and
-   forms its instance record, and ftacs_format_rows writes rows of doubles
-   as the text of a trace CSV.
+   ftacs_step_table writes the table of a scenario's signals and reference
+   attitude, one row per step, ftacs_closed_loop runs every step of an
+   instance over that table and forms its instance record, and
+   ftacs_format_rows writes rows of doubles as the text of a trace CSV.
 
    Each operation on vectors and quaternions is written once, as one of the
    small helpers below, in the operand order and association of the float
@@ -15,8 +15,11 @@
    x - (-y) == x + y, -x + y == y - x and x * y == y * x. That holds only
    under the build command in kernel.py: -ffp-contract=off keeps a * b + c
    from becoming one fused multiply-add, and no -ffast-math lets the
-   compiler reassociate. sqrt and acos are libm's, which CPython's math
-   module calls too.
+   compiler reassociate. sqrt, acos, sin and cos are libm's. CPython's math
+   module calls the same functions, and numpy's float64 sin and cos, through
+   which the scenario's signal methods evaluate, give the same doubles
+   wherever tests/test_harness.py holds the step table to those methods
+   byte for byte.
 
    Quaternions are scalar-first with the Hamilton product, and every product
    is renormalized. The rotation matrix is R(q) = I - 2*q0*qv^x + 2*qv^x*qv^x,
@@ -153,18 +156,96 @@ INLINE quat kinematics_rk4(quat q, vec w1, vec w2, vec w4, double dt)
     return unit(qadd(q, qscale(dt / 6.0, qrk4(k1, k2, k3, k4))));
 }
 
-/* The reference attitude of every step: table[i, 1:5] is qd at step i,
-   starting from qd0 and advanced by kinematics_rk4 through omega_d at the
-   step start (table[i, 5:8]), w_mid at its midpoint and w_end at its end,
-   both (n, 3). table has n rows of ncols columns. */
-void ftacs_reference_attitude(const double *qd0, double *table, int64_t ncols, int64_t n,
-                              const double *w_mid, const double *w_end, double dt)
+/* Signal kinds, as kernel.SIGNALS numbers them. A spec is the row (kind,
+   offset, scale, freq, phase) of a SignalSpec. */
+enum { CONST = 0, SIN = 1, COS = 2, ABS_SIN = 3 };
+
+/* x, or 0.0 when 0.0 > x: np.maximum(0.0, x), which keeps -0.0 and NaN */
+INLINE double at_least_0(double x) { return 0.0 > x ? 0.0 : x; }
+
+/* np.clip(x, 0.0, 1.0): at_least_0, then the smaller of that and 1.0 */
+INLINE double clip01(double x)
 {
+    const double a = at_least_0(x);
+    return 1.0 < a ? 1.0 : a;
+}
+
+/* np.sign(x): 1.0, -1.0, 0.0 for either zero, and NaN for NaN */
+INLINE double sign(double x) { return x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : x == 0.0 ? 0.0 : x; }
+
+/* The spec s at t, as SignalSpec.__call__ forms it: the offset plus the
+   scaled sin, cos or |sin| of freq * t + phase, or for a constant offset +
+   0.0, which turns -0.0 into 0.0 as offset + np.zeros_like(t) does. */
+INLINE double signal(const double *s, double t)
+{
+    if (s[0] == CONST)
+        return s[1] + 0.0;
+    const double x = s[3] * t + s[4];
+    return s[1] + s[2] * (s[0] == SIN ? sin(x) : s[0] == COS ? cos(x) : fabs(sin(x)));
+}
+
+/* its time derivative, as SignalSpec.derivative forms it */
+INLINE double derivative(const double *s, double t)
+{
+    if (s[0] == CONST)
+        return 0.0;
+    const double x = s[3] * t + s[4];
+    if (s[0] == SIN)
+        return s[2] * s[3] * cos(x);
+    if (s[0] == COS)
+        return -s[2] * s[3] * sin(x);
+    return s[2] * s[3] * sign(sin(x)) * cos(x);
+}
+
+/* the three specs from s, as VectorSignal evaluates them */
+INLINE vec vsignal(const double *s, double t)
+{
+    return (vec){signal(s, t), signal(s + 5, t), signal(s + 10, t)};
+}
+
+/* Write the n rows of the step table, each of 14 + m columns, then 7 more
+   when synthetic is nonzero: for step i at t = dt * i, t, qd (4), omega_d
+   and omega_d_dot at t (3 each), tau_d at t + 0.5 * dt (3), the true health
+   clipped to [0, 1] (m), and a synthetic observer's qtilde^-1 (4) and
+   omega_tilde (3) at t. specs holds the specs of omega_d (3), tau_d (3) and
+   the health (m), then, for a synthetic observer, the amplitude, freq and
+   phase of qtilde's and omega_tilde's sine in the scale, freq and phase of
+   two more rows. axes holds their directions, AXIS_Q and AXIS_W. qd starts
+   at qd0 and is advanced by kinematics_rk4 through omega_d at t, t + 0.5 * dt
+   and t + dt. Each value is formed by the expression, in its operand order,
+   of the numpy method the scenario's signals define. */
+void ftacs_step_table(const double *specs, int64_t m, int64_t synthetic, const double *axes,
+                      const double *qd0, double dt, int64_t n, double *table)
+{
+    const double *wd_spec = specs, *td_spec = specs + 15, *health = specs + 30;
+    const double *q_spec = health + 5 * m, *w_spec = q_spec + 5;
+    const int64_t e = 14 + m, ncols = synthetic ? e + 7 : e;
+    const double h = 0.5 * dt;
     quat q = qload(qd0);
     for (int64_t i = 0; i < n; i++) {
         double *row = table + i * ncols;
+        const double t = dt * (double)i;
+        const vec wd = vsignal(wd_spec, t);
+        row[0] = t;
         qstore(row + 1, q);
-        q = kinematics_rk4(q, load(row + 5), load(w_mid + 3 * i), load(w_end + 3 * i), dt);
+        store(row + 5, wd);
+        row[8] = derivative(wd_spec, t);
+        row[9] = derivative(wd_spec + 5, t);
+        row[10] = derivative(wd_spec + 10, t);
+        store(row + 11, vsignal(td_spec, t + h));
+        for (int64_t j = 0; j < m; j++)
+            row[14 + j] = clip01(signal(health + 5 * j, t));
+        if (synthetic) {
+            /* qtilde = (sqrt(max(0, 1 - |v|^2)), v) with v = amp_q sin(.) AXIS_Q,
+               inverted as qtilde * (1, -1, -1, -1), and omega_tilde = amp_w sin(.) AXIS_W */
+            const double a = q_spec[2] * sin(q_spec[3] * t + q_spec[4]);
+            const vec v = {a * axes[0], a * axes[1], a * axes[2]};
+            row[e] = sqrt(at_least_0(1.0 - dot(v, v)));
+            store(row + e + 1, scale(-1.0, v));
+            const double b = w_spec[2] * sin(w_spec[3] * t + w_spec[4]);
+            store(row + e + 4, (vec){b * axes[3], b * axes[4], b * axes[5]});
+        }
+        q = kinematics_rk4(q, wd, vsignal(wd_spec, t + h), vsignal(wd_spec, t + dt), dt);
     }
 }
 

@@ -9,7 +9,10 @@ instance record, the tail maxima and each pair's command peak, from the
 recorded rows as it goes, and writes the rows into a float table, whose
 columns harness.RunTrace views, only when it is given one; a campaign's
 instances have none.
-reference_attitude runs the reference-attitude RK4 of scenario_signals.
+step_table writes the table of harness.ScenarioSignals in one C call: the
+scenario's signals on the step grid, each value formed by the expression of
+the numpy method that defines it (SignalSpec, VectorSignal, HealthProfile,
+SyntheticErrorProfile), and the reference-attitude RK4 through them.
 format_rows writes rows of floats as the text of harness.export_trace_csv.
 
 The C source writes each vector and quaternion operation once, as a small
@@ -47,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteState
-from .estimation import NoiseParams
+from .estimation import AXIS_Q, AXIS_W, NoiseParams
 
 # Rows of an exported CSV formatted at a time, through one buffer
 ROW_BLOCK = 256
@@ -61,6 +64,8 @@ C_SOURCE = Path(__file__).with_name("kernel.c")
 COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the observer numbers of kernel.c
 OBSERVERS = {"perfect": 0, "synthetic": 1, "bias": 2}
+# the signal kind numbers of kernel.c, the first column of a spec row
+SIGNALS = {"const": 0, "sin": 1, "cos": 2, "abs_sin": 3}
 
 
 def square_norm(q) -> float:
@@ -124,9 +129,8 @@ _ptr = ctypes.c_void_p
 def library() -> ctypes.CDLL:
     """kernel.c's library, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(build(C_SOURCE)))
-    lib.ftacs_reference_attitude.argtypes = (_double, _out, _i64, _i64, _double, _double,
-                                             ctypes.c_double)
-    lib.ftacs_reference_attitude.restype = None
+    lib.ftacs_step_table.argtypes = (_ptr, _i64, _i64, _ptr, _ptr, ctypes.c_double, _i64, _ptr)
+    lib.ftacs_step_table.restype = None
     # addresses checked and taken once per ClosedLoop
     lib.ftacs_closed_loop.argtypes = (_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _i64, _i64,
                                       _i64, _ptr, _ptr, _ptr, _ptr)
@@ -143,19 +147,38 @@ def _require(name: str, array: np.ndarray, shape: tuple, dtype=np.float64):
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array")
 
 
-def reference_attitude(qd0: np.ndarray, table: np.ndarray, w_mid: np.ndarray,
-                       w_end: np.ndarray, dt: float):
-    """Fill table[:, 1:5] with the reference attitude of each step: qd0 at
-    the first, then RK4 of the kinematics qdot = 0.5*[-qv.w; q0*w + qv x w]
-    through omega_d at the step start (table[:, 5:8]), w_mid at its midpoint
-    (stages 2 and 3) and w_end at its end, renormalized after each step."""
-    n = len(table)
-    _require("qd0", qd0, (4,))
-    for name, w in (("w_mid", w_mid), ("w_end", w_end)):
-        _require(name, w, (n, 3))
-    if table.ndim != 2 or table.shape[1] < 8:
-        raise ValueError(f"table has shape {table.shape}, expected (n, 8 or more)")
-    library().ftacs_reference_attitude(qd0, table, table.shape[1], n, w_mid, w_end, dt)
+# the directions of the synthetic observer's errors, as step_table passes them
+AXES = np.concatenate((AXIS_Q, AXIS_W))
+
+
+def step_table(scenario) -> np.ndarray:
+    """The (n_steps, 14 + m) step table of harness.ScenarioSignals, with 7
+    more columns for a synthetic observer, written by one C call: for step i
+    at t = dt * i, t, qd (4), omega_d(t), omega_d.derivative(t),
+    disturbance(t + 0.5 * dt) and health(t), then the synthetic observer's
+    qtilde(t) * (1, -1, -1, -1) and omega_tilde(t). qd is qd0 at the first
+    step, then RK4 of the kinematics qdot = 0.5*[-qv.w; q0*w + qv x w]
+    through omega_d at the step start, its midpoint (stages 2 and 3) and its
+    end, renormalized after each step.
+
+    Each signal crosses as the row (SIGNALS[kind], offset, scale, freq,
+    phase) of its SignalSpec; a synthetic observer adds the rows of its
+    sines, (sin, 0, amp, freq, phase) for qtilde and for omega_tilde, whose
+    offsets the kernel does not read."""
+    w, d, obs = scenario.omega_d, scenario.disturbance, scenario.observer
+    rows = [(SIGNALS[s.kind], s.offset, s.scale, s.freq, s.phase)
+            for s in (w.x, w.y, w.z, d.x, d.y, d.z, *scenario.health.profiles)]
+    synthetic = obs.kind == "synthetic"
+    if synthetic:
+        rows += [(SIGNALS["sin"], 0.0, obs.amp_q, obs.freq_q, obs.phase_q),
+                 (SIGNALS["sin"], 0.0, obs.amp_w, obs.freq_w, obs.phase_w)]
+    specs = np.array(rows, dtype=np.float64)
+    qd0 = np.ascontiguousarray(scenario.qd0, dtype=np.float64)
+    n, m = scenario.n_steps, scenario.bank.m
+    table = np.empty((n, 14 + m + 7 * synthetic))
+    library().ftacs_step_table(specs.ctypes.data, m, synthetic, AXES.ctypes.data,
+                               qd0.ctypes.data, scenario.dt, n, table.ctypes.data)
+    return table
 
 
 def format_rows(rows: np.ndarray, buf: np.ndarray) -> int:

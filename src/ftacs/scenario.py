@@ -173,6 +173,17 @@ class Scenario:
         if obs.kind == "synthetic" and (obs.amp_q > b.rho_q or obs.amp_w > b.rho_w):
             raise ValueError(f"observer (amp_q, amp_w) = ({obs.amp_q!r}, {obs.amp_w!r}) exceed "
                              f"budget (rho_q, rho_w) = ({b.rho_q!r}, {b.rho_w!r})")
+        # every signal stays finite on the grid, the last step's end included
+        for where, spec, (scale, freq, phase) in self._grid_signals():
+            if spec.kind == "const":
+                continue
+            for what, value in (
+                    (f"|{freq}|*(duration + dt) + |{phase}|",
+                     abs(spec.freq) * (self.duration + self.dt) + abs(spec.phase)),
+                    (f"|offset| + |{scale}|", abs(spec.offset) + abs(spec.scale)),
+                    (f"|{scale}*{freq}|", abs(spec.scale * spec.freq))):
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: {what} must be finite, got {value!r}")
         # fully-actuated check on the health estimate at every step of the grid
         try:
             object.__setattr__(self, "health_estimate_runs", _equal_row_runs(
@@ -190,6 +201,24 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
+
+    def _grid_signals(self):
+        """(where, spec, names) of each signal that the step grid evaluates:
+        where it is in the scenario, its SignalSpec, and the names there of
+        the spec's scale, freq and phase. A synthetic observer's errors are
+        the sines amp * sin(freq * t + phase)."""
+        names = ("scale", "freq", "phase")
+        for vector in ("omega_d", "disturbance"):
+            for axis in "xyz":
+                yield f"{vector}.{axis}", getattr(getattr(self, vector), axis), names
+        for profile in ("health", "health_estimate"):
+            for i, spec in enumerate(getattr(self, profile).profiles):
+                yield f"{profile}.profiles[{i}]", spec, names
+        obs = self.observer
+        if obs.kind == "synthetic":
+            for e in "qw":
+                names = (f"amp_{e}", f"freq_{e}", f"phase_{e}")
+                yield "observer", SignalSpec("sin", 0.0, *(getattr(obs, n) for n in names)), names
 
 
 def _equal_row_runs(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

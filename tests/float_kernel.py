@@ -9,7 +9,8 @@ precomputed harness.ScenarioSignals.table, which steps() yields beside the
 allocation rows, and writes each recorded sample as a row of one
 preallocated float table, whose columns harness.RunTrace views. Observers
 take (q, w, errors), errors being the row's observer-error columns.
-reference_attitude is the reference-attitude RK4 loop of scenario_signals,
+step_table builds the step table of scenario_signals in numpy, its
+reference attitude by the reference-attitude RK4 loop reference_attitude,
 and run_scenario runs an instance on the float kernel as harness.run_scenario
 does on the compiled one, its instance record formed by the numpy oracle
 reference.steady_state_stats.
@@ -31,6 +32,7 @@ step reads its noise as floats.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -86,12 +88,30 @@ def reference_attitude(scenario, table):
         table[rows, 1:5] = block
 
 
-def float_signals(scenario) -> ScenarioSignals:
-    """harness.scenario_signals with the reference attitude integrated again
+def step_table(scenario) -> np.ndarray:
+    """The step table of harness.ScenarioSignals as ftacs built it before
+    kernel.step_table wrote it: the scenario's signals evaluated by their
+    numpy methods on the step grid, and the reference attitude integrated
     on the float kernel."""
-    signals = scenario_signals(scenario)
-    reference_attitude(scenario, signals.table)
-    return signals
+    dt, n, e = scenario.dt, scenario.n_steps, 14 + scenario.bank.m
+    synthetic = scenario.observer.kind == "synthetic"
+    table = np.empty((n, e + 7 if synthetic else e))
+    t = dt * np.arange(n)
+    table[:, 0] = t
+    table[:, 5:8] = scenario.omega_d(t)
+    table[:, 8:11] = scenario.omega_d.derivative(t)
+    table[:, 11:14] = scenario.disturbance(t + 0.5 * dt)
+    table[:, 14:e] = scenario.health(t)
+    if synthetic:
+        table[:, e:e + 4] = scenario.observer.qtilde(t) * np.array([1.0, -1.0, -1.0, -1.0])
+        table[:, e + 4:] = scenario.observer.omega_tilde(t)
+    reference_attitude(scenario, table)
+    return table
+
+
+def float_signals(scenario) -> ScenarioSignals:
+    """harness.scenario_signals with the table of step_table."""
+    return replace(scenario_signals(scenario), table=step_table(scenario))
 
 
 def run_scenario(scenario, signals: ScenarioSignals | None = None) -> RunTrace:

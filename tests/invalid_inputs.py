@@ -235,6 +235,11 @@ ROWS = [
     Row("disturbance-unknown-kind", {"disturbance.x.kind": "tan"}, at("unknown signal kind 'tan'")),
     Row("health-unknown-kind", {"health.profiles.0.kind": "tan"}, at("unknown signal kind 'tan'")),
     Row("omega_d-freq-nan", {"omega_d.x.freq": nan}, at("freq must be finite, got nan")),
+    # sin(freq * t) overflowed to NaN on the step grid: numpy warned, and the
+    # run failed on a non-finite state
+    Row("omega_d-freq-1e308", {"omega_d.x.freq": 1e308},
+        at("omega_d.x: |freq|*(duration + dt) + |phase| must be finite, got inf"), EVERY,
+        preset="paper-fault-free", duration=5.0),
     Row("health-scale-infinite", {"health.profiles.1.scale": inf}, at("scale must be finite, got inf")),
     Row("dt-nan", {"dt": nan}, at("dt must be positive and finite, got nan")),
     # an integer too large for a float once ended in an OverflowError traceback

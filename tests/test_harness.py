@@ -35,6 +35,7 @@ from ftacs.harness import (
 )
 from ftacs.scenario import (
     PAPER_J,
+    PRESETS,
     InitialConditionSpec,
     ObserverSpec,
     VectorSignal,
@@ -46,7 +47,7 @@ from ftacs.scenario import (
     save_scenario,
     scenario_to_dict,
 )
-from float_kernel import kinematics_rk4
+from float_kernel import reference_attitude
 from reference import (normalize, quat_from_axis_angle, spectral_norm, steady_state_stats,
                        with_numpy_scalars)
 
@@ -103,32 +104,75 @@ def test_run_trace_shape_and_grid(monkeypatch, make, dec):
     assert np.all(trace.theta_e_deg <= 180.0)
 
 
-@pytest.mark.parametrize("kind", ["synthetic", "bias"])
-def test_step_table_columns_are_the_scenario_signals(kind):
-    sc = short_scenario(observer=ObserverSpec(kind=kind))
+def same_bytes(a, b) -> bool:
+    """a and b hold the same doubles in the same shape, -0.0 told from 0.0,
+    which == cannot tell apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def specs(*args) -> list[SignalSpec]:
+    return [SignalSpec(*a[:2], **dict(zip(("scale", "freq", "phase"), a[2:]))) for a in args]
+
+
+# The synthetic and bias cases: every kind in value and derivative, with an
+# abs_sin at phase 0, whose sin x is 0 at t = 0, so its derivative there is
+# (scale*freq) * 0.0 * cos 0, -0.0 for a negative scale; a cos with a
+# negative scale; a const offset of -0.0, which offset + 0.0 makes 0.0. The
+# health clips at 1 and at 0, and an abs_sin of offset and scale -0.0 is
+# -0.0, which clip keeps.
+EVERY_KIND = dict(
+    omega_d=VectorSignal(*specs(("abs_sin", 1e-3, -2e-3, 1e-3, 0.0), ("cos", 0.0, -2e-3, 3e-3, 0.4),
+                                ("const", -0.0))),
+    disturbance=VectorSignal(*specs(("sin", 1e-6, 2.5e-6, 1e-3, -0.3),
+                                    ("abs_sin", 0.0, -2.5e-6, 2e-3, 1.0), ("cos", 0.0, 2.5e-6))),
+    health=HealthProfile(specs(("sin", 0.5, 2.0, 3.0, 0.2), ("const", 1.5),
+                               ("abs_sin", -0.0, -0.0, 1.0, 0.5), ("cos", 0.2, -1.0, 2.0))),
+)
+STEP_TABLE_CASES = {
+    "synthetic": lambda: short_scenario(
+        **EVERY_KIND, observer=ObserverSpec(kind="synthetic", amp_q=2e-5, amp_w=1.5e-5,
+                                            freq_q=0.3, freq_w=-0.2, phase_q=0.9, phase_w=-1.1)),
+    "bias": lambda: short_scenario(**EVERY_KIND, observer=ObserverSpec(kind="bias")),
+    # sin x is -0.0 at t = 0 for the abs_sin, whose np.sign is 0.0
+    "perfect": lambda: short_scenario(
+        omega_d=VectorSignal(*specs(("sin", 1e-3, 2e-3, 2e-3, 0.1), ("sin", 0.0, -1e-3),
+                                    ("abs_sin", 0.0, 1e-3, -5e-3, -0.0))),
+        observer=ObserverSpec(kind="perfect")),
+    **{f"{name}-600s": lambda make=make: make(duration=600.0) for name, make in PRESETS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_TABLE_CASES))
+def test_step_table_columns_are_the_scenario_signals(case):
+    # byte for byte the numpy methods that define each signal
+    sc = STEP_TABLE_CASES[case]()
     dt, n, m = sc.dt, sc.n_steps, sc.bank.m
     table = scenario_signals(sc).table
     t = dt * np.arange(n)
-    assert np.all(table[:, 0] == t)
-    assert np.all(table[:, 5:8] == sc.omega_d(t))
-    assert np.all(table[:, 8:11] == sc.omega_d.derivative(t))
-    assert np.all(table[:, 11:14] == sc.disturbance(t + 0.5 * dt))
-    assert np.all(table[:, 14:14 + m] == sc.health(t))
-    if kind == "synthetic":
+    assert same_bytes(table[:, 0], t)
+    assert same_bytes(table[:, 5:8], sc.omega_d(t))
+    assert same_bytes(table[:, 8:11], sc.omega_d.derivative(t))
+    assert same_bytes(table[:, 11:14], sc.disturbance(t + 0.5 * dt))
+    assert same_bytes(table[:, 14:14 + m], sc.health(t))
+    if sc.observer.kind == "synthetic":
         synth = sc.observer
         assert table.shape == (n, 21 + m)
-        assert np.all(table[:, 14 + m:18 + m] == synth.qtilde(t) * [1.0, -1.0, -1.0, -1.0])
-        assert np.all(table[:, 18 + m:] == synth.omega_tilde(t))
+        assert same_bytes(table[:, 14 + m:18 + m], synth.qtilde(t) * [1.0, -1.0, -1.0, -1.0])
+        assert same_bytes(table[:, 18 + m:], synth.omega_tilde(t))
     else:
         assert table.shape == (n, 14 + m)
     # the reference attitude: a chain of the float kernel's kinematics RK4
-    # steps from qd0
-    rates = zip(sc.omega_d(t).tolist(), sc.omega_d(t + 0.5 * dt).tolist(),
-                sc.omega_d(t + dt).tolist())
-    q = tuple(sc.qd0.tolist())
-    for i, (w1, w2, w4) in zip(range(300), rates):
-        assert tuple(table[i, 1:5].tolist()) == q, i
-        q = kinematics_rk4(q, w1, w2, w4, dt)
+    # steps from qd0, through omega_d at each step's start, midpoint and end
+    expected = table.copy()
+    reference_attitude(sc, expected)
+    assert same_bytes(table[:, 1:5], expected[:, 1:5])
+    if case in ("synthetic", "bias"):  # the values that == does not tell apart
+        assert np.signbit(table[0, 8]) and table[0, 8] == 0.0
+        assert not np.signbit(table[:, 7]).any() and np.signbit(sc.omega_d.z.offset)
+        assert np.signbit(table[:, 16]).all() and not table[:, 16].any()
+        health = table[:, 14:14 + m]  # clipped at 0 and at 1
+        assert (health[:, 0] == 0.0).any() and (health[:, 0] == 1.0).any() and (health[:, 1] == 1.0).all()
 
 
 def assert_traces_equal(a, b):

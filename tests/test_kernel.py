@@ -30,6 +30,7 @@ from ftacs.scenario import (
     PAPER_TAU_MAX,
     ObserverSpec,
     SignalSpec,
+    VectorSignal,
     nominal_exact,
     paper_budget,
     paper_fault_free,
@@ -144,8 +145,8 @@ PAIR_CASES = {
 def test_compiled_kernel_equals_the_float_kernel(case):
     sc = {**GOLDEN_CASES, **PRESET_CASES, **PAIR_CASES}[case]()
     signals = scenario_signals(sc)
-    # the compiled reference attitude equals the float kernel's
-    assert np.array_equal(signals.table, float_signals(sc).table)
+    # the compiled step table is the numpy one, byte for byte
+    assert signals.table.tobytes() == float_signals(sc).table.tobytes()
     compiled, oracle = run_scenario(sc, signals), float_run_scenario(sc, signals)
     for f in fields(RunTrace):
         a, b = getattr(compiled, f.name), getattr(oracle, f.name)
@@ -378,8 +379,8 @@ def test_closed_loop_takes_only_arrays_it_can_read_in_place():
 
 def test_reference_attitude_at_constant_rate_matches_rk4_step():
     # a rigid body spinning about a principal axis keeps its rate, so the
-    # rigid-body attitude step and the compiled kinematics step at that rate
-    # coincide
+    # rigid-body attitude step and the step table's kinematics step at that
+    # constant omega_d coincide
     rng = np.random.default_rng(3)
     J = np.diag([8.0, 7.0, 6.0])
     zero = np.zeros(3)
@@ -387,10 +388,10 @@ def test_reference_attitude_at_constant_rate_matches_rk4_step():
         state = SpacecraftState(q=random_quat(rng), omega=axis * 0.03)
         ref = rk4_step(state, J, lambda t, s: zero, lambda t: zero, 0.0, 0.01)
         np.testing.assert_allclose(ref.omega, state.omega, rtol=0.0, atol=TOL)
-        table = np.zeros((2, 14))
-        table[:, 5:8] = state.omega
-        w = np.tile(state.omega, (2, 1))
-        kernel.reference_attitude(state.q, table, w, w, 0.01)
+        omega_d = VectorSignal(*(SignalSpec("const", w) for w in state.omega.tolist()))
+        table = kernel.step_table(paper_fault_free(omega_d=omega_d, qd0=state.q, dt=0.01,
+                                                   duration=0.1))
+        assert np.array_equal(table[:, 5:8], np.tile(state.omega, (10, 1)))
         assert np.array_equal(table[0, 1:5], state.q)
         np.testing.assert_allclose(table[1, 1:5], ref.q, rtol=0.0, atol=TOL)
 
