@@ -12,7 +12,6 @@ be overridden by --out or the FTACS_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -46,8 +45,8 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:  # checked by Scenario, before any precompute
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+    if args.seed is not None:  # checked once the file is, before the output directory
+        scenario = scenario.with_seed(args.seed)
     out = _out_dir(args) / f"{scenario.name}-seed{scenario.seed}.csv"
     trace = run_scenario(scenario)
     record = trace.record

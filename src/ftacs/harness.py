@@ -285,7 +285,9 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
     """Fixed-column CSV export of a run trace (13 + m columns). Every value is
     written as %.17g, which reads back as the same float; the bytes are those
     of np.savetxt with that format, written by kernel.format_rows one
-    ROW_BLOCK of rows at a time through one buffer."""
+    ROW_BLOCK of rows at a time through one buffer, which holds
+    kernel.VALUE_BYTES per value; rows that do not fit in it raise
+    RuntimeError rather than write what the buffer held before."""
     m = trace.tau_u.shape[1]
     data = np.column_stack(
         [
@@ -304,7 +306,12 @@ def export_trace_csv(trace: RunTrace, path: str | Path):
     with open(path, "wb") as fh:
         fh.write((",".join(trace_columns(m)) + "\n").encode())
         for i in range(0, len(data), kernel.ROW_BLOCK):
-            fh.write(buf[:kernel.format_rows(data[i:i + kernel.ROW_BLOCK], buf)])
+            block = data[i:i + kernel.ROW_BLOCK]
+            size = kernel.format_rows(block, buf)
+            if size < 0:
+                raise RuntimeError(f"rows {i} to {i + len(block) - 1} of the trace do not fit "
+                                   f"in the {buf.size}-byte CSV buffer")
+            fh.write(buf[:size])
 
 
 def json_record(record: dict, **kwargs) -> str:

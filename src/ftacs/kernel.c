@@ -438,14 +438,15 @@ static u128 pow10_128(int k)
 }
 
 /* floor(m * 2^e * 10^k) for m < 2^53, 2^e * 10^k small enough that it is
-   below 2^64, and k in [0, 38]; *round_up tells whether that integer rounds
-   up to nearest, ties to even, on the exact remainder. The product m * 10^k
-   is formed in three 64-bit limbs r, least significant first, below 2^180. */
-static uint64_t scaled(uint64_t m, int e, int k, int *round_up)
+   below 2^64, and k in [0, 38]. *half receives the bit of weight 1/2 of the
+   exact remainder and *below whether any bit under it is set. The product
+   m * 10^k is formed in three 64-bit limbs r, least significant first, below
+   2^181. */
+static uint64_t scaled(uint64_t m, int e, int k, int *half, int *below)
 {
     const u128 p = pow10_128(k);
     if (e >= 0) {  /* an integer already: m * 10^k * 2^e */
-        *round_up = 0;
+        *half = *below = 0;
         return (uint64_t)((m * p) << e);
     }
     const u128 lo = (u128)m * (uint64_t)p, hi = (u128)m * (uint64_t)(p >> 64);
@@ -457,18 +458,45 @@ static uint64_t scaled(uint64_t m, int e, int k, int *round_up)
     if (b && w < 2)
         q |= r[w + 1] << (64 - b);
     const int hw = (s - 1) / 64, hb = (s - 1) % 64;
-    const int half = (int)((r[hw] >> hb) & 1);
-    int below = (r[hw] & (((uint64_t)1 << hb) - 1)) != 0;
+    *half = (int)((r[hw] >> hb) & 1);
+    *below = (r[hw] & (((uint64_t)1 << hb) - 1)) != 0;
     for (int i = 0; i < hw; i++)
-        below |= r[i] != 0;
-    *round_up = half && (below || (q & 1));
+        *below |= r[i] != 0;
     return q;
+}
+
+/* "00", "01", ..., "99": the two digits of each number below 100 */
+static const char DIGIT_PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the 8 digits of v < 10^8, two at a time */
+static void digits8(uint32_t v, char *d)
+{
+    const uint32_t a = v / 10000, b = v % 10000;
+    memcpy(d, DIGIT_PAIRS + 2 * (a / 100), 2);
+    memcpy(d + 2, DIGIT_PAIRS + 2 * (a % 100), 2);
+    memcpy(d + 4, DIGIT_PAIRS + 2 * (b / 100), 2);
+    memcpy(d + 6, DIGIT_PAIRS + 2 * (b % 100), 2);
 }
 
 /* Write x as "%.17g" formats it into out, which holds VALUE_BYTES bytes, and
    return the number of bytes: the digits are those of Python's "%.17g" % x,
    which rounds the exact value to nearest, ties to even, and NaN is "nan"
-   whatever its sign bit, as Python writes it. */
+   whatever its sign bit, as Python writes it.
+
+   x = m * 2^e with 2^(b - 1023) <= |x| < 2^(b - 1022) for its biased
+   exponent b, so E0 = floor((b - 1023) * log10(2)) gives
+   10^E0 <= |x| < 10^(E0 + 2): the power of 10 of x's first digit, E, is E0
+   or E0 + 1. One product, N = floor(|x| * 10^(16 - E0)), holds 17 digits
+   when E = E0 and 18 when E = E0 + 1; then N / 10 is the 17, and its last
+   digit N % 10 with the exact remainder below N decides the rounding.
+   ((b - 1023) * 78913) >> 18 is that floor for every b in [1, 2046].
+   Subnormal values, and those whose 10^(16 - E0) is not an integer below
+   2^128, E0 outside [-22, 15], go through snprintf. */
 static int format_g17(double x, char *out)
 {
     uint64_t bits;
@@ -492,20 +520,19 @@ static int format_g17(double x, char *out)
         *p++ = '0';
         return (int)(p - out);
     }
-    /* x = m * 2^e and 10^E0 <= |x| < 10^(E0 + 2), so the power of 10 of its
-       first digit, E, is E0 or E0 + 1 */
-    const int E0 = (int)floor((biased - 1023) * 0.30102999566398120);
-    if (biased == 0 || E0 < -22 || E0 > 15)  /* subnormal, or 10^(16 - E0) not below 2^128 */
+    const int E0 = ((biased - 1023) * 78913) >> 18;
+    if (biased == 0 || E0 < -22 || E0 > 15)
         return snprintf(out, VALUE_BYTES, "%.17g", x);
-    const uint64_t m = frac | (uint64_t)1 << 52;
-    const int e = biased - 1075;
-    int E = E0, round_up;
-    uint64_t N = scaled(m, e, 16 - E, &round_up);
-    if (N >= POW10[17]) {  /* |x| >= 10^(E0 + 1) */
-        E = E0 + 1;
-        N = scaled(m, e, 16 - E, &round_up);
+    int E = E0, half, below;
+    uint64_t N = scaled(frac | (uint64_t)1 << 52, biased - 1075, 16 - E0, &half, &below);
+    if (N >= POW10[17]) {  /* |x| >= 10^(E0 + 1): drop the last digit */
+        const unsigned last = (unsigned)(N % 10);
+        N /= 10;
+        E++;
+        N += last > 5 || (last == 5 && (half || below || (N & 1)));
+    } else {
+        N += half && (below || (N & 1));
     }
-    N += round_up;
     if (N == POW10[17]) {  /* rounded up to the next power of 10 */
         N = POW10[16];
         E++;
@@ -513,11 +540,10 @@ static int format_g17(double x, char *out)
 
     /* the 17 digits of N, then %g's layout without trailing zeros */
     char d[17];
-    uint32_t hi = (uint32_t)(N / 100000000u), lo = (uint32_t)(N % 100000000u);
-    for (int i = 16; i >= 9; i--, lo /= 10)
-        d[i] = (char)('0' + lo % 10);
-    for (int i = 8; i >= 0; i--, hi /= 10)
-        d[i] = (char)('0' + hi % 10);
+    const uint64_t rest = N % POW10[16];
+    d[0] = (char)('0' + N / POW10[16]);
+    digits8((uint32_t)(rest / 100000000u), d + 1);
+    digits8((uint32_t)(rest % 100000000u), d + 9);
     int nd = 17;
     while (d[nd - 1] == '0')
         nd--;
@@ -532,9 +558,8 @@ static int format_g17(double x, char *out)
         }
         *p++ = 'e';
         *p++ = E < 0 ? '-' : '+';
-        const int a = E < 0 ? -E : E;  /* below 100 here */
-        *p++ = (char)('0' + a / 10);
-        *p++ = (char)('0' + a % 10);
+        memcpy(p, DIGIT_PAIRS + 2 * (E < 0 ? -E : E), 2);  /* |E| is below 100 here */
+        p += 2;
     } else if (E >= 0) {
         memcpy(p, d, E + 1);
         p += E + 1;

@@ -7,6 +7,7 @@ when built, and each scalar field of each part is stored as a Python float."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import numbers
@@ -141,9 +142,9 @@ class Scenario:
         if len(self.name.encode()) > 200:
             raise ValueError(f"name must be at most 200 bytes in UTF-8, got {len(self.name.encode())}")
         freeze_floats(self, "duration", "dt", "tail_fraction")
-        # a seed is below 2**64, so that it has at most 20 digits
-        for name, minimum, bits in (("seed", 0, 64), ("record_decimation", 1, None)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum, bits))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "record_decimation",
+                           check_integer("record_decimation", self.record_decimation, 1))
         freeze_arrays(self, "J", "qd0")
         check_inertia(self, "J")
         if self.qd0.shape != (4,):
@@ -198,6 +199,14 @@ class Scenario:
             t = self.dt * starts[lost.argmax()]
             raise ValueError(f"rank(D * Ehat(t)) < 3 at t = {t:g} s")
 
+    def with_seed(self, seed) -> Scenario:
+        """This scenario with seed in place of its own, held to the rule that
+        construction holds a seed to. No other check reads the seed, so
+        nothing else is checked again: the copy shares every other field."""
+        instance = copy.copy(self)
+        object.__setattr__(instance, "seed", _check_seed(seed))
+        return instance
+
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
@@ -219,6 +228,11 @@ class Scenario:
             for e in "qw":
                 names = (f"amp_{e}", f"freq_{e}", f"phase_{e}")
                 yield "observer", SignalSpec("sin", 0.0, *(getattr(obs, n) for n in names)), names
+
+
+def _check_seed(seed) -> int:
+    """seed as an int in [0, 2**64), so that it has at most 20 digits."""
+    return check_integer("seed", seed, 0, 64)
 
 
 def _equal_row_runs(e_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -249,6 +249,13 @@ ROWS = [
         at("init.q0 must be a real number within the float range")),
     Row("duration-infinite", {"duration": inf}, at("duration must be finite and at least 10*dt, got inf")),
     Row("seed-negative", {"seed": -5}, at("seed must be >= 0, got -5")),
+    # --seed is checked after the file, its own seed included, and before --out is made
+    Row("seed-negative-option-on-a-file", {}, exact("error: seed must be >= 0, got -1\n"),
+        "simulate --scenario {file} --seed -1 --out {out}"),
+    Row("seed-2-to-the-64-on-a-file", {}, exact(f"error: seed must be < 2**64, got {2**64}\n"),
+        f"simulate --scenario {{file}} --seed {2**64} --out {{out}}/new"),
+    Row("seed-negative-with-a-good-option", {"seed": -5}, at("seed must be >= 0, got -5"),
+        "simulate --scenario {file} --seed 3 --out {out}/new"),
     # past 2**53 steps the count is not exact: int() overflowed at 1e-320, and
     # the health estimate's grid exceeded numpy's maximum array size at 1e-300
     *(Row(f"dt-{dt}", {"dt": float(dt)}, at(f"duration / dt must be below 2**53 steps, got dt = {dt} "

@@ -38,6 +38,7 @@ from ftacs.scenario import (
     PRESETS,
     InitialConditionSpec,
     ObserverSpec,
+    Scenario,
     VectorSignal,
     nominal_exact,
     paper_budget,
@@ -823,6 +824,27 @@ def test_trace_csv_bytes_equal_savetxt_and_read_back_exactly(tmp_path, n):
     assert np.array_equal(table, columns, equal_nan=True)
 
 
+def test_trace_csv_raises_where_format_rows_returns_minus_1(tmp_path, monkeypatch):
+    # format_rows returns -1 for rows that do not fit; buf[:-1] would write
+    # the buffer's bytes of the block before
+    trace, path = random_trace(300), tmp_path / "trace.csv"
+    export_trace_csv(trace, tmp_path / "whole.csv")
+    header_and_first_block = b"".join((tmp_path / "whole.csv").read_bytes().splitlines(True)[:257])
+    original, calls = kernel.format_rows, []
+
+    def first_block_only(rows, buf):
+        calls.append(len(rows))
+        return original(rows, buf) if len(calls) == 1 else -1
+
+    monkeypatch.setattr(kernel, "format_rows", first_block_only)
+    buf_size = kernel.VALUE_BYTES * kernel.ROW_BLOCK * 17
+    with pytest.raises(RuntimeError, match=f"^rows 256 to 299 of the trace do not fit in the "
+                                           f"{buf_size}-byte CSV buffer$"):
+        export_trace_csv(trace, path)
+    assert calls == [256, 44]
+    assert path.read_bytes() == header_and_first_block
+
+
 def test_summary_jsonl_record_count(tmp_path):
     sc = short_scenario()
     summary = run_campaign(sc, 3)
@@ -889,6 +911,31 @@ def test_cli_simulate_and_env_out(tmp_path, monkeypatch, capsys):
     assert code == 0
     produced = list((tmp_path / "outputs").glob("*.csv"))
     assert len(produced) == 1
+
+
+def test_cli_simulate_seed_writes_what_the_file_with_that_seed_writes(tmp_path, monkeypatch,
+                                                                       capsys):
+    # --seed sets the seed of the one Scenario that the load builds and checks
+    seed = 18446744073709551615
+    given, edited = tmp_path / "given.yaml", tmp_path / "edited.yaml"
+    save_scenario(short_scenario(duration=10.0, observer=ObserverSpec(kind="bias")), given)
+    text, count = re.subn(r"^seed: .*$", f"seed: {seed}", given.read_text(), flags=re.M)
+    assert count == 1 and text != given.read_text()
+    edited.write_text(text)
+    builds, original = [], Scenario.__post_init__
+    monkeypatch.setattr(Scenario, "__post_init__", lambda sc: builds.append(sc) or original(sc))
+    outputs = []
+    for i, argv in enumerate((["--scenario", str(given), "--seed", str(seed)],
+                              ["--scenario", str(edited)])):
+        out = tmp_path / f"out{i}"
+        builds.clear()
+        assert cli_main(["simulate", *argv, "--out", str(out)]) == 0
+        assert len(builds) == 1
+        (csv_path,) = out.iterdir()
+        outputs.append((csv_path.name, csv_path.read_bytes(),
+                        capsys.readouterr().out.replace(str(out), "{out}")))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == f"paper-fault-free-seed{seed}.csv"
 
 
 def test_cli_montecarlo(tmp_path, capsys):

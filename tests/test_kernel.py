@@ -665,6 +665,37 @@ def test_format_rows_writes_python_percent_17g_byte_for_byte():
     assert format_rows(tail) == python_rows(tail)
 
 
+def first_guess_is_low(x: float) -> bool:
+    """Whether |x| >= 10^(E0 + 1) for format_g17's first guess E0 of the
+    power of 10 of x's first digit, on its exact integer path: its one
+    product then has 18 digits, and the last is rounded off."""
+    x = abs(x)
+    if not 2.2250738585072014e-308 <= x < math.inf:
+        return False
+    e0 = ((math.frexp(x)[1] - 1) * 78913) >> 18
+    return -22 <= e0 <= 15 and Decimal(x) >= Decimal(10) ** (e0 + 1)
+
+
+def test_format_rows_rounds_off_the_18th_digit_where_the_first_guess_is_low():
+    # 2^e and its lower neighbour for every binary exponent, and 10^k +- 1..3
+    # ulp for k in [-22, 16]. Above 10^k the guess from the binary exponent
+    # alone is k - 1, except at 10^0 = 2^0, and at 10^-22, whose guess -23
+    # sends it to snprintf
+    values = []
+    for e in range(-1074, 1024):
+        values += [math.ldexp(1.0, e), math.nextafter(math.ldexp(1.0, e), 0.0)]
+    for k in range(-22, 17):
+        up = down = float(f"1e{k}")
+        for _ in range(3):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            values += [up, down]
+    low = [x for x in values if first_guess_is_low(x)]
+    assert len(low) > 140 and all(first_guess_is_low(math.nextafter(float(f"1e{k}"), math.inf))
+                                  for k in range(-21, 17) if k)
+    rows = np.array(values + [-x for x in values]).reshape(-1, 2)
+    assert format_rows(rows) == python_rows(rows)
+
+
 def test_format_rows_returns_minus_1_when_cap_is_too_small_and_writes_no_further():
     rows = np.array([[1.5, -2.0], [-1.2345678901234567e-300, math.nan]])
     text = python_rows(rows)
