@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .bounds import compute_coefficients, predict
+from .config import check_integer
 from .controller import check_gain_conditions
 from .errors import FtacsError, GainConditionViolated, NotContractive
 from .harness import (
@@ -62,6 +63,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     scenario = load_scenario(args.scenario)
+    check_integer("n_instances", args.n, 1)  # checked before the output directory is made
     out = _out_dir(args) / f"{scenario.name}-campaign-n{args.n}.jsonl"
     summary = run_campaign(scenario, args.n)
     export_summary_jsonl(summary, out)
@@ -95,6 +97,7 @@ def cmd_predict_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
+    check_integer("n_instances", args.n, 1)  # checked before the output directory is made
     out = _out_dir(args) / f"{scenario.name}-verify-n{args.n}.json"
     report = verify(scenario, args.n, strict=True)
     out.write_text(json_record(report, indent=2) + "\n")

@@ -1,18 +1,18 @@
 """Closed-loop simulation, Monte Carlo campaigns, predicted-vs-simulated
 verification, and trace persistence.
 
-An instance is one call of the compiled kernel (kernel.ClosedLoop), bound
-once per ScenarioSignals. The kernel forms the instance record, the tail
-maxima and command peaks, from the rows it records, so a campaign keeps no
-record table: run_instance draws the initial state, makes the call and names
-the record's floats. run_scenario also passes the kernel a table for the
-rows, which its RunTrace views."""
+An instance is one call of the compiled kernel (kernel.ClosedLoop), which
+closed_loop binds once per scenario. The kernel forms the instance record,
+the tail maxima and command peaks, from the rows it records, so a campaign
+keeps no record table: run_instance draws the initial state, makes the call
+and names the record's floats. run_scenario also passes the kernel a table
+for the rows, which its RunTrace views."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,49 +134,17 @@ def _initial_state(scenario: Scenario, rng: np.random.Generator) -> tuple[tuple,
     return kernel.unit_quaternion(q), omega0
 
 
-@dataclass
-class ScenarioSignals:
-    """What the closed loop needs that does not depend on the instance, on the
-    step grid of one scenario. Built once by scenario_signals and shared by
-    every instance of a campaign; the compiled kernel (kernel.ClosedLoop)
-    reads its arrays in place.
-
-    constants and pairs are the kernel's packed scenario constants and the
-    bank's rows of D.T (kernel.constants).
-
-    table has one row per step, of 14 + m columns: t at the step start (0),
-    qd (1:5), omega_d (5:8), omega_d_dot (8:11), tau_d at the step midpoint
-    (11:14) and the true health (14:14 + m). A synthetic observer adds its
-    errors: qtilde(t)^-1 (4) and omega_tilde(t) (3). alloc holds the (m, 3)
-    allocation matrix of each distinct health-estimate row, and alloc_index
-    the one each step uses."""
-
-    scenario: Scenario
-    constants: np.ndarray  # (kernel.N_CONSTANTS,)
-    pairs: np.ndarray  # (m, 3)
-    table: np.ndarray  # (n, 14 + m), or (n, 21 + m) for a synthetic observer
-    alloc: np.ndarray  # (k, m, 3)
-    alloc_index: np.ndarray  # (n,) int64
-
-
-def scenario_signals(scenario: Scenario) -> ScenarioSignals:
-    """Evaluate the scenario's reference, disturbance, health and synthetic
-    observer signals on the step grid into one table, with the reference
-    attitude integrated through them (kernel.step_table), build the
-    allocation matrices and pack the kernel's constants."""
-    n = scenario.n_steps
-    # allocation matrices, computed once per distinct health-estimate row
+def closed_loop(scenario: Scenario) -> kernel.ClosedLoop:
+    """The closed loop that every instance of scenario shares, on its step
+    table (kernel.step_table), the allocation matrix of each distinct
+    health-estimate row and the kernel's packed constants."""
     rows, runs, starts = scenario.health_estimate_runs
     constants, pairs = kernel.constants(scenario, robust_coefficients(scenario.budget,
                                                                       scenario.gains.k))
-    return ScenarioSignals(
-        scenario=scenario,
-        constants=constants,
-        pairs=pairs,
-        table=kernel.step_table(scenario),
-        alloc=np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
-        alloc_index=np.repeat(runs, np.diff(starts, append=n)).astype(np.int64, copy=False),
-    )
+    return kernel.ClosedLoop(
+        scenario, constants, pairs, kernel.step_table(scenario),
+        np.array([allocation_matrix(scenario.bank, e_hat) for e_hat in rows]),
+        np.repeat(runs, np.diff(starts, append=scenario.n_steps)).astype(np.int64, copy=False))
 
 
 # the keys of the instance record, in the order of the kernel's stats; each
@@ -185,40 +153,25 @@ INSTANCE_KEYS = ("theta_tail_max_deg", "omega_tail_max_rad_s", "qe_tail_max", "s
                  "qtilde_tail_max", "wtilde_tail_max")
 
 
-def run_instance(loop: kernel.ClosedLoop, scenario: Scenario, seed: int,
-                 rec: np.ndarray | None = None) -> dict:
-    """Run the instance of scenario from seed through loop, its closed loop,
-    which also fills rec when given, and return the instance record: the
-    maxima over the final max(1, round(tail_fraction*n)) of the n recorded
-    samples, under the campaign record's keys, and tau_u_peak, per thruster
-    pair the max |tau_u,i| over the whole recorded run, not only the tail."""
+def run_instance(loop: kernel.ClosedLoop, seed: int, rec: np.ndarray | None = None) -> dict:
+    """Run the instance of loop's scenario from seed, which also fills rec
+    when given, and return the instance record: the maxima over the final
+    max(1, round(tail_fraction*n)) of the n recorded samples, under the
+    campaign record's keys, and tau_u_peak, per thruster pair the max
+    |tau_u,i| over the whole recorded run, not only the tail."""
     rng = np.random.default_rng(seed)
-    q, w = _initial_state(scenario, rng)  # a bias observer draws its noise after it
+    q, w = _initial_state(loop.scenario, rng)  # a bias observer draws its noise after it
     *_, stats = loop(q, w, rng, rec)
     return dict(zip(INSTANCE_KEYS, stats), tau_u_peak=stats[len(INSTANCE_KEYS):])
 
 
-def _closed_loop(scenario: Scenario, signals: ScenarioSignals) -> kernel.ClosedLoop:
-    # a decimation beyond the grid records the one row that n_steps records
-    return kernel.ClosedLoop(signals, min(scenario.record_decimation, scenario.n_steps),
-                             scenario.tail_fraction)
-
-
-def run_scenario(scenario: Scenario, signals: ScenarioSignals | None = None) -> RunTrace:
+def run_scenario(scenario: Scenario) -> RunTrace:
     """Propagate the full closed loop truth -> observer -> controller ->
     actuators -> dynamics at fixed dt, from the scenario's own seed, and
-    return its recorded rows and its instance record.
-
-    signals, from scenario_signals, is built here when not given; it may be
-    one built for a scenario that differs from this one in the seed alone."""
-    if signals is None:
-        signals = scenario_signals(scenario)
-    elif any(getattr(scenario, f.name) is not getattr(signals.scenario, f.name)
-             for f in fields(Scenario) if f.name != "seed"):
-        raise ValueError("signals were built for a scenario that differs in more than its seed")
-    loop = _closed_loop(scenario, signals)
+    return its recorded rows and its instance record."""
+    loop = closed_loop(scenario)
     rec = np.empty(loop.rec_shape)  # one recorded row per loop.record_every steps
-    record = run_instance(loop, scenario, scenario.seed, rec)
+    record = run_instance(loop, scenario.seed, rec)
     return RunTrace.from_rows(rec, scenario.dt * loop.record_every, record)
 
 
@@ -232,7 +185,7 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     """Run n independent instances in seed order, in this process, and keep
     the outcome of each.
 
-    The bound prediction, the shared precompute and its closed loop come
+    The bound prediction and the closed loop that the instances share come
     first; each instance is then run_instance on its own seed, with no
     record table. An instance whose state goes non-finite is recorded as
     failed, by a line naming its index and seed, and the campaign continues;
@@ -240,12 +193,12 @@ def run_campaign(scenario: Scenario, n_instances: int) -> CampaignSummary:
     n_instances = check_integer("n_instances", n_instances, 1)
     # a failed gain condition or rank-deficient allocation fails before any instance runs
     predicted = predict(scenario.budget, scenario.gains)
-    loop = _closed_loop(scenario, scenario_signals(scenario))
+    loop = closed_loop(scenario)
     seeds = instance_seeds(scenario.seed, n_instances)
     outcomes: list[dict | str] = []
     for idx, seed in enumerate(seeds):
         try:
-            outcomes.append(run_instance(loop, scenario, seed))
+            outcomes.append(run_instance(loop, seed))
         except NonFiniteState as exc:
             outcomes.append(f"instance {idx} (seed {seed}): {exc}")
     return CampaignSummary(outcomes=outcomes, seeds=seeds, predicted=predicted)

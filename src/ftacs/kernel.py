@@ -1,15 +1,15 @@
 """The closed loop of an instance, run by the compiled kernel in kernel.c.
 
-ClosedLoop binds the kernel to one precomputed harness.ScenarioSignals: it
-checks the table's and packed constants' shapes once and passes their
-addresses to every call, which runs every step of an instance: observer,
-control law, per-pair allocation and saturation, faulty actuators, plant
-RK4, the recorded row and the non-finite check. The kernel forms the
+ClosedLoop binds the kernel to one scenario and the arrays that
+harness.closed_loop precomputes for it: it checks their shapes once and
+passes their addresses to every call, which runs every step of an instance:
+observer, control law, per-pair allocation and saturation, faulty actuators,
+plant RK4, the recorded row and the non-finite check. The kernel forms the
 instance record, the tail maxima and each pair's command peak, from the
 recorded rows as it goes, and writes the rows into a float table, whose
 columns harness.RunTrace views, only when it is given one; a campaign's
 instances have none.
-step_table writes the table of harness.ScenarioSignals in one C call: the
+step_table writes the step table of a ClosedLoop in one C call: the
 scenario's signals on the step grid, each value formed by the expression of
 the numpy method that defines it (SignalSpec, VectorSignal, HealthProfile,
 SyntheticErrorProfile), and the reference-attitude RK4 through them.
@@ -119,7 +119,6 @@ def build(source: Path) -> Path:
 
 
 _double = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
 _bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -152,8 +151,8 @@ AXES = np.concatenate((AXIS_Q, AXIS_W))
 
 
 def step_table(scenario) -> np.ndarray:
-    """The (n_steps, 14 + m) step table of harness.ScenarioSignals, with 7
-    more columns for a synthetic observer, written by one C call: for step i
+    """The (n_steps, 14 + m) step table of a ClosedLoop, with 7 more
+    columns for a synthetic observer, written by one C call: for step i
     at t = dt * i, t, qd (4), omega_d(t), omega_d.derivative(t),
     disturbance(t + 0.5 * dt) and health(t), then the synthetic observer's
     qtilde(t) * (1, -1, -1, -1) and omega_tilde(t). qd is qd0 at the first
@@ -244,52 +243,52 @@ def constants(scenario, coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ClosedLoop:
-    """The closed loop of the instances on signals (a harness.ScenarioSignals)
-    with its packed constants (constants()) and the observer of its scenario.
+    """The closed loop of the instances of scenario, on its packed constants
+    and bank rows (constants()), its step table (step_table), the (k, m, 3)
+    allocation matrices alloc of its distinct health-estimate rows and
+    alloc_index, the (n,) int64 index into alloc of each row of table.
 
-    The shapes, dtypes and layout of signals' arrays are checked here, once,
-    and the kernel's arguments are bound to their addresses; the object
-    keeps the arrays alive. Each call is one C call from the state (q, w).
-    A step observes the state, applies the reference's control_step
-    (tests/reference.py) to the estimates, realizes D*E*tau_u + tau_d and
-    takes RK4 of the rigid body, q renormalized once. A bias observer draws
-    its sensor noise from rng (bias_noise) before the first step.
+    The shapes, dtypes and layout of the arrays are checked here, once, and
+    the kernel's arguments are bound to their addresses; the object keeps
+    the arrays alive. Each call is one C call from the state (q, w), over
+    the rows of table. A step observes the state, applies the reference's
+    control_step (tests/reference.py) to the estimates, realizes
+    D*E*tau_u + tau_d and takes RK4 of the rigid body, q renormalized once.
+    A bias observer draws its sensor noise from rng (bias_noise) before the
+    first step.
 
     Every record_every-th step, from the first, forms the recorded row (t,
     qe, omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of
     17 + m floats, written into rec, from its top, when rec is given.
-    record_every crosses into C as a 64-bit integer, so it must be at most
-    the number of steps; a larger decimation records the same one row. The
-    instance record is formed from the same rows, rec or not (__call__)."""
+    record_every is the scenario's record_decimation clamped to the rows of
+    table, so that it crosses into C as a 64-bit integer: a larger one
+    records the same one row. The instance record is formed from the same
+    rows, rec or not, over the scenario's tail_fraction of them (__call__)."""
 
-    def __init__(self, signals, record_every: int, tail_fraction: float):
-        scenario = signals.scenario
+    def __init__(self, scenario, constants: np.ndarray, pairs: np.ndarray, table: np.ndarray,
+                 alloc: np.ndarray, alloc_index: np.ndarray):
         spec = scenario.observer
-        table, alloc, alloc_index = signals.table, signals.alloc, signals.alloc_index
         n, m = len(table), scenario.bank.m
-        if not 1 <= record_every <= n:  # and so n >= 1: the tail has a row
-            raise ValueError(f"record_every must be in [1, {n}], got {record_every}")
-        if not 0.0 < tail_fraction <= 1.0:
-            raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-        _require("constants", signals.constants, (N_CONSTANTS,))
-        _require("pairs", signals.pairs, (m, 3))
+        if not n:  # the tail has a row
+            raise ValueError("table must have at least one row")
+        _require("constants", constants, (N_CONSTANTS,))
+        _require("pairs", pairs, (m, 3))
         _require("table", table, (n, 14 + m + (7 if spec.kind == "synthetic" else 0)))
         _require("alloc_index", alloc_index, (n,), np.int64)
         _require("alloc", alloc, (len(alloc), m, 3))
         if not 0 <= alloc_index.min() <= alloc_index.max() < len(alloc):
             raise ValueError(f"alloc_index must index the {len(alloc)} allocation matrices")
-        self.record_every = record_every
-        self.rec_shape = (-(-n // record_every), 17 + m)
+        self.scenario = scenario
+        # the arrays whose addresses _bound holds, alive as long as the loop is
+        self.constants, self.pairs, self.table = constants, pairs, table
+        self.alloc, self.alloc_index = alloc, alloc_index
+        self.record_every = min(scenario.record_decimation, n)
+        self.rec_shape = (-(-n // self.record_every), 17 + m)
         # Python's round, half to even, is the one rounding of the tail window
-        tail_start = self.rec_shape[0] - max(1, round(tail_fraction * self.rec_shape[0]))
-        # the arrays whose addresses _bound holds, alive as long as it is
-        self._arrays = (signals.constants, signals.pairs, table, alloc, alloc_index)
-        self._table = table
-        self._bound = (signals.constants.ctypes.data, signals.pairs.ctypes.data, m,
-                       table.ctypes.data, table.shape[1], n, alloc.ctypes.data,
-                       alloc_index.ctypes.data, OBSERVERS[spec.kind], record_every, tail_start)
-        self._noise = scenario.noise if spec.kind == "bias" else None
-        self._dt = scenario.dt
+        tail_start = self.rec_shape[0] - max(1, round(scenario.tail_fraction * self.rec_shape[0]))
+        self._bound = (constants.ctypes.data, pairs.ctypes.data, m, table.ctypes.data,
+                       table.shape[1], n, alloc.ctypes.data, alloc_index.ctypes.data,
+                       OBSERVERS[spec.kind], self.record_every, tail_start)
         self._stats = ctypes.c_double * (6 + m)
         self._call = library().ftacs_closed_loop
 
@@ -306,13 +305,14 @@ class ClosedLoop:
             if not rec.flags.writeable:
                 raise ValueError("rec must be writeable")
         noise = address = None
-        if self._noise is not None:  # noise is held here until the call returns
-            noise = bias_noise(self._noise, self._dt, rng, len(self._table))
+        sc = self.scenario
+        if sc.observer.kind == "bias":  # noise is held here until the call returns
+            noise = bias_noise(sc.noise, sc.dt, rng, len(self.table))
             address = noise.ctypes.data
         state, stats = (ctypes.c_double * 7)(*q, *w), self._stats()
         step = self._call(*self._bound, address, state, None if rec is None else rec.ctypes.data,
                           stats)
         if step >= 0:
             raise NonFiniteState(f"non-finite state at step {step} "
-                                 f"(t={self._table[step, 0]:.3f} s)")
+                                 f"(t={self.table[step, 0]:.3f} s)")
         return tuple(state[:4]), tuple(state[4:]), stats[:]

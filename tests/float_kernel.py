@@ -5,11 +5,11 @@ kernel (src/ftacs/kernel.c) must equal bit for bit.
 closed_loop binds an instance's parameters once and returns advance, which
 runs every step: observer, control law, saturated allocation, faulty
 actuators, recorded errors, RK4. advance unpacks each step's row of the
-precomputed harness.ScenarioSignals.table, which steps() yields beside the
+step table of a kernel.ClosedLoop, which steps() yields beside the
 allocation rows, and writes each recorded sample as a row of one
 preallocated float table, whose columns harness.RunTrace views. Observers
 take (q, w, errors), errors being the row's observer-error columns.
-step_table builds the step table of scenario_signals in numpy, its
+step_table builds the step table of harness.closed_loop in numpy, its
 reference attitude by the reference-attitude RK4 loop reference_attitude,
 and run_scenario runs an instance on the float kernel as harness.run_scenario
 does on the compiled one, its instance record formed by the numpy oracle
@@ -32,7 +32,6 @@ step reads its noise as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -42,7 +41,8 @@ from ftacs.bounds import RobustCoefficients, robust_coefficients
 from ftacs.config import ControllerGains, ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams
-from ftacs.harness import RunTrace, ScenarioSignals, _initial_state, scenario_signals
+from ftacs.harness import RunTrace, _initial_state
+from ftacs.kernel import ClosedLoop
 from reference import steady_state_stats
 
 # Steps handled at a time as Python floats: the bias observer's sensor noise,
@@ -56,19 +56,19 @@ def _row_blocks(n: int):
     return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
 
 
-def steps(signals: ScenarioSignals):
-    """Per step, (row, alloc): the step's table row as a list of floats,
-    in the column order of ScenarioSignals.table, and its allocation rows.
+def steps(loop: ClosedLoop):
+    """Per step, (row, alloc): the step's row of loop.table as a list of
+    floats and its allocation rows, loop.alloc[loop.alloc_index[step]].
 
     Each block of ROW_BLOCK steps becomes one list of rows through a
     single tolist() of the table. The allocation rows are converted once
     per call for each distinct matrix, as a tuple of row tuples, and
     every step that uses that matrix gets the same object: they are
     shared, not copied."""
-    alloc = [tuple(map(tuple, a)) for a in signals.alloc.tolist()]
-    for rows in _row_blocks(len(signals.table)):
-        yield from zip(signals.table[rows].tolist(),
-                       map(alloc.__getitem__, signals.alloc_index[rows].tolist()))
+    alloc = [tuple(map(tuple, a)) for a in loop.alloc.tolist()]
+    for rows in _row_blocks(len(loop.table)):
+        yield from zip(loop.table[rows].tolist(),
+                       map(alloc.__getitem__, loop.alloc_index[rows].tolist()))
 
 
 def reference_attitude(scenario, table):
@@ -89,7 +89,7 @@ def reference_attitude(scenario, table):
 
 
 def step_table(scenario) -> np.ndarray:
-    """The step table of harness.ScenarioSignals as ftacs built it before
+    """The step table of harness.closed_loop as ftacs built it before
     kernel.step_table wrote it: the scenario's signals evaluated by their
     numpy methods on the step grid, and the reference attitude integrated
     on the float kernel."""
@@ -109,16 +109,10 @@ def step_table(scenario) -> np.ndarray:
     return table
 
 
-def float_signals(scenario) -> ScenarioSignals:
-    """harness.scenario_signals with the table of step_table."""
-    return replace(scenario_signals(scenario), table=step_table(scenario))
-
-
-def run_scenario(scenario, signals: ScenarioSignals | None = None) -> RunTrace:
-    """harness.run_scenario on the float kernel, from float_signals unless
-    signals are given."""
-    if signals is None:
-        signals = float_signals(scenario)
+def run_scenario(loop: ClosedLoop) -> RunTrace:
+    """harness.run_scenario of loop.scenario on the float kernel, over the
+    step table and allocation matrices of loop."""
+    scenario = loop.scenario
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     dec = min(scenario.record_decimation, scenario.n_steps)
@@ -138,7 +132,7 @@ def run_scenario(scenario, signals: ScenarioSignals | None = None) -> RunTrace:
 
     # one recorded row per dec steps, in the column order of the RunTrace fields
     rec = np.empty((-(-scenario.n_steps // dec), 17 + m))
-    advance(q, w, steps(signals), rec, dec)
+    advance(q, w, steps(loop), rec, dec)
     trace = RunTrace.from_rows(rec, dt * dec, None)
     trace.record = steady_state_stats(trace, scenario.tail_fraction)
     return trace
@@ -184,9 +178,9 @@ def kinematics_rk4(q, w1, w2, w4, dt):
 def closed_loop(gains: ControllerGains, est: ModelEstimates, coeffs: RobustCoefficients,
                 bank: ActuatorBank, J: np.ndarray, dt: float, observe):
     """advance(q, w, steps, table, record_every) -> (q, w) runs the
-    (row, alloc) pairs of ScenarioSignals.steps from the state (q, w). A step
-    calls observe(q, w, errors) on the row's observer-error columns, applies
-    the reference's control_step (tests/reference.py) to the estimates,
+    (row, alloc) pairs of steps() from the state (q, w). A step calls
+    observe(q, w, errors) on the row's observer-error columns, applies the
+    reference's control_step (tests/reference.py) to the estimates,
     realizes D*E*tau_u + tau_d and takes RK4 of the rigid body, q
     renormalized once. Every record_every-th step records the row (t, qe,
     omega_e, s, s_hat, theta_e_deg, tau_u, |qtilde_v|, |omega_tilde|) of

@@ -113,9 +113,9 @@ ROWS = [
     Row("seed-401-digits", None, exact("error: seed must be < 2**64, got an integer of 401 digits\n"),
         f"simulate --scenario paper-faulty --seed {10**400} --out {{out}}"),
     Row("montecarlo-n-0", None, exact("error: n_instances must be >= 1, got 0\n"),
-        "montecarlo --scenario paper-faulty -n 0 --out {out}"),
+        "montecarlo --scenario paper-faulty -n 0 --out {out}/new"),
     Row("verify-n-negative", None, exact("error: n_instances must be >= 1, got -1\n"),
-        "verify --scenario paper-faulty -n -1 --out {out}"),
+        "verify --scenario paper-faulty -n -1 --out {out}/new"),
     # --out names a regular file, the empty scenario file: it is made before the work
     Row("out-is-a-file", lambda text: "", exact("error: [Errno 17] File exists: '{file}'\n"),
         tuple(f"{c} --scenario paper-faulty --out {{file}}"

@@ -1,4 +1,3 @@
-import copy
 import csv
 import importlib.util
 import json
@@ -23,13 +22,13 @@ from ftacs.errors import (BoundViolated, FtacsError, GainConditionViolated, NonF
 from ftacs.harness import (
     CampaignSummary,
     RunTrace,
+    closed_loop,
     export_bound_trace_jsonl,
     export_summary_jsonl,
     export_trace_csv,
     instance_seeds,
     run_campaign,
     run_scenario,
-    scenario_signals,
     trace_columns,
     verify,
 )
@@ -149,7 +148,7 @@ def test_step_table_columns_are_the_scenario_signals(case):
     # byte for byte the numpy methods that define each signal
     sc = STEP_TABLE_CASES[case]()
     dt, n, m = sc.dt, sc.n_steps, sc.bank.m
-    table = scenario_signals(sc).table
+    table = closed_loop(sc).table
     t = dt * np.arange(n)
     assert same_bytes(table[:, 0], t)
     assert same_bytes(table[:, 5:8], sc.omega_d(t))
@@ -349,11 +348,11 @@ def campaign_traces(monkeypatch, sc, n):
     traces = []
     run_instance = harness.run_instance
 
-    def keep(loop, scenario, seed, rec=None):
+    def keep(loop, seed, rec=None):
         rows = np.empty(loop.rec_shape)
-        record = run_instance(loop, scenario, seed, rows)
-        traces.append(RunTrace.from_rows(rows, scenario.dt * loop.record_every, record))
-        return run_instance(loop, scenario, seed, rec)
+        record = run_instance(loop, seed, rows)
+        traces.append(RunTrace.from_rows(rows, sc.dt * loop.record_every, record))
+        return run_instance(loop, seed, rec)
 
     monkeypatch.setattr(harness, "run_instance", keep)
     summary = run_campaign(sc, n)
@@ -384,8 +383,8 @@ def test_campaign_shared_precompute_leaks_no_state(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["synthetic", "bias"])
 def test_campaign_instances_equal_their_standalone_runs(kind):
-    # every instance, run on the campaign's shared signals and packed
-    # constants, keeps the statistics of its own standalone run
+    # every instance, run on the campaign's shared closed loop, keeps the
+    # statistics of its own standalone run
     sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
     summary = run_campaign(sc, 5)
     assert summary.seeds == instance_seeds(sc.seed, 5)
@@ -405,14 +404,14 @@ def toggled_pair_scenario():
 
 def test_alloc_index_names_each_step_s_allocation_matrix():
     sc = toggled_pair_scenario()
-    signals = scenario_signals(sc)
-    assert len(signals.alloc) == 2
-    assert signals.alloc_index.dtype == np.int64
-    switches = np.flatnonzero(np.diff(signals.alloc_index))
+    loop = closed_loop(sc)
+    assert len(loop.alloc) == 2
+    assert loop.alloc_index.dtype == np.int64
+    switches = np.flatnonzero(np.diff(loop.alloc_index))
     assert len(switches) == 3
-    for t, j in zip(signals.table[:, 0], signals.alloc_index, strict=True):
+    for t, j in zip(loop.table[:, 0], loop.alloc_index, strict=True):
         expected = allocation_matrix(sc.bank, sc.health_estimate(t))
-        assert np.array_equal(signals.alloc[j], expected), t
+        assert np.array_equal(loop.alloc[j], expected), t
 
 
 def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
@@ -420,41 +419,6 @@ def test_campaign_with_revisited_allocation_matches_run_scenario(monkeypatch):
     _, traces = campaign_traces(monkeypatch, sc, 2)
     for trace, seed in zip(traces, instance_seeds(sc.seed, 2), strict=True):
         assert_traces_equal(trace, run_scenario(replace(sc, seed=seed)))
-
-
-def campaign_copy(sc, **changes):
-    """A copy of sc with the given fields set, its other fields the same
-    objects: no field is checked or copied again."""
-    instance = copy.copy(sc)
-    for name, value in changes.items():
-        object.__setattr__(instance, name, value)
-    return instance
-
-
-OTHER_DISTURBANCE = VectorSignal(x=SignalSpec("const", 1e-4))
-
-
-@pytest.mark.parametrize("other", [
-    lambda sc: short_scenario(),
-    lambda sc: replace(sc, dt=sc.dt / 2),
-    lambda sc: replace(sc, disturbance=OTHER_DISTURBANCE),
-    lambda sc: campaign_copy(sc, dt=sc.dt / 2),
-    lambda sc: campaign_copy(sc, disturbance=OTHER_DISTURBANCE, seed=7),
-], ids=["equal-preset", "replaced-dt", "replaced-disturbance", "copy-dt", "copy-disturbance"])
-def test_run_scenario_rejects_signals_of_another_scenario(other):
-    # a scenario equal to the signals' one, or built from it by replace, has
-    # fields that are not the same objects, so its signals might differ too
-    sc = short_scenario()
-    with pytest.raises(ValueError, match="^signals were built for a scenario that differs "
-                                         "in more than its seed$"):
-        run_scenario(other(sc), signals=scenario_signals(sc))
-
-
-def test_run_scenario_takes_signals_of_a_copy_that_differs_in_its_seed():
-    for kind in ("synthetic", "bias"):
-        sc = short_scenario(duration=10.0, observer=ObserverSpec(kind=kind))
-        trace = run_scenario(campaign_copy(sc, seed=12345), signals=scenario_signals(sc))
-        assert_traces_equal(trace, run_scenario(replace(sc, seed=12345)))
 
 
 def test_decimation_beyond_the_grid_records_what_n_steps_records(tmp_path, monkeypatch):
@@ -495,7 +459,7 @@ def test_cli_simulate_rejects_estimate_that_loses_rank_before_any_step(tmp_path,
     sc_path = tmp_path / "fading.yaml"
     sc_path.write_text(yaml.safe_dump(d, sort_keys=False))
     monkeypatch.setattr(cli, "run_scenario", never_called)
-    monkeypatch.setattr(harness, "scenario_signals", never_called)
+    monkeypatch.setattr(harness, "closed_loop", never_called)
     assert cli_main(["simulate", "--scenario", str(sc_path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sc_path}: ") and "rank" in err and "t = 1.58 s" in err
@@ -515,7 +479,7 @@ def test_health_estimate_evaluated_once_per_scenario():
             calls.append(t)
             return super().__call__(t)
 
-    scenario_signals(short_scenario(health_estimate=CountedProfile(HealthProfile.healthy(4).profiles)))
+    closed_loop(short_scenario(health_estimate=CountedProfile(HealthProfile.healthy(4).profiles)))
     assert len(calls) == 1
 
 
@@ -552,11 +516,11 @@ def plant(monkeypatch, bad_seeds, exc):
     ran = []
     run_instance = harness.run_instance
 
-    def run(loop, scenario, seed, rec=None):
+    def run(loop, seed, rec=None):
         ran.append(seed)
         if seed in bad_seeds:
             raise exc
-        return run_instance(loop, scenario, seed, rec)
+        return run_instance(loop, seed, rec)
 
     monkeypatch.setattr(harness, "run_instance", run)
     return ran
@@ -610,7 +574,7 @@ def test_instance_loop_takes_the_scenario_integer_rule(monkeypatch, call, messag
     # a seed given to replace and the instance count of a campaign follow the
     # rule that Scenario applies to its own seed, before any step runs
     sc = paper_faulty(duration=1.0)
-    monkeypatch.setattr(harness, "scenario_signals", never_called)
+    monkeypatch.setattr(harness, "closed_loop", never_called)
     monkeypatch.setattr(harness, "predict", never_called)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(sc)
@@ -636,8 +600,8 @@ def test_verify_passes_on_a_zero_budget_within_the_roundoff_floor(monkeypatch):
     assert report["omega_bound_rad_s"] == 0.0 < report["omega_tail_max_rad_s"] <= 1e-12
     run_instance = harness.run_instance
     for key in ("theta_tail_max_deg", "omega_tail_max_rad_s"):
-        def planted(loop, scenario, seed, rec=None, key=key):
-            st = run_instance(loop, scenario, seed, rec)
+        def planted(loop, seed, rec=None, key=key):
+            st = run_instance(loop, seed, rec)
             return {**st, key: st[key] + 1e-9}
 
         monkeypatch.setattr(harness, "run_instance", planted)

@@ -22,7 +22,7 @@ from ftacs.config import ModelEstimates
 from ftacs.errors import NonFiniteState
 from ftacs.estimation import NoiseParams, SyntheticErrorProfile
 from ftacs import kernel
-from ftacs.harness import RunTrace, ScenarioSignals, run_instance, run_scenario, scenario_signals
+from ftacs.harness import RunTrace, closed_loop, run_instance, run_scenario
 from ftacs.scenario import (
     PAPER_D,
     PAPER_J,
@@ -40,12 +40,12 @@ from ftacs.scenario import (
 from float_kernel import (
     ROW_BLOCK,
     bias_observer,
-    closed_loop,
-    float_signals,
     kinematics_rk4,
+    step_table,
     steps,
     synthetic_observe,
 )
+from float_kernel import closed_loop as float_closed_loop
 from float_kernel import run_scenario as float_run_scenario
 from reference import (
     DesiredState,
@@ -144,10 +144,10 @@ PAIR_CASES = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + sorted(PRESET_CASES) + sorted(PAIR_CASES))
 def test_compiled_kernel_equals_the_float_kernel(case):
     sc = {**GOLDEN_CASES, **PRESET_CASES, **PAIR_CASES}[case]()
-    signals = scenario_signals(sc)
+    loop = closed_loop(sc)
     # the compiled step table is the numpy one, byte for byte
-    assert signals.table.tobytes() == float_signals(sc).table.tobytes()
-    compiled, oracle = run_scenario(sc, signals), float_run_scenario(sc, signals)
+    assert loop.table.tobytes() == step_table(sc).tobytes()
+    compiled, oracle = run_scenario(sc), float_run_scenario(loop)
     for f in fields(RunTrace):
         a, b = getattr(compiled, f.name), getattr(oracle, f.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f"{case}.{f.name}"
@@ -174,8 +174,7 @@ def test_kernel_instance_record_equals_the_oracle(kind, n_steps, decimation, fra
     assert rows == -(-n_steps // decimation) and tail == (2 if rows > 1 else 1)
     oracle = steady_state_stats(trace, fraction)
     assert trace.record == oracle
-    loop = kernel.ClosedLoop(scenario_signals(sc), decimation, fraction)
-    assert run_instance(loop, sc, sc.seed) == oracle
+    assert run_instance(closed_loop(sc), sc.seed) == oracle
     if rows > 1:  # the case tells the window from one a row longer
         longer = steady_state_stats(trace, (tail + 1) / rows)
         assert longer["theta_tail_max_deg"] != oracle["theta_tail_max_deg"]
@@ -189,8 +188,7 @@ def test_instance_record_of_a_600_s_run_equals_the_oracle(case):
     assert len(trace.t) == 60_000
     oracle = steady_state_stats(trace, sc.tail_fraction)
     assert trace.record == oracle
-    loop = kernel.ClosedLoop(scenario_signals(sc), 1, sc.tail_fraction)
-    assert run_instance(loop, sc, sc.seed) == oracle
+    assert run_instance(closed_loop(sc), sc.seed) == oracle
 
 
 def test_pair_cases_run_the_synthetic_observer_on_3_and_6_pairs():
@@ -199,9 +197,9 @@ def test_pair_cases_run_the_synthetic_observer_on_3_and_6_pairs():
     banks = {}
     for make in PAIR_CASES.values():
         sc = make()
-        signals = scenario_signals(sc)
+        loop = closed_loop(sc)
         assert sc.observer.kind == "synthetic"
-        banks[sc.bank.m] = (len(signals.alloc), np.count_nonzero(np.diff(signals.alloc_index)))
+        banks[sc.bank.m] = (len(loop.alloc), np.count_nonzero(np.diff(loop.alloc_index)))
     assert banks[3] == (1, 0)
     assert banks[6][0] == 2 and banks[6][1] >= 2
 
@@ -223,7 +221,8 @@ def one_step(q, w, observed, step, dt, est, coeffs):
     gains, bank and inertia, step being the step's (row, alloc) and observed
     what the observer returns: the new state and the recorded row."""
     rec = np.empty((1, 17 + BANK.m))
-    advance = closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt, lambda *_: observed)
+    advance = float_closed_loop(paper_gains(), est, coeffs, BANK, PAPER_J, dt,
+                                lambda *_: observed)
     q, w = advance(q, w, [step], rec, 1)
     return q, w, tuple(rec[0].tolist())
 
@@ -232,12 +231,10 @@ def compiled_step(sc, coeffs, q, w, row, alloc):
     """One step of kernel.ClosedLoop from (q, w) with the scenario's gains,
     estimates, bank, inertia, dt and observer on one table row and its
     allocation matrix: the new state and the recorded row."""
-    constants, pairs = kernel.constants(sc, coeffs)
-    signals = ScenarioSignals(scenario=sc, constants=constants, pairs=pairs,
-                              table=np.array([row]), alloc=np.array([alloc]),
-                              alloc_index=np.zeros(1, dtype=np.int64))
+    loop = kernel.ClosedLoop(sc, *kernel.constants(sc, coeffs), np.array([row]),
+                             np.array([alloc]), np.zeros(1, dtype=np.int64))
     rec = np.empty((1, 17 + sc.bank.m))
-    q, w, _ = kernel.ClosedLoop(signals, 1, 1.0)(q, w, np.random.default_rng(5), rec)
+    q, w, _ = loop(q, w, np.random.default_rng(5), rec)
     return q, w, rec[0]
 
 
@@ -305,11 +302,11 @@ COLUMN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
 def test_kernel_reads_the_columns_scenario_signals_writes(case):
-    # scenario_signals writes the row layout and the compiled kernel reads
-    # it: the first step of the table against the reference chain fed from
-    # the scenario's named signals
+    # harness.closed_loop writes the scenario's signals in the row layout
+    # and the compiled kernel reads it: the first step of the table against
+    # the reference chain fed from the scenario's named signals
     sc = COLUMN_CASES[case]()
-    signals = scenario_signals(sc)
+    loop = closed_loop(sc)
     coeffs = robust_coefficients(sc.budget, sc.gains.k)
     rng = np.random.default_rng(11)
     state = SpacecraftState(q=random_quat(rng), omega=rng.standard_normal(3) * 0.02)
@@ -333,41 +330,60 @@ def test_kernel_reads_the_columns_scenario_signals_writes(case):
                 np.linalg.norm(estimation_error(obs.q_hat, state.q)[1:]),
                 np.linalg.norm(obs.omega_hat - state.omega)]
 
-    q, w, row = compiled_step(sc, coeffs, q, w, signals.table[0],
-                              signals.alloc[signals.alloc_index[0]])
+    q, w, row = compiled_step(sc, coeffs, q, w, loop.table[0], loop.alloc[loop.alloc_index[0]])
     np.testing.assert_allclose(row, expected, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(q, ref.q, rtol=0.0, atol=TOL)
     np.testing.assert_allclose(w, ref.omega, rtol=0.0, atol=TOL)
 
 
+LOOP_ARRAYS = ("constants", "pairs", "table", "alloc", "alloc_index")
+
+
+def rebound(loop, **arrays):
+    """A kernel.ClosedLoop of loop's scenario on loop's arrays, the given ones replaced."""
+    return kernel.ClosedLoop(loop.scenario, *(arrays.get(name, getattr(loop, name))
+                                              for name in LOOP_ARRAYS))
+
+
 @pytest.mark.parametrize("name, value", [("constants", np.zeros(47)), ("pairs", np.zeros((3, 3)))])
 def test_closed_loop_rejects_packed_constants_of_another_shape(name, value):
     # C reads 48 constants and m rows of D.T, past the end of a shorter array
-    sc = paper_faulty(duration=1.0)
-    signals = replace(scenario_signals(sc), **{name: value})
-    rec = np.empty((sc.n_steps, 17 + sc.bank.m))
     with pytest.raises(ValueError, match=f"^{name} has shape"):
-        kernel.ClosedLoop(signals, 1, 1.0)((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                           np.random.default_rng(1), rec)
+        rebound(closed_loop(paper_faulty(duration=1.0)), **{name: value})
+
+
+@pytest.mark.parametrize("entry", ["minus-one", "len-alloc"])
+def test_closed_loop_rejects_an_alloc_index_outside_alloc(entry, monkeypatch):
+    # C reads alloc[alloc_index[i]] with no check of its own: an entry of -1
+    # or len(alloc) fails at construction, before any C call
+    loop = closed_loop(PAIR_CASES["six_pairs_toggled_synthetic"]())
+    assert len(loop.alloc) == 2
+    index = loop.alloc_index.copy()
+    index[len(index) // 2] = -1 if entry == "minus-one" else len(loop.alloc)
+    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C library was loaded"))
+    with pytest.raises(ValueError, match=r"^alloc_index must index the 2 allocation matrices$"):
+        rebound(loop, alloc_index=index)
+
+
+def test_closed_loop_rejects_a_table_of_no_rows():
+    loop = closed_loop(paper_faulty(duration=1.0))
+    with pytest.raises(ValueError, match="^table must have at least one row$"):
+        rebound(loop, table=loop.table[:0], alloc_index=loop.alloc_index[:0])
 
 
 def test_closed_loop_takes_only_arrays_it_can_read_in_place():
     # the kernel gets the addresses of the arrays, bound once: each must be
     # C-contiguous with the dtype C reads, and rec writeable
     sc = paper_faulty(duration=1.0)
-    signals = scenario_signals(sc)
+    loop = closed_loop(sc)
     for name, value, message in [
-            ("table", np.asfortranarray(signals.table), "table must be a C-contiguous float64"),
-            ("alloc_index", signals.alloc_index.astype(np.int32),
+            ("table", np.asfortranarray(loop.table), "table must be a C-contiguous float64"),
+            ("alloc_index", loop.alloc_index.astype(np.int32),
              "alloc_index must be a C-contiguous int64"),
-            ("constants", signals.constants.astype(np.float32),
+            ("constants", loop.constants.astype(np.float32),
              "constants must be a C-contiguous float64")]:
         with pytest.raises(ValueError, match=f"^{message} array$"):
-            kernel.ClosedLoop(replace(signals, **{name: value}), 1, 1.0)
-    for fraction in (0.0, 1.5, math.nan):
-        with pytest.raises(ValueError, match=re.escape("tail_fraction must be in (0, 1]")):
-            kernel.ClosedLoop(signals, 1, fraction)
-    loop = kernel.ClosedLoop(signals, 1, 1.0)
+            rebound(loop, **{name: value})
     state = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), np.random.default_rng(1))
     with pytest.raises(ValueError, match=r"^rec has shape \(100, 20\), expected \(100, 21\)$"):
         loop(*state, np.empty((sc.n_steps, 20)))
@@ -559,17 +575,18 @@ def test_compiled_bias_observer_redraws_short_axes_as_the_float_kernel_does():
     # 900 steps of a bias-observer scenario from the same state on the same
     # stream: kernel.bias_noise takes the draws in the float kernel's order
     sc = paper_fault_free(duration=9.0, observer=ObserverSpec(kind="bias", k_o=1.0, k_b=0.1))
-    signals = scenario_signals(sc)
-    assert len(signals.table) == 900
+    loop = closed_loop(sc)
+    assert len(loop.table) == 900 and loop.record_every == 1
     stream, inserted = short_axis_stream()
     q, w = (0.5, 0.5, -0.5, 0.5), (0.01, -0.02, 0.005)
     rng_float, rng_compiled = StreamGenerator(stream), StreamGenerator(stream)
     observe = bias_observer(sc.noise, sc.observer.k_o, sc.observer.k_b, sc.dt, rng_float)
-    advance = closed_loop(sc.gains, sc.estimates, robust_coefficients(sc.budget, sc.gains.k),
-                          sc.bank, sc.J, sc.dt, observe)
+    advance = float_closed_loop(sc.gains, sc.estimates,
+                                robust_coefficients(sc.budget, sc.gains.k), sc.bank, sc.J, sc.dt,
+                                observe)
     expected, rec = np.empty((900, 21)), np.empty((900, 21))
-    state = advance(q, w, steps(signals), expected, 1)
-    assert kernel.ClosedLoop(signals, 1, 1.0)(q, w, rng_compiled, rec)[:2] == state
+    state = advance(q, w, steps(loop), expected, 1)
+    assert loop(q, w, rng_compiled, rec)[:2] == state
     assert np.array_equal(rec, expected)
     # the float kernel draws whole noise blocks; bias_noise draws the 900
     # steps' normals and the redrawn axes, no more

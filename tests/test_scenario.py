@@ -451,8 +451,8 @@ def _never_called(*args, **kwargs):
 
 
 # the stages that a row of the table must not reach, by the last one it may
-UNREACHED = {"load": [(harness, "predict"), (cli, "predict"), (harness, "scenario_signals")],
-             "predict": [(harness, "scenario_signals")], "run": []}
+UNREACHED = {"load": [(harness, "predict"), (cli, "predict"), (harness, "closed_loop")],
+             "predict": [(harness, "closed_loop")], "run": []}
 
 
 @pytest.mark.parametrize("row, line", RUNS, ids=[run_id(*run) for run in RUNS])
